@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegeneratePhi, OverflowRisk, ValidationError
 from .inversion import BackwardTrajectory, InverseProblem, backward_time_grid, invert_spectral
-from .spectral import SpectralDecomposition, SpectralFunction, norm
+from .spectral import SpectralDecomposition, SpectralFunction, _csv_text, norm
 
 _LN10 = math.log(10.0)
 _MAX_EXPONENT = 700.0
@@ -214,12 +214,12 @@ def gamma_convergence_study(
 
 
 def gamma_study_to_csv(rows) -> str:
-    lines = ["gamma,error,residual"]
-    for row in rows:
-        lines.append(
-            f"{format(row.gamma, '.17g')},{format(row.error, '.17g')},{format(row.residual, '.17g')}"
-        )
-    return "\n".join(lines) + "\n"
+    """CSV ``gamma,error,residual`` of a :func:`gamma_convergence_study`."""
+    return _csv_text(
+        "gamma,error,residual",
+        "%.17g,%.17g,%.17g\n",
+        ((row.gamma, row.error, row.residual) for row in rows),
+    )
 
 
 # -- jump-mixture regularisation ------------------------------------------------
@@ -318,11 +318,18 @@ def regularised_pide_solve(
 
 
 def trajectory_to_csv(traj: BackwardTrajectory) -> str:
-    """Long-format CSV ``t,index,value`` of a backward trajectory."""
-    lines = ["t,index,value"]
-    for i, t in enumerate(traj.times):
-        for j in range(traj.values.shape[1]):
-            lines.append(
-                f"{format(float(t), '.17g')},{j},{format(float(traj.values[i, j]), '.17g')}"
-            )
-    return "\n".join(lines) + "\n"
+    """Long-format CSV ``t,index,value`` of a backward trajectory.
+
+    One block of n rows per time, len(times) * n rows after the header;
+    each block fills one n-line template, with the time formatted once.
+    """
+    n = traj.values.shape[1]
+    block = "".join("%%s,%d,%%.17g\n" % j for j in range(n))
+    cells = [None] * (2 * n)
+
+    def fill(t, values):
+        cells[0::2] = ["%.17g" % t] * n
+        cells[1::2] = values.tolist()
+        return tuple(cells)
+
+    return _csv_text("t,index,value", block, map(fill, traj.times.tolist(), traj.values))

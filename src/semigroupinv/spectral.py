@@ -16,6 +16,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import (
+    InvalidConfig,
     LengthMismatch,
     NegativeEigenvalue,
     NegativeTime,
@@ -281,38 +282,57 @@ def eigenvalue_clusters(dec: SpectralDecomposition, cluster_tol: float = CLUSTER
 
 
 # -- CSV serialization -------------------------------------------------------
+#
+# Every CSV artifact is rendered by ``_csv_text``: LF line endings, integers
+# as %d and floats as %.17g, which round-trips every double and is the same
+# text as ``format(x, ".17g")``.  Each table builds its row template once and
+# fills it with plain Python floats from ``.tolist()``; formatting numpy
+# scalars cell by cell costs several times more.
 
 CSV_HEADER = "index,x,m,value"
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _csv_text(header: str, row: str, rows) -> str:
+    """``header``, then ``row % cells`` for each tuple of cells in ``rows``.
+
+    ``row`` ends in a newline and may hold several lines of the table.
+    """
+    return header + "\n" + "".join(map(row.__mod__, rows))
 
 
 def vector_to_csv(space: WeightedStateSpace, values) -> str:
     """Serialize a grid function as ``index,x,m,value`` rows, LF endings."""
     values = _check_vector(space, values)
-    lines = [CSV_HEADER]
-    for i in range(space.size):
-        lines.append(
-            f"{i},{_fmt(space.points[i])},{_fmt(space.weights[i])},{_fmt(values[i])}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv_text(
+        CSV_HEADER,
+        "%d,%.17g,%.17g,%.17g\n",
+        zip(range(space.size), space.points.tolist(), space.weights.tolist(), values.tolist()),
+    )
 
 
 def vector_from_csv(text: str) -> tuple[WeightedStateSpace, np.ndarray]:
-    """Parse the output of :func:`vector_to_csv`."""
+    """Parse the output of :func:`vector_to_csv`.
+
+    A row without exactly four fields, or with a non-numeric x, m or value,
+    raises :class:`InvalidConfig`.
+    """
     reader = io.StringIO(text)
     header = reader.readline().strip()
     if header != CSV_HEADER:
         raise LengthMismatch(f"expected header {CSV_HEADER!r}, got {header!r}")
     xs, ms, vs = [], [], []
-    for line in reader:
+    for lineno, line in enumerate(reader, start=2):
         line = line.strip()
         if not line:
             continue
-        _, x, m_, v = line.split(",")
-        xs.append(float(x))
-        ms.append(float(m_))
-        vs.append(float(v))
+        try:
+            _, x, m_, v = line.split(",")
+            x, m_, v = float(x), float(m_), float(v)
+        except ValueError:
+            raise InvalidConfig(
+                f"line {lineno}: expected numeric fields {CSV_HEADER}, got {line!r}"
+            ) from None
+        xs.append(x)
+        ms.append(m_)
+        vs.append(v)
     return build_space(xs, ms), np.array(vs)

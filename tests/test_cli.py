@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import semigroupinv as sg
-from semigroupinv.cli import RunConfig, build_model, parse_function_literal, run
+from semigroupinv.cli import RunConfig, build_model, load_model_file, main, parse_function_literal, run
 
 CHAIN2_JSON = {
     "schemaVersion": 1,
@@ -136,6 +136,18 @@ class TestCommands:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["allPassed"] is True
         assert all(c["passed"] for c in summary["checks"].values())
+        assert "flowQuadratureAgreement" in summary["checks"]
+
+    def test_check_reports_skipped_flow_check(self, model_files, tmp_path):
+        out = tmp_path / "out_check_ou"
+        assert run(RunConfig("check", model_files["ou"], out, {"seed": 0})) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["allPassed"] is True
+        flow = summary["checks"]["flowQuadratureAgreement"]
+        assert flow["skipped"] is True and "passed" not in flow
+        lam_max = sg.spectral_decompose(load_model_file(model_files["ou"])).lambda_max
+        assert flow["lambdaMax"] == pytest.approx(lam_max, rel=1e-12)
+        assert flow["lambdaMax"] > 50.0 and "exceeds 50" in flow["reason"]
 
     def test_decompose_artifacts(self, model_files, tmp_path):
         out = tmp_path / "out_dec"
@@ -272,6 +284,85 @@ class TestCommands:
                 ((out / "sweep.csv").read_bytes(), (out / "summary.json").read_bytes())
             )
         assert outputs[0] == outputs[1]
+
+
+def cli_exit(argv) -> int:
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code
+
+
+class TestExplicitParameters:
+    """A falsy value on the command line is validated, never replaced by a default."""
+
+    @pytest.mark.parametrize("command", ["invert", "diagnose"])
+    def test_alpha_zero_exits_2(self, model_files, tmp_path, command):
+        out = tmp_path / "out"
+        argv = [command, "--model", model_files["chain2"], "--output", str(out),
+                "--T", "1", "--g", "random(1)", "--alpha", "0"]
+        assert cli_exit(argv) == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "NonPositiveAlpha"
+        assert not (out / "summary.json").exists()
+
+    def test_tstar_zero_exits_2(self, model_files, tmp_path):
+        out = tmp_path / "out"
+        argv = ["pde", "--model", model_files["chain2"], "--output", str(out),
+                "--T", "1", "--g", "random(1)", "--gamma", "0.1", "--tstar", "0"]
+        assert cli_exit(argv) == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"
+
+    def test_coeff_tol_zero_is_honoured(self, model_files, tmp_path):
+        out = tmp_path / "out"
+        argv = ["invert", "--model", model_files["chain2"], "--output", str(out),
+                "--T", "1", "--g", "random(1)", "--coeff-tol", "0"]
+        assert cli_exit(argv) == 0
+        assert json.loads((out / "summary.json").read_text())["coeffTol"] == 0.0
+
+    def test_empty_gammas_exits_2(self, model_files, tmp_path):
+        out = tmp_path / "out"
+        argv = ["sweep", "--model", model_files["chain2"], "--output", str(out),
+                "--T", "1", "--g", "random(1)", "--gammas", ","]
+        assert cli_exit(argv) == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "InvalidConfig"
+
+
+class TestVectorFileInput:
+    """``--g csv:PATH`` input that cannot be parsed exits 2 with error.json."""
+
+    @pytest.mark.parametrize(
+        "row",
+        [b"1,abc,1,2\n", b"1,0.5,1\n", b"1,0.5,1,2,3\n"],
+        ids=["non-numeric", "three-fields", "five-fields"],
+    )
+    def test_malformed_row_exits_2(self, model_files, tmp_path, row):
+        vector = tmp_path / "g.csv"
+        vector.write_bytes(b"index,x,m,value\n0,-0.5,1,1\n" + row)
+        out = tmp_path / "out"
+        argv = ["invert", "--model", model_files["chain2"], "--output", str(out),
+                "--T", "1", "--g", f"csv:{vector}"]
+        assert cli_exit(argv) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "InvalidConfig"
+        assert "line 3" in error["message"]
+
+    def test_undecodable_file_exits_2(self, model_files, tmp_path):
+        vector = tmp_path / "g.csv"
+        vector.write_bytes(b"\xff\xfe\x00index")
+        out = tmp_path / "out"
+        argv = ["invert", "--model", model_files["chain2"], "--output", str(out),
+                "--T", "1", "--g", f"csv:{vector}"]
+        assert cli_exit(argv) == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "InvalidConfig"
+
+    def test_written_vector_reads_back(self, model_files, tmp_path):
+        first = tmp_path / "first"
+        argv = ["invert", "--model", model_files["chain2"], "--output", str(first),
+                "--T", "1", "--g", "random(2)"]
+        assert cli_exit(argv) == 0
+        second = tmp_path / "second"
+        argv = ["invert", "--model", model_files["chain2"], "--output", str(second),
+                "--T", "1", "--g", f"csv:{first / 'solution.csv'}"]
+        assert cli_exit(argv) == 0
 
 
 class TestConsoleEntry:
