@@ -57,6 +57,7 @@ from .regularisation import (
 from .spectral import (
     SymmetricGenerator,
     _csv_text,
+    build_space,
     check_m_symmetry,
     inner,
     norm,
@@ -252,6 +253,36 @@ def evaluate_on_points(expr: str, points: np.ndarray) -> np.ndarray:
 # -- model loading --------------------------------------------------------------
 
 
+_REQUIRED = object()
+
+
+def _integer(value) -> int:
+    n = int(value)
+    if n != float(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return n
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _model_param(params: dict, key: str, convert, default=_REQUIRED):
+    """``convert(params[key])``, or ``default`` only when ``key`` is absent.
+
+    A missing required key, or a value ``convert`` rejects, raises
+    :class:`InvalidConfig` naming the key.
+    """
+    if key not in params:
+        if default is _REQUIRED:
+            raise InvalidConfig(f"model parameter {key!r} is required")
+        return default
+    try:
+        return convert(params[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"model parameter {key!r}: {exc}") from None
+
+
 def build_model(spec: dict) -> SymmetricGenerator:
     """Instantiate a generator from a JSON model description."""
     if not isinstance(spec, dict):
@@ -260,25 +291,26 @@ def build_model(spec: dict) -> SymmetricGenerator:
         raise InvalidConfig(f"unsupported schemaVersion {spec.get('schemaVersion')!r}")
     kind = spec.get("type")
     params = spec.get("parameters", {})
+    if not isinstance(params, dict):
+        raise InvalidConfig("model parameters must be a JSON object")
     if kind == "chain":
-        return build_chain(params["matrix"], params["weights"])
+        return build_chain(
+            _model_param(params, "matrix", _array), _model_param(params, "weights", _array)
+        )
     if kind == "ou":
         return build_ou(
-            float(params.get("halfWidth", 6.0)),
-            int(params.get("n", 400)),
-            float(params.get("rate", 1.0)),
+            _model_param(params, "halfWidth", float, 6.0),
+            _model_param(params, "n", _integer, 400),
+            _model_param(params, "rate", float, 1.0),
         )
     if kind == "diffusion":
-        left = float(params["left"])
-        right = float(params["right"])
-        n = int(params["n"])
         sigma_expr = str(params.get("sigma", "1"))
         kill_expr = params.get("kill")
         return build_diffusion(
             DiffusionSpec(
-                left=left,
-                right=right,
-                n=n,
+                left=_model_param(params, "left", float),
+                right=_model_param(params, "right", float),
+                n=_model_param(params, "n", _integer),
                 sigma=lambda x, e=sigma_expr: evaluate_on_points(e, x),
                 kill=None if kill_expr is None else (lambda x, e=str(kill_expr): evaluate_on_points(e, x)),
                 boundary_left=str(params.get("boundaryLeft", "neumann")),
@@ -286,15 +318,13 @@ def build_model(spec: dict) -> SymmetricGenerator:
             )
         )
     if kind == "jump":
-        points = np.asarray(params["points"], float)
-        weights = np.asarray(params["weights"], float)
-        from .spectral import build_space
-
-        space = build_space(points, weights)
+        space = build_space(
+            _model_param(params, "points", _array), _model_param(params, "weights", _array)
+        )
         if "kernel" in params:
-            kernel = JumpKernelSpec(np.asarray(params["kernel"], float), space)
+            kernel = JumpKernelSpec(_model_param(params, "kernel", _array), space)
         else:
-            kernel = gaussian_jump_kernel(space, float(params.get("tStar", 1.0)))
+            kernel = gaussian_jump_kernel(space, _model_param(params, "tStar", float, 1.0))
         return build_jump(kernel)
     raise InvalidConfig(f"unknown model type {kind!r}")
 
@@ -357,11 +387,19 @@ def _observed_vector(config: RunConfig, gen: SymmetricGenerator) -> np.ndarray:
             text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise InvalidConfig(f"cannot read vector file {path}: {exc}") from exc
-        _, values = vector_from_csv(text)
+        space, values = vector_from_csv(text)
         if values.size != gen.size:
             raise InvalidConfig(
                 f"vector file has {values.size} entries, model has {gen.size}"
             )
+        for column, got, want in (("x", space.points, gen.space.points),
+                                  ("m", space.weights, gen.space.weights)):
+            if not np.array_equal(got, want):
+                k = int(np.flatnonzero(got != want)[0])
+                raise InvalidConfig(
+                    f"vector file column {column} is not the model grid: row {k}"
+                    f" has {float(got[k])!r}, the model {float(want[k])!r}"
+                )
         return values
     return parse_function_literal(source, gen.space)
 

@@ -38,6 +38,9 @@ from .spectral import SpectralDecomposition, norm
 _LN10 = math.log(10.0)
 _MAX_EXPONENT = 700.0  # exp() stays inside double range below this
 
+# Cells (nodes x modes) of one _decay_sum block: a 256 KB temporary, L2-sized.
+_BLOCK_CELLS = 32768
+
 # Relative coefficient floor: modes of g below coeff_tol * ||g|| carry no
 # usable information and are excluded from inversion (their amplified images
 # would be pure noise, or overflow outright).
@@ -105,6 +108,44 @@ def _require_alpha(alpha: float) -> None:
 def _flow_multipliers(lam: np.ndarray, alpha: float, t: float) -> np.ndarray:
     beta = lam + alpha
     return np.exp(-t / beta) / beta
+
+
+def _block_rows(n_modes: int) -> int:
+    """Rows of one _decay_sum block: about _BLOCK_CELLS cells, a multiple of 32.
+
+    The GEMV kernel groups rows by 4, so block starts at multiples of 4 keep
+    every row in the same group as in one unblocked product.
+    """
+    return max(32, (_BLOCK_CELLS // n_modes) // 32 * 32)
+
+
+def _decay_sum(s: np.ndarray, rates: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_k weights_k exp(-s rates_k) at every node of ``s``.
+
+    Bit for bit ``np.exp(-np.outer(s, rates)) @ weights``, but evaluated one
+    row block at a time, so memory stays at one cache-sized block however
+    many nodes and modes there are.  A trailing one-row block is merged into
+    the block before it: numpy sends a one-row product to a dot kernel,
+    which sums in another order than the GEMV.
+    """
+    s = np.asarray(s, dtype=float)
+    neg_rates = -np.asarray(rates, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    rows = _block_rows(neg_rates.size)
+    stops = list(range(rows, s.size, rows))
+    if stops and s.size - stops[-1] == 1:
+        stops.pop()
+    stops.append(s.size)
+    out = np.empty(s.size)
+    buf = np.empty((min(rows + 1, s.size), neg_rates.size))
+    start = 0
+    for stop in stops:
+        block = buf[: stop - start]
+        np.multiply.outer(s[start:stop], neg_rates, out=block)
+        np.exp(block, out=block)
+        np.dot(block, weights, out=out[start:stop])
+        start = stop
+    return out
 
 
 def resolvent_flow(dec: SpectralDecomposition, alpha: float, t: float, f) -> np.ndarray:
@@ -318,13 +359,14 @@ def conditioning_report(
     edges = sqrt_uniform_edges(
         s_max, u_width=0.5 * math.sqrt(alpha), refine_scale=alpha / 4.0
     )
+    rates = 1.0 / beta
     quad_form = c * c / beta
 
     def weight(s: np.ndarray) -> np.ndarray:
         return bessel_i0(2.0 * np.sqrt(2.0 * T * s))
 
     def field(s: np.ndarray) -> np.ndarray:
-        return np.exp(-np.outer(s, 1.0 / beta)) @ quad_form
+        return _decay_sum(s, rates, quad_form)
 
     res = bochner_quadrature(weight, field, cfg, breakpoints=edges)
     membership_quadrature = float(res.value[0])
@@ -450,10 +492,11 @@ def laplace_diagnostic(
     edges = geometric_refined_edges(
         t_max, refine_scale=alpha / 2.0, max_width=15.0 / rate_slow
     )
+    rates = 1.0 / beta
     quad_form = c2 / beta
 
     def weight(t: np.ndarray) -> np.ndarray:
-        return np.exp(-s * t) * (np.exp(-np.outer(t, 1.0 / beta)) @ quad_form)
+        return np.exp(-s * t) * _decay_sum(t, rates, quad_form)
 
     res = bochner_quadrature(weight, lambda t: np.ones_like(t), cfg, breakpoints=edges)
     return float(res.value[0]), rhs
@@ -566,9 +609,10 @@ def squared_bessel_h_quadrature(
         max_width=2.5 / rate_slow,
     )
 
+    rates = lam + rate0
+
     def weight(s: np.ndarray) -> np.ndarray:
-        damped = np.exp(-np.outer(s, lam + rate0)) @ c2
-        return bessel_j0(2.0 * np.sqrt(x * s)) * damped
+        return bessel_j0(2.0 * np.sqrt(x * s)) * _decay_sum(s, rates, c2)
 
     res = bochner_quadrature(weight, lambda s: np.ones_like(s), cfg, breakpoints=edges)
     return float(res.value[0])

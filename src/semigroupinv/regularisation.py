@@ -11,17 +11,20 @@ observation with inverse norm at most exp(t)/gamma.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegeneratePhi, OverflowRisk, ValidationError
-from .inversion import BackwardTrajectory, InverseProblem, backward_time_grid, invert_spectral
+from .inversion import (
+    _LN10,
+    _MAX_EXPONENT,
+    BackwardTrajectory,
+    InverseProblem,
+    backward_time_grid,
+    invert_spectral,
+)
 from .spectral import SpectralDecomposition, SpectralFunction, _csv_text, norm
-
-_LN10 = math.log(10.0)
-_MAX_EXPONENT = 700.0
 
 PHI_FAMILY_NAMES = ("tikhonov_exp", "constant", "jump_mixture", "resolvent_jump")
 

@@ -313,8 +313,9 @@ def vector_to_csv(space: WeightedStateSpace, values) -> str:
 def vector_from_csv(text: str) -> tuple[WeightedStateSpace, np.ndarray]:
     """Parse the output of :func:`vector_to_csv`.
 
-    A row without exactly four fields, or with a non-numeric x, m or value,
-    raises :class:`InvalidConfig`.
+    A row without exactly four fields, with a non-numeric x, m or value, or
+    with an index other than its position 0, 1, ... raises
+    :class:`InvalidConfig`.
     """
     reader = io.StringIO(text)
     header = reader.readline().strip()
@@ -326,12 +327,15 @@ def vector_from_csv(text: str) -> tuple[WeightedStateSpace, np.ndarray]:
         if not line:
             continue
         try:
-            _, x, m_, v = line.split(",")
-            x, m_, v = float(x), float(m_), float(v)
+            index, x, m_, v = line.split(",")
+            index, x, m_, v = int(index), float(x), float(m_), float(v)
         except ValueError:
             raise InvalidConfig(
-                f"line {lineno}: expected numeric fields {CSV_HEADER}, got {line!r}"
+                f"line {lineno}: expected fields {CSV_HEADER} with an integer index"
+                f" and numeric x, m, value, got {line!r}"
             ) from None
+        if index != len(vs):
+            raise InvalidConfig(f"line {lineno}: index {index}, expected {len(vs)}")
         xs.append(x)
         ms.append(m_)
         vs.append(v)

@@ -112,6 +112,36 @@ class TestModelLoading:
         assert gen.size == 16
         assert sg.check_m_symmetry(gen.matrix, gen.space) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "kind, params, missing",
+        [
+            ("chain", {"weights": [1.0, 1.0]}, "matrix"),
+            ("chain", {"matrix": [[-0.5, 0.5], [0.5, -0.5]]}, "weights"),
+            ("diffusion", {"right": 1.0, "n": 8}, "left"),
+            ("diffusion", {"left": 0.0, "n": 8}, "right"),
+            ("diffusion", {"left": 0.0, "right": 1.0}, "n"),
+            ("jump", {"weights": [0.5, 0.5]}, "points"),
+            ("jump", {"points": [0.0, 1.0]}, "weights"),
+        ],
+    )
+    def test_missing_required_key_names_it(self, kind, params, missing):
+        with pytest.raises(sg.InvalidConfig, match=f"'{missing}' is required"):
+            build_model({"schemaVersion": 1, "type": kind, "parameters": params})
+
+    @pytest.mark.parametrize(
+        "kind, params, key",
+        [
+            ("ou", {"n": 12.5}, "n"),
+            ("ou", {"n": float("inf")}, "n"),
+            ("ou", {"halfWidth": [1.0]}, "halfWidth"),
+            ("diffusion", {"left": 0.0, "right": "pi", "n": 8}, "right"),
+            ("jump", {"points": [0.0, [1.0]], "weights": [0.5, 0.5]}, "points"),
+        ],
+    )
+    def test_bad_value_names_the_key(self, kind, params, key):
+        with pytest.raises(sg.InvalidConfig, match=f"model parameter '{key}'"):
+            build_model({"schemaVersion": 1, "type": kind, "parameters": params})
+
     def test_jump_model(self):
         gen = build_model(
             {
@@ -201,6 +231,24 @@ class TestCommands:
         assert run(RunConfig("decompose", str(bad), out, {})) == 2
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "InvalidConfig"
+
+    @pytest.mark.parametrize(
+        "spec, key",
+        [
+            ({"type": "chain", "parameters": {"matrix": [[-0.5, 0.5], [0.5, -0.5]]}}, "weights"),
+            ({"type": "ou", "parameters": {"n": "abc"}}, "n"),
+            ({"type": "chain", "parameters": {"matrix": "abc", "weights": [1.0, 1.0]}}, "matrix"),
+        ],
+        ids=["chain-without-weights", "ou-n-abc", "chain-matrix-abc"],
+    )
+    def test_bad_model_parameters_exit_2(self, tmp_path, spec, key):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schemaVersion": 1, **spec}), encoding="utf-8")
+        out = tmp_path / "out_bad"
+        assert cli_exit(["decompose", "--model", str(bad), "--output", str(out)]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "InvalidConfig"
+        assert f"'{key}'" in error["message"]
 
     def test_bad_expression_exits_2(self, model_files, tmp_path):
         out = tmp_path / "out_expr"
@@ -363,6 +411,49 @@ class TestVectorFileInput:
         argv = ["invert", "--model", model_files["chain2"], "--output", str(second),
                 "--T", "1", "--g", f"csv:{first / 'solution.csv'}"]
         assert cli_exit(argv) == 0
+
+    def _invert_from_csv(self, model, vector, out):
+        return cli_exit(["invert", "--model", model, "--output", str(out),
+                         "--T", "1", "--g", f"csv:{vector}"])
+
+    def test_grid_mismatch_exits_2(self, model_files, tmp_path):
+        vector = tmp_path / "other.csv"
+        vector.write_bytes(b"index,x,m,value\n0,5,3,1\n1,9,7,2\n")
+        out = tmp_path / "out"
+        assert self._invert_from_csv(model_files["chain2"], vector, out) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "InvalidConfig"
+        assert "column x" in error["message"]
+        assert not (out / "solution.csv").exists()
+
+    def test_weight_mismatch_exits_2(self, model_files, tmp_path):
+        vector = tmp_path / "other.csv"
+        vector.write_bytes(b"index,x,m,value\n0,0,1,1\n1,1,2,2\n")
+        out = tmp_path / "out"
+        assert self._invert_from_csv(model_files["chain2"], vector, out) == 2
+        assert "column m" in json.loads((out / "error.json").read_text())["message"]
+
+    def test_index_out_of_order_exits_2(self, model_files, tmp_path):
+        vector = tmp_path / "swapped.csv"
+        vector.write_bytes(b"index,x,m,value\n1,0,1,1\n0,1,1,2\n")
+        out = tmp_path / "out"
+        assert self._invert_from_csv(model_files["chain2"], vector, out) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "InvalidConfig"
+        assert "line 2: index 1, expected 0" in error["message"]
+
+    def test_solution_on_ou_grid_round_trips(self, tmp_path):
+        model = tmp_path / "ou8.json"
+        model.write_text(json.dumps(
+            {"schemaVersion": 1, "type": "ou", "parameters": {"halfWidth": 2.0, "n": 8, "rate": 1.3}}
+        ), encoding="utf-8")
+        first = tmp_path / "first"
+        assert cli_exit(["regularise", "--model", str(model), "--output", str(first), "--T", "1",
+                         "--g", "random(2)", "--gamma", "0.1", "--phi", "constant"]) == 0
+        second = tmp_path / "second"
+        assert self._invert_from_csv(str(model), first / "solution.csv", second) == 0
+        summary = json.loads((second / "summary.json").read_text())
+        assert summary["roundTripRelativeResidual"] <= 1e-8
 
 
 class TestConsoleEntry:
