@@ -11,6 +11,7 @@ integrand's oscillation and decay scales.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -338,6 +339,31 @@ def sqrt_uniform_edges(s_max: float, u_width: float, refine_scale: Optional[floa
     return edges
 
 
+def i0_window_end(a: float, beta: float, tail_tol: float) -> float:
+    """End of the bell envelope exp(2 sqrt(a s) - s/beta).
+
+    The exponent peaks at s* = a beta^2 with value a beta; the window runs
+    until the envelope has dropped ``tail_tol`` below the peak.
+    """
+    drop = math.log(1.0 / tail_tol) + a * beta
+    return a * beta**2 * (1.0 + math.sqrt(drop / max(a * beta, 1e-12))) ** 2
+
+
+def j0_decay_edges(rate: float, scale: float, tail_tol: float, t: float, refine_scale: float) -> np.ndarray:
+    """Panel edges for J0(2 sqrt(t s)) times a decay below scale exp(-rate s).
+
+    The range ends where the decay's tail falls below ``tail_tol``; panels
+    follow the J0 quarter periods and are at most 2.5/rate wide.
+    """
+    s_max = math.log(scale / (rate * tail_tol)) / rate
+    return geometric_refined_edges(
+        s_max,
+        refine_scale=refine_scale,
+        quarter_u=np.pi / (4.0 * math.sqrt(t)) if t > 0 else None,
+        max_width=2.5 / rate,
+    )
+
+
 # -- Laplace transform identities ---------------------------------------------
 
 
@@ -352,13 +378,7 @@ def laplace_j0_identity(
     if t <= 0 or alpha <= 0:
         raise ValidationError("t and alpha must be > 0")
     cfg = config or QuadratureConfig(tail_tol=1e-12)
-    s_max = np.log(1.0 / (alpha * cfg.tail_tol)) / alpha
-    edges = geometric_refined_edges(
-        s_max,
-        refine_scale=min(1.0 / alpha, 1.0),
-        quarter_u=np.pi / (4.0 * np.sqrt(t)),
-        max_width=2.5 / alpha,
-    )
+    edges = j0_decay_edges(alpha, 1.0, cfg.tail_tol, t, refine_scale=min(1.0 / alpha, 1.0))
     res = bochner_quadrature(
         lambda s: np.exp(-alpha * s) * bessel_j0(2.0 * np.sqrt(t * s)),
         lambda s: np.ones_like(s),
@@ -386,10 +406,7 @@ def laplace_i0_identity(
             log10_value=2.0 * t * beta / np.log(10.0),
         )
     cfg = config or QuadratureConfig(tail_tol=1e-12)
-    # Exponent 2 sqrt(2 t s) - s/beta peaks at s* = 2 t beta^2 with value
-    # 2 t beta; push s_max until the envelope drops tail_tol below the peak.
-    drop = np.log(1.0 / cfg.tail_tol) + 2.0 * t * beta
-    s_max = 2.0 * t * beta**2 * (1.0 + np.sqrt(drop / max(2.0 * t * beta, 1e-12))) ** 2
+    s_max = i0_window_end(2.0 * t, beta, cfg.tail_tol)
     edges = sqrt_uniform_edges(s_max, u_width=0.5 * np.sqrt(beta), refine_scale=beta / 4.0)
     res = bochner_quadrature(
         lambda s: np.exp(-s / beta) * bessel_i0(2.0 * np.sqrt(2.0 * t * s)),

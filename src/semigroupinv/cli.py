@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 validation error (bad config, bad expression,
 unreadable input), 3 numerical error (overflow, conditioning cap,
 non-converged quadrature).  Every failure also writes a machine-readable
 ``error.json`` naming the failing operation and the offending magnitude.
-Identical configs and seeds produce byte-identical outputs.
+Identical configs and seeds produce byte-identical outputs under one BLAS
+thread (``OPENBLAS_NUM_THREADS=1``).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .errors import (
     SemigroupInvError,
 )
 from .inversion import (
+    COEFF_TOL,
     InverseProblem,
     conditioning_report,
     invert_bessel,
@@ -42,6 +44,7 @@ from .models import (
     gaussian_jump_kernel,
 )
 from .regularisation import (
+    PHI_FAMILY_NAMES,
     MixtureModel,
     RegularisationConfig,
     gamma_convergence_study,
@@ -75,6 +78,13 @@ COMMANDS = ("decompose", "invert", "regularise", "mixture", "sweep", "diagnose",
 # ``check`` compares the resolvent flow with its J0 quadrature only up to this
 # lambda_max; above it the comparison is reported as skipped, with the reason.
 _FLOW_CHECK_LAMBDA_MAX = 50.0
+
+# Largest ``ou`` or ``diffusion`` grid: 128 MB per dense n x n matrix, ~8 s of eigh.
+_MAX_STATES = 4000
+
+# Value of each optional command parameter when it is not given.
+_DEFAULTS = {"alpha": 1.0, "coeff_tol": COEFF_TOL, "method": "spectral", "seed": 0, "tau": 1.0,
+             "tstar": 1.0, "value": 1.0, "gammas": "1e-1,1e-2,1e-3,1e-4,1e-5,1e-6,1e-7,1e-8"}
 
 
 # -- restricted function-literal grammar ---------------------------------------
@@ -246,20 +256,18 @@ def parse_function_literal(expr: str, space) -> np.ndarray:
     return _Parser(expr, np.asarray(space.points, float)).parse()
 
 
-def evaluate_on_points(expr: str, points: np.ndarray) -> np.ndarray:
-    return _Parser(expr, np.asarray(points, float)).parse()
-
-
 # -- model loading --------------------------------------------------------------
 
 
 _REQUIRED = object()
 
 
-def _integer(value) -> int:
+def _states(value) -> int:
     n = int(value)
     if n != float(value):
         raise ValueError(f"expected an integer, got {value!r}")
+    if n > _MAX_STATES:
+        raise ValueError(f"{n} states exceed the budget of {_MAX_STATES}")
     return n
 
 
@@ -300,7 +308,7 @@ def build_model(spec: dict) -> SymmetricGenerator:
     if kind == "ou":
         return build_ou(
             _model_param(params, "halfWidth", float, 6.0),
-            _model_param(params, "n", _integer, 400),
+            _model_param(params, "n", _states, 400),
             _model_param(params, "rate", float, 1.0),
         )
     if kind == "diffusion":
@@ -310,9 +318,9 @@ def build_model(spec: dict) -> SymmetricGenerator:
             DiffusionSpec(
                 left=_model_param(params, "left", float),
                 right=_model_param(params, "right", float),
-                n=_model_param(params, "n", _integer),
-                sigma=lambda x, e=sigma_expr: evaluate_on_points(e, x),
-                kill=None if kill_expr is None else (lambda x, e=str(kill_expr): evaluate_on_points(e, x)),
+                n=_model_param(params, "n", _states),
+                sigma=lambda x, e=sigma_expr: _Parser(e, x).parse(),
+                kill=None if kill_expr is None else (lambda x, e=str(kill_expr): _Parser(e, x).parse()),
                 boundary_left=str(params.get("boundaryLeft", "neumann")),
                 boundary_right=str(params.get("boundaryRight", "neumann")),
             )
@@ -369,14 +377,14 @@ class RunConfig:
                 raise InvalidConfig(f"command {self.command!r} requires --{name}")
 
 
-def _param(config: RunConfig, name: str, default):
-    """The value of parameter ``name``; ``default`` only when it is absent.
+def _param(config: RunConfig, name: str):
+    """The value of parameter ``name``; its ``_DEFAULTS`` entry only when absent.
 
     A value that is given but falsy (``--alpha 0``) is kept, so that it is
     validated rather than silently replaced.
     """
     value = config.params.get(name)
-    return default if value is None else value
+    return _DEFAULTS[name] if value is None else value
 
 
 def _observed_vector(config: RunConfig, gen: SymmetricGenerator) -> np.ndarray:
@@ -413,19 +421,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _phi_from_params(config: RunConfig, horizon: float):
-    name = config.params["phi"]
-    kwargs = {}
-    if name == "tikhonov_exp":
-        kwargs["horizon"] = horizon
-    elif name == "constant":
-        kwargs["value"] = float(_param(config, "value", 1.0))
-    elif name == "jump_mixture":
-        kwargs["t_star"] = float(_param(config, "tstar", 1.0))
-        kwargs["tau"] = float(_param(config, "tau", 1.0))
-    elif name == "resolvent_jump":
-        kwargs["alpha"] = float(_param(config, "alpha", 1.0))
-        kwargs["tau"] = float(_param(config, "tau", 1.0))
-    return make_phi(name, **kwargs)
+    return make_phi(
+        config.params["phi"],
+        horizon=horizon,
+        value=_param(config, "value"),
+        t_star=_param(config, "tstar"),
+        tau=_param(config, "tau"),
+        alpha=_param(config, "alpha"),
+    )
 
 
 # -- commands ----------------------------------------------------------------------
@@ -446,13 +449,13 @@ def _cmd_decompose(config, gen, dec, out: Path) -> dict:
 
 def _cmd_invert(config, gen, dec, out: Path) -> dict:
     T = float(config.params["T"])
-    alpha = float(_param(config, "alpha", 1.0))
-    coeff_tol = float(_param(config, "coeff_tol", 1e-12))
+    alpha = float(_param(config, "alpha"))
+    coeff_tol = float(_param(config, "coeff_tol"))
     g = _observed_vector(config, gen)
     problem = InverseProblem(dec, T, g)
     report = conditioning_report(problem, alpha)
     _write_json(out / "report.json", report.to_json_dict())
-    method = _param(config, "method", "spectral")
+    method = _param(config, "method")
     if method == "bessel":
         f = invert_bessel(problem, alpha, coeff_tol=coeff_tol)
     elif method == "spectral":
@@ -500,7 +503,7 @@ def _cmd_mixture(config, gen, dec, out: Path) -> dict:
     f = mixture_invert(model, t, g)
     mult = mixture_multipliers(model, t)
     _write(out / "solution.csv", vector_to_csv(gen.space, f))
-    residual = norm(gen.space, dec.synthesize(mult * dec.coefficients(f)) - g)
+    residual = norm(gen.space, dec.apply(mult, f) - g)
     return {
         "T": t,
         "gamma": gamma,
@@ -515,7 +518,7 @@ def _cmd_sweep(config, gen, dec, out: Path) -> dict:
     T = float(config.params["T"])
     g = _observed_vector(config, gen)
     phi = _phi_from_params(config, T)
-    gammas_text = _param(config, "gammas", "1e-1,1e-2,1e-3,1e-4,1e-5,1e-6,1e-7,1e-8")
+    gammas_text = _param(config, "gammas")
     try:
         gammas = [float(v) for v in gammas_text.split(",") if v.strip()]
     except ValueError as exc:
@@ -535,7 +538,7 @@ def _cmd_sweep(config, gen, dec, out: Path) -> dict:
 
 def _cmd_diagnose(config, gen, dec, out: Path) -> dict:
     T = float(config.params["T"])
-    alpha = float(_param(config, "alpha", 1.0))
+    alpha = float(_param(config, "alpha"))
     g = _observed_vector(config, gen)
     problem = InverseProblem(dec, T, g)
     report = conditioning_report(problem, alpha)
@@ -557,12 +560,12 @@ def _cmd_pde(config, gen, dec, out: Path) -> dict:
     gamma = config.params.get("gamma")
     summary: dict = {"T": T}
     if gamma is not None:
-        model = MixtureModel(dec, float(gamma), float(_param(config, "tstar", 1.0)))
+        model = MixtureModel(dec, float(gamma), float(_param(config, "tstar")))
         traj = regularised_pide_solve(model, g, T)
         summary["gamma"] = float(gamma)
         summary["tStar"] = model.t_star
     else:
-        coeff_tol = float(_param(config, "coeff_tol", 1e-12))
+        coeff_tol = float(_param(config, "coeff_tol"))
         traj = solve_backward_cauchy(InverseProblem(dec, T, g), coeff_tol=coeff_tol)
     _write(out / "trajectory.csv", trajectory_to_csv(traj))
     summary["steps"] = int(traj.times.size - 1)
@@ -572,7 +575,7 @@ def _cmd_pde(config, gen, dec, out: Path) -> dict:
 
 def _cmd_check(config, gen, dec, out: Path) -> dict:
     """Run the invariant suite against the model; any failure exits 3."""
-    rng = np.random.default_rng(int(_param(config, "seed", 0)))
+    rng = np.random.default_rng(int(_param(config, "seed")))
     space = gen.space
     n = gen.size
     f = rng.standard_normal(n)
@@ -586,7 +589,7 @@ def _cmd_check(config, gen, dec, out: Path) -> dict:
     record("mSymmetryResidual", check_m_symmetry(gen.matrix, space), 1e-12)
     gram = (dec.eigenvectors * space.weights[:, None]).T @ dec.eigenvectors
     record("orthonormality", np.max(np.abs(gram - np.eye(n))), 1e-10)
-    recon = gen.matrix @ f + dec.synthesize(dec.eigenvalues * dec.coefficients(f))
+    recon = gen.matrix @ f + dec.apply(dec.eigenvalues, f)
     record("reconstruction", norm(space, recon) / max(norm(space, f), 1e-300), 1e-8)
     t, s = 0.7, 1.9
     lhs = semigroup_apply(dec, t + s, f)
@@ -688,27 +691,26 @@ def _build_arg_parser() -> argparse.ArgumentParser:
             p.add_argument("--T", type=float, required=True, help="horizon / time")
             p.add_argument("--g", required=True, help="observed function: expression or csv:PATH")
         if name in ("invert", "diagnose"):
-            p.add_argument("--alpha", type=float, default=1.0)
+            p.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"])
         if name == "invert":
-            p.add_argument("--method", choices=("spectral", "bessel"), default="spectral")
+            p.add_argument("--method", choices=("spectral", "bessel"), default=_DEFAULTS["method"])
         if name in ("invert", "pde"):
-            p.add_argument("--coeff-tol", dest="coeff_tol", type=float, default=1e-12,
+            p.add_argument("--coeff-tol", dest="coeff_tol", type=float, default=_DEFAULTS["coeff_tol"],
                            help="relative coefficient floor for inversion")
         if name in ("regularise", "mixture", "pde"):
             p.add_argument("--gamma", type=float, default=None,
                            required=(name != "pde"))
         if name in ("regularise", "sweep"):
-            p.add_argument("--phi", choices=("tikhonov_exp", "constant", "jump_mixture", "resolvent_jump"),
-                           default="tikhonov_exp")
-            p.add_argument("--value", type=float, default=1.0, help="constant phi value")
-            p.add_argument("--tau", type=float, default=1.0)
-            p.add_argument("--alpha", type=float, default=1.0)
+            p.add_argument("--phi", choices=PHI_FAMILY_NAMES, default="tikhonov_exp")
+            p.add_argument("--value", type=float, default=_DEFAULTS["value"], help="constant phi value")
+            p.add_argument("--tau", type=float, default=_DEFAULTS["tau"])
+            p.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"])
         if name in ("regularise", "mixture", "sweep", "pde"):
-            p.add_argument("--tstar", type=float, default=1.0)
+            p.add_argument("--tstar", type=float, default=_DEFAULTS["tstar"])
         if name == "sweep":
-            p.add_argument("--gammas", default=None, help="comma-separated list")
+            p.add_argument("--gammas", default=_DEFAULTS["gammas"], help="comma-separated list")
         if name == "check":
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
     return parser
 
 

@@ -24,6 +24,8 @@ from .bessel import (
     bessel_j0,
     bochner_quadrature,
     geometric_refined_edges,
+    i0_window_end,
+    j0_decay_edges,
     sqrt_uniform_edges,
 )
 from .errors import (
@@ -100,6 +102,16 @@ class ConditioningReport:
         }
 
 
+def _guard_exponent(exponent: float, message: str, limit: float = _MAX_EXPONENT) -> None:
+    """Raise :class:`OverflowRisk` with ``message`` when exp(exponent) passes ``limit``."""
+    if exponent > limit:
+        raise OverflowRisk(message, log10_value=exponent / _LN10)
+
+
+def _exp_or_inf(x: float) -> float:
+    return math.exp(x) if x <= _MAX_EXPONENT else math.inf
+
+
 def _require_alpha(alpha: float) -> None:
     if alpha <= 0:
         raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
@@ -157,8 +169,7 @@ def resolvent_flow(dec: SpectralDecomposition, alpha: float, t: float, f) -> np.
     _require_alpha(alpha)
     if t < 0:
         raise ValidationError(f"flow time must be >= 0, got {t}")
-    c = dec.coefficients(f)
-    return dec.synthesize(_flow_multipliers(dec.eigenvalues, alpha, t) * c)
+    return dec.apply(_flow_multipliers(dec.eigenvalues, alpha, t), f)
 
 
 def _orbit_coefficient_field(dec: SpectralDecomposition, coeffs: np.ndarray):
@@ -191,13 +202,7 @@ def resolvent_flow_quadrature(
     cfg = config or QuadratureConfig(tail_tol=1e-11)
     c = dec.coefficients(f)
     scale = max(1.0, norm(dec.space, f))
-    s_max = math.log(scale / (alpha * cfg.tail_tol)) / alpha
-    edges = geometric_refined_edges(
-        s_max,
-        refine_scale=1.0 / (dec.lambda_max + alpha),
-        quarter_u=np.pi / (4.0 * math.sqrt(t)) if t > 0 else None,
-        max_width=2.5 / alpha,
-    )
+    edges = j0_decay_edges(alpha, scale, cfg.tail_tol, t, refine_scale=1.0 / (dec.lambda_max + alpha))
     res = bochner_quadrature(
         lambda s: np.exp(-alpha * s) * bessel_j0(2.0 * np.sqrt(t * s)),
         _orbit_coefficient_field(dec, c),
@@ -210,18 +215,17 @@ def resolvent_flow_quadrature(
 
 
 def _energy_active(dec: SpectralDecomposition, g, coeff_tol: float):
+    """Coefficients of g, the modes above the floor, and their largest eigenvalue (or 0)."""
     c = dec.coefficients(g)
     floor = coeff_tol * max(norm(dec.space, g), np.finfo(float).tiny)
-    active = np.abs(c) > floor
-    return c, active
+    idx = np.nonzero(np.abs(c) > floor)[0]
+    lam_max = float(dec.eigenvalues[idx].max()) if idx.size else 0.0
+    return c, idx, lam_max
 
 
 def energetic_lambda_max(dec: SpectralDecomposition, g, coeff_tol: float = COEFF_TOL) -> float:
     """Largest eigenvalue whose mode carries non-negligible g-energy."""
-    _, active = _energy_active(dec, g, coeff_tol)
-    if not np.any(active):
-        return 0.0
-    return float(dec.eigenvalues[active].max())
+    return _energy_active(dec, g, coeff_tol)[2]
 
 
 def invert_spectral(
@@ -237,17 +241,12 @@ def invert_spectral(
     """
     dec = problem.decomposition
     T = problem.horizon
-    c, active = _energy_active(dec, problem.observed, coeff_tol)
-    if not np.any(active):
+    c, idx, lam_max = _energy_active(dec, problem.observed, coeff_tol)
+    if not idx.size:
         return np.zeros(dec.size)
-    lam_max = float(dec.eigenvalues[active].max())
-    if lam_max * T > max_exponent:
-        raise OverflowRisk(
-            f"inverse amplification exp({lam_max:.6g} * {T:g}) exceeds double range",
-            log10_value=lam_max * T / _LN10,
-        )
+    message = f"inverse amplification exp({lam_max:.6g} * {T:g}) exceeds double range"
+    _guard_exponent(lam_max * T, message, max_exponent)
     amplified = np.zeros(dec.size)
-    idx = np.nonzero(active)[0]
     amplified[idx] = np.exp(dec.eigenvalues[idx] * T) * c[idx]
     return dec.synthesize(amplified)
 
@@ -272,12 +271,9 @@ def invert_bessel(
     _require_alpha(alpha)
     dec = problem.decomposition
     T = problem.horizon
-    c, active = _energy_active(dec, problem.observed, coeff_tol)
-    if not np.any(active):
+    c, idx, lam_max = _energy_active(dec, problem.observed, coeff_tol)
+    if not idx.size:
         return np.zeros(dec.size)
-    idx = np.nonzero(active)[0]
-    lam = dec.eigenvalues[idx]
-    lam_max = float(lam.max())
     if lam_max * T > conditioning_cap:
         raise ConditioningCapExceeded(
             f"energetic lambda_max * T = {lam_max * T:.4g} exceeds the cap"
@@ -285,15 +281,9 @@ def invert_bessel(
             exponent=lam_max * T,
         )
     cfg = config or QuadratureConfig(tail_tol=1e-12, points_per_panel=32)
-    beta = lam + alpha
-    beta_max = float(beta.max())
-    # Envelope exp(2 sqrt(T s) - s/beta) peaks at s* = T beta^2 (height
-    # exp(T beta)); run until it drops tail_tol below the peak.
-    drop = math.log(1.0 / cfg.tail_tol) + T * beta_max
-    s_max = T * beta_max**2 * (1.0 + math.sqrt(drop / max(T * beta_max, 1e-12))) ** 2
-    edges = sqrt_uniform_edges(
-        s_max, u_width=0.5 * math.sqrt(alpha), refine_scale=alpha / 4.0
-    )
+    beta = dec.eigenvalues[idx] + alpha
+    s_max = i0_window_end(T, float(beta.max()), cfg.tail_tol)
+    edges = sqrt_uniform_edges(s_max, u_width=0.5 * math.sqrt(alpha), refine_scale=alpha / 4.0)
     flow = c[idx] / beta
 
     def field(s: np.ndarray) -> np.ndarray:
@@ -328,12 +318,11 @@ def conditioning_report(
     dec = problem.decomposition
     T = problem.horizon
     g = problem.observed
-    c, active = _energy_active(dec, g, coeff_tol)
+    c, _, lam_max = _energy_active(dec, g, coeff_tol)
     lam = dec.eigenvalues
-    lam_max = float(lam[active].max()) if np.any(active) else 0.0
 
     amp_log10 = lam_max * T / _LN10
-    amplification = math.exp(lam_max * T) if lam_max * T <= _MAX_EXPONENT else math.inf
+    amplification = _exp_or_inf(lam_max * T)
 
     # log-sum-exp of ln terms 2T(l+a) + ln c^2, in natural log
     with np.errstate(divide="ignore"):
@@ -346,16 +335,13 @@ def conditioning_report(
         peak = float(ln_terms.max())
         ln_sum = peak + math.log(float(np.exp(ln_terms - peak).sum()))
         spectral_log10 = ln_sum / _LN10
-        spectral = math.exp(ln_sum) if ln_sum <= _MAX_EXPONENT else math.inf
+        spectral = _exp_or_inf(ln_sum)
 
     cfg = config or QuadratureConfig(tail_tol=1e-12, points_per_panel=32)
     beta = lam + alpha
-    beta_max = float(beta.max())
-    drop = math.log(1.0 / cfg.tail_tol) + 2.0 * T * beta_max
-    s_max = 2.0 * T * beta_max**2 * (1.0 + math.sqrt(drop / max(2.0 * T * beta_max, 1e-12))) ** 2
     # keep both the I0 argument and the integrand inside double range
     s_cap_i0 = (0.5 * _MAX_EXPONENT) ** 2 / (2.0 * T)
-    s_max = min(s_max, s_cap_i0)
+    s_max = min(i0_window_end(2.0 * T, float(beta.max()), cfg.tail_tol), s_cap_i0)
     edges = sqrt_uniform_edges(
         s_max, u_width=0.5 * math.sqrt(alpha), refine_scale=alpha / 4.0
     )
@@ -458,9 +444,7 @@ def solve_resolvent_cauchy(
     if np.any(t_grid < 0):
         raise ValidationError("t_grid must be non-negative")
     u_mult = 1.0 / (dec.eigenvalues + alpha)
-    base = u_mult * dec.coefficients(f)
-    coeff_traj = np.exp(-np.outer(t_grid, u_mult)) * base[None, :]
-    return coeff_traj @ dec.eigenvectors.T
+    return dec.trajectory(-u_mult, t_grid, u_mult * dec.coefficients(f))
 
 
 def laplace_diagnostic(
@@ -540,21 +524,13 @@ def solve_backward_cauchy(
     """
     dec = problem.decomposition
     T = problem.horizon
-    c, active = _energy_active(dec, problem.observed, coeff_tol)
-    idx = np.nonzero(active)[0]
-    lam = dec.eigenvalues[idx]
-    lam_max = float(lam.max()) if idx.size else 0.0
-    if lam_max * T > _MAX_EXPONENT:
-        raise OverflowRisk(
-            f"backward solution reaches exp({lam_max * T:.6g})",
-            log10_value=lam_max * T / _LN10,
-        )
+    c, idx, lam_max = _energy_active(dec, problem.observed, coeff_tol)
+    _guard_exponent(lam_max * T, f"backward solution reaches exp({lam_max * T:.6g})")
     if t_grid is None:
         t_grid = backward_time_grid(T, lam_max)
     else:
         t_grid = np.asarray(t_grid, dtype=float)
-    coeff_traj = np.exp(np.outer(t_grid, lam)) * c[idx][None, :]
-    values = coeff_traj @ dec.eigenvectors[:, idx].T
+    values = dec.trajectory(dec.eigenvalues[idx], t_grid, c[idx], modes=idx)
     return BackwardTrajectory(t_grid, values)
 
 
@@ -598,16 +574,8 @@ def squared_bessel_h_quadrature(
         raise ValidationError("need 2 (horizon - t) + lambda_min > 0")
     cfg = config or QuadratureConfig(tail_tol=1e-13, points_per_panel=32)
     c2 = dec.coefficients(f) ** 2
-    rate_slow = rate0 + float(lam.min())
-    rate_fast = rate0 + float(lam.max())
     scale = max(1.0, float(c2.sum()))
-    s_max = math.log(scale / (cfg.tail_tol * rate_slow)) / rate_slow
-    edges = geometric_refined_edges(
-        s_max,
-        refine_scale=1.0 / rate_fast,
-        quarter_u=np.pi / (4.0 * math.sqrt(x)) if x > 0 else None,
-        max_width=2.5 / rate_slow,
-    )
+    edges = j0_decay_edges(rate0 + float(lam.min()), scale, cfg.tail_tol, x, 1.0 / (rate0 + float(lam.max())))
 
     rates = lam + rate0
 

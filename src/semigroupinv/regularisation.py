@@ -11,14 +11,14 @@ observation with inverse norm at most exp(t)/gamma.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePhi, OverflowRisk, ValidationError
+from .errors import DegeneratePhi, ValidationError
 from .inversion import (
-    _LN10,
-    _MAX_EXPONENT,
+    _guard_exponent,
     BackwardTrajectory,
     InverseProblem,
     backward_time_grid,
@@ -118,7 +118,7 @@ def regularised_multipliers(dec: SpectralDecomposition, config: RegularisationCo
 
 def regularised_solve(dec: SpectralDecomposition, config: RegularisationConfig, g) -> np.ndarray:
     """Unique solution of (1-gamma) P_T f + gamma phi(-A) f = g."""
-    return dec.synthesize(regularised_multipliers(dec, config) * dec.coefficients(g))
+    return dec.apply(regularised_multipliers(dec, config), g)
 
 
 def regularised_residual(
@@ -177,8 +177,7 @@ def tikhonov_solve(dec: SpectralDecomposition, gamma: float, horizon: float, g) 
         raise ValidationError(f"gamma must be > 0, got {gamma}")
     if horizon <= 0:
         raise ValidationError(f"horizon must be > 0, got {horizon}")
-    mult = 1.0 / (gamma + np.exp(-dec.eigenvalues * horizon))
-    return dec.synthesize(mult * dec.coefficients(g))
+    return dec.apply(1.0 / (gamma + np.exp(-dec.eigenvalues * horizon)), g)
 
 
 @dataclass(frozen=True)
@@ -265,14 +264,7 @@ def mixture_multipliers(model: MixtureModel, t: float) -> np.ndarray:
 
 def mixture_semigroup(model: MixtureModel, t: float):
     """The mixed operator as an action on grid functions."""
-    mult = mixture_multipliers(model, t)
-    dec = model.decomposition
-
-    def apply(f) -> np.ndarray:
-        return dec.synthesize(mult * dec.coefficients(f))
-
-    apply.multipliers = mult
-    return apply
+    return functools.partial(model.decomposition.apply, mixture_multipliers(model, t))
 
 
 def mixture_invert(model: MixtureModel, t: float, g) -> np.ndarray:
@@ -283,6 +275,7 @@ def mixture_invert(model: MixtureModel, t: float, g) -> np.ndarray:
     """
     mult = mixture_multipliers(model, t)
     dec = model.decomposition
+    # a division, not dec.apply(1.0 / mult, g): 1/mult rounds once more
     return dec.synthesize(dec.coefficients(g) / mult)
 
 
@@ -306,18 +299,14 @@ def regularised_pide_solve(
     w = 1.0 - model.gamma
     rates = w * lam + (1.0 - w) * (1.0 - np.exp(-model.t_star * lam))
     rate_max = float(rates.max())
-    if rate_max * horizon > _MAX_EXPONENT:
-        raise OverflowRisk(
-            f"mixed backward growth exp({rate_max * horizon:.6g}) exceeds double range",
-            log10_value=rate_max * horizon / _LN10,
-        )
+    growth = rate_max * horizon
+    _guard_exponent(growth, f"mixed backward growth exp({growth:.6g}) exceeds double range")
     if t_grid is None:
         t_grid = backward_time_grid(horizon, rate_max)
     else:
         t_grid = np.asarray(t_grid, dtype=float)
     c = dec.coefficients(np.asarray(g, float))
-    coeff_traj = np.exp(np.outer(t_grid, rates)) * c[None, :]
-    return BackwardTrajectory(t_grid, coeff_traj @ dec.eigenvectors.T)
+    return BackwardTrajectory(t_grid, dec.trajectory(rates, t_grid, c))
 
 
 def trajectory_to_csv(traj: BackwardTrajectory) -> str:

@@ -24,6 +24,7 @@ from .errors import (
     NonPositiveAlpha,
     NonPositiveWeight,
     NotMSymmetric,
+    ValidationError,
 )
 
 # Double-precision tolerance defaults, sized for dense models up to n ~ 2000.
@@ -33,6 +34,10 @@ EIG_CLAMP = 1e-12
 ORTHO_TOL = 1e-10
 RECON_TOL = 1e-8
 CLUSTER_TOL = 1e-9
+
+# Largest (times x states) table SpectralDecomposition.trajectory builds:
+# 32 MB of doubles, and about 100 MB more as trajectory CSV text.
+_MAX_TRAJECTORY_CELLS = 4_000_000
 
 
 def _as_readonly(a) -> np.ndarray:
@@ -204,6 +209,23 @@ class SpectralDecomposition:
             raise LengthMismatch("coefficient vector has wrong length")
         return self.eigenvectors @ coeffs
 
+    def apply(self, mult, f) -> np.ndarray:
+        """sum_k mult_k (phi_k, f) phi_k: the per-mode multiplier ``mult`` on f."""
+        return self.synthesize(mult * self.coefficients(f))
+
+    def trajectory(self, rates, times, coeffs, modes=slice(None)) -> np.ndarray:
+        """Rows sum_k exp(rates_k t) coeffs_k phi_k over the ``modes``, one per time t.
+
+        Raises :class:`ValidationError` past ``_MAX_TRAJECTORY_CELLS``.
+        """
+        cells = len(times) * self.size
+        if cells > _MAX_TRAJECTORY_CELLS:
+            raise ValidationError(
+                f"trajectory of {len(times)} times x {self.size} states = {cells} cells"
+                f" exceeds the budget of {_MAX_TRAJECTORY_CELLS}"
+            )
+        return (np.exp(np.outer(times, rates)) * coeffs) @ self.eigenvectors[:, modes].T
+
 
 def spectral_decompose(
     gen: SymmetricGenerator,
@@ -249,7 +271,7 @@ def apply_function(dec: SpectralDecomposition, phi, f) -> np.ndarray:
         name = getattr(phi, "name", getattr(phi, "__name__", "phi"))
         bad = dec.eigenvalues[~np.isfinite(values)][0]
         raise NonFiniteFunctionValue(f"{name} is not finite at lambda={bad!r}")
-    return dec.synthesize(values * dec.coefficients(f))
+    return dec.apply(values, f)
 
 
 def semigroup_apply(dec: SpectralDecomposition, t: float, f) -> np.ndarray:

@@ -477,3 +477,32 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 3
         assert "OverflowRisk" in proc.stderr
+
+
+class TestBudgets:
+    """Requests past the state and trajectory budgets exit 2 before allocating."""
+
+    def test_trajectory_budget_exits_2(self, model_files, tmp_path):
+        # energetic lambda_max ~ 2234 needs the 2M-step grid: 800M cells at n = 400
+        out = tmp_path / "out"
+        argv = ["pde", "--model", model_files["ou"], "--output", str(out), "--T", "0.25", "--g", "x^2"]
+        assert cli_exit(argv) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "ValidationError"
+        assert "2000001 times x 400 states" in error["message"]
+        assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["ou", "diffusion"])
+    def test_state_budget_exits_2(self, tmp_path, monkeypatch, kind):
+        from semigroupinv import cli
+
+        monkeypatch.setattr(cli, f"build_{kind}", lambda *a: pytest.fail("model was built"))
+        spec = json.loads(json.dumps(OU_JSON if kind == "ou" else LAPLACIAN_JSON))
+        spec["parameters"]["n"] = cli._MAX_STATES + 1
+        model = tmp_path / "big.json"
+        model.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_exit(["decompose", "--model", str(model), "--output", str(out)]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "InvalidConfig"
+        assert f"{cli._MAX_STATES + 1} states exceed" in error["message"]

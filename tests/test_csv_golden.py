@@ -4,8 +4,8 @@ Every writer renders rows through one %-template per table.  The reference
 writers below format one cell at a time with ``format(float(x), ".17g")``;
 the library must produce exactly the same text, down to signed zeros,
 subnormals, whole numbers, non-finite values and the LF line endings.  The
-pinned SHA-256 values are the artifacts of a small fixed CLI run, written
-by the reference formatting.
+pinned SHA-256 values are the artifacts of small fixed CLI runs of every
+command, written by the reference formatting.
 """
 
 import hashlib
@@ -110,10 +110,33 @@ GOLDEN_RUNS = [
      "d09a35bd8bdca16f74b83a4ae76743a0546c482a6308c8af362b144bc5db66a8"),
     (["pde", "--T", "0.25", "--g", "x^2", "--gamma", "0.2", "--tstar", "0.5"], "trajectory.csv",
      "458cd337e267988e5adf6bd3959d66eb4c22e75de194ba6b81fc6dbced5807cd"),
+    (["invert", "--T", "0.25", "--g", "x^2"], "solution.csv",
+     "ba5d974701b21bee3accfa15c7f8a34c3c472d1aae9343bf733d118957e25513"),
+    (["regularise", "--T", "0.25", "--g", "x^2", "--gamma", "0.1", "--phi", "tikhonov_exp"], "solution.csv",
+     "cd40452f3ff03901586f934112868d2f5fddbae72769773265fef3d43971a471"),
+    (["regularise", "--T", "0.25", "--g", "x^2", "--gamma", "0.1", "--phi", "constant", "--value", "2"],
+     "solution.csv", "eccc064c4c1faddbbebea7996edf0c734f3f78b0b5a53cc6fa13b2e525271f12"),
+    (["regularise", "--T", "0.25", "--g", "x^2", "--gamma", "0.1", "--phi", "jump_mixture", "--tstar", "0.5"],
+     "solution.csv", "30fd3b0b1530021e1ce989b7f09e0579c3064b4cfdb144bfc20817ce4ec87b21"),
+    (["regularise", "--T", "0.25", "--g", "x^2", "--gamma", "0.1", "--phi", "resolvent_jump", "--alpha", "2",
+      "--tau", "0.5"], "solution.csv", "34133e59d91cab216d4a2365b3c06c6dc2aad6ba307ac75331d601a6fbdcbe8c"),
+    (["mixture", "--T", "0.25", "--g", "x^2", "--gamma", "0.2", "--tstar", "0.5"], "solution.csv",
+     "33765cdba500abbe565eaf66f0258db199739dff43eec314b2896cd77ce095fe"),
+    (["mixture", "--T", "0.25", "--g", "x^2", "--gamma", "0.2", "--tstar", "0.5"], "summary.json",
+     "9d32ebee9519fcfb6f874d180418cd72541cb06bfb46bbf8165d7d8fa6705edc"),
+    (["sweep", "--T", "0.25", "--g", "x^2", "--phi", "tikhonov_exp"], "sweep.csv",
+     "eae6f41a65cdb2440fc13a1a8d28f2a4c55650663454ec6173c055d7b79690d1"),
+    (["check"], "summary.json",
+     "63b6bde3ad2591e5f65b737c623acc7d5a8ba330e84b5dfef3855a2bd10538d9"),
+]
+GOLDEN_IDS = [
+    "decompose", "pde", "pde-mixed", "invert", "regularise-tikhonov_exp", "regularise-constant",
+    "regularise-jump_mixture", "regularise-resolvent_jump", "mixture-solution", "mixture-summary",
+    "sweep", "check",
 ]
 
 
-@pytest.mark.parametrize("argv, artifact, sha256", GOLDEN_RUNS, ids=["decompose", "pde", "pde-mixed"])
+@pytest.mark.parametrize("argv, artifact, sha256", GOLDEN_RUNS, ids=GOLDEN_IDS)
 def test_cli_artifact_sha256(tmp_path, argv, artifact, sha256):
     model = tmp_path / "ou8.json"
     model.write_text(json.dumps(SMALL_OU), encoding="utf-8")

@@ -192,6 +192,34 @@ class TestApplyFunction:
         assert np.max(np.abs(out - baseline)) < 1e-10 * max(np.max(np.abs(baseline)), 1.0)
 
 
+class TestApplyAndTrajectory:
+    def test_apply_is_the_multiplier_in_the_eigenbasis(self, jump30):
+        _, dec = jump30
+        f = np.random.default_rng(1).standard_normal(dec.size)
+        mult = np.exp(-0.3 * dec.eigenvalues)
+        assert np.array_equal(dec.apply(mult, f), dec.synthesize(mult * dec.coefficients(f)))
+
+    def test_trajectory_over_selected_modes(self, jump30):
+        _, dec = jump30
+        c = np.random.default_rng(2).standard_normal(dec.size)
+        idx = np.arange(0, dec.size, 3)
+        times = np.linspace(0.0, 1.0, 5)
+        traj = dec.trajectory(dec.eigenvalues[idx], times, c[idx], modes=idx)
+        for t, row in zip(times, traj):
+            amplified = np.zeros(dec.size)
+            amplified[idx] = np.exp(dec.eigenvalues[idx] * t) * c[idx]
+            assert row == pytest.approx(dec.synthesize(amplified), rel=1e-12, abs=1e-12)
+
+    def test_trajectory_budget(self, ou400):
+        from semigroupinv.spectral import _MAX_TRAJECTORY_CELLS
+
+        _, dec = ou400
+        rows = _MAX_TRAJECTORY_CELLS // dec.size
+        assert dec.trajectory(np.zeros(1), np.zeros(rows), np.ones(1), modes=[0]).shape == (rows, dec.size)
+        with pytest.raises(sg.ValidationError, match="exceeds the budget"):
+            dec.trajectory(np.zeros(1), np.zeros(rows + 1), np.ones(1), modes=[0])
+
+
 class TestSemigroup:
     def test_time_zero_is_identity(self, chain3):
         gen, dec = chain3
