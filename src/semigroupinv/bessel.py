@@ -196,6 +196,11 @@ class QuadratureConfig:
             raise ValidationError(f"tail_tol must be > 0, got {self.tail_tol}")
 
 
+# Quadrature setting of the Laplace-transform checks: the J0 and I0 identities
+# below and the flow's laplace_diagnostic.
+LAPLACE_QUADRATURE = QuadratureConfig(tail_tol=1e-12)
+
+
 @dataclass(frozen=True)
 class QuadratureResult:
     value: np.ndarray
@@ -328,8 +333,8 @@ def sqrt_uniform_edges(s_max: float, u_width: float, refine_scale: Optional[floa
     in the u variable.  ``refine_scale`` optionally adds geometric edges near
     zero to resolve the fastest-decaying modes of a vector field.
     """
-    if s_max <= 0 or u_width <= 0:
-        raise ValidationError("s_max and u_width must be positive")
+    if not (0 < s_max < math.inf and 0 < u_width < math.inf):
+        raise ValidationError(f"s_max and u_width must be finite and > 0, got {s_max}, {u_width}")
     u_max = np.sqrt(s_max)
     n = max(1, int(np.ceil(u_max / u_width)))
     edges = (np.linspace(0.0, u_max, n + 1)) ** 2
@@ -367,9 +372,7 @@ def j0_decay_edges(rate: float, scale: float, tail_tol: float, t: float, refine_
 # -- Laplace transform identities ---------------------------------------------
 
 
-def laplace_j0_identity(
-    t: float, alpha: float, config: QuadratureConfig | None = None
-) -> tuple[float, float]:
+def laplace_j0_identity(t: float, alpha: float) -> tuple[float, float]:
     """Quadrature vs closed form for the damped J0 transform.
 
     lhs = integral_0^inf exp(-alpha s) J0(2 sqrt(t s)) ds (truncated),
@@ -377,12 +380,11 @@ def laplace_j0_identity(
     """
     if t <= 0 or alpha <= 0:
         raise ValidationError("t and alpha must be > 0")
-    cfg = config or QuadratureConfig(tail_tol=1e-12)
-    edges = j0_decay_edges(alpha, 1.0, cfg.tail_tol, t, refine_scale=min(1.0 / alpha, 1.0))
+    edges = j0_decay_edges(alpha, 1.0, LAPLACE_QUADRATURE.tail_tol, t, refine_scale=min(1.0 / alpha, 1.0))
     res = bochner_quadrature(
         lambda s: np.exp(-alpha * s) * bessel_j0(2.0 * np.sqrt(t * s)),
         lambda s: np.ones_like(s),
-        cfg,
+        LAPLACE_QUADRATURE,
         breakpoints=edges,
         tail_rate=alpha,
     )
@@ -390,9 +392,7 @@ def laplace_j0_identity(
     return float(res.value[0]), float(rhs)
 
 
-def laplace_i0_identity(
-    t: float, beta: float, config: QuadratureConfig | None = None
-) -> tuple[float, float]:
+def laplace_i0_identity(t: float, beta: float) -> tuple[float, float]:
     """Quadrature vs closed form for the growing I0 transform.
 
     lhs = integral_0^inf exp(-s/beta) I0(2 sqrt(2 t s)) ds (truncated),
@@ -405,13 +405,12 @@ def laplace_i0_identity(
             "exp(2 t beta) is too large to verify in double precision",
             log10_value=2.0 * t * beta / np.log(10.0),
         )
-    cfg = config or QuadratureConfig(tail_tol=1e-12)
-    s_max = i0_window_end(2.0 * t, beta, cfg.tail_tol)
+    s_max = i0_window_end(2.0 * t, beta, LAPLACE_QUADRATURE.tail_tol)
     edges = sqrt_uniform_edges(s_max, u_width=0.5 * np.sqrt(beta), refine_scale=beta / 4.0)
     res = bochner_quadrature(
         lambda s: np.exp(-s / beta) * bessel_i0(2.0 * np.sqrt(2.0 * t * s)),
         lambda s: np.ones_like(s),
-        cfg,
+        LAPLACE_QUADRATURE,
         breakpoints=edges,
     )
     rhs = beta * np.exp(2.0 * t * beta)

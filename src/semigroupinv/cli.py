@@ -32,6 +32,8 @@ from .inversion import (
     conditioning_report,
     invert_bessel,
     invert_spectral,
+    resolvent_flow,
+    resolvent_flow_quadrature,
     solve_backward_cauchy,
 )
 from .models import (
@@ -61,7 +63,6 @@ from .spectral import (
     SymmetricGenerator,
     _csv_text,
     build_space,
-    check_m_symmetry,
     inner,
     norm,
     resolvent_apply,
@@ -81,6 +82,10 @@ _FLOW_CHECK_LAMBDA_MAX = 50.0
 
 # Largest ``ou`` or ``diffusion`` grid: 128 MB per dense n x n matrix, ~8 s of eigh.
 _MAX_STATES = 4000
+
+# Deepest nesting of parentheses and exp( an expression may use, which keeps
+# the recursive-descent parser far inside Python's recursion limit.
+_MAX_EXPRESSION_DEPTH = 100
 
 # Value of each optional command parameter when it is not given.
 _DEFAULTS = {"alpha": 1.0, "coeff_tol": COEFF_TOL, "method": "spectral", "seed": 0, "tau": 1.0,
@@ -138,6 +143,7 @@ class _Parser:
     def __init__(self, text: str, points: np.ndarray):
         self.tok = _Tokenizer(text)
         self.points = points
+        self.depth = 0
 
     def parse(self) -> np.ndarray:
         value = self._expr()
@@ -186,15 +192,28 @@ class _Parser:
         if tok == ("op", "^"):
             self.tok.next()
             exp_tok, exp_pos = self.tok.next()
-            if exp_tok is None or exp_tok[0] != "number" or "." in exp_tok[1]:
+            if exp_tok is None or not exp_tok[1].isdecimal():
                 raise ExpressionParseError("exponent must be a non-negative integer", exp_pos)
-            return value ** int(exp_tok[1])
+            try:
+                return value ** int(exp_tok[1])
+            except OverflowError:  # a float literal's power; arrays overflow to inf
+                raise ExpressionParseError("power exceeds double range", pos) from None
         return value
 
     def _expect(self, symbol: str):
         tok, pos = self.tok.next()
         if tok != ("op", symbol):
             raise ExpressionParseError(f"expected {symbol!r}", pos)
+
+    def _nested(self, pos: int):
+        """The expression inside a parenthesis opened at ``pos``, and its ')'."""
+        if self.depth == _MAX_EXPRESSION_DEPTH:
+            raise ExpressionParseError(f"nesting deeper than {_MAX_EXPRESSION_DEPTH} levels", pos)
+        self.depth += 1
+        value = self._expr()
+        self._expect(")")
+        self.depth -= 1
+        return value
 
     def _number(self) -> float:
         sign = 1.0
@@ -217,17 +236,13 @@ class _Parser:
             except ValueError:
                 raise ExpressionParseError(f"bad number {text!r}", pos) from None
         if tok == ("op", "("):
-            value = self._expr()
-            self._expect(")")
-            return value
+            return self._nested(pos)
         if kind == "name":
             if text == "x":
                 return self.points
             if text == "exp":
                 self._expect("(")
-                value = self._expr()
-                self._expect(")")
-                return np.exp(value)
+                return np.exp(self._nested(pos))
             if text == "indicator":
                 self._expect("(")
                 lo = self._number()
@@ -238,7 +253,7 @@ class _Parser:
             if text == "random":
                 self._expect("(")
                 seed_tok, seed_pos = self.tok.next()
-                if seed_tok is None or seed_tok[0] != "number" or "." in seed_tok[1]:
+                if seed_tok is None or not seed_tok[1].isdecimal():
                     raise ExpressionParseError("random() needs an integer seed", seed_pos)
                 self._expect(")")
                 rng = np.random.default_rng(int(seed_tok[1]))
@@ -443,7 +458,7 @@ def _cmd_decompose(config, gen, dec, out: Path) -> dict:
         "n": gen.size,
         "lambdaMin": float(dec.eigenvalues[0]),
         "lambdaMax": float(dec.eigenvalues[-1]),
-        "symmetryResidual": check_m_symmetry(gen.matrix, gen.space),
+        "symmetryResidual": gen.symmetry_residual,
     }
 
 
@@ -586,7 +601,7 @@ def _cmd_check(config, gen, dec, out: Path) -> dict:
     def record(name, value, tol):
         checks[name] = {"value": float(value), "tolerance": tol, "passed": bool(value <= tol)}
 
-    record("mSymmetryResidual", check_m_symmetry(gen.matrix, space), 1e-12)
+    record("mSymmetryResidual", gen.symmetry_residual, 1e-12)
     gram = (dec.eigenvectors * space.weights[:, None]).T @ dec.eigenvectors
     record("orthonormality", np.max(np.abs(gram - np.eye(n))), 1e-10)
     recon = gen.matrix @ f + dec.apply(dec.eigenvalues, f)
@@ -607,8 +622,6 @@ def _cmd_check(config, gen, dec, out: Path) -> dict:
     sym_gap = inner(space, semigroup_apply(dec, 1.0, f), g) - inner(space, f, semigroup_apply(dec, 1.0, g))
     record("applySymmetry", abs(sym_gap) / max(abs(inner(space, f, g)), 1.0), 1e-10)
     if lam_max <= _FLOW_CHECK_LAMBDA_MAX:
-        from .inversion import resolvent_flow, resolvent_flow_quadrature
-
         fs = resolvent_flow(dec, 1.0, 1.0, f)
         fq = resolvent_flow_quadrature(dec, 1.0, 1.0, f)
         record("flowQuadratureAgreement", norm(space, fs - fq) / max(norm(space, fs), 1e-300), 1e-6)

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import (
+    LAPLACE_QUADRATURE,
     QuadratureConfig,
     bessel_i0,
     bessel_j0,
@@ -51,6 +52,21 @@ COEFF_TOL = 1e-12
 WARNING_AMPLIFICATION = 1e8
 SEVERE_AMPLIFICATION = 1e12
 
+# Largest energetic lambda_max * T the I0 inversion integral is run at.
+BESSEL_CONDITIONING_CAP = 20.0
+
+# Quadrature settings of the Bessel twins: the J0 resolvent flow, the I0
+# inversion and conditioning integrals, and the squared-Bessel transform h.
+FLOW_QUADRATURE = QuadratureConfig(tail_tol=1e-11)
+I0_QUADRATURE = QuadratureConfig(tail_tol=1e-12, points_per_panel=32)
+H_QUADRATURE = QuadratureConfig(tail_tol=1e-13, points_per_panel=32)
+
+# Trapezoid nodes per unit time of the Picard iterates.
+PICARD_POINTS_PER_UNIT = 2000
+
+# Central-difference residual the ``pde`` time grid is sized for.
+PDE_RESIDUAL_TARGET = 1e-4
+
 
 @dataclass(frozen=True)
 class InverseProblem:
@@ -63,8 +79,8 @@ class InverseProblem:
     def __post_init__(self):
         g = np.asarray(self.observed, dtype=float)
         object.__setattr__(self, "observed", g)
-        if not self.horizon > 0:
-            raise ValidationError(f"horizon must be > 0, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise ValidationError(f"horizon must be finite and > 0, got {self.horizon}")
         if g.shape != (self.decomposition.size,):
             raise LengthMismatch("observed data length does not match the space")
         if not np.all(np.isfinite(g)):
@@ -102,9 +118,9 @@ class ConditioningReport:
         }
 
 
-def _guard_exponent(exponent: float, message: str, limit: float = _MAX_EXPONENT) -> None:
-    """Raise :class:`OverflowRisk` with ``message`` when exp(exponent) passes ``limit``."""
-    if exponent > limit:
+def _guard_exponent(exponent: float, message: str) -> None:
+    """Raise :class:`OverflowRisk` with ``message`` when exp(exponent) leaves double range."""
+    if exponent > _MAX_EXPONENT:
         raise OverflowRisk(message, log10_value=exponent / _LN10)
 
 
@@ -182,13 +198,7 @@ def _orbit_coefficient_field(dec: SpectralDecomposition, coeffs: np.ndarray):
     return field
 
 
-def resolvent_flow_quadrature(
-    dec: SpectralDecomposition,
-    alpha: float,
-    t: float,
-    f,
-    config: QuadratureConfig | None = None,
-) -> np.ndarray:
+def resolvent_flow_quadrature(dec: SpectralDecomposition, alpha: float, t: float, f) -> np.ndarray:
     """The same orbit computed as a Bochner integral of J0-damped semigroup.
 
     integral_0^inf J0(2 sqrt(t s)) exp(-alpha s) P_s f ds, truncated where
@@ -199,14 +209,13 @@ def resolvent_flow_quadrature(
     _require_alpha(alpha)
     if t < 0:
         raise ValidationError(f"flow time must be >= 0, got {t}")
-    cfg = config or QuadratureConfig(tail_tol=1e-11)
     c = dec.coefficients(f)
     scale = max(1.0, norm(dec.space, f))
-    edges = j0_decay_edges(alpha, scale, cfg.tail_tol, t, refine_scale=1.0 / (dec.lambda_max + alpha))
+    edges = j0_decay_edges(alpha, scale, FLOW_QUADRATURE.tail_tol, t, refine_scale=1.0 / (dec.lambda_max + alpha))
     res = bochner_quadrature(
         lambda s: np.exp(-alpha * s) * bessel_j0(2.0 * np.sqrt(t * s)),
         _orbit_coefficient_field(dec, c),
-        cfg,
+        FLOW_QUADRATURE,
         breakpoints=edges,
         tail_rate=alpha,
         tail_amplitude=scale,
@@ -223,16 +232,12 @@ def _energy_active(dec: SpectralDecomposition, g, coeff_tol: float):
     return c, idx, lam_max
 
 
-def energetic_lambda_max(dec: SpectralDecomposition, g, coeff_tol: float = COEFF_TOL) -> float:
-    """Largest eigenvalue whose mode carries non-negligible g-energy."""
-    return _energy_active(dec, g, coeff_tol)[2]
+def energetic_lambda_max(dec: SpectralDecomposition, g) -> float:
+    """Largest eigenvalue whose mode carries g-energy above the ``COEFF_TOL`` floor."""
+    return _energy_active(dec, g, COEFF_TOL)[2]
 
 
-def invert_spectral(
-    problem: InverseProblem,
-    coeff_tol: float = COEFF_TOL,
-    max_exponent: float = _MAX_EXPONENT,
-) -> np.ndarray:
+def invert_spectral(problem: InverseProblem, coeff_tol: float = COEFF_TOL) -> np.ndarray:
     """Exact finite-dimensional inverse: mode k multiplied by exp(l_k T).
 
     Modes below the coefficient floor are dropped (see module docstring);
@@ -245,28 +250,22 @@ def invert_spectral(
     if not idx.size:
         return np.zeros(dec.size)
     message = f"inverse amplification exp({lam_max:.6g} * {T:g}) exceeds double range"
-    _guard_exponent(lam_max * T, message, max_exponent)
+    _guard_exponent(lam_max * T, message)
     amplified = np.zeros(dec.size)
     amplified[idx] = np.exp(dec.eigenvalues[idx] * T) * c[idx]
     return dec.synthesize(amplified)
 
 
-def invert_bessel(
-    problem: InverseProblem,
-    alpha: float,
-    config: QuadratureConfig | None = None,
-    conditioning_cap: float = 20.0,
-    coeff_tol: float = COEFF_TOL,
-) -> np.ndarray:
+def invert_bessel(problem: InverseProblem, alpha: float, coeff_tol: float = COEFF_TOL) -> np.ndarray:
     """Inverse via the Bessel-integral representation.
 
     exp(-alpha T) * integral_0^inf I0(2 sqrt(T s)) F_s g ds, where F_s is
     the damped resolvent orbit of g.  The integrand's envelope is
     I0(2 sqrt(T s)) exp(-s/(lambda_max+alpha)); it converges only through
     the linear-beats-square-root balance, so the energetic lambda_max * T
-    is capped (default 20) and the truncation point follows the peak
-    analysis of the envelope.  Result agrees with :func:`invert_spectral`
-    for every admissible alpha.
+    is capped at ``BESSEL_CONDITIONING_CAP`` and the truncation point
+    follows the peak analysis of the envelope.  Result agrees with
+    :func:`invert_spectral` for every admissible alpha.
     """
     _require_alpha(alpha)
     dec = problem.decomposition
@@ -274,15 +273,14 @@ def invert_bessel(
     c, idx, lam_max = _energy_active(dec, problem.observed, coeff_tol)
     if not idx.size:
         return np.zeros(dec.size)
-    if lam_max * T > conditioning_cap:
+    if lam_max * T > BESSEL_CONDITIONING_CAP:
         raise ConditioningCapExceeded(
             f"energetic lambda_max * T = {lam_max * T:.4g} exceeds the cap"
-            f" {conditioning_cap:g} for the Bessel inversion integral",
+            f" {BESSEL_CONDITIONING_CAP:g} for the Bessel inversion integral",
             exponent=lam_max * T,
         )
-    cfg = config or QuadratureConfig(tail_tol=1e-12, points_per_panel=32)
     beta = dec.eigenvalues[idx] + alpha
-    s_max = i0_window_end(T, float(beta.max()), cfg.tail_tol)
+    s_max = i0_window_end(T, float(beta.max()), I0_QUADRATURE.tail_tol)
     edges = sqrt_uniform_edges(s_max, u_width=0.5 * math.sqrt(alpha), refine_scale=alpha / 4.0)
     flow = c[idx] / beta
 
@@ -292,7 +290,7 @@ def invert_bessel(
     res = bochner_quadrature(
         lambda s: bessel_i0(2.0 * np.sqrt(T * s)),
         field,
-        cfg,
+        I0_QUADRATURE,
         breakpoints=edges,
     )
     amplified = np.zeros(dec.size)
@@ -300,13 +298,8 @@ def invert_bessel(
     return dec.synthesize(amplified)
 
 
-def conditioning_report(
-    problem: InverseProblem,
-    alpha: float,
-    config: QuadratureConfig | None = None,
-    coeff_tol: float = COEFF_TOL,
-) -> ConditioningReport:
-    """Quantify the conditioning of inverting g at horizon T.
+def conditioning_report(problem: InverseProblem, alpha: float) -> ConditioningReport:
+    """Quantify the conditioning of inverting g at horizon T, above ``COEFF_TOL``.
 
     The spectral membership value sum_k exp(2T(l_k+alpha)) (phi_k, g)^2 is
     always finite here (finite dimension); what the report grades is its
@@ -318,7 +311,7 @@ def conditioning_report(
     dec = problem.decomposition
     T = problem.horizon
     g = problem.observed
-    c, _, lam_max = _energy_active(dec, g, coeff_tol)
+    c, _, lam_max = _energy_active(dec, g, COEFF_TOL)
     lam = dec.eigenvalues
 
     amp_log10 = lam_max * T / _LN10
@@ -337,11 +330,10 @@ def conditioning_report(
         spectral_log10 = ln_sum / _LN10
         spectral = _exp_or_inf(ln_sum)
 
-    cfg = config or QuadratureConfig(tail_tol=1e-12, points_per_panel=32)
     beta = lam + alpha
     # keep both the I0 argument and the integrand inside double range
     s_cap_i0 = (0.5 * _MAX_EXPONENT) ** 2 / (2.0 * T)
-    s_max = min(i0_window_end(2.0 * T, float(beta.max()), cfg.tail_tol), s_cap_i0)
+    s_max = min(i0_window_end(2.0 * T, float(beta.max()), I0_QUADRATURE.tail_tol), s_cap_i0)
     edges = sqrt_uniform_edges(
         s_max, u_width=0.5 * math.sqrt(alpha), refine_scale=alpha / 4.0
     )
@@ -354,7 +346,7 @@ def conditioning_report(
     def field(s: np.ndarray) -> np.ndarray:
         return _decay_sum(s, rates, quad_form)
 
-    res = bochner_quadrature(weight, field, cfg, breakpoints=edges)
+    res = bochner_quadrature(weight, field, I0_QUADRATURE, breakpoints=edges)
     membership_quadrature = float(res.value[0])
 
     if amplification >= SEVERE_AMPLIFICATION:
@@ -402,12 +394,11 @@ def picard_resolvent_flow(
     f,
     t: float,
     n_iter: int,
-    points_per_unit: int = 2000,
 ) -> PicardResult:
     """Successive approximations j_{n+1} = U f - integral_0^s U j_n dr.
 
     The base iterate is constant (the resolvent of f).  Integrals use the
-    trapezoid rule on a uniform grid; the default density keeps the
+    trapezoid rule on a uniform grid; ``PICARD_POINTS_PER_UNIT`` keeps the
     discretisation bias well below the Picard bound through n ~ 10.
     """
     _require_alpha(alpha)
@@ -415,7 +406,7 @@ def picard_resolvent_flow(
         raise ValidationError(f"need t > 0, got {t}")
     if n_iter < 0:
         raise ValidationError("n_iter must be >= 0")
-    n_points = max(2, int(round(points_per_unit * t)) + 1)
+    n_points = max(2, int(round(PICARD_POINTS_PER_UNIT * t)) + 1)
     s = np.linspace(0.0, t, n_points)
     ds = s[1] - s[0]
     u_mult = 1.0 / (dec.eigenvalues + alpha)
@@ -447,13 +438,7 @@ def solve_resolvent_cauchy(
     return dec.trajectory(-u_mult, t_grid, u_mult * dec.coefficients(f))
 
 
-def laplace_diagnostic(
-    dec: SpectralDecomposition,
-    alpha: float,
-    f,
-    s: float,
-    config: QuadratureConfig | None = None,
-) -> tuple[float, float]:
+def laplace_diagnostic(dec: SpectralDecomposition, alpha: float, f, s: float) -> tuple[float, float]:
     """Laplace transform of the flow's quadratic form vs its closed form.
 
     lhs = integral_0^inf exp(-s t) (F_t f, f) dt by quadrature;
@@ -469,10 +454,9 @@ def laplace_diagnostic(
     else:
         rhs = float(np.sum(c2 / (s * beta + 1.0)))
 
-    cfg = config or QuadratureConfig(tail_tol=1e-12)
     rate_slow = s + 1.0 / float(beta.max())
     scale = max(1.0, float(np.sum(c2 / beta)))
-    t_max = math.log(scale / (cfg.tail_tol * rate_slow)) / rate_slow
+    t_max = math.log(scale / (LAPLACE_QUADRATURE.tail_tol * rate_slow)) / rate_slow
     edges = geometric_refined_edges(
         t_max, refine_scale=alpha / 2.0, max_width=15.0 / rate_slow
     )
@@ -482,7 +466,7 @@ def laplace_diagnostic(
     def weight(t: np.ndarray) -> np.ndarray:
         return np.exp(-s * t) * _decay_sum(t, rates, quad_form)
 
-    res = bochner_quadrature(weight, lambda t: np.ones_like(t), cfg, breakpoints=edges)
+    res = bochner_quadrature(weight, lambda t: np.ones_like(t), LAPLACE_QUADRATURE, breakpoints=edges)
     return float(res.value[0]), rhs
 
 
@@ -497,15 +481,15 @@ class BackwardTrajectory:
     values: np.ndarray  # shape (len(times), n)
 
 
-def backward_time_grid(horizon: float, lam_max: float, residual_target: float = 1e-4) -> np.ndarray:
+def backward_time_grid(horizon: float, lam_max: float) -> np.ndarray:
     """Uniform grid fine enough for central differences to verify the PDE.
 
     The FD residual of the mode growing like exp(lambda t) scales as
-    lambda^3 h^2 / 6; the step targets a tenth of ``residual_target`` for
-    the stiffest mode, with at least 200 steps.
+    lambda^3 h^2 / 6; the step targets a tenth of ``PDE_RESIDUAL_TARGET``
+    for the stiffest mode, with at least 200 steps.
     """
     lam = max(float(lam_max), 1.0)
-    h = math.sqrt(0.6 * residual_target / lam**3)
+    h = math.sqrt(0.6 * PDE_RESIDUAL_TARGET / lam**3)
     n_steps = int(min(max(200, math.ceil(horizon / h)), 2_000_000))
     return np.linspace(0.0, horizon, n_steps + 1)
 
@@ -554,14 +538,7 @@ def squared_bessel_h(
     return np.sum(c2 * np.exp(-x[..., None] / beta) / beta, axis=-1)
 
 
-def squared_bessel_h_quadrature(
-    dec: SpectralDecomposition,
-    f,
-    horizon: float,
-    t: float,
-    x: float,
-    config: QuadratureConfig | None = None,
-) -> float:
+def squared_bessel_h_quadrature(dec: SpectralDecomposition, f, horizon: float, t: float, x: float) -> float:
     """h(t, x) as the J0-weighted integral of the semigroup's form.
 
     integral_0^inf J0(2 sqrt(x s)) exp(-2 (horizon-t) s) (P_s f, f) ds.
@@ -572,17 +549,16 @@ def squared_bessel_h_quadrature(
     lam = dec.eigenvalues
     if rate0 + float(lam.min()) <= 0:
         raise ValidationError("need 2 (horizon - t) + lambda_min > 0")
-    cfg = config or QuadratureConfig(tail_tol=1e-13, points_per_panel=32)
     c2 = dec.coefficients(f) ** 2
     scale = max(1.0, float(c2.sum()))
-    edges = j0_decay_edges(rate0 + float(lam.min()), scale, cfg.tail_tol, x, 1.0 / (rate0 + float(lam.max())))
+    edges = j0_decay_edges(rate0 + float(lam.min()), scale, H_QUADRATURE.tail_tol, x, 1.0 / (rate0 + float(lam.max())))
 
     rates = lam + rate0
 
     def weight(s: np.ndarray) -> np.ndarray:
         return bessel_j0(2.0 * np.sqrt(x * s)) * _decay_sum(s, rates, c2)
 
-    res = bochner_quadrature(weight, lambda s: np.ones_like(s), cfg, breakpoints=edges)
+    res = bochner_quadrature(weight, lambda s: np.ones_like(s), H_QUADRATURE, breakpoints=edges)
     return float(res.value[0])
 
 
@@ -601,14 +577,7 @@ class HFunctionReport:
     max_residual: float
 
 
-def squared_bessel_pde_check(
-    dec: SpectralDecomposition,
-    f,
-    horizon: float,
-    t_grid,
-    x_grid,
-    config: QuadratureConfig | None = None,
-) -> HFunctionReport:
+def squared_bessel_pde_check(dec: SpectralDecomposition, f, horizon: float, t_grid, x_grid) -> HFunctionReport:
     """Verify h_t + 2 x h_xx + 2 h_x = 0 by finite differences.
 
     h is evaluated by quadrature on the tensor grid; both grids must be
@@ -624,7 +593,7 @@ def squared_bessel_pde_check(
     values = np.empty((t_grid.size, x_grid.size))
     for i, t in enumerate(t_grid):
         for j, x in enumerate(x_grid):
-            values[i, j] = squared_bessel_h_quadrature(dec, f, horizon, t, x, config)
+            values[i, j] = squared_bessel_h_quadrature(dec, f, horizon, t, x)
     h_t = (values[2:, 1:-1] - values[:-2, 1:-1]) / (2.0 * dt)
     h_x = (values[1:-1, 2:] - values[1:-1, :-2]) / (2.0 * dx)
     h_xx = (values[1:-1, 2:] - 2.0 * values[1:-1, 1:-1] + values[1:-1, :-2]) / dx**2

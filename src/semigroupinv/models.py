@@ -25,6 +25,9 @@ from .spectral import SymmetricGenerator, WeightedStateSpace, build_space
 
 _BOUNDARIES = ("dirichlet", "neumann")
 
+# Round-off allowed above 1 in a jump kernel's row mass.
+ROW_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DiffusionSpec:
@@ -162,13 +165,12 @@ def ou_witness_pair(rate: float) -> tuple[Callable[[np.ndarray], np.ndarray], Ca
 class JumpKernelSpec:
     """Symmetric non-negative jump kernel values on a weighted space.
 
-    Row masses sum_j q(x_i, x_j) m_j may not exceed 1 (up to ``row_tol``);
+    Row masses sum_j q(x_i, x_j) m_j may not exceed 1 (up to ``ROW_TOL``);
     rows short of 1 send the deficit to the cemetery.
     """
 
     kernel: np.ndarray
     space: WeightedStateSpace
-    row_tol: float = 1e-12
 
     def __post_init__(self):
         q = np.array(self.kernel, dtype=float)
@@ -182,7 +184,7 @@ class JumpKernelSpec:
         if not np.allclose(q, q.T, rtol=0, atol=1e-12 * max(1.0, float(np.abs(q).max()))):
             raise AsymmetricKernel("kernel must be symmetric")
         mass = q @ self.space.weights
-        if np.any(mass > 1.0 + self.row_tol):
+        if np.any(mass > 1.0 + ROW_TOL):
             raise RowMassExceeded(f"max row mass {mass.max():.6f} exceeds 1")
 
 

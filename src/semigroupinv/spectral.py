@@ -24,15 +24,14 @@ from .errors import (
     NonPositiveAlpha,
     NonPositiveWeight,
     NotMSymmetric,
+    OverflowRisk,
     ValidationError,
 )
 
-# Double-precision tolerance defaults, sized for dense models up to n ~ 2000.
+# Double-precision tolerances, sized for dense models up to n ~ 2000.
 SYM_TOL = 1e-10
 EIG_TOL = 1e-8
 EIG_CLAMP = 1e-12
-ORTHO_TOL = 1e-10
-RECON_TOL = 1e-8
 CLUSTER_TOL = 1e-9
 
 # Largest (times x states) table SpectralDecomposition.trajectory builds:
@@ -125,11 +124,15 @@ def check_m_symmetry(matrix, space: WeightedStateSpace) -> float:
 
 @dataclass(frozen=True)
 class SymmetricGenerator:
-    """An m-symmetric rate matrix A with -A non-negative definite in L2(m)."""
+    """An m-symmetric rate matrix A with -A non-negative definite in L2(m).
+
+    ``symmetry_residual`` is :func:`check_m_symmetry` of the matrix, measured
+    once here and at most ``SYM_TOL``.
+    """
 
     space: WeightedStateSpace
     matrix: np.ndarray
-    sym_tol: float = SYM_TOL
+    symmetry_residual: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _as_readonly(self.matrix))
@@ -137,11 +140,14 @@ class SymmetricGenerator:
             raise LengthMismatch(
                 f"matrix shape {self.matrix.shape} on a space of size {self.space.size}"
             )
+        if not np.all(np.isfinite(self.matrix)):
+            raise ValidationError("generator matrix must be finite")
         residual = check_m_symmetry(self.matrix, self.space)
-        if residual > self.sym_tol:
+        if not residual <= SYM_TOL:
             raise NotMSymmetric(
-                f"m-symmetry residual {residual:.3e} exceeds tolerance {self.sym_tol:.1e}"
+                f"m-symmetry residual {residual:.3e} exceeds tolerance {SYM_TOL:.1e}"
             )
+        object.__setattr__(self, "symmetry_residual", residual)
 
     @property
     def size(self) -> int:
@@ -227,31 +233,31 @@ class SpectralDecomposition:
         return (np.exp(np.outer(times, rates)) * coeffs) @ self.eigenvectors[:, modes].T
 
 
-def spectral_decompose(
-    gen: SymmetricGenerator,
-    eig_tol: float = EIG_TOL,
-    eig_clamp: float = EIG_CLAMP,
-) -> SpectralDecomposition:
+def spectral_decompose(gen: SymmetricGenerator) -> SpectralDecomposition:
     """Diagonalise -A in L2(m) via the similarity M^(1/2) (-A) M^(-1/2).
 
     The transformed matrix is symmetric in the ordinary sense, so the
     spectrum is real and the back-transformed eigenvectors are m-orthonormal
-    by construction.  Eigenvalues with |lambda| below ``eig_clamp`` times the
-    spectral radius (at least ``eig_clamp``) are snapped to exactly zero;
-    anything below ``-eig_tol`` relative is an invalid generator.
+    by construction.  Eigenvalues with |lambda| below ``EIG_CLAMP`` times the
+    spectral radius (at least ``EIG_CLAMP``) are snapped to exactly zero;
+    anything below ``-EIG_TOL`` relative is an invalid generator.  A
+    transformed matrix that leaves double range raises :class:`OverflowRisk`.
     """
     m = gen.space.weights
     sqrt_m = np.sqrt(m)
-    sym = (-gen.matrix) * (sqrt_m[:, None] / sqrt_m[None, :])
-    sym = 0.5 * (sym + sym.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = (-gen.matrix) * (sqrt_m[:, None] / sqrt_m[None, :])
+        sym = 0.5 * (sym + sym.T)
+    if not np.all(np.isfinite(sym)):
+        raise OverflowRisk("the symmetrised generator M^(1/2) (-A) M^(-1/2) leaves double range")
     lam, vecs = np.linalg.eigh(sym)
     scale = max(1.0, float(np.abs(lam).max()))
-    if lam[0] < -eig_tol * scale:
+    if lam[0] < -EIG_TOL * scale:
         raise NegativeEigenvalue(
             f"-A has eigenvalue {lam[0]:.6e}; generator is not negative semi-definite"
         )
     lam = lam.copy()
-    lam[np.abs(lam) <= eig_clamp * scale] = 0.0
+    lam[np.abs(lam) <= EIG_CLAMP * scale] = 0.0
     lam[lam < 0.0] = 0.0
     phi = vecs / sqrt_m[:, None]
     return SpectralDecomposition(gen.space, lam, phi)
@@ -288,13 +294,13 @@ def resolvent_apply(dec: SpectralDecomposition, alpha: float, f) -> np.ndarray:
     return apply_function(dec, lambda lam: 1.0 / (lam + alpha), f)
 
 
-def eigenvalue_clusters(dec: SpectralDecomposition, cluster_tol: float = CLUSTER_TOL):
-    """Group mode indices whose eigenvalues lie within ``cluster_tol``."""
+def eigenvalue_clusters(dec: SpectralDecomposition):
+    """Group mode indices whose eigenvalues lie within ``CLUSTER_TOL``."""
     clusters = []
     current = [0]
     lam = dec.eigenvalues
     for k in range(1, lam.size):
-        if lam[k] - lam[current[-1]] <= cluster_tol:
+        if lam[k] - lam[current[-1]] <= CLUSTER_TOL:
             current.append(k)
         else:
             clusters.append(current)

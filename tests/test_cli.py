@@ -506,3 +506,64 @@ class TestBudgets:
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "InvalidConfig"
         assert f"{cli._MAX_STATES + 1} states exceed" in error["message"]
+
+
+class TestNonFiniteAndDeepInputs:
+    """Inputs that once ended in NaN artifacts or a traceback exit 2 or 3."""
+
+    @pytest.mark.parametrize(
+        "spec, code, error_name",
+        [
+            ({"type": "chain", "parameters": {"matrix": [[math.nan, 0.0], [0.0, 0.0]], "weights": [1.0, 1.0]}},
+             2, "ValidationError"),
+            ({"type": "chain", "parameters": {"matrix": [[-1e308, 1e308], [1e308, -1e308]], "weights": [1.0, 1.0]}},
+             3, "OverflowRisk"),
+            ({"type": "diffusion", "parameters": {"left": 0.0, "right": 1e-310, "n": 5}}, 2, "ValidationError"),
+        ],
+        ids=["chain-nan", "chain-symmetrised-overflow", "diffusion-subnormal-interval"],
+    )
+    @pytest.mark.parametrize("command", [["decompose"], ["diagnose", "--T", "1", "--g", "x"]])
+    def test_non_finite_model_is_refused(self, tmp_path, spec, code, error_name, command):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"schemaVersion": 1, **spec}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_exit(command + ["--model", str(model), "--output", str(out)]) == code
+        assert json.loads((out / "error.json").read_text())["error"] == error_name
+        assert not (out / "summary.json").exists()
+
+    def test_deep_expression_exits_2(self, model_files, tmp_path):
+        from semigroupinv import cli
+
+        out = tmp_path / "out"
+        g = "(" * 3000 + "x" + ")" * 3000
+        assert cli_exit(["diagnose", "--model", model_files["chain2"], "--output", str(out),
+                         "--T", "1", "--g", g]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "ExpressionParseError"
+        assert error["position"] == cli._MAX_EXPRESSION_DEPTH
+        space = sg.build_space([0.0, 1.0], [1.0, 1.0])
+        deep = "exp(" + "(" * 89 + "-x" + ")" * 90
+        assert parse_function_literal(deep, space) == pytest.approx([1.0, math.exp(-1.0)])
+
+    def test_deep_diffusion_sigma_exits_2(self, tmp_path):
+        spec = {"schemaVersion": 1, "type": "diffusion",
+                "parameters": {"left": 0.0, "right": 1.0, "n": 8, "sigma": "(" * 3000 + "1" + ")" * 3000}}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(spec), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_exit(["decompose", "--model", str(model), "--output", str(out)]) == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "ExpressionParseError"
+
+    @pytest.mark.parametrize("g", ["x^2e2", "x^09e2", "random(3e)", "1e200^2"])
+    def test_bad_power_or_seed_exits_2(self, model_files, tmp_path, g):
+        out = tmp_path / "out"
+        assert cli_exit(["diagnose", "--model", model_files["chain2"], "--output", str(out),
+                         "--T", "1", "--g", g]) == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "ExpressionParseError"
+
+    @pytest.mark.parametrize("horizon", ["inf", "1.7976931348623157e308"])
+    def test_infinite_or_huge_horizon_exits_2(self, model_files, tmp_path, horizon):
+        out = tmp_path / "out"
+        assert cli_exit(["diagnose", "--model", model_files["chain2"], "--output", str(out),
+                         "--T", horizon, "--g", "1+x"]) == 2
+        assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"

@@ -1,0 +1,134 @@
+"""Property test: whatever model and expression the CLI is given, it exits
+0, 2 or 3, and writes ``error.json`` exactly when it does not succeed.
+
+A model is well formed, or has one number replaced by a non-finite or
+extreme value.  Grid sizes are either small (n <= 16) or past the state
+budget, so no example builds a large matrix.  Expressions are drawn from
+the function grammar, plus strings of stray grammar characters.
+"""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semigroupinv import cli
+
+SANE = st.floats(0.1, 4.0)
+EXTREMES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-310, 1e308, -1e308]),
+)
+# Grid sizes that are invalid or past the state budget: never a large grid.
+BAD_SIZES = st.one_of(
+    st.integers(-2, 2), st.integers(cli._MAX_STATES + 1, 10**9),
+    st.sampled_from([2.5, "8", None, math.nan, math.inf, 1e308]),
+)
+
+
+def _literal(x: float) -> str:
+    return repr(abs(x)) if abs(x) < math.inf else "1e999"
+
+
+_ATOMS = st.one_of(
+    st.just("x"),
+    st.one_of(SANE, EXTREMES).map(_literal),
+    st.integers(0, 2**40).map(lambda k: f"random({k})"),
+    st.tuples(SANE, EXTREMES).map(lambda ab: f"indicator({-ab[0]!r}, {ab[1]!r})"),
+)
+
+
+def _compound(inner):
+    return st.one_of(
+        inner.map(lambda e: f"({e})"),
+        inner.map(lambda e: f"exp({e})"),
+        inner.map(lambda e: f"-{e}"),
+        st.tuples(inner, st.integers(0, 400)).map(lambda ep: f"{ep[0]}^{ep[1]}"),
+        st.tuples(inner, st.sampled_from(["+", "-", "*", ""]), inner).map("".join),
+    )
+
+
+EXPRESSIONS = st.one_of(
+    st.recursive(_ATOMS, _compound, max_leaves=12),
+    st.recursive(_ATOMS, _compound, max_leaves=12),
+    st.text(alphabet="x()^*+-.,e0123456789 ", max_size=20),
+)
+
+
+def _valid_parameters(draw, kind: str) -> dict:
+    """Parameters of a well-formed model of ``kind`` on at most 16 states."""
+    n = draw(st.integers(3, 16))
+    if kind == "ou":
+        return {"halfWidth": draw(SANE), "n": n, "rate": draw(SANE)}
+    if kind == "diffusion":
+        left = draw(SANE) - 2.0
+        params = {"left": left, "right": left + draw(SANE), "n": n,
+                  "boundaryLeft": draw(st.sampled_from(["dirichlet", "neumann"])),
+                  "boundaryRight": draw(st.sampled_from(["dirichlet", "neumann"]))}
+        if draw(st.booleans()):
+            params["sigma"] = draw(EXPRESSIONS)
+        if draw(st.booleans()):
+            params["kill"] = draw(EXPRESSIONS)
+        return params
+    n = draw(st.integers(2, 6))
+    weights = [draw(SANE) for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if kind == "chain":  # m_i A_ij = c_ij for symmetric conductances c
+        matrix = [[0.0] * n for _ in range(n)]
+        for i, j in pairs:
+            c = draw(SANE)
+            matrix[i][j], matrix[j][i] = c / weights[i], c / weights[j]
+        for i in range(n):
+            matrix[i][i] = -sum(matrix[i])
+        return {"matrix": matrix, "weights": weights}
+    params = {"points": [float(k) for k in range(n)], "weights": weights}
+    if draw(st.booleans()):
+        kernel = [[0.0] * n for _ in range(n)]
+        for i, j in pairs:
+            kernel[i][j] = kernel[j][i] = draw(st.floats(0.0, 1.0)) / (n * max(weights))
+        params["kernel"] = kernel
+    else:
+        params["tStar"] = draw(SANE)
+    return params
+
+
+def _number_paths(node, path=()):
+    """Paths to the numbers in a JSON-like tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if isinstance(node, (int, float)) else []
+    return [p for key, value in items for p in _number_paths(value, path + (key,))]
+
+
+@st.composite
+def models(draw):
+    """A well-formed model, or one with a single number replaced by an extreme value."""
+    kind = draw(st.sampled_from(["chain", "ou", "diffusion", "jump"]))
+    params = _valid_parameters(draw, kind)
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(_number_paths(params)))
+        target = params
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = draw(BAD_SIZES if path[-1] == "n" else EXTREMES)
+    return {"schemaVersion": 1, "type": kind, "parameters": params}
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(model=models(), g=EXPRESSIONS, horizon=st.one_of(SANE, SANE, EXTREMES))
+def test_cli_exits_0_2_or_3_with_error_json_on_failure(model, g, horizon):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps(model), encoding="utf-8")
+        for command, params in (("decompose", {}), ("diagnose", {"T": float(horizon), "g": g})):
+            out = Path(tmp) / command
+            code = cli.run(cli.RunConfig(command, str(path), out, params))
+            assert code in (0, 2, 3)
+            assert (out / "error.json").exists() == (code != 0)
+            assert (out / "summary.json").exists() == (code == 0)

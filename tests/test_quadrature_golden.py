@@ -42,6 +42,11 @@ GOLDEN_RUNS = {
 GOLDEN_HEX = {
     "laplace_diagnostic": ["0x1.1930734d06409p+0", "0x1.1930734d06409p+0"],
     "squared_bessel_h_quadrature": "0x1.53b224287531dp-1",
+    # the remaining Bessel twins, pinned while each still took a QuadratureConfig
+    "resolvent_flow_quadrature": "7f5be871a05460c7c6e600923273113fb5a86529ababaec13fbd5d08ffe77f84",
+    "laplace_j0_identity": ["0x1.78b56362cfe3ap-2", "0x1.78b56362cef38p-2"],
+    "laplace_i0_identity": ["0x1.d8e64b8d4dd2ep+3", "0x1.d8e64b8d4ddaep+3"],
+    "squared_bessel_pde_check": "0x1.0ddc424800000p-23",
 }
 
 _PROBE = r"""
@@ -67,9 +72,20 @@ dec = sg.spectral_decompose(gen)
 f = 1.3 * gen.space.points**2
 lhs, rhs = sg.laplace_diagnostic(dec, 1.0, f, 0.5)
 h = sg.squared_bessel_h_quadrature(dec, f, 1.0, 0.25, 0.7)
+flow = sg.resolvent_flow_quadrature(dec, 1.0, 1.0, f)
+j0 = sg.laplace_j0_identity(1.0, 1.0)
+i0 = sg.laplace_i0_identity(0.5, 2.0)
+pde = sg.squared_bessel_pde_check(dec, f, 1.0, np.linspace(0.3, 0.308, 9), np.linspace(0.5, 0.508, 9))
 print(json.dumps({
     "sha256": hashes,
-    "hex": {"laplace_diagnostic": [lhs.hex(), rhs.hex()], "squared_bessel_h_quadrature": h.hex()},
+    "hex": {
+        "laplace_diagnostic": [lhs.hex(), rhs.hex()],
+        "squared_bessel_h_quadrature": h.hex(),
+        "resolvent_flow_quadrature": hashlib.sha256(flow.tobytes()).hexdigest(),
+        "laplace_j0_identity": [v.hex() for v in j0],
+        "laplace_i0_identity": [v.hex() for v in i0],
+        "squared_bessel_pde_check": pde.max_residual.hex(),
+    },
 }))
 """
 
