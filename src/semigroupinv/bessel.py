@@ -209,6 +209,10 @@ class QuadratureResult:
     n_nodes: int
 
 
+# Most panels sqrt_uniform_edges lays out.  The I0 window of a large
+# lambda_max at a small T asks for more, and every node vector grows with it.
+_MAX_PANELS = 16384
+
 _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -331,12 +335,16 @@ def sqrt_uniform_edges(s_max: float, u_width: float, refine_scale: Optional[floa
 
     Suits bell-shaped kernels exp(2 sqrt(a s) - s/beta), which are Gaussian
     in the u variable.  ``refine_scale`` optionally adds geometric edges near
-    zero to resolve the fastest-decaying modes of a vector field.
+    zero to resolve the fastest-decaying modes of a vector field.  More
+    than ``_MAX_PANELS`` uniform panels raise :class:`ValidationError`.
     """
     if not (0 < s_max < math.inf and 0 < u_width < math.inf):
         raise ValidationError(f"s_max and u_width must be finite and > 0, got {s_max}, {u_width}")
     u_max = np.sqrt(s_max)
-    n = max(1, int(np.ceil(u_max / u_width)))
+    panels = np.ceil(u_max / u_width)
+    if panels > _MAX_PANELS:
+        raise ValidationError(f"the quadrature needs {panels:.0f} panels, over the budget of {_MAX_PANELS}")
+    n = max(1, int(panels))
     edges = (np.linspace(0.0, u_max, n + 1)) ** 2
     if refine_scale is not None:
         extra = geometric_refined_edges(s_max, refine_scale)

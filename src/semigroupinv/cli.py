@@ -25,6 +25,7 @@ from .errors import (
     InvalidConfig,
     NumericalError,
     SemigroupInvError,
+    ValidationError,
 )
 from .inversion import (
     COEFF_TOL,
@@ -74,8 +75,6 @@ from .spectral import (
 
 SCHEMA_VERSION = 1
 
-COMMANDS = ("decompose", "invert", "regularise", "mixture", "sweep", "diagnose", "pde", "check")
-
 # ``check`` compares the resolvent flow with its J0 quadrature only up to this
 # lambda_max; above it the comparison is reported as skipped, with the reason.
 _FLOW_CHECK_LAMBDA_MAX = 50.0
@@ -86,10 +85,6 @@ _MAX_STATES = 4000
 # Deepest nesting of parentheses and exp( an expression may use, which keeps
 # the recursive-descent parser far inside Python's recursion limit.
 _MAX_EXPRESSION_DEPTH = 100
-
-# Value of each optional command parameter when it is not given.
-_DEFAULTS = {"alpha": 1.0, "coeff_tol": COEFF_TOL, "method": "spectral", "seed": 0, "tau": 1.0,
-             "tstar": 1.0, "value": 1.0, "gammas": "1e-1,1e-2,1e-3,1e-4,1e-5,1e-6,1e-7,1e-8"}
 
 
 # -- restricted function-literal grammar ---------------------------------------
@@ -287,23 +282,23 @@ def _states(value) -> int:
 
 
 def _array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    return np.asarray(value, float)
 
 
-def _model_param(params: dict, key: str, convert, default=_REQUIRED):
+def _model_param(params: dict, key: str, convert, default=_REQUIRED, label="model parameter"):
     """``convert(params[key])``, or ``default`` only when ``key`` is absent.
 
     A missing required key, or a value ``convert`` rejects, raises
-    :class:`InvalidConfig` naming the key.
+    :class:`InvalidConfig` naming the ``label`` and the key.
     """
     if key not in params:
         if default is _REQUIRED:
-            raise InvalidConfig(f"model parameter {key!r} is required")
+            raise InvalidConfig(f"{label} {key!r} is required")
         return default
     try:
         return convert(params[key])
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfig(f"model parameter {key!r}: {exc}") from None
+        raise InvalidConfig(f"{label} {key!r}: {exc}") from None
 
 
 def build_model(spec: dict) -> SymmetricGenerator:
@@ -367,6 +362,41 @@ def load_model_file(path) -> SymmetricGenerator:
 # -- run configuration ------------------------------------------------------------
 
 
+def _one_of(*choices):
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+        return value
+
+    return convert
+
+
+def _seed(value) -> int:
+    n = int(value)
+    if n != float(value) or n < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return n
+
+
+# Every command flag: converter, value when absent, help.  ``T``, ``g`` and
+# ``gamma`` have no default: a command requires them, or (``pde``) reads an
+# absent ``gamma`` as the spectral route.
+_FLAGS = {
+    "T": (float, None, "horizon / time"),
+    "g": (str, None, "observed function: expression or csv:PATH"),
+    "alpha": (float, 1.0, "resolvent shift alpha > 0"),
+    "method": (_one_of("spectral", "bessel"), "spectral", "inversion route: spectral or bessel"),
+    "coeff_tol": (float, COEFF_TOL, "relative coefficient floor for inversion"),
+    "gamma": (float, None, "regularisation or mixture weight"),
+    "phi": (_one_of(*PHI_FAMILY_NAMES), "tikhonov_exp", "regulariser: " + ", ".join(PHI_FAMILY_NAMES)),
+    "value": (float, 1.0, "constant phi value"),
+    "tau": (float, 1.0, "jump time tau of the jump phi families"),
+    "tstar": (float, 1.0, "horizon t* of the jump process"),
+    "gammas": (str, "1e-1,1e-2,1e-3,1e-4,1e-5,1e-6,1e-7,1e-8", "comma-separated list"),
+    "seed": (_seed, 0, "seed of the random test vectors"),
+}
+
+
 @dataclass
 class RunConfig:
     """A validated CLI invocation: command, model, parameters, output dir."""
@@ -377,33 +407,25 @@ class RunConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.command not in COMMANDS:
+        if self.command not in _COMMANDS:
             raise InvalidConfig(f"unknown command {self.command!r}")
-        required = {
-            "invert": ("T", "g"),
-            "regularise": ("T", "g", "gamma", "phi"),
-            "mixture": ("T", "g", "gamma", "tstar"),
-            "sweep": ("T", "g", "phi"),
-            "diagnose": ("T", "g"),
-            "pde": ("T", "g"),
-        }.get(self.command, ())
-        for name in required:
-            if self.params.get(name) is None:
+        for name in _COMMANDS[self.command][2]:
+            if name not in self.params:
                 raise InvalidConfig(f"command {self.command!r} requires --{name}")
 
 
-def _param(config: RunConfig, name: str):
-    """The value of parameter ``name``; its ``_DEFAULTS`` entry only when absent.
+def _param(params: dict, name: str):
+    """Flag ``name`` converted by its ``_FLAGS`` entry; its default only when absent.
 
     A value that is given but falsy (``--alpha 0``) is kept, so that it is
-    validated rather than silently replaced.
+    validated rather than silently replaced; one the converter rejects
+    raises :class:`InvalidConfig` naming the flag.
     """
-    value = config.params.get(name)
-    return _DEFAULTS[name] if value is None else value
+    convert, default, _ = _FLAGS[name]
+    return _model_param(params, name, convert, default, label="flag")
 
 
-def _observed_vector(config: RunConfig, gen: SymmetricGenerator) -> np.ndarray:
-    source = config.params["g"]
+def _observed_vector(source: str, gen: SymmetricGenerator) -> np.ndarray:
     if source.startswith("csv:"):
         path = source[4:]
         try:
@@ -423,8 +445,11 @@ def _observed_vector(config: RunConfig, gen: SymmetricGenerator) -> np.ndarray:
                     f"vector file column {column} is not the model grid: row {k}"
                     f" has {float(got[k])!r}, the model {float(want[k])!r}"
                 )
-        return values
-    return parse_function_literal(source, gen.space)
+    else:
+        values = parse_function_literal(source, gen.space)
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("observed data must be finite")
+    return values
 
 
 def _write(path: Path, text: str) -> None:
@@ -435,21 +460,18 @@ def _write_json(path: Path, payload: dict) -> None:
     _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _phi_from_params(config: RunConfig, horizon: float):
-    return make_phi(
-        config.params["phi"],
-        horizon=horizon,
-        value=_param(config, "value"),
-        t_star=_param(config, "tstar"),
-        tau=_param(config, "tau"),
-        alpha=_param(config, "alpha"),
-    )
+def _phi_from_params(p: dict, horizon: float):
+    return make_phi(p["phi"], horizon=horizon, value=p["value"], t_star=p["tstar"], tau=p["tau"],
+                    alpha=p["alpha"])
 
 
 # -- commands ----------------------------------------------------------------------
+#
+# Each command takes its flags converted by ``_param`` (absent ones at their
+# ``_FLAGS`` default), the model, its decomposition and the output directory.
 
 
-def _cmd_decompose(config, gen, dec, out: Path) -> dict:
+def _cmd_decompose(p, gen, dec, out: Path) -> dict:
     _write(
         out / "eigenvalues.csv",
         _csv_text("index,lambda", "%d,%.17g\n", enumerate(dec.eigenvalues.tolist())),
@@ -462,28 +484,23 @@ def _cmd_decompose(config, gen, dec, out: Path) -> dict:
     }
 
 
-def _cmd_invert(config, gen, dec, out: Path) -> dict:
-    T = float(config.params["T"])
-    alpha = float(_param(config, "alpha"))
-    coeff_tol = float(_param(config, "coeff_tol"))
-    g = _observed_vector(config, gen)
+def _cmd_invert(p, gen, dec, out: Path) -> dict:
+    T, alpha, coeff_tol = p["T"], p["alpha"], p["coeff_tol"]
+    g = _observed_vector(p["g"], gen)
     problem = InverseProblem(dec, T, g)
     report = conditioning_report(problem, alpha)
     _write_json(out / "report.json", report.to_json_dict())
-    method = _param(config, "method")
-    if method == "bessel":
+    if p["method"] == "bessel":
         f = invert_bessel(problem, alpha, coeff_tol=coeff_tol)
-    elif method == "spectral":
-        f = invert_spectral(problem, coeff_tol=coeff_tol)
     else:
-        raise InvalidConfig(f"unknown inversion method {method!r}")
+        f = invert_spectral(problem, coeff_tol=coeff_tol)
     _write(out / "solution.csv", vector_to_csv(gen.space, f))
     round_trip = norm(gen.space, semigroup_apply(dec, T, f) - g) / max(
         norm(gen.space, g), np.finfo(float).tiny
     )
     return {
         "T": T,
-        "method": method,
+        "method": p["method"],
         "coeffTol": coeff_tol,
         "roundTripRelativeResidual": round_trip,
         "amplificationLog10": report.amplification_log10,
@@ -491,11 +508,10 @@ def _cmd_invert(config, gen, dec, out: Path) -> dict:
     }
 
 
-def _cmd_regularise(config, gen, dec, out: Path) -> dict:
-    T = float(config.params["T"])
-    gamma = float(config.params["gamma"])
-    g = _observed_vector(config, gen)
-    phi = _phi_from_params(config, T)
+def _cmd_regularise(p, gen, dec, out: Path) -> dict:
+    T, gamma = p["T"], p["gamma"]
+    g = _observed_vector(p["g"], gen)
+    phi = _phi_from_params(p, T)
     reg = RegularisationConfig(gamma, phi, T)
     f = regularised_solve(dec, reg, g)
     _write(out / "solution.csv", vector_to_csv(gen.space, f))
@@ -509,11 +525,9 @@ def _cmd_regularise(config, gen, dec, out: Path) -> dict:
     }
 
 
-def _cmd_mixture(config, gen, dec, out: Path) -> dict:
-    t = float(config.params["T"])
-    gamma = float(config.params["gamma"])
-    t_star = float(config.params["tstar"])
-    g = _observed_vector(config, gen)
+def _cmd_mixture(p, gen, dec, out: Path) -> dict:
+    t, gamma, t_star = p["T"], p["gamma"], p["tstar"]
+    g = _observed_vector(p["g"], gen)
     model = MixtureModel(dec, gamma, t_star)
     f = mixture_invert(model, t, g)
     mult = mixture_multipliers(model, t)
@@ -529,13 +543,12 @@ def _cmd_mixture(config, gen, dec, out: Path) -> dict:
     }
 
 
-def _cmd_sweep(config, gen, dec, out: Path) -> dict:
-    T = float(config.params["T"])
-    g = _observed_vector(config, gen)
-    phi = _phi_from_params(config, T)
-    gammas_text = _param(config, "gammas")
+def _cmd_sweep(p, gen, dec, out: Path) -> dict:
+    T = p["T"]
+    g = _observed_vector(p["g"], gen)
+    phi = _phi_from_params(p, T)
     try:
-        gammas = [float(v) for v in gammas_text.split(",") if v.strip()]
+        gammas = [float(v) for v in p["gammas"].split(",") if v.strip()]
     except ValueError as exc:
         raise InvalidConfig(f"bad --gammas list: {exc}") from exc
     if not gammas:
@@ -551,10 +564,9 @@ def _cmd_sweep(config, gen, dec, out: Path) -> dict:
     }
 
 
-def _cmd_diagnose(config, gen, dec, out: Path) -> dict:
-    T = float(config.params["T"])
-    alpha = float(_param(config, "alpha"))
-    g = _observed_vector(config, gen)
+def _cmd_diagnose(p, gen, dec, out: Path) -> dict:
+    T, alpha = p["T"], p["alpha"]
+    g = _observed_vector(p["g"], gen)
     problem = InverseProblem(dec, T, g)
     report = conditioning_report(problem, alpha)
     _write_json(out / "report.json", report.to_json_dict())
@@ -569,28 +581,26 @@ def _cmd_diagnose(config, gen, dec, out: Path) -> dict:
     }
 
 
-def _cmd_pde(config, gen, dec, out: Path) -> dict:
-    T = float(config.params["T"])
-    g = _observed_vector(config, gen)
-    gamma = config.params.get("gamma")
+def _cmd_pde(p, gen, dec, out: Path) -> dict:
+    T, gamma = p["T"], p["gamma"]
+    g = _observed_vector(p["g"], gen)
     summary: dict = {"T": T}
     if gamma is not None:
-        model = MixtureModel(dec, float(gamma), float(_param(config, "tstar")))
+        model = MixtureModel(dec, gamma, p["tstar"])
         traj = regularised_pide_solve(model, g, T)
-        summary["gamma"] = float(gamma)
+        summary["gamma"] = gamma
         summary["tStar"] = model.t_star
     else:
-        coeff_tol = float(_param(config, "coeff_tol"))
-        traj = solve_backward_cauchy(InverseProblem(dec, T, g), coeff_tol=coeff_tol)
+        traj = solve_backward_cauchy(InverseProblem(dec, T, g), coeff_tol=p["coeff_tol"])
     _write(out / "trajectory.csv", trajectory_to_csv(traj))
     summary["steps"] = int(traj.times.size - 1)
     summary["finalNorm"] = norm(gen.space, traj.values[-1])
     return summary
 
 
-def _cmd_check(config, gen, dec, out: Path) -> dict:
+def _cmd_check(p, gen, dec, out: Path) -> dict:
     """Run the invariant suite against the model; any failure exits 3."""
-    rng = np.random.default_rng(int(_param(config, "seed")))
+    rng = np.random.default_rng(p["seed"])
     space = gen.space
     n = gen.size
     f = rng.standard_normal(n)
@@ -640,15 +650,20 @@ def _cmd_check(config, gen, dec, out: Path) -> dict:
     return {"checks": checks, "allPassed": True}
 
 
-_DISPATCH = {
-    "decompose": _cmd_decompose,
-    "invert": _cmd_invert,
-    "regularise": _cmd_regularise,
-    "mixture": _cmd_mixture,
-    "sweep": _cmd_sweep,
-    "diagnose": _cmd_diagnose,
-    "pde": _cmd_pde,
-    "check": _cmd_check,
+# Every command: function, help, required flags, optional flags.
+_COMMANDS = {
+    "decompose": (_cmd_decompose, "eigenvalues and diagnostics of the model generator", (), ()),
+    "invert": (_cmd_invert, "solve g = P_T f by spectral or Bessel inversion", ("T", "g"),
+               ("alpha", "method", "coeff_tol")),
+    "regularise": (_cmd_regularise, "solve the phi-regularised problem", ("T", "g", "gamma"),
+                   ("phi", "value", "tau", "alpha", "tstar")),
+    "mixture": (_cmd_mixture, "invert the jump-mixture semigroup", ("T", "g", "gamma"), ("tstar",)),
+    "sweep": (_cmd_sweep, "gamma -> 0 convergence study (CSV gamma,error,residual)", ("T", "g"),
+              ("phi", "value", "tau", "alpha", "tstar", "gammas")),
+    "diagnose": (_cmd_diagnose, "conditioning report for an inversion problem", ("T", "g"), ("alpha",)),
+    "pde": (_cmd_pde, "backward trajectory (spectral, or mixed PIDE with --gamma)", ("T", "g"),
+            ("coeff_tol", "gamma", "tstar")),
+    "check": (_cmd_check, "run the model invariant suite", (), ("seed",)),
 }
 
 
@@ -656,10 +671,12 @@ def run(config: RunConfig) -> int:
     """Execute a command; write artifacts and return the exit code."""
     out = Path(config.output)
     out.mkdir(parents=True, exist_ok=True)
+    command, _, required, optional = _COMMANDS[config.command]
     try:
+        params = {name: _param(config.params, name) for name in required + optional}
         gen = load_model_file(config.model_path)
         dec = spectral_decompose(gen)
-        summary = _DISPATCH[config.command](config, gen, dec, out)
+        summary = command(params, gen, dec, out)
     except SemigroupInvError as exc:
         code = 3 if isinstance(exc, NumericalError) else 2
         payload = {
@@ -681,62 +698,30 @@ def run(config: RunConfig) -> int:
 
 
 def _build_arg_parser() -> argparse.ArgumentParser:
+    """Subcommands and flags from ``_COMMANDS``/``_FLAGS``; values stay strings for ``_param``."""
     parser = argparse.ArgumentParser(
         prog="semigroupinv",
         description="Spectral inversion and regularisation for symmetric Markov semigroups.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("decompose", "eigenvalues and diagnostics of the model generator"),
-        ("invert", "solve g = P_T f by spectral or Bessel inversion"),
-        ("regularise", "solve the phi-regularised problem"),
-        ("mixture", "invert the jump-mixture semigroup (always well-posed)"),
-        ("sweep", "gamma -> 0 convergence study (CSV gamma,error,residual)"),
-        ("diagnose", "conditioning report for an inversion problem"),
-        ("pde", "backward trajectory (spectral, or mixed PIDE with --gamma)"),
-        ("check", "run the model invariant suite"),
-    ):
+    for name, (_, help_text, required, optional) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--output", default="out", help="output directory (default: out)")
-        if name in ("invert", "regularise", "mixture", "sweep", "diagnose", "pde"):
-            p.add_argument("--T", type=float, required=True, help="horizon / time")
-            p.add_argument("--g", required=True, help="observed function: expression or csv:PATH")
-        if name in ("invert", "diagnose"):
-            p.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"])
-        if name == "invert":
-            p.add_argument("--method", choices=("spectral", "bessel"), default=_DEFAULTS["method"])
-        if name in ("invert", "pde"):
-            p.add_argument("--coeff-tol", dest="coeff_tol", type=float, default=_DEFAULTS["coeff_tol"],
-                           help="relative coefficient floor for inversion")
-        if name in ("regularise", "mixture", "pde"):
-            p.add_argument("--gamma", type=float, default=None,
-                           required=(name != "pde"))
-        if name in ("regularise", "sweep"):
-            p.add_argument("--phi", choices=PHI_FAMILY_NAMES, default="tikhonov_exp")
-            p.add_argument("--value", type=float, default=_DEFAULTS["value"], help="constant phi value")
-            p.add_argument("--tau", type=float, default=_DEFAULTS["tau"])
-            p.add_argument("--alpha", type=float, default=_DEFAULTS["alpha"])
-        if name in ("regularise", "mixture", "sweep", "pde"):
-            p.add_argument("--tstar", type=float, default=_DEFAULTS["tstar"])
-        if name == "sweep":
-            p.add_argument("--gammas", default=_DEFAULTS["gammas"], help="comma-separated list")
-        if name == "check":
-            p.add_argument("--seed", type=int, default=_DEFAULTS["seed"])
+        for flag in required + optional:
+            _, default, flag_help = _FLAGS[flag]
+            if default is not None:
+                flag_help += f" (default: {default})"
+            p.add_argument("--" + flag.replace("_", "-"), required=flag in required, help=flag_help)
     return parser
 
 
 def main(argv=None) -> None:
-    args = _build_arg_parser().parse_args(argv)
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "model", "output")}
+    args = vars(_build_arg_parser().parse_args(argv))
+    command, model, output = args.pop("command"), args.pop("model"), args.pop("output")
     try:
-        config = RunConfig(
-            command=args.command,
-            model_path=args.model,
-            output=Path(args.output),
-            params=params,
-        )
+        config = RunConfig(command, model, Path(output), {k: v for k, v in args.items() if v is not None})
     except SemigroupInvError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         raise SystemExit(2)

@@ -129,7 +129,7 @@ def _exp_or_inf(x: float) -> float:
 
 
 def _require_alpha(alpha: float) -> None:
-    if alpha <= 0:
+    if not 0 < alpha < math.inf:
         raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
 
 
@@ -225,6 +225,8 @@ def resolvent_flow_quadrature(dec: SpectralDecomposition, alpha: float, t: float
 
 def _energy_active(dec: SpectralDecomposition, g, coeff_tol: float):
     """Coefficients of g, the modes above the floor, and their largest eigenvalue (or 0)."""
+    if not 0 <= coeff_tol < math.inf:
+        raise ValidationError(f"coeff_tol must be finite and >= 0, got {coeff_tol}")
     c = dec.coefficients(g)
     floor = coeff_tol * max(norm(dec.space, g), np.finfo(float).tiny)
     idx = np.nonzero(np.abs(c) > floor)[0]

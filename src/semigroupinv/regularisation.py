@@ -12,6 +12,7 @@ observation with inverse norm at most exp(t)/gamma.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,7 @@ class RegularisationConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValidationError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not self.horizon > 0:
+        if not 0 < self.horizon < math.inf:
             raise ValidationError(f"horizon must be > 0, got {self.horizon}")
 
     def phi_values(self, dec: SpectralDecomposition) -> np.ndarray:
@@ -244,7 +245,7 @@ class MixtureModel:
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValidationError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not self.t_star > 0:
+        if not 0 < self.t_star < math.inf:
             raise ValidationError(f"t_star must be > 0, got {self.t_star}")
 
 
@@ -254,7 +255,7 @@ def mixture_multipliers(model: MixtureModel, t: float) -> np.ndarray:
     q_t(l) = (1-gamma) exp(-l t) + gamma exp(t (exp(-t_star l) - 1)).
     The jump part never drops below exp(-t), so q_t >= gamma exp(-t).
     """
-    if t < 0:
+    if not 0 <= t < math.inf:
         raise ValidationError(f"need t >= 0, got {t}")
     lam = model.decomposition.eigenvalues
     diffusion = np.exp(-lam * t)
@@ -268,12 +269,15 @@ def mixture_semigroup(model: MixtureModel, t: float):
 
 
 def mixture_invert(model: MixtureModel, t: float, g) -> np.ndarray:
-    """Invert the mixed operator: always well-posed, for any g.
+    """Invert the mixed operator: well-posed for any g.
 
     Divides mode k by q_t(lambda_k) >= gamma exp(-t); the inverse operator
     norm is bounded by exp(t)/gamma no matter how large the spectrum is.
+    Raises :class:`OverflowRisk` only when that bound leaves double range.
     """
     mult = mixture_multipliers(model, t)
+    bound = t - math.log(model.gamma)
+    _guard_exponent(bound, f"mixture inverse norm bound exp(t)/gamma = exp({bound:.6g}) exceeds double range")
     dec = model.decomposition
     # a division, not dec.apply(1.0 / mult, g): 1/mult rounds once more
     return dec.synthesize(dec.coefficients(g) / mult)
@@ -292,7 +296,7 @@ def regularised_pide_solve(
     exp(t (w l_k + (1-w)(1 - exp(-t_star l_k)))); the jump part contributes
     at most 1 to the growth rate, so w = 0 is well-posed for every g.
     """
-    if horizon <= 0:
+    if not 0 < horizon < math.inf:
         raise ValidationError(f"horizon must be > 0, got {horizon}")
     dec = model.decomposition
     lam = dec.eigenvalues

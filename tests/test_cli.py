@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import semigroupinv as sg
+from semigroupinv import cli
 from semigroupinv.cli import RunConfig, build_model, load_model_file, main, parse_function_literal, run
 
 CHAIN2_JSON = {
@@ -567,3 +569,108 @@ class TestNonFiniteAndDeepInputs:
         assert cli_exit(["diagnose", "--model", model_files["chain2"], "--output", str(out),
                          "--T", horizon, "--g", "1+x"]) == 2
         assert json.loads((out / "error.json").read_text())["error"] == "ValidationError"
+
+
+class TestFlagTable:
+    """Flags are converted in one place: a bad value exits 2 with error.json naming it."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["invert", "--T", "abc", "--g", "x"], "'T'"),
+            (["invert", "--T", "1", "--g", "x", "--method", "foo"], "'method'"),
+            (["regularise", "--T", "1", "--g", "x", "--gamma", "0.1", "--phi", "foo"], "'phi'"),
+            (["check", "--seed", "1.5"], "'seed'"),
+            (["check", "--seed=-1"], "'seed'"),
+        ],
+        ids=["T-abc", "method-foo", "phi-foo", "seed-1.5", "seed-negative"],
+    )
+    def test_bad_flag_value_exits_2(self, model_files, tmp_path, argv, flag):
+        out = tmp_path / "out"
+        assert cli_exit(argv + ["--model", model_files["chain2"], "--output", str(out)]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "InvalidConfig"
+        assert f"flag {flag}" in error["message"]
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, params",
+        [("regularise", {"T": 1.0, "g": "random(2)", "gamma": 0.1}),
+         ("mixture", {"T": 1.0, "g": "random(2)", "gamma": 0.1})],
+    )
+    def test_run_config_takes_the_cli_defaults(self, model_files, tmp_path, command, params):
+        programmatic, argv_out = tmp_path / "programmatic", tmp_path / "argv"
+        assert run(RunConfig(command, model_files["chain2"], programmatic, params)) == 0
+        argv = [command, "--model", model_files["chain2"], "--output", str(argv_out)]
+        assert cli_exit(argv + [f"--{k}={v}" for k, v in params.items()]) == 0
+        names = sorted(p.name for p in programmatic.iterdir())
+        assert names == sorted(p.name for p in argv_out.iterdir())
+        for name in names:
+            assert (programmatic / name).read_bytes() == (argv_out / name).read_bytes()
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_help_lists_every_flag(self, command, capsys):
+        assert cli_exit([command, "--help"]) == 0
+        text = capsys.readouterr().out
+        _, _, required, optional = cli._COMMANDS[command]
+        for flag in ("model", "output") + required + optional:
+            assert re.search(r"--%s\b" % flag.replace("_", "-"), text)
+
+
+class TestNonFiniteFlags:
+    """Non-finite or out-of-range values that once gave NaN artifacts or a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, code, error_name",
+        [
+            (["mixture", "--T", "nan", "--g", "x", "--gamma", "0.1"], 2, "ValidationError"),
+            (["mixture", "--T", "inf", "--g", "x", "--gamma", "0.1"], 2, "ValidationError"),
+            (["regularise", "--T", "inf", "--g", "x", "--gamma", "0.1", "--phi", "constant"], 2, "ValidationError"),
+            (["pde", "--T", "1", "--g", "x", "--gamma", "0.1", "--tstar", "inf"], 2, "ValidationError"),
+            (["pde", "--T", "nan", "--g", "x", "--gamma", "0.5"], 2, "ValidationError"),
+            (["invert", "--T", "1", "--g", "x", "--coeff-tol", "nan"], 2, "ValidationError"),
+            (["invert", "--T", "1", "--g", "x", "--coeff-tol", "-1"], 2, "ValidationError"),
+            (["pde", "--T", "1", "--g", "x", "--coeff-tol", "nan"], 2, "ValidationError"),
+            (["regularise", "--T", "1", "--g", "exp(1000)", "--gamma", "0.1"], 2, "ValidationError"),
+            (["mixture", "--T", "1", "--g", "exp(1000)", "--gamma", "0.1"], 2, "ValidationError"),
+            (["pde", "--T", "1", "--g", "exp(1000)", "--gamma", "0.1"], 2, "ValidationError"),
+            (["diagnose", "--T", "1", "--g", "x", "--alpha", "nan"], 2, "NonPositiveAlpha"),
+            (["mixture", "--T", "800", "--g", "x", "--gamma", "0.1"], 3, "OverflowRisk"),
+            (["mixture", "--T", "700", "--g", "x", "--gamma", "0.1"], 3, "OverflowRisk"),
+            (["mixture", "--T", "1", "--g", "x", "--gamma", "1e-320"], 3, "OverflowRisk"),
+        ],
+        ids=["mixture-T-nan", "mixture-T-inf", "regularise-T-inf", "pde-mixed-tstar-inf", "pde-mixed-T-nan", "invert-coeff-tol-nan",
+             "invert-coeff-tol-negative", "pde-coeff-tol-nan", "regularise-g-inf", "mixture-g-inf",
+             "pde-mixed-g-inf", "diagnose-alpha-nan", "mixture-T-800", "mixture-T-700",
+             "mixture-gamma-subnormal"],
+    )
+    def test_exits_2_or_3(self, model_files, tmp_path, argv, code, error_name):
+        out = tmp_path / "out"
+        assert cli_exit(argv + ["--model", model_files["chain2"], "--output", str(out)]) == code
+        assert json.loads((out / "error.json").read_text())["error"] == error_name
+        assert not (out / "summary.json").exists()
+
+    def test_mixture_below_the_overflow_guard_exits_0(self, model_files, tmp_path):
+        out = tmp_path / "out"
+        argv = ["mixture", "--T", "690", "--g", "x", "--gamma", "0.5",
+                "--model", model_files["chain2"], "--output", str(out)]
+        assert cli_exit(argv) == 0
+        assert json.loads((out / "summary.json").read_text())["inverseNormBound"] < math.inf
+
+
+class TestPanelBudget:
+    """An I0 window past the panel budget exits 2 before any quadrature runs."""
+
+    def test_panel_budget_exits_2(self, tmp_path, monkeypatch):
+        from semigroupinv import bessel, inversion
+
+        monkeypatch.setattr(inversion, "bochner_quadrature", lambda *a, **k: pytest.fail("quadrature ran"))
+        model = tmp_path / "ou16.json"
+        model.write_text(json.dumps({"schemaVersion": 1, "type": "ou",
+                                     "parameters": {"halfWidth": 1e-3, "n": 16, "rate": 1.0}}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_exit(["diagnose", "--model", str(model), "--output", str(out),
+                         "--T", "1e-11", "--g", "random(1)"]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "ValidationError"
+        assert f"budget of {bessel._MAX_PANELS}" in error["message"]

@@ -132,3 +132,49 @@ def test_cli_exits_0_2_or_3_with_error_json_on_failure(model, g, horizon):
             assert code in (0, 2, 3)
             assert (out / "error.json").exists() == (code != 0)
             assert (out / "summary.json").exists() == (code == 0)
+
+
+# Sane values of every command flag, and the strings each flag is also fed.
+FLAG_VALUES = {
+    "T": ["0.5", "1"], "g": ["x", "random(1)", "1+x^2"], "alpha": ["0.5", "1"],
+    "method": ["spectral", "bessel"], "coeff_tol": ["1e-8", "0"], "gamma": ["0.1", "0.5"],
+    "phi": ["tikhonov_exp", "constant", "jump_mixture", "resolvent_jump"], "value": ["2"],
+    "tau": ["0.5", "1"], "tstar": ["0.5", "1"], "gammas": ["0.1,0.01", "1e-3"], "seed": ["0", "3"],
+}
+BAD_FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e309", "abc", ""]
+# chain2 (lambda_max 1) and ou on 6 states (lambda_max 7.8) keep every pde grid small.
+ARGV_MODELS = {
+    "chain2": {"type": "chain", "parameters": {"matrix": [[-0.5, 0.5], [0.5, -0.5]], "weights": [1.0, 1.0]}},
+    "ou6": {"type": "ou", "parameters": {"halfWidth": 1.5, "n": 6, "rate": 1.3}},
+}
+
+
+@st.composite
+def invocations(draw):
+    """An argv for one command: every required flag, some optional ones, about one in four bad."""
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    _, _, required, optional = cli._COMMANDS[command]
+    argv = [command]
+    for flag in required + optional:
+        if flag in optional and draw(st.booleans()):
+            continue
+        bad = draw(st.integers(0, 3)) == 0
+        value = draw(st.sampled_from(BAD_FLAG_VALUES if bad else FLAG_VALUES[flag]))
+        argv.append(f"--{flag.replace('_', '-')}={value}")  # "--T -inf" would read as an option
+    return argv
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(model=st.sampled_from(sorted(ARGV_MODELS)), argv=invocations())
+def test_argv_exits_0_2_or_3_with_error_json_on_failure(model, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(json.dumps({"schemaVersion": 1, **ARGV_MODELS[model]}), encoding="utf-8")
+        out = Path(tmp) / "out"
+        try:
+            cli.main(argv + ["--model", str(path), "--output", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 2, 3)
+        assert (out / "error.json").exists() == (code != 0)
+        assert (out / "summary.json").exists() == (code == 0)
