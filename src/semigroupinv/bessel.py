@@ -170,24 +170,16 @@ def bessel_i0(x):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Settings for truncated Bochner integrals over [0, s_max].
+    """Settings of one Bochner integral on caller-laid panels.
 
-    ``panels`` is the default panel count when the caller supplies no
-    breakpoints; ``tail_tol`` is both the self-convergence target and the
-    requested truncation-error bound.
+    ``tail_tol`` is both the self-convergence target and the requested
+    truncation-error bound; ``points_per_panel`` is the Gauss-Legendre order.
     """
 
-    s_max: float = 60.0
-    panels: int = 64
+    tail_tol: float
     points_per_panel: int = 24
-    tail_tol: float = 1e-10
-    max_refinements: int = 3
 
     def __post_init__(self):
-        if not self.s_max > 0:
-            raise ValidationError(f"s_max must be > 0, got {self.s_max}")
-        if self.panels < 1:
-            raise ValidationError(f"panels must be >= 1, got {self.panels}")
         if not 2 <= self.points_per_panel <= 64:
             raise ValidationError(
                 f"points_per_panel must lie in [2, 64], got {self.points_per_panel}"
@@ -209,8 +201,12 @@ class QuadratureResult:
     n_nodes: int
 
 
-# Most panels sqrt_uniform_edges lays out.  The I0 window of a large
-# lambda_max at a small T asks for more, and every node vector grows with it.
+# Panel halvings bochner_quadrature tries before giving up.
+_REFINEMENTS = 3
+
+# Most panels an edge builder lays out: uniform panels in sqrt(s), or J0
+# quarter periods.  The I0 window of a large lambda_max at a small T, or a
+# J0 kernel at a large t, asks for more, and every node vector grows with it.
 _MAX_PANELS = 16384
 
 _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -248,37 +244,34 @@ def _integrate(weight, field, edges, points):
 def bochner_quadrature(
     weight: Callable[[np.ndarray], np.ndarray],
     field: Callable[[np.ndarray], np.ndarray],
-    config: QuadratureConfig | None = None,
-    breakpoints: Optional[Sequence[float]] = None,
+    config: QuadratureConfig,
+    breakpoints: Sequence[float],
     tail_rate: Optional[float] = None,
     tail_amplitude: Optional[float] = None,
 ) -> QuadratureResult:
-    """Integrate weight(s) * field(s) over [0, s_max] with GL panels.
+    """Integrate weight(s) * field(s) over the panels between ``breakpoints``.
 
     ``field`` maps an array of nodes (k,) to values (k,) or (k, n); both it
     and ``weight`` must be vectorized.  Panels are split in half until two
     successive evaluations agree within tail_tol (absolute, relative to a
-    unit scale), else :class:`QuadratureNotConverged` is raised.  When the
-    caller knows the integrand is dominated by ``tail_amplitude *
-    exp(-tail_rate s)``, the reported truncation bound is
-    ``tail_amplitude * exp(-tail_rate * s_max) / tail_rate``.
+    unit scale), at most ``_REFINEMENTS`` times, else
+    :class:`QuadratureNotConverged` is raised.  When the caller knows the
+    integrand is dominated by ``tail_amplitude * exp(-tail_rate s)``, the
+    reported truncation bound is ``tail_amplitude * exp(-tail_rate * s_max)
+    / tail_rate`` with s_max the last breakpoint.
     """
-    cfg = config or QuadratureConfig()
-    if breakpoints is None:
-        edges = np.linspace(0.0, cfg.s_max, cfg.panels + 1)
-    else:
-        edges = np.unique(np.asarray(breakpoints, dtype=float))
-        if edges.size < 2:
-            raise ValidationError("need at least two breakpoints")
+    edges = np.unique(np.asarray(breakpoints, dtype=float))
+    if edges.size < 2:
+        raise ValidationError("need at least two breakpoints")
 
-    value, n_nodes = _integrate(weight, field, edges, cfg.points_per_panel)
+    value, n_nodes = _integrate(weight, field, edges, config.points_per_panel)
     err = np.inf
-    for _ in range(cfg.max_refinements):
+    for _ in range(_REFINEMENTS):
         edges = _split_edges(edges)
-        refined, n_nodes = _integrate(weight, field, edges, cfg.points_per_panel)
+        refined, n_nodes = _integrate(weight, field, edges, config.points_per_panel)
         err = float(np.max(np.abs(refined - value)))
         value = refined
-        if err <= cfg.tail_tol * max(1.0, float(np.max(np.abs(value)))):
+        if err <= config.tail_tol * max(1.0, float(np.max(np.abs(value)))):
             break
     else:
         raise QuadratureNotConverged(
@@ -289,7 +282,14 @@ def bochner_quadrature(
     if tail_rate is not None and tail_rate > 0:
         amp = 1.0 if tail_amplitude is None else tail_amplitude
         tail = amp * np.exp(-tail_rate * edges[-1]) / tail_rate
-    return QuadratureResult(value.ravel() if value.ndim > 1 else value, err, tail, n_nodes)
+    return QuadratureResult(value, err, tail, n_nodes)
+
+
+def _panel_budget(panels: float) -> float:
+    """``panels``, or :class:`ValidationError` when it is over ``_MAX_PANELS``."""
+    if panels > _MAX_PANELS:
+        raise ValidationError(f"the quadrature needs {panels:.0f} panels, over the budget of {_MAX_PANELS}")
+    return panels
 
 
 def geometric_refined_edges(
@@ -304,22 +304,22 @@ def geometric_refined_edges(
     ``quarter_u`` is given, the edges also include the quarter-period points
     of an oscillation that is uniform in u = sqrt(s) (u_j = j * quarter_u,
     i.e. s_j = j^2 * quarter_u^2, the spacing needed by J0(2 sqrt(t s))
-    kernels).  ``max_width`` caps the width of any panel.
+    kernels); more than ``_MAX_PANELS`` of them raise
+    :class:`ValidationError`.  ``max_width`` caps the width of any panel.
     """
-    if s_max <= 0:
-        raise ValidationError("s_max must be positive")
+    if not 0 < s_max < math.inf:
+        raise ValidationError(f"s_max must be finite and > 0, got {s_max}")
     pts = {0.0, float(s_max)}
     s = max(refine_scale, 1e-300) / 4.0
     while s < s_max:
         pts.add(s)
         s *= 2.0
     if quarter_u is not None and quarter_u > 0:
+        _panel_budget(np.ceil(np.sqrt(s_max) / quarter_u))
         j = 1
         while (j * quarter_u) ** 2 < s_max:
             pts.add((j * quarter_u) ** 2)
             j += 1
-            if j > 100000:
-                break
     edges = np.array(sorted(pts))
     if max_width is not None and max_width > 0:
         pieces = [np.array([edges[0]])]
@@ -330,26 +330,21 @@ def geometric_refined_edges(
     return edges
 
 
-def sqrt_uniform_edges(s_max: float, u_width: float, refine_scale: Optional[float] = None) -> np.ndarray:
-    """Edges at s = (j u_width)^2: uniform panels in u = sqrt(s).
+def sqrt_uniform_edges(s_max: float, scale: float) -> np.ndarray:
+    """I0 panel edges for a bell exp(2 sqrt(a s) - s/beta) of width ``scale``.
 
-    Suits bell-shaped kernels exp(2 sqrt(a s) - s/beta), which are Gaussian
-    in the u variable.  ``refine_scale`` optionally adds geometric edges near
-    zero to resolve the fastest-decaying modes of a vector field.  More
-    than ``_MAX_PANELS`` uniform panels raise :class:`ValidationError`.
+    The bell is Gaussian in u = sqrt(s), so the edges sit at
+    s = (j u_width)^2 with u_width = sqrt(scale) / 2, plus geometric edges
+    from scale / 16 upward (:func:`geometric_refined_edges` at refine scale
+    scale / 4) that resolve the fastest-decaying modes of a vector field.
+    More than ``_MAX_PANELS`` uniform panels raise :class:`ValidationError`.
     """
-    if not (0 < s_max < math.inf and 0 < u_width < math.inf):
-        raise ValidationError(f"s_max and u_width must be finite and > 0, got {s_max}, {u_width}")
+    if not (0 < s_max < math.inf and 0 < scale < math.inf):
+        raise ValidationError(f"s_max and scale must be finite and > 0, got {s_max}, {scale}")
     u_max = np.sqrt(s_max)
-    panels = np.ceil(u_max / u_width)
-    if panels > _MAX_PANELS:
-        raise ValidationError(f"the quadrature needs {panels:.0f} panels, over the budget of {_MAX_PANELS}")
-    n = max(1, int(panels))
-    edges = (np.linspace(0.0, u_max, n + 1)) ** 2
-    if refine_scale is not None:
-        extra = geometric_refined_edges(s_max, refine_scale)
-        edges = np.unique(np.concatenate([edges, extra]))
-    return edges
+    panels = _panel_budget(np.ceil(u_max / (0.5 * math.sqrt(scale))))
+    edges = np.linspace(0.0, u_max, max(1, int(panels)) + 1) ** 2
+    return np.unique(np.concatenate([edges, geometric_refined_edges(s_max, scale / 4.0)]))
 
 
 def i0_window_end(a: float, beta: float, tail_tol: float) -> float:
@@ -388,12 +383,11 @@ def laplace_j0_identity(t: float, alpha: float) -> tuple[float, float]:
     """
     if t <= 0 or alpha <= 0:
         raise ValidationError("t and alpha must be > 0")
-    edges = j0_decay_edges(alpha, 1.0, LAPLACE_QUADRATURE.tail_tol, t, refine_scale=min(1.0 / alpha, 1.0))
     res = bochner_quadrature(
         lambda s: np.exp(-alpha * s) * bessel_j0(2.0 * np.sqrt(t * s)),
-        lambda s: np.ones_like(s),
+        np.ones_like,
         LAPLACE_QUADRATURE,
-        breakpoints=edges,
+        j0_decay_edges(alpha, 1.0, LAPLACE_QUADRATURE.tail_tol, t, refine_scale=min(1.0 / alpha, 1.0)),
         tail_rate=alpha,
     )
     rhs = np.exp(-t / alpha) / alpha
@@ -414,12 +408,11 @@ def laplace_i0_identity(t: float, beta: float) -> tuple[float, float]:
             log10_value=2.0 * t * beta / np.log(10.0),
         )
     s_max = i0_window_end(2.0 * t, beta, LAPLACE_QUADRATURE.tail_tol)
-    edges = sqrt_uniform_edges(s_max, u_width=0.5 * np.sqrt(beta), refine_scale=beta / 4.0)
     res = bochner_quadrature(
         lambda s: np.exp(-s / beta) * bessel_i0(2.0 * np.sqrt(2.0 * t * s)),
-        lambda s: np.ones_like(s),
+        np.ones_like,
         LAPLACE_QUADRATURE,
-        breakpoints=edges,
+        sqrt_uniform_edges(s_max, beta),
     )
     rhs = beta * np.exp(2.0 * t * beta)
     return float(res.value[0]), float(rhs)

@@ -570,15 +570,7 @@ def _cmd_diagnose(p, gen, dec, out: Path) -> dict:
     problem = InverseProblem(dec, T, g)
     report = conditioning_report(problem, alpha)
     _write_json(out / "report.json", report.to_json_dict())
-    return {
-        "T": T,
-        "alpha": alpha,
-        "lambdaMax": report.lambda_max,
-        "amplificationLog10": report.amplification_log10,
-        "membershipSpectralLog10": report.membership_spectral_log10,
-        "membershipQuadrature": report.membership_quadrature,
-        "flag": report.flag,
-    }
+    return {"T": T, "alpha": alpha, **report.to_json_dict()}
 
 
 def _cmd_pde(p, gen, dec, out: Path) -> dict:
@@ -684,9 +676,11 @@ def run(config: RunConfig) -> int:
             "operation": config.command,
             "message": str(exc),
         }
+        # A magnitude past double range stays in the message only: strict
+        # JSON has no Infinity or NaN.
         for attr in ("log10_value", "exponent", "position", "error_estimate"):
             value = getattr(exc, attr, None)
-            if value is not None:
+            if value is not None and np.isfinite(value):
                 payload[attr] = value
         _write_json(out / "error.json", payload)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

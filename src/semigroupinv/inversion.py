@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
+
 import numpy as np
 
 from .bessel import (
@@ -109,10 +111,12 @@ class ConditioningReport:
     flag: str
 
     def to_json_dict(self) -> dict:
+        """The report's JSON fields; a zero membership value (log10 -inf) is written as null."""
+        spectral_log10 = self.membership_spectral_log10
         return {
             "lambdaMax": self.lambda_max,
             "amplificationLog10": self.amplification_log10,
-            "membershipSpectralLog10": self.membership_spectral_log10,
+            "membershipSpectralLog10": spectral_log10 if math.isfinite(spectral_log10) else None,
             "membershipQuadrature": self.membership_quadrature,
             "flag": self.flag,
         }
@@ -176,6 +180,11 @@ def _decay_sum(s: np.ndarray, rates: np.ndarray, weights: np.ndarray) -> np.ndar
     return out
 
 
+def _decay_field(s: np.ndarray, rates: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Rows coeffs_k exp(-s rates_k), one per node of ``s``: the summands of :func:`_decay_sum`."""
+    return np.exp(-np.outer(s, rates)) * coeffs
+
+
 def resolvent_flow(dec: SpectralDecomposition, alpha: float, t: float, f) -> np.ndarray:
     """Damped resolvent orbit: mode k scaled by exp(-t/(l+a)) / (l+a).
 
@@ -186,16 +195,6 @@ def resolvent_flow(dec: SpectralDecomposition, alpha: float, t: float, f) -> np.
     if t < 0:
         raise ValidationError(f"flow time must be >= 0, got {t}")
     return dec.apply(_flow_multipliers(dec.eigenvalues, alpha, t), f)
-
-
-def _orbit_coefficient_field(dec: SpectralDecomposition, coeffs: np.ndarray):
-    """s -> coefficient rows of P_s applied to the function with ``coeffs``."""
-    lam = dec.eigenvalues
-
-    def field(s: np.ndarray) -> np.ndarray:
-        return np.exp(-np.outer(s, lam)) * coeffs[None, :]
-
-    return field
 
 
 def resolvent_flow_quadrature(dec: SpectralDecomposition, alpha: float, t: float, f) -> np.ndarray:
@@ -209,14 +208,12 @@ def resolvent_flow_quadrature(dec: SpectralDecomposition, alpha: float, t: float
     _require_alpha(alpha)
     if t < 0:
         raise ValidationError(f"flow time must be >= 0, got {t}")
-    c = dec.coefficients(f)
     scale = max(1.0, norm(dec.space, f))
-    edges = j0_decay_edges(alpha, scale, FLOW_QUADRATURE.tail_tol, t, refine_scale=1.0 / (dec.lambda_max + alpha))
     res = bochner_quadrature(
         lambda s: np.exp(-alpha * s) * bessel_j0(2.0 * np.sqrt(t * s)),
-        _orbit_coefficient_field(dec, c),
+        partial(_decay_field, rates=dec.eigenvalues, coeffs=dec.coefficients(f)),
         FLOW_QUADRATURE,
-        breakpoints=edges,
+        j0_decay_edges(alpha, scale, FLOW_QUADRATURE.tail_tol, t, refine_scale=1.0 / (dec.lambda_max + alpha)),
         tail_rate=alpha,
         tail_amplitude=scale,
     )
@@ -283,17 +280,11 @@ def invert_bessel(problem: InverseProblem, alpha: float, coeff_tol: float = COEF
         )
     beta = dec.eigenvalues[idx] + alpha
     s_max = i0_window_end(T, float(beta.max()), I0_QUADRATURE.tail_tol)
-    edges = sqrt_uniform_edges(s_max, u_width=0.5 * math.sqrt(alpha), refine_scale=alpha / 4.0)
-    flow = c[idx] / beta
-
-    def field(s: np.ndarray) -> np.ndarray:
-        return np.exp(-np.outer(s, 1.0 / beta)) * flow[None, :]
-
     res = bochner_quadrature(
         lambda s: bessel_i0(2.0 * np.sqrt(T * s)),
-        field,
+        partial(_decay_field, rates=1.0 / beta, coeffs=c[idx] / beta),
         I0_QUADRATURE,
-        breakpoints=edges,
+        sqrt_uniform_edges(s_max, alpha),
     )
     amplified = np.zeros(dec.size)
     amplified[idx] = math.exp(-alpha * T) * res.value
@@ -336,19 +327,12 @@ def conditioning_report(problem: InverseProblem, alpha: float) -> ConditioningRe
     # keep both the I0 argument and the integrand inside double range
     s_cap_i0 = (0.5 * _MAX_EXPONENT) ** 2 / (2.0 * T)
     s_max = min(i0_window_end(2.0 * T, float(beta.max()), I0_QUADRATURE.tail_tol), s_cap_i0)
-    edges = sqrt_uniform_edges(
-        s_max, u_width=0.5 * math.sqrt(alpha), refine_scale=alpha / 4.0
+    res = bochner_quadrature(
+        lambda s: bessel_i0(2.0 * np.sqrt(2.0 * T * s)),
+        partial(_decay_sum, rates=1.0 / beta, weights=c * c / beta),
+        I0_QUADRATURE,
+        sqrt_uniform_edges(s_max, alpha),
     )
-    rates = 1.0 / beta
-    quad_form = c * c / beta
-
-    def weight(s: np.ndarray) -> np.ndarray:
-        return bessel_i0(2.0 * np.sqrt(2.0 * T * s))
-
-    def field(s: np.ndarray) -> np.ndarray:
-        return _decay_sum(s, rates, quad_form)
-
-    res = bochner_quadrature(weight, field, I0_QUADRATURE, breakpoints=edges)
     membership_quadrature = float(res.value[0])
 
     if amplification >= SEVERE_AMPLIFICATION:
@@ -459,16 +443,14 @@ def laplace_diagnostic(dec: SpectralDecomposition, alpha: float, f, s: float) ->
     rate_slow = s + 1.0 / float(beta.max())
     scale = max(1.0, float(np.sum(c2 / beta)))
     t_max = math.log(scale / (LAPLACE_QUADRATURE.tail_tol * rate_slow)) / rate_slow
-    edges = geometric_refined_edges(
-        t_max, refine_scale=alpha / 2.0, max_width=15.0 / rate_slow
-    )
     rates = 1.0 / beta
     quad_form = c2 / beta
-
-    def weight(t: np.ndarray) -> np.ndarray:
-        return np.exp(-s * t) * _decay_sum(t, rates, quad_form)
-
-    res = bochner_quadrature(weight, lambda t: np.ones_like(t), LAPLACE_QUADRATURE, breakpoints=edges)
+    res = bochner_quadrature(
+        lambda t: np.exp(-s * t) * _decay_sum(t, rates, quad_form),
+        np.ones_like,
+        LAPLACE_QUADRATURE,
+        geometric_refined_edges(t_max, refine_scale=alpha / 2.0, max_width=15.0 / rate_slow),
+    )
     return float(res.value[0]), rhs
 
 
@@ -553,14 +535,13 @@ def squared_bessel_h_quadrature(dec: SpectralDecomposition, f, horizon: float, t
         raise ValidationError("need 2 (horizon - t) + lambda_min > 0")
     c2 = dec.coefficients(f) ** 2
     scale = max(1.0, float(c2.sum()))
-    edges = j0_decay_edges(rate0 + float(lam.min()), scale, H_QUADRATURE.tail_tol, x, 1.0 / (rate0 + float(lam.max())))
-
     rates = lam + rate0
-
-    def weight(s: np.ndarray) -> np.ndarray:
-        return bessel_j0(2.0 * np.sqrt(x * s)) * _decay_sum(s, rates, c2)
-
-    res = bochner_quadrature(weight, lambda s: np.ones_like(s), H_QUADRATURE, breakpoints=edges)
+    res = bochner_quadrature(
+        lambda s: bessel_j0(2.0 * np.sqrt(x * s)) * _decay_sum(s, rates, c2),
+        np.ones_like,
+        H_QUADRATURE,
+        j0_decay_edges(rate0 + float(lam.min()), scale, H_QUADRATURE.tail_tol, x, 1.0 / (rate0 + float(lam.max()))),
+    )
     return float(res.value[0])
 
 

@@ -75,18 +75,21 @@ def _divergence_form(
     """
     n = points.size
     m = m_density * h
+    w = edge_conductance
     a = np.zeros((n, n))
-    for i in range(n - 1):
-        w = edge_conductance[i]
-        a[i, i + 1] += w / m[i]
-        a[i + 1, i] += w / m[i + 1]
-        a[i, i] -= w / m[i]
-        a[i + 1, i + 1] -= w / m[i + 1]
+    i = np.arange(n - 1)
+    a[i, i + 1] = w / m[:-1]
+    a[i + 1, i] = w / m[1:]
+    # diagonal sums in the order of an edge-by-edge assembly, which fixes
+    # their bits: left edge, right edge, wall, kill
+    diag = np.zeros(n)
+    diag[1:] -= w / m[1:]
+    diag[:-1] -= w / m[:-1]
     if boundary_left == "dirichlet":
-        a[0, 0] -= wall_conductance[0] / m[0]
+        diag[0] -= wall_conductance[0] / m[0]
     if boundary_right == "dirichlet":
-        a[n - 1, n - 1] -= wall_conductance[1] / m[n - 1]
-    a[np.diag_indices(n)] -= kill_rate
+        diag[-1] -= wall_conductance[1] / m[-1]
+    a[np.diag_indices(n)] = diag - kill_rate
     space = build_space(points, m)
     return SymmetricGenerator(space, a)
 

@@ -25,7 +25,7 @@ from .inversion import (
     backward_time_grid,
     invert_spectral,
 )
-from .spectral import SpectralDecomposition, SpectralFunction, _csv_text, norm
+from .spectral import SpectralDecomposition, SpectralFunction, _csv_text, _root_sum_squares, norm
 
 PHI_FAMILY_NAMES = ("tikhonov_exp", "constant", "jump_mixture", "resolvent_jump")
 
@@ -131,7 +131,7 @@ def regularised_residual(
     cg = dec.coefficients(g)
     lhs = (1.0 - config.gamma) * np.exp(-dec.eigenvalues * config.horizon) * cf
     lhs = lhs + config.gamma * phi_vals * cf
-    return float(np.sqrt(np.sum((lhs - cg) ** 2)))
+    return _root_sum_squares(lambda v: float(np.sqrt(np.sum(v ** 2))), lhs - cg)
 
 
 def variational_objective(

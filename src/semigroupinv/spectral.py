@@ -10,6 +10,7 @@ per-mode multiplier applied in the eigenbasis.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
@@ -102,10 +103,26 @@ def inner(space: WeightedStateSpace, f, g) -> float:
     return float(np.dot(f * space.weights, g))
 
 
+def _root_sum_squares(squares_root: Callable[[np.ndarray], float], v: np.ndarray) -> float:
+    """``squares_root(v)``, an L2 norm of ``v``, rescaled when its squares overflow.
+
+    A finite ``v`` with entries past ~1e154 has infinite squares; then the
+    norm is max|v| * squares_root(v / max|v|).  Every finite plain result
+    is returned as it is, bit for bit.
+    """
+    with np.errstate(over="ignore"):
+        value = squares_root(v)
+    if value == math.inf:
+        big = float(np.max(np.abs(v)))
+        if big < math.inf:
+            value = big * squares_root(v / big)
+    return value
+
+
 def norm(space: WeightedStateSpace, f) -> float:
-    """Weighted L2 norm induced by :func:`inner`."""
+    """Weighted L2 norm induced by :func:`inner`; finite whenever the norm itself is below the double range."""
     f = _check_vector(space, f)
-    return float(np.sqrt(np.dot(f * f, space.weights)))
+    return _root_sum_squares(lambda v: float(np.sqrt(np.dot(v * v, space.weights))), f)
 
 
 def check_m_symmetry(matrix, space: WeightedStateSpace) -> float:

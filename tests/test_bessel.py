@@ -162,12 +162,13 @@ class TestLaplaceIdentities:
 
 class TestBochnerQuadrature:
     def test_exponential_times_constant_field(self):
-        cfg = sg.QuadratureConfig(s_max=30.0, panels=40, tail_tol=1e-12)
+        cfg = sg.QuadratureConfig(tail_tol=1e-12)
         c = np.array([2.0, -1.0, 0.5])
         res = sg.bochner_quadrature(
             lambda s: np.exp(-s),
             lambda s: np.tile(c, (s.size, 1)),
             cfg,
+            np.linspace(0.0, 30.0, 41),
             tail_rate=1.0,
             tail_amplitude=float(np.max(np.abs(c))),
         )
@@ -201,28 +202,23 @@ class TestBochnerQuadrature:
         field = lambda s: np.ones_like(s)
         vals = {}
         for pts in (16, 32):
-            cfg = sg.QuadratureConfig(s_max=40.0, panels=32, points_per_panel=pts, tail_tol=1e-10)
-            vals[pts] = sg.bochner_quadrature(weight, field, cfg).value[0]
+            cfg = sg.QuadratureConfig(points_per_panel=pts, tail_tol=1e-10)
+            vals[pts] = sg.bochner_quadrature(weight, field, cfg, np.linspace(0.0, 40.0, 33)).value[0]
         assert abs(vals[32] - vals[16]) <= 1e-10
         oracle, err = quad(weight, 0.0, 40.0, limit=200)
         assert vals[32] == pytest.approx(oracle, abs=1e-9 + 10 * err)
 
     def test_not_converged_raises(self):
-        # violently oscillatory integrand, coarse panels, no refinement depth
-        cfg = sg.QuadratureConfig(s_max=60.0, panels=2, points_per_panel=2,
-                                  tail_tol=1e-14, max_refinements=1)
+        # violently oscillatory integrand, coarse panels, too few halvings
+        cfg = sg.QuadratureConfig(points_per_panel=2, tail_tol=1e-14)
         with pytest.raises(sg.QuadratureNotConverged):
             sg.bochner_quadrature(
-                lambda s: np.cos(40.0 * s), lambda s: np.ones_like(s), cfg
+                lambda s: np.cos(40.0 * s), lambda s: np.ones_like(s), cfg, [0.0, 30.0, 60.0]
             )
 
     def test_config_validation(self):
         with pytest.raises(sg.ValidationError):
-            sg.QuadratureConfig(s_max=-1.0)
-        with pytest.raises(sg.ValidationError):
-            sg.QuadratureConfig(points_per_panel=65)
-        with pytest.raises(sg.ValidationError):
-            sg.QuadratureConfig(panels=0)
+            sg.QuadratureConfig(tail_tol=1e-10, points_per_panel=65)
         with pytest.raises(sg.ValidationError):
             sg.QuadratureConfig(tail_tol=0.0)
 
@@ -231,6 +227,8 @@ class TestBochnerQuadrature:
         assert edges[0] == 0.0 and edges[-1] == 50.0
         assert np.all(np.diff(edges) > 0)
         assert np.max(np.diff(edges)) <= 5.0 + 1e-9
-        edges = sqrt_uniform_edges(100.0, 0.5)
+        # a bell of width scale: sqrt-spacing at most sqrt(scale) / 2, geometric edges from scale / 16
+        edges = sqrt_uniform_edges(100.0, 0.64)
         assert edges[0] == 0.0 and edges[-1] == pytest.approx(100.0)
-        assert np.all(np.diff(np.sqrt(edges)) <= 0.5 + 1e-12)
+        assert np.all(np.diff(np.sqrt(edges)) <= 0.4 + 1e-12)
+        assert 0.64 / 16.0 in edges

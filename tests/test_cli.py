@@ -659,7 +659,7 @@ class TestNonFiniteFlags:
 
 
 class TestPanelBudget:
-    """An I0 window past the panel budget exits 2 before any quadrature runs."""
+    """A panel layout past the budget fails before any quadrature runs."""
 
     def test_panel_budget_exits_2(self, tmp_path, monkeypatch):
         from semigroupinv import bessel, inversion
@@ -674,3 +674,67 @@ class TestPanelBudget:
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "ValidationError"
         assert f"budget of {bessel._MAX_PANELS}" in error["message"]
+
+    def test_j0_quarter_periods_past_the_budget_raise(self, chain2, monkeypatch):
+        # at t = 1e10 the J0 kernel needs 640,788 quarter periods on [0, 25.3]
+        from semigroupinv import bessel, inversion
+
+        monkeypatch.setattr(inversion, "bochner_quadrature", lambda *a, **k: pytest.fail("quadrature ran"))
+        budget = f"budget of {bessel._MAX_PANELS}"
+        with pytest.raises(sg.ValidationError, match=budget):
+            bessel.j0_decay_edges(1.0, 1.0, 1e-11, 1e10, 0.5)
+        _, dec = chain2
+        with pytest.raises(sg.ValidationError, match=budget):
+            sg.resolvent_flow_quadrature(dec, 1.0, 1e8, [1.0, 0.0])
+        with pytest.raises(sg.ValidationError, match=budget):
+            sg.squared_bessel_h_quadrature(dec, [1.0, 0.0], 1.0, 0.0, 1e8)
+        # alpha = 1e-300 puts the end of the exp(-alpha s) tail at s = inf
+        with pytest.raises(sg.ValidationError, match="finite"):
+            sg.resolvent_flow_quadrature(dec, 1e-300, 0.0, [1.0, 0.0])
+
+
+def strict_json(path):
+    """The JSON artifact at ``path``, parsed without Python's Infinity/NaN extension."""
+    def refuse(constant):
+        raise AssertionError(f"{path.name} holds {constant}, which is not JSON")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=refuse)
+
+
+class TestStrictJsonArtifacts:
+    """Results near the double range stay finite, and an infinite error magnitude stays in the message."""
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["mixture", "--T", "690", "--g", "x", "--gamma", "0.5"], "residual"),
+            (["pde", "--T", "690", "--g", "x"], "finalNorm"),
+            (["invert", "--T", "690", "--g", "x"], "roundTripRelativeResidual"),
+            (["sweep", "--T", "690", "--g", "x"], "finalError"),
+        ],
+        ids=["mixture", "pde", "invert", "sweep"],
+    )
+    def test_norms_past_1e154_are_finite(self, model_files, tmp_path, argv, key):
+        out = tmp_path / "out"
+        assert cli_exit(argv + ["--model", model_files["chain2"], "--output", str(out)]) == 0
+        summary = strict_json(out / "summary.json")
+        assert 1e154 < summary[key] < math.inf
+        if argv[0] == "sweep":
+            assert "inf" not in (out / "sweep.csv").read_text()
+
+    def test_zero_data_writes_a_null_membership_log10(self, model_files, tmp_path):
+        out = tmp_path / "out"
+        argv = ["diagnose", "--T", "1", "--g", "0", "--model", model_files["chain2"], "--output", str(out)]
+        assert cli_exit(argv) == 0
+        for name in ("report.json", "summary.json"):
+            assert strict_json(out / name)["membershipSpectralLog10"] is None
+
+    def test_infinite_log10_is_left_out_of_error_json(self, tmp_path):
+        model = tmp_path / "ou8.json"
+        model.write_text(json.dumps({"schemaVersion": 1, "type": "ou",
+                                     "parameters": {"halfWidth": 3.0, "n": 8, "rate": 1.0}}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_exit(["pde", "--T", "1e308", "--g", "x^2", "--model", str(model), "--output", str(out)]) == 3
+        error = strict_json(out / "error.json")
+        assert error["error"] == "OverflowRisk" and "log10_value" not in error
+        assert "log10 ~ inf" in error["message"]

@@ -1,11 +1,13 @@
 """Generator builders: diffusions, the mean-reverting model, jumps, chains."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import semigroupinv as sg
+from semigroupinv import models
 
 
 class TestDiffusion:
@@ -180,3 +182,76 @@ class TestChain:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(sg.LengthMismatch):
             sg.build_chain(np.zeros((2, 3)), [1.0, 1.0])
+
+
+def _edge_loop_matrix(points, h, m_density, edge_conductance, kill_rate,
+                      boundary_left, boundary_right, wall_conductance):
+    """The divergence-form matrix assembled one edge at a time: the reference order of every sum."""
+    n = points.size
+    m = m_density * h
+    a = np.zeros((n, n))
+    for i in range(n - 1):
+        w = edge_conductance[i]
+        a[i, i + 1] += w / m[i]
+        a[i + 1, i] += w / m[i + 1]
+        a[i, i] -= w / m[i]
+        a[i + 1, i + 1] -= w / m[i + 1]
+    if boundary_left == "dirichlet":
+        a[0, 0] -= wall_conductance[0] / m[0]
+    if boundary_right == "dirichlet":
+        a[n - 1, n - 1] -= wall_conductance[1] / m[n - 1]
+    a[np.diag_indices(n)] -= kill_rate
+    return a
+
+
+def _diffusion(n, boundary, kill=None):
+    return lambda: sg.build_diffusion(sg.DiffusionSpec(
+        left=0.0, right=math.pi, n=n, sigma=lambda x: 1.0 + 0.5 * x, kill=kill,
+        boundary_left=boundary, boundary_right=boundary))
+
+
+DIVERGENCE_FORM_MODELS = {
+    "ou400": lambda: sg.build_ou(6.0, 400, 1.0),
+    "ou2000": lambda: sg.build_ou(6.0, 2000, 1.0),
+    "killed-dirichlet2000": _diffusion(2000, "dirichlet", lambda x: np.full_like(x, 0.2)),
+    "dirichlet200": _diffusion(200, "dirichlet"),
+    "neumann200": _diffusion(200, "neumann"),
+    "killed7": lambda: sg.build_diffusion(sg.DiffusionSpec(
+        left=-1.0, right=2.0, n=7, kill=lambda x: 0.3 + x * x, boundary_left="dirichlet")),
+}
+
+
+class TestDivergenceForm:
+    @pytest.mark.parametrize("name", sorted(DIVERGENCE_FORM_MODELS))
+    def test_matches_the_edge_loop_bit_for_bit(self, monkeypatch, name):
+        calls = []
+        assemble = models._divergence_form
+        monkeypatch.setattr(models, "_divergence_form", lambda *a, **k: calls.append((a, k)) or assemble(*a, **k))
+        gen = DIVERGENCE_FORM_MODELS[name]()
+        (args, kwargs), = calls
+        reference = _edge_loop_matrix(*args, **kwargs)
+        assert np.array_equal(gen.matrix.view(np.int64), reference.view(np.int64))
+
+    def test_assembly_runs_no_python_loop_over_edges(self):
+        # the same lines run at every grid size: the edges are array operations
+        code = models._divergence_form.__code__
+
+        def lines_run(n):
+            count = 0
+
+            def trace(frame, event, arg):
+                nonlocal count
+                if frame.f_code is not code:
+                    return None
+                count += event == "line"
+                return trace
+
+            previous = sys.gettrace()
+            sys.settrace(trace)
+            try:
+                sg.build_ou(6.0, n, 1.0)
+            finally:
+                sys.settrace(previous)
+            return count
+
+        assert lines_run(400) == lines_run(7) > 0

@@ -1,5 +1,6 @@
 """Property test: whatever model and expression the CLI is given, it exits
 0, 2 or 3, and writes ``error.json`` exactly when it does not succeed.
+Every JSON artifact of an argv is strict JSON, with no Infinity or NaN.
 
 A model is well formed, or has one number replaced by a non-finite or
 extreme value.  Grid sizes are either small (n <= 16) or past the state
@@ -27,6 +28,10 @@ BAD_SIZES = st.one_of(
     st.integers(-2, 2), st.integers(cli._MAX_STATES + 1, 10**9),
     st.sampled_from([2.5, "8", None, math.nan, math.inf, 1e308]),
 )
+
+
+def _refuse(constant: str):
+    raise AssertionError(f"artifact holds {constant}, which is not JSON")
 
 
 def _literal(x: float) -> str:
@@ -178,3 +183,5 @@ def test_argv_exits_0_2_or_3_with_error_json_on_failure(model, argv):
         assert code in (0, 2, 3)
         assert (out / "error.json").exists() == (code != 0)
         assert (out / "summary.json").exists() == (code == 0)
+        for artifact in out.glob("*.json"):
+            json.loads(artifact.read_text(encoding="utf-8"), parse_constant=_refuse)

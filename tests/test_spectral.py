@@ -59,6 +59,14 @@ class TestInnerProduct:
         with pytest.raises(sg.LengthMismatch):
             sg.inner(space, [1.0, 0.0, 0.0], [1.0, 0.0])
 
+    def test_norm_rescales_only_when_the_squares_overflow(self):
+        space = sg.build_space([0.0, 1.0, 2.0], [1.0, 2.0, 0.5])
+        big = np.array([3e200, -4e200, 1e199])
+        assert sg.norm(space, big) == pytest.approx(1e200 * math.sqrt(9.0 + 32.0 + 0.005), rel=1e-15)
+        f = np.random.default_rng(7).standard_normal(3) * 1e150
+        assert sg.norm(space, f) == float(np.sqrt(np.dot(f * f, space.weights)))
+        assert sg.norm(space, [math.inf, 0.0, 0.0]) == math.inf
+
 
 class TestMSymmetry:
     def test_symmetric_matrix_uniform_weights(self):
