@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import OverflowRisk, QuadratureNotConverged, ValidationError
+from .errors import OverflowRisk, QuadratureNotConverged, ValidationError, check_range
 
 # J0 regimes: the 0-centered series keeps both its error AND the error's
 # point-to-point decorrelation at ~eps * I0(x); anchored local Taylor
@@ -184,8 +184,7 @@ class QuadratureConfig:
             raise ValidationError(
                 f"points_per_panel must lie in [2, 64], got {self.points_per_panel}"
             )
-        if not self.tail_tol > 0:
-            raise ValidationError(f"tail_tol must be > 0, got {self.tail_tol}")
+        check_range("tail_tol", self.tail_tol)
 
 
 # Quadrature setting of the Laplace-transform checks: the J0 and I0 identities
@@ -307,8 +306,7 @@ def geometric_refined_edges(
     kernels); more than ``_MAX_PANELS`` of them raise
     :class:`ValidationError`.  ``max_width`` caps the width of any panel.
     """
-    if not 0 < s_max < math.inf:
-        raise ValidationError(f"s_max must be finite and > 0, got {s_max}")
+    check_range("s_max", s_max)
     pts = {0.0, float(s_max)}
     s = max(refine_scale, 1e-300) / 4.0
     while s < s_max:
@@ -339,8 +337,8 @@ def sqrt_uniform_edges(s_max: float, scale: float) -> np.ndarray:
     scale / 4) that resolve the fastest-decaying modes of a vector field.
     More than ``_MAX_PANELS`` uniform panels raise :class:`ValidationError`.
     """
-    if not (0 < s_max < math.inf and 0 < scale < math.inf):
-        raise ValidationError(f"s_max and scale must be finite and > 0, got {s_max}, {scale}")
+    check_range("s_max", s_max)
+    check_range("scale", scale)
     u_max = np.sqrt(s_max)
     panels = _panel_budget(np.ceil(u_max / (0.5 * math.sqrt(scale))))
     edges = np.linspace(0.0, u_max, max(1, int(panels)) + 1) ** 2
@@ -381,8 +379,8 @@ def laplace_j0_identity(t: float, alpha: float) -> tuple[float, float]:
     lhs = integral_0^inf exp(-alpha s) J0(2 sqrt(t s)) ds (truncated),
     rhs = exp(-t/alpha) / alpha.
     """
-    if t <= 0 or alpha <= 0:
-        raise ValidationError("t and alpha must be > 0")
+    check_range("t", t)
+    check_range("alpha", alpha)
     res = bochner_quadrature(
         lambda s: np.exp(-alpha * s) * bessel_j0(2.0 * np.sqrt(t * s)),
         np.ones_like,
@@ -400,8 +398,8 @@ def laplace_i0_identity(t: float, beta: float) -> tuple[float, float]:
     lhs = integral_0^inf exp(-s/beta) I0(2 sqrt(2 t s)) ds (truncated),
     rhs = beta * exp(2 t beta).
     """
-    if t <= 0 or beta <= 0:
-        raise ValidationError("t and beta must be > 0")
+    check_range("t", t)
+    check_range("beta", beta)
     if 2.0 * t * beta > 300.0:
         raise OverflowRisk(
             "exp(2 t beta) is too large to verify in double precision",

@@ -79,7 +79,8 @@ SCHEMA_VERSION = 1
 # lambda_max; above it the comparison is reported as skipped, with the reason.
 _FLOW_CHECK_LAMBDA_MAX = 50.0
 
-# Largest ``ou`` or ``diffusion`` grid: 128 MB per dense n x n matrix, ~8 s of eigh.
+# Most states of any model (grid cells, chain weights, jump points): 128 MB
+# per dense n x n matrix, ~8 s of eigh.
 _MAX_STATES = 4000
 
 # Deepest nesting of parentheses and exp( an expression may use, which keeps
@@ -285,6 +286,13 @@ def _array(value) -> np.ndarray:
     return np.asarray(value, float)
 
 
+def _state_array(value) -> np.ndarray:
+    """One entry per state: ``_array(value)``, at most ``_MAX_STATES`` long."""
+    values = _array(value)
+    _states(values.size)
+    return values
+
+
 def _model_param(params: dict, key: str, convert, default=_REQUIRED, label="model parameter"):
     """``convert(params[key])``, or ``default`` only when ``key`` is absent.
 
@@ -312,9 +320,8 @@ def build_model(spec: dict) -> SymmetricGenerator:
     if not isinstance(params, dict):
         raise InvalidConfig("model parameters must be a JSON object")
     if kind == "chain":
-        return build_chain(
-            _model_param(params, "matrix", _array), _model_param(params, "weights", _array)
-        )
+        weights = _model_param(params, "weights", _state_array)
+        return build_chain(_model_param(params, "matrix", _array), weights)
     if kind == "ou":
         return build_ou(
             _model_param(params, "halfWidth", float, 6.0),
@@ -337,7 +344,7 @@ def build_model(spec: dict) -> SymmetricGenerator:
         )
     if kind == "jump":
         space = build_space(
-            _model_param(params, "points", _array), _model_param(params, "weights", _array)
+            _model_param(params, "points", _state_array), _model_param(params, "weights", _state_array)
         )
         if "kernel" in params:
             kernel = JumpKernelSpec(_model_param(params, "kernel", _array), space)

@@ -5,6 +5,8 @@ Validation failures (bad inputs, malformed specs) and numerical failures
 in separate branches so the CLI can map them to distinct exit codes.
 """
 
+import math
+
 
 class SemigroupInvError(Exception):
     """Base class for all library errors."""
@@ -117,3 +119,21 @@ class ConditioningCapExceeded(NumericalError):
             message = f"{message} (growth exponent {exponent:.6g})"
         super().__init__(message)
         self.exponent = exponent
+
+
+# -- parameter ranges ---------------------------------------------------------
+
+def check_range(name, value, low=0.0, high=math.inf, *, closed=False, error=ValidationError) -> float:
+    """``float(value)`` when low < value < high, or low <= value < high when ``closed``.
+
+    Anything else raises ``error`` naming the parameter: NaN always, and
+    +-inf under the default ``high``.
+    """
+    number = float(value)
+    if (low <= number if closed else low < number) and number < high:
+        return number
+    if high < math.inf:
+        bounds = f"lie in {'[' if closed else '('}{low:g}, {high:g})"
+    else:
+        bounds = f"be finite and {'>=' if closed else '>'} {low:g}"
+    raise error(f"{name} must {bounds}, got {value}")

@@ -37,8 +37,9 @@ from .errors import (
     NonPositiveAlpha,
     OverflowRisk,
     ValidationError,
+    check_range,
 )
-from .spectral import SpectralDecomposition, norm
+from .spectral import _MAX_TRAJECTORY_CELLS, SpectralDecomposition, norm
 
 _LN10 = math.log(10.0)
 _MAX_EXPONENT = 700.0  # exp() stays inside double range below this
@@ -81,8 +82,7 @@ class InverseProblem:
     def __post_init__(self):
         g = np.asarray(self.observed, dtype=float)
         object.__setattr__(self, "observed", g)
-        if not 0 < self.horizon < math.inf:
-            raise ValidationError(f"horizon must be finite and > 0, got {self.horizon}")
+        check_range("horizon", self.horizon)
         if g.shape != (self.decomposition.size,):
             raise LengthMismatch("observed data length does not match the space")
         if not np.all(np.isfinite(g)):
@@ -130,11 +130,6 @@ def _guard_exponent(exponent: float, message: str) -> None:
 
 def _exp_or_inf(x: float) -> float:
     return math.exp(x) if x <= _MAX_EXPONENT else math.inf
-
-
-def _require_alpha(alpha: float) -> None:
-    if not 0 < alpha < math.inf:
-        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
 
 
 def _flow_multipliers(lam: np.ndarray, alpha: float, t: float) -> np.ndarray:
@@ -191,9 +186,8 @@ def resolvent_flow(dec: SpectralDecomposition, alpha: float, t: float, f) -> np.
     At t = 0 this is the resolvent; as t grows it decreases convexly to 0.
     Defines a non-negative quadratic form for every t >= 0.
     """
-    _require_alpha(alpha)
-    if t < 0:
-        raise ValidationError(f"flow time must be >= 0, got {t}")
+    check_range("alpha", alpha, error=NonPositiveAlpha)
+    check_range("flow time", t, closed=True)
     return dec.apply(_flow_multipliers(dec.eigenvalues, alpha, t), f)
 
 
@@ -205,9 +199,8 @@ def resolvent_flow_quadrature(dec: SpectralDecomposition, alpha: float, t: float
     follow the quarter periods of the J0 oscillation (uniform in sqrt(s))
     and refine geometrically near zero to resolve the fastest modes.
     """
-    _require_alpha(alpha)
-    if t < 0:
-        raise ValidationError(f"flow time must be >= 0, got {t}")
+    check_range("alpha", alpha, error=NonPositiveAlpha)
+    check_range("flow time", t, closed=True)
     scale = max(1.0, norm(dec.space, f))
     res = bochner_quadrature(
         lambda s: np.exp(-alpha * s) * bessel_j0(2.0 * np.sqrt(t * s)),
@@ -222,8 +215,7 @@ def resolvent_flow_quadrature(dec: SpectralDecomposition, alpha: float, t: float
 
 def _energy_active(dec: SpectralDecomposition, g, coeff_tol: float):
     """Coefficients of g, the modes above the floor, and their largest eigenvalue (or 0)."""
-    if not 0 <= coeff_tol < math.inf:
-        raise ValidationError(f"coeff_tol must be finite and >= 0, got {coeff_tol}")
+    check_range("coeff_tol", coeff_tol, closed=True)
     c = dec.coefficients(g)
     floor = coeff_tol * max(norm(dec.space, g), np.finfo(float).tiny)
     idx = np.nonzero(np.abs(c) > floor)[0]
@@ -266,7 +258,7 @@ def invert_bessel(problem: InverseProblem, alpha: float, coeff_tol: float = COEF
     follows the peak analysis of the envelope.  Result agrees with
     :func:`invert_spectral` for every admissible alpha.
     """
-    _require_alpha(alpha)
+    check_range("alpha", alpha, error=NonPositiveAlpha)
     dec = problem.decomposition
     T = problem.horizon
     c, idx, lam_max = _energy_active(dec, problem.observed, coeff_tol)
@@ -300,7 +292,7 @@ def conditioning_report(problem: InverseProblem, alpha: float) -> ConditioningRe
     flow's quadratic form, truncated both by the tail tolerance and by
     double range, and increases monotonically to the spectral value.
     """
-    _require_alpha(alpha)
+    check_range("alpha", alpha, error=NonPositiveAlpha)
     dec = problem.decomposition
     T = problem.horizon
     g = problem.observed
@@ -386,13 +378,19 @@ def picard_resolvent_flow(
     The base iterate is constant (the resolvent of f).  Integrals use the
     trapezoid rule on a uniform grid; ``PICARD_POINTS_PER_UNIT`` keeps the
     discretisation bias well below the Picard bound through n ~ 10.
+    The n_iter + 1 tables of times x states may hold at most
+    ``_MAX_TRAJECTORY_CELLS`` cells in all, else :class:`ValidationError`.
     """
-    _require_alpha(alpha)
-    if t <= 0:
-        raise ValidationError(f"need t > 0, got {t}")
-    if n_iter < 0:
-        raise ValidationError("n_iter must be >= 0")
+    check_range("alpha", alpha, error=NonPositiveAlpha)
+    check_range("t", t)
+    check_range("n_iter", n_iter, closed=True)
     n_points = max(2, int(round(PICARD_POINTS_PER_UNIT * t)) + 1)
+    cells = (n_iter + 1) * n_points * dec.size
+    if cells > _MAX_TRAJECTORY_CELLS:
+        raise ValidationError(
+            f"{n_iter + 1} Picard iterates x {n_points} times x {dec.size} states = {cells} cells"
+            f" exceed the budget of {_MAX_TRAJECTORY_CELLS}"
+        )
     s = np.linspace(0.0, t, n_points)
     ds = s[1] - s[0]
     u_mult = 1.0 / (dec.eigenvalues + alpha)
@@ -416,10 +414,8 @@ def solve_resolvent_cauchy(
     semigroup exp(-t U) applied to U f: per mode
     exp(-t/(l+a)) / (l+a).  Returns the trajectory (len(t_grid), n).
     """
-    _require_alpha(alpha)
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0):
-        raise ValidationError("t_grid must be non-negative")
+    check_range("alpha", alpha, error=NonPositiveAlpha)
+    t_grid = _time_grid(t_grid, math.inf)
     u_mult = 1.0 / (dec.eigenvalues + alpha)
     return dec.trajectory(-u_mult, t_grid, u_mult * dec.coefficients(f))
 
@@ -430,9 +426,8 @@ def laplace_diagnostic(dec: SpectralDecomposition, alpha: float, f, s: float) ->
     lhs = integral_0^inf exp(-s t) (F_t f, f) dt by quadrature;
     rhs = (1/s) (U^(alpha + 1/s) f, f), with the s = 0 limit (f, f).
     """
-    _require_alpha(alpha)
-    if s < 0:
-        raise ValidationError(f"need s >= 0, got {s}")
+    check_range("alpha", alpha, error=NonPositiveAlpha)
+    check_range("s", s, closed=True)
     c2 = dec.coefficients(f) ** 2
     beta = dec.eigenvalues + alpha
     if s == 0:
@@ -472,10 +467,26 @@ def backward_time_grid(horizon: float, lam_max: float) -> np.ndarray:
     lambda^3 h^2 / 6; the step targets a tenth of ``PDE_RESIDUAL_TARGET``
     for the stiffest mode, with at least 200 steps.
     """
+    check_range("horizon", horizon)
+    check_range("lam_max", lam_max, closed=True)
     lam = max(float(lam_max), 1.0)
     h = math.sqrt(0.6 * PDE_RESIDUAL_TARGET / lam**3)
     n_steps = int(min(max(200, math.ceil(horizon / h)), 2_000_000))
     return np.linspace(0.0, horizon, n_steps + 1)
+
+
+def _time_grid(t_grid, horizon: float, rate_max: float | None = None) -> np.ndarray:
+    """The caller's ``t_grid``, or :func:`backward_time_grid` for ``rate_max`` when it is None.
+
+    A given grid is refused unless it is 1-D and every time is finite and
+    in [0, horizon], so a trajectory evaluates only where its guard holds.
+    """
+    if t_grid is None:
+        return backward_time_grid(horizon, rate_max)
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid) & (t_grid >= 0) & (t_grid <= horizon)):
+        raise ValidationError(f"t_grid needs a 1-D array of finite times in [0, {horizon:g}]")
+    return t_grid
 
 
 def solve_backward_cauchy(
@@ -494,10 +505,7 @@ def solve_backward_cauchy(
     T = problem.horizon
     c, idx, lam_max = _energy_active(dec, problem.observed, coeff_tol)
     _guard_exponent(lam_max * T, f"backward solution reaches exp({lam_max * T:.6g})")
-    if t_grid is None:
-        t_grid = backward_time_grid(T, lam_max)
-    else:
-        t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _time_grid(t_grid, T, lam_max)
     values = dec.trajectory(dec.eigenvalues[idx], t_grid, c[idx], modes=idx)
     return BackwardTrajectory(t_grid, values)
 
@@ -511,10 +519,13 @@ def squared_bessel_h(
     """Closed form of the kernel transform h(t, x).
 
     Per mode: (phi_k, f)^2 exp(-x/beta_k) / beta_k with
-    beta_k = 2 (horizon - t) + lambda_k.  Requires beta_k > 0.
+    beta_k = 2 (horizon - t) + lambda_k.  Requires beta_k > 0 and finite t, x.
     """
+    check_range("horizon", horizon)
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(x))):
+        raise ValidationError("t and x need finite values")
     c2 = dec.coefficients(f) ** 2
     beta = 2.0 * (horizon - t[..., None]) + dec.eigenvalues
     if np.any(beta <= 0):
@@ -529,6 +540,9 @@ def squared_bessel_h_quadrature(dec: SpectralDecomposition, f, horizon: float, t
     At t = 0 this is the flow's quadratic form at parameter alpha = 2 T
     evaluated at flow time x.
     """
+    check_range("horizon", horizon)
+    check_range("t", t, closed=True)
+    check_range("x", x, closed=True)
     rate0 = 2.0 * (horizon - t)
     lam = dec.eigenvalues
     if rate0 + float(lam.min()) <= 0:

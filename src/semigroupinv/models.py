@@ -20,6 +20,7 @@ from .errors import (
     LengthMismatch,
     NonPositiveSigma,
     RowMassExceeded,
+    check_range,
 )
 from .spectral import SymmetricGenerator, WeightedStateSpace, build_space
 
@@ -48,8 +49,7 @@ class DiffusionSpec:
     boundary_right: str = "neumann"
 
     def __post_init__(self):
-        if self.n < 3:
-            raise LengthMismatch(f"need n >= 3 grid cells, got {self.n}")
+        check_range("n", self.n, 3.0, closed=True, error=LengthMismatch)
         if not self.right > self.left:
             raise InvalidBoundary("interval must satisfy left < right")
         for b in (self.boundary_left, self.boundary_right):
@@ -128,10 +128,9 @@ def build_ou(half_width: float, n: int, rate: float) -> SymmetricGenerator:
     m(x) = exp(-rate x^2), reflecting ends.  The spectrum approximates the
     ladder {0, rate, 2 rate, ...} once the grid resolves the measure's bulk.
     """
-    if half_width <= 0 or rate <= 0:
-        raise InvalidBoundary("half_width and rate must be > 0")
-    if n < 3:
-        raise LengthMismatch(f"need n >= 3 grid cells, got {n}")
+    check_range("half_width", half_width, error=InvalidBoundary)
+    check_range("rate", rate, error=InvalidBoundary)
+    check_range("n", n, 3.0, closed=True, error=LengthMismatch)
     h = 2.0 * half_width / n
     points = -half_width + (np.arange(n) + 0.5) * h
     edges = -half_width + np.arange(1, n) * h
@@ -150,8 +149,7 @@ def ou_witness_pair(rate: float) -> tuple[Callable[[np.ndarray], np.ndarray], Ca
     f dips negative near the origin, demonstrating that inverting the
     transition operator does not preserve positivity.
     """
-    if rate <= 0:
-        raise InvalidBoundary("rate must be > 0")
+    check_range("rate", rate, error=InvalidBoundary)
     e2r = np.exp(2.0 * rate)
     offset = (e2r - 1.0) / (2.0 * rate)
 
@@ -207,8 +205,7 @@ def gaussian_jump_kernel(space: WeightedStateSpace, t_star: float) -> JumpKernel
     Normalised by the largest row mass, so the kernel stays symmetric and
     substochastic (boundary rows lose a little mass to the cemetery).
     """
-    if t_star <= 0:
-        raise InvalidBoundary("t_star must be > 0")
+    check_range("t_star", t_star, error=InvalidBoundary)
     x = space.points
     q = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * t_star))
     scale = float(np.max(q @ space.weights))

@@ -17,17 +17,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePhi, ValidationError
+from .errors import DegeneratePhi, ValidationError, check_range
 from .inversion import (
     _guard_exponent,
+    _time_grid,
     BackwardTrajectory,
     InverseProblem,
-    backward_time_grid,
     invert_spectral,
 )
 from .spectral import SpectralDecomposition, SpectralFunction, _csv_text, _root_sum_squares, norm
 
-PHI_FAMILY_NAMES = ("tikhonov_exp", "constant", "jump_mixture", "resolvent_jump")
+# Each regularising multiplier family: its parameters, the error class an
+# out-of-range parameter raises, and phi(lambda) built from their values.
+_PHI_FAMILIES = {
+    "tikhonov_exp": (("horizon",), ValidationError, lambda horizon: lambda lam: np.exp(lam * horizon)),
+    "constant": (("value",), DegeneratePhi, lambda value: lambda lam: np.full_like(lam, value)),
+    "jump_mixture": (
+        ("t_star", "tau"), ValidationError,
+        lambda t_star, tau: lambda lam: np.exp(tau * (np.exp(-t_star * lam) - 1.0)),
+    ),
+    "resolvent_jump": (
+        ("alpha", "tau"), ValidationError,
+        lambda alpha, tau: lambda lam: np.exp(tau * (alpha / (lam + alpha) - 1.0)),
+    ),
+}
+PHI_FAMILY_NAMES = tuple(_PHI_FAMILIES)
 
 
 def make_phi(name: str, **params) -> SpectralFunction:
@@ -41,42 +55,18 @@ def make_phi(name: str, **params) -> SpectralFunction:
                                 transition function at horizon t_star.
     resolvent_jump(alpha, tau): phi(l) = exp(tau (alpha/(l+alpha) - 1)),
                                 jumps driven by the scaled resolvent.
+
+    Every parameter of the family is required, finite and > 0; parameters
+    of the other families are ignored.
     """
-    if name == "tikhonov_exp":
-        horizon = float(params["horizon"])
-        if horizon <= 0:
-            raise ValidationError("tikhonov_exp needs horizon > 0")
-        return SpectralFunction(
-            "tikhonov_exp", lambda lam: np.exp(lam * horizon), {"horizon": horizon}
-        )
-    if name == "constant":
-        value = float(params.get("value", 1.0))
-        if value <= 0:
-            raise DegeneratePhi(f"constant multiplier must be > 0, got {value}")
-        return SpectralFunction(
-            "constant", lambda lam: np.full_like(lam, value), {"value": value}
-        )
-    if name == "jump_mixture":
-        t_star = float(params["t_star"])
-        tau = float(params.get("tau", 1.0))
-        if t_star <= 0 or tau <= 0:
-            raise ValidationError("jump_mixture needs t_star > 0 and tau > 0")
-        return SpectralFunction(
-            "jump_mixture",
-            lambda lam: np.exp(tau * (np.exp(-t_star * lam) - 1.0)),
-            {"t_star": t_star, "tau": tau},
-        )
-    if name == "resolvent_jump":
-        alpha = float(params["alpha"])
-        tau = float(params.get("tau", 1.0))
-        if alpha <= 0 or tau <= 0:
-            raise ValidationError("resolvent_jump needs alpha > 0 and tau > 0")
-        return SpectralFunction(
-            "resolvent_jump",
-            lambda lam: np.exp(tau * (alpha / (lam + alpha) - 1.0)),
-            {"alpha": alpha, "tau": tau},
-        )
-    raise ValidationError(f"unknown phi family {name!r}; choose from {PHI_FAMILY_NAMES}")
+    if name not in _PHI_FAMILIES:
+        raise ValidationError(f"unknown phi family {name!r}; choose from {PHI_FAMILY_NAMES}")
+    keys, error, phi = _PHI_FAMILIES[name]
+    missing = [key for key in keys if key not in params]
+    if missing:
+        raise ValidationError(f"{name} needs the parameter {missing[0]!r}")
+    values = {key: check_range(key, params[key], error=error) for key in keys}
+    return SpectralFunction(name, phi(**values), values)
 
 
 @dataclass(frozen=True)
@@ -88,10 +78,8 @@ class RegularisationConfig:
     horizon: float
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValidationError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not 0 < self.horizon < math.inf:
-            raise ValidationError(f"horizon must be > 0, got {self.horizon}")
+        check_range("gamma", self.gamma, high=1.0)
+        check_range("horizon", self.horizon)
 
     def phi_values(self, dec: SpectralDecomposition) -> np.ndarray:
         """Evaluate phi on the spectrum, enforcing strict positivity.
@@ -174,10 +162,8 @@ def tikhonov_solve(dec: SpectralDecomposition, gamma: float, horizon: float, g) 
     Per-mode multiplier 1/(gamma + exp(-l T)); the inverse operator norm is
     at most 1/gamma.
     """
-    if gamma <= 0:
-        raise ValidationError(f"gamma must be > 0, got {gamma}")
-    if horizon <= 0:
-        raise ValidationError(f"horizon must be > 0, got {horizon}")
+    check_range("gamma", gamma)
+    check_range("horizon", horizon)
     return dec.apply(1.0 / (gamma + np.exp(-dec.eigenvalues * horizon)), g)
 
 
@@ -243,10 +229,8 @@ class MixtureModel:
     t_star: float
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < 1.0:
-            raise ValidationError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if not 0 < self.t_star < math.inf:
-            raise ValidationError(f"t_star must be > 0, got {self.t_star}")
+        check_range("gamma", self.gamma, high=1.0)
+        check_range("t_star", self.t_star)
 
 
 def mixture_multipliers(model: MixtureModel, t: float) -> np.ndarray:
@@ -255,8 +239,7 @@ def mixture_multipliers(model: MixtureModel, t: float) -> np.ndarray:
     q_t(l) = (1-gamma) exp(-l t) + gamma exp(t (exp(-t_star l) - 1)).
     The jump part never drops below exp(-t), so q_t >= gamma exp(-t).
     """
-    if not 0 <= t < math.inf:
-        raise ValidationError(f"need t >= 0, got {t}")
+    check_range("t", t, closed=True)
     lam = model.decomposition.eigenvalues
     diffusion = np.exp(-lam * t)
     jump = np.exp(t * (np.exp(-model.t_star * lam) - 1.0))
@@ -296,8 +279,7 @@ def regularised_pide_solve(
     exp(t (w l_k + (1-w)(1 - exp(-t_star l_k)))); the jump part contributes
     at most 1 to the growth rate, so w = 0 is well-posed for every g.
     """
-    if not 0 < horizon < math.inf:
-        raise ValidationError(f"horizon must be > 0, got {horizon}")
+    check_range("horizon", horizon)
     dec = model.decomposition
     lam = dec.eigenvalues
     w = 1.0 - model.gamma
@@ -305,10 +287,7 @@ def regularised_pide_solve(
     rate_max = float(rates.max())
     growth = rate_max * horizon
     _guard_exponent(growth, f"mixed backward growth exp({growth:.6g}) exceeds double range")
-    if t_grid is None:
-        t_grid = backward_time_grid(horizon, rate_max)
-    else:
-        t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _time_grid(t_grid, horizon, rate_max)
     c = dec.coefficients(np.asarray(g, float))
     return BackwardTrajectory(t_grid, dec.trajectory(rates, t_grid, c))
 

@@ -27,6 +27,7 @@ from .errors import (
     NotMSymmetric,
     OverflowRisk,
     ValidationError,
+    check_range,
 )
 
 # Double-precision tolerances, sized for dense models up to n ~ 2000.
@@ -299,15 +300,13 @@ def apply_function(dec: SpectralDecomposition, phi, f) -> np.ndarray:
 
 def semigroup_apply(dec: SpectralDecomposition, t: float, f) -> np.ndarray:
     """Apply the semigroup at time t: per-mode multiplier exp(-lambda t)."""
-    if t < 0:
-        raise NegativeTime(f"semigroup time must be >= 0, got {t}")
+    check_range("semigroup time", t, closed=True, error=NegativeTime)
     return apply_function(dec, lambda lam: np.exp(-lam * t), f)
 
 
 def resolvent_apply(dec: SpectralDecomposition, alpha: float, f) -> np.ndarray:
     """Apply the resolvent at alpha > 0: per-mode multiplier 1/(lambda+alpha)."""
-    if alpha <= 0:
-        raise NonPositiveAlpha(f"resolvent parameter must be > 0, got {alpha}")
+    check_range("resolvent parameter", alpha, error=NonPositiveAlpha)
     return apply_function(dec, lambda lam: 1.0 / (lam + alpha), f)
 
 

@@ -509,6 +509,26 @@ class TestBudgets:
         assert error["error"] == "InvalidConfig"
         assert f"{cli._MAX_STATES + 1} states exceed" in error["message"]
 
+    @pytest.mark.parametrize(
+        "kind, long_key, builder",
+        [("jump", "points", "gaussian_jump_kernel"), ("jump", "weights", "gaussian_jump_kernel"),
+         ("chain", "weights", "build_chain")],
+    )
+    def test_state_budget_covers_every_model_type(self, tmp_path, monkeypatch, kind, long_key, builder):
+        monkeypatch.setattr(cli, builder, lambda *a: pytest.fail("an n x n array was built"))
+        n = cli._MAX_STATES + 1
+        params = {"points": [0.0, 1.0], "weights": [0.5, 0.5]}
+        if kind == "chain":
+            params = {"matrix": [[-0.5, 0.5], [0.5, -0.5]], "weights": [0.5, 0.5]}
+        params[long_key] = [0.5 + k for k in range(n)]
+        model = tmp_path / "big.json"
+        model.write_text(json.dumps({"schemaVersion": 1, "type": kind, "parameters": params}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_exit(["decompose", "--model", str(model), "--output", str(out)]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "InvalidConfig"
+        assert f"'{long_key}': {n} states exceed" in error["message"]
+
 
 class TestNonFiniteAndDeepInputs:
     """Inputs that once ended in NaN artifacts or a traceback exit 2 or 3."""
@@ -521,8 +541,12 @@ class TestNonFiniteAndDeepInputs:
             ({"type": "chain", "parameters": {"matrix": [[-1e308, 1e308], [1e308, -1e308]], "weights": [1.0, 1.0]}},
              3, "OverflowRisk"),
             ({"type": "diffusion", "parameters": {"left": 0.0, "right": 1e-310, "n": 5}}, 2, "ValidationError"),
+            ({"type": "jump", "parameters": {"points": [0.0, 1.0], "weights": [0.5, 0.5], "tStar": math.nan}},
+             2, "InvalidBoundary"),
+            ({"type": "ou", "parameters": {"halfWidth": math.nan, "n": 8}}, 2, "InvalidBoundary"),
         ],
-        ids=["chain-nan", "chain-symmetrised-overflow", "diffusion-subnormal-interval"],
+        ids=["chain-nan", "chain-symmetrised-overflow", "diffusion-subnormal-interval", "jump-tstar-nan",
+             "ou-half-width-nan"],
     )
     @pytest.mark.parametrize("command", [["decompose"], ["diagnose", "--T", "1", "--g", "x"]])
     def test_non_finite_model_is_refused(self, tmp_path, spec, code, error_name, command):
