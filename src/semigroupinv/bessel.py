@@ -231,28 +231,31 @@ def _split_edges(edges: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([edges, mids]))
 
 
-def _integrate(weight, field, edges, points):
+def _integrate(weight, integrand, edges, points):
     nodes, wq = _panel_nodes(edges, points)
-    wvals = np.asarray(weight(nodes), dtype=float)
-    fvals = np.asarray(field(nodes), dtype=float)
-    if fvals.ndim == 1:
-        fvals = fvals[:, None]
-    return fvals.T @ (wq * wvals), nodes.size
+    w = wq * np.asarray(weight(nodes), dtype=float)
+    return np.asarray(integrand(nodes, w), dtype=float), nodes.size
+
+
+def _node_sum(s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j, the integrand when ``weight`` is all of it: a GEMV, whose bits ``w.sum()`` does not keep."""
+    return np.ones_like(s) @ w
 
 
 def bochner_quadrature(
     weight: Callable[[np.ndarray], np.ndarray],
-    field: Callable[[np.ndarray], np.ndarray],
+    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     config: QuadratureConfig,
     breakpoints: Sequence[float],
     tail_rate: Optional[float] = None,
     tail_amplitude: Optional[float] = None,
 ) -> QuadratureResult:
-    """Integrate weight(s) * field(s) over the panels between ``breakpoints``.
+    """Integrate weight(s) times an integrand over the panels between ``breakpoints``.
 
-    ``field`` maps an array of nodes (k,) to values (k,) or (k, n); both it
-    and ``weight`` must be vectorized.  Panels are split in half until two
-    successive evaluations agree within tail_tol (absolute, relative to a
+    ``weight`` maps the nodes (k,) to values (k,); ``integrand(s, w)`` gets
+    the nodes and their weights w = wq * weight(s) and returns its own node
+    sum, a scalar or one value per component.  Panels are split in half
+    until two successive evaluations agree within tail_tol (absolute, relative to a
     unit scale), at most ``_REFINEMENTS`` times, else
     :class:`QuadratureNotConverged` is raised.  When the caller knows the
     integrand is dominated by ``tail_amplitude * exp(-tail_rate s)``, the
@@ -263,11 +266,11 @@ def bochner_quadrature(
     if edges.size < 2:
         raise ValidationError("need at least two breakpoints")
 
-    value, n_nodes = _integrate(weight, field, edges, config.points_per_panel)
+    value, n_nodes = _integrate(weight, integrand, edges, config.points_per_panel)
     err = np.inf
     for _ in range(_REFINEMENTS):
         edges = _split_edges(edges)
-        refined, n_nodes = _integrate(weight, field, edges, config.points_per_panel)
+        refined, n_nodes = _integrate(weight, integrand, edges, config.points_per_panel)
         err = float(np.max(np.abs(refined - value)))
         value = refined
         if err <= config.tail_tol * max(1.0, float(np.max(np.abs(value)))):
@@ -383,13 +386,13 @@ def laplace_j0_identity(t: float, alpha: float) -> tuple[float, float]:
     check_range("alpha", alpha)
     res = bochner_quadrature(
         lambda s: np.exp(-alpha * s) * bessel_j0(2.0 * np.sqrt(t * s)),
-        np.ones_like,
+        _node_sum,
         LAPLACE_QUADRATURE,
         j0_decay_edges(alpha, 1.0, LAPLACE_QUADRATURE.tail_tol, t, refine_scale=min(1.0 / alpha, 1.0)),
         tail_rate=alpha,
     )
     rhs = np.exp(-t / alpha) / alpha
-    return float(res.value[0]), float(rhs)
+    return float(res.value), float(rhs)
 
 
 def laplace_i0_identity(t: float, beta: float) -> tuple[float, float]:
@@ -408,9 +411,9 @@ def laplace_i0_identity(t: float, beta: float) -> tuple[float, float]:
     s_max = i0_window_end(2.0 * t, beta, LAPLACE_QUADRATURE.tail_tol)
     res = bochner_quadrature(
         lambda s: np.exp(-s / beta) * bessel_i0(2.0 * np.sqrt(2.0 * t * s)),
-        np.ones_like,
+        _node_sum,
         LAPLACE_QUADRATURE,
         sqrt_uniform_edges(s_max, beta),
     )
     rhs = beta * np.exp(2.0 * t * beta)
-    return float(res.value[0]), float(rhs)
+    return float(res.value), float(rhs)

@@ -6,6 +6,7 @@ in separate branches so the CLI can map them to distinct exit codes.
 """
 
 import math
+import operator
 
 
 class SemigroupInvError(Exception):
@@ -137,3 +138,17 @@ def check_range(name, value, low=0.0, high=math.inf, *, closed=False, error=Vali
     else:
         bounds = f"be finite and {'>=' if closed else '>'} {low:g}"
     raise error(f"{name} must {bounds}, got {value}")
+
+
+def check_count(name, value, low, *, error=ValidationError) -> int:
+    """``value`` as an ``int`` when it is an integer >= low; anything else raises ``error``.
+
+    A float is refused even when it is whole: numpy sizes and ``range``
+    take only integers.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    check_range(name, count, low, closed=True, error=error)
+    return count

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .bessel import (
     LAPLACE_QUADRATURE,
     QuadratureConfig,
+    _node_sum,
     bessel_i0,
     bessel_j0,
     bochner_quadrature,
@@ -37,6 +37,7 @@ from .errors import (
     NonPositiveAlpha,
     OverflowRisk,
     ValidationError,
+    check_count,
     check_range,
 )
 from .spectral import _MAX_TRAJECTORY_CELLS, SpectralDecomposition, norm
@@ -44,7 +45,7 @@ from .spectral import _MAX_TRAJECTORY_CELLS, SpectralDecomposition, norm
 _LN10 = math.log(10.0)
 _MAX_EXPONENT = 700.0  # exp() stays inside double range below this
 
-# Cells (nodes x modes) of one _decay_sum block: a 256 KB temporary, L2-sized.
+# Cells (rows x columns) of one _decay_sum block: a 256 KB temporary, L2-sized.
 _BLOCK_CELLS = 32768
 
 # Relative coefficient floor: modes of g below coeff_tol * ||g|| carry no
@@ -67,8 +68,10 @@ H_QUADRATURE = QuadratureConfig(tail_tol=1e-13, points_per_panel=32)
 # Trapezoid nodes per unit time of the Picard iterates.
 PICARD_POINTS_PER_UNIT = 2000
 
-# Central-difference residual the ``pde`` time grid is sized for.
+# Central-difference residual the ``pde`` time grid is sized for, and the
+# most steps the grid may take.
 PDE_RESIDUAL_TARGET = 1e-4
+_MAX_TIME_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -147,13 +150,14 @@ def _block_rows(n_modes: int) -> int:
 
 
 def _decay_sum(s: np.ndarray, rates: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k weights_k exp(-s rates_k) at every node of ``s``.
+    """sum_k weights_k exp(-s rates_k) at every entry of ``s``.
 
-    Bit for bit ``np.exp(-np.outer(s, rates)) @ weights``, but evaluated one
-    row block at a time, so memory stays at one cache-sized block however
-    many nodes and modes there are.  A trailing one-row block is merged into
-    the block before it: numpy sends a one-row product to a dot kernel,
-    which sums in another order than the GEMV.
+    ``s`` holds the nodes, or the mode rates when the nodes come as
+    ``rates``.  Bit for bit ``np.exp(-s[:, None] * rates) @ weights``, but
+    evaluated one row block at a time: one block of about _BLOCK_CELLS
+    cells, at least 32 rows, however many rows there are.  A trailing
+    one-row block is merged into the block before it: numpy sends a one-row
+    product to a dot kernel, which sums in another order than the GEMV.
     """
     s = np.asarray(s, dtype=float)
     neg_rates = -np.asarray(rates, dtype=float)
@@ -175,11 +179,6 @@ def _decay_sum(s: np.ndarray, rates: np.ndarray, weights: np.ndarray) -> np.ndar
     return out
 
 
-def _decay_field(s: np.ndarray, rates: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Rows coeffs_k exp(-s rates_k), one per node of ``s``: the summands of :func:`_decay_sum`."""
-    return np.exp(-np.outer(s, rates)) * coeffs
-
-
 def resolvent_flow(dec: SpectralDecomposition, alpha: float, t: float, f) -> np.ndarray:
     """Damped resolvent orbit: mode k scaled by exp(-t/(l+a)) / (l+a).
 
@@ -194,23 +193,23 @@ def resolvent_flow(dec: SpectralDecomposition, alpha: float, t: float, f) -> np.
 def resolvent_flow_quadrature(dec: SpectralDecomposition, alpha: float, t: float, f) -> np.ndarray:
     """The same orbit computed as a Bochner integral of J0-damped semigroup.
 
-    integral_0^inf J0(2 sqrt(t s)) exp(-alpha s) P_s f ds, truncated where
-    the exp(-alpha s) envelope falls below the tail tolerance.  Panels
-    follow the quarter periods of the J0 oscillation (uniform in sqrt(s))
-    and refine geometrically near zero to resolve the fastest modes.
+    integral_0^inf J0(2 sqrt(t s)) exp(-alpha s) P_s f ds, integrated as one
+    multiplier per mode (P_s -> exp(-lambda_k s)) and truncated where the
+    exp(-alpha s) envelope falls below the tail tolerance.  Panels follow the
+    J0 quarter periods (uniform in sqrt(s)) and refine geometrically near 0.
     """
     check_range("alpha", alpha, error=NonPositiveAlpha)
     check_range("flow time", t, closed=True)
     scale = max(1.0, norm(dec.space, f))
     res = bochner_quadrature(
         lambda s: np.exp(-alpha * s) * bessel_j0(2.0 * np.sqrt(t * s)),
-        partial(_decay_field, rates=dec.eigenvalues, coeffs=dec.coefficients(f)),
+        lambda s, w: _decay_sum(dec.eigenvalues, s, w),
         FLOW_QUADRATURE,
         j0_decay_edges(alpha, scale, FLOW_QUADRATURE.tail_tol, t, refine_scale=1.0 / (dec.lambda_max + alpha)),
         tail_rate=alpha,
         tail_amplitude=scale,
     )
-    return dec.synthesize(res.value)
+    return dec.apply(res.value, f)
 
 
 def _energy_active(dec: SpectralDecomposition, g, coeff_tol: float):
@@ -251,11 +250,11 @@ def invert_bessel(problem: InverseProblem, alpha: float, coeff_tol: float = COEF
     """Inverse via the Bessel-integral representation.
 
     exp(-alpha T) * integral_0^inf I0(2 sqrt(T s)) F_s g ds, where F_s is
-    the damped resolvent orbit of g.  The integrand's envelope is
-    I0(2 sqrt(T s)) exp(-s/(lambda_max+alpha)); it converges only through
-    the linear-beats-square-root balance, so the energetic lambda_max * T
-    is capped at ``BESSEL_CONDITIONING_CAP`` and the truncation point
-    follows the peak analysis of the envelope.  Result agrees with
+    the damped resolvent orbit of g, integrated as one multiplier per mode.
+    Its envelope I0(2 sqrt(T s)) exp(-s/(lambda_max+alpha)) converges only
+    through the linear-beats-square-root balance, so the energetic
+    lambda_max * T is capped at ``BESSEL_CONDITIONING_CAP`` and the
+    truncation point follows the envelope's peak.  Result agrees with
     :func:`invert_spectral` for every admissible alpha.
     """
     check_range("alpha", alpha, error=NonPositiveAlpha)
@@ -274,12 +273,12 @@ def invert_bessel(problem: InverseProblem, alpha: float, coeff_tol: float = COEF
     s_max = i0_window_end(T, float(beta.max()), I0_QUADRATURE.tail_tol)
     res = bochner_quadrature(
         lambda s: bessel_i0(2.0 * np.sqrt(T * s)),
-        partial(_decay_field, rates=1.0 / beta, coeffs=c[idx] / beta),
+        lambda s, w: _decay_sum(1.0 / beta, s, w),
         I0_QUADRATURE,
         sqrt_uniform_edges(s_max, alpha),
     )
     amplified = np.zeros(dec.size)
-    amplified[idx] = math.exp(-alpha * T) * res.value
+    amplified[idx] = math.exp(-alpha * T) * res.value * c[idx] / beta
     return dec.synthesize(amplified)
 
 
@@ -321,11 +320,11 @@ def conditioning_report(problem: InverseProblem, alpha: float) -> ConditioningRe
     s_max = min(i0_window_end(2.0 * T, float(beta.max()), I0_QUADRATURE.tail_tol), s_cap_i0)
     res = bochner_quadrature(
         lambda s: bessel_i0(2.0 * np.sqrt(2.0 * T * s)),
-        partial(_decay_sum, rates=1.0 / beta, weights=c * c / beta),
+        lambda s, w: _decay_sum(s, 1.0 / beta, c * c / beta) @ w,
         I0_QUADRATURE,
         sqrt_uniform_edges(s_max, alpha),
     )
-    membership_quadrature = float(res.value[0])
+    membership_quadrature = float(res.value)
 
     if amplification >= SEVERE_AMPLIFICATION:
         flag = "severe"
@@ -383,7 +382,7 @@ def picard_resolvent_flow(
     """
     check_range("alpha", alpha, error=NonPositiveAlpha)
     check_range("t", t)
-    check_range("n_iter", n_iter, closed=True)
+    check_count("n_iter", n_iter, 0)
     n_points = max(2, int(round(PICARD_POINTS_PER_UNIT * t)) + 1)
     cells = (n_iter + 1) * n_points * dec.size
     if cells > _MAX_TRAJECTORY_CELLS:
@@ -442,11 +441,11 @@ def laplace_diagnostic(dec: SpectralDecomposition, alpha: float, f, s: float) ->
     quad_form = c2 / beta
     res = bochner_quadrature(
         lambda t: np.exp(-s * t) * _decay_sum(t, rates, quad_form),
-        np.ones_like,
+        _node_sum,
         LAPLACE_QUADRATURE,
         geometric_refined_edges(t_max, refine_scale=alpha / 2.0, max_width=15.0 / rate_slow),
     )
-    return float(res.value[0]), rhs
+    return float(res.value), rhs
 
 
 # -- backward Cauchy problem ---------------------------------------------------
@@ -465,13 +464,19 @@ def backward_time_grid(horizon: float, lam_max: float) -> np.ndarray:
 
     The FD residual of the mode growing like exp(lambda t) scales as
     lambda^3 h^2 / 6; the step targets a tenth of ``PDE_RESIDUAL_TARGET``
-    for the stiffest mode, with at least 200 steps.
+    for the stiffest mode, with at least 200 steps.  A grid of more than
+    ``_MAX_TIME_STEPS`` steps raises :class:`ValidationError`.
     """
     check_range("horizon", horizon)
     check_range("lam_max", lam_max, closed=True)
     lam = max(float(lam_max), 1.0)
     h = math.sqrt(0.6 * PDE_RESIDUAL_TARGET / lam**3)
-    n_steps = int(min(max(200, math.ceil(horizon / h)), 2_000_000))
+    n_steps = max(200, math.ceil(horizon / h))
+    if n_steps > _MAX_TIME_STEPS:
+        raise ValidationError(
+            f"the time grid for lambda_max {lam_max:.6g} on [0, {horizon:g}] needs {n_steps} steps,"
+            f" over the cap of {_MAX_TIME_STEPS}"
+        )
     return np.linspace(0.0, horizon, n_steps + 1)
 
 
@@ -552,11 +557,11 @@ def squared_bessel_h_quadrature(dec: SpectralDecomposition, f, horizon: float, t
     rates = lam + rate0
     res = bochner_quadrature(
         lambda s: bessel_j0(2.0 * np.sqrt(x * s)) * _decay_sum(s, rates, c2),
-        np.ones_like,
+        _node_sum,
         H_QUADRATURE,
         j0_decay_edges(rate0 + float(lam.min()), scale, H_QUADRATURE.tail_tol, x, 1.0 / (rate0 + float(lam.max()))),
     )
-    return float(res.value[0])
+    return float(res.value)
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,10 @@ from .errors import (
     LengthMismatch,
     NonPositiveSigma,
     RowMassExceeded,
+    check_count,
     check_range,
 )
+from .inversion import _guard_exponent
 from .spectral import SymmetricGenerator, WeightedStateSpace, build_space
 
 _BOUNDARIES = ("dirichlet", "neumann")
@@ -49,7 +51,7 @@ class DiffusionSpec:
     boundary_right: str = "neumann"
 
     def __post_init__(self):
-        check_range("n", self.n, 3.0, closed=True, error=LengthMismatch)
+        check_count("n", self.n, 3, error=LengthMismatch)
         if not self.right > self.left:
             raise InvalidBoundary("interval must satisfy left < right")
         for b in (self.boundary_left, self.boundary_right):
@@ -130,7 +132,7 @@ def build_ou(half_width: float, n: int, rate: float) -> SymmetricGenerator:
     """
     check_range("half_width", half_width, error=InvalidBoundary)
     check_range("rate", rate, error=InvalidBoundary)
-    check_range("n", n, 3.0, closed=True, error=LengthMismatch)
+    check_count("n", n, 3, error=LengthMismatch)
     h = 2.0 * half_width / n
     points = -half_width + (np.arange(n) + 0.5) * h
     edges = -half_width + np.arange(1, n) * h
@@ -147,9 +149,11 @@ def ou_witness_pair(rate: float) -> tuple[Callable[[np.ndarray], np.ndarray], Ca
 
     g(x) = x^2 and f(x) = e^(2 rate) x^2 - (e^(2 rate) - 1) / (2 rate).
     f dips negative near the origin, demonstrating that inverting the
-    transition operator does not preserve positivity.
+    transition operator does not preserve positivity.  A rate above 350
+    raises :class:`OverflowRisk`: e^(2 rate) would leave double range.
     """
     check_range("rate", rate, error=InvalidBoundary)
+    _guard_exponent(2.0 * rate, f"f needs exp(2 rate) = exp({2.0 * rate:.6g}), beyond double range")
     e2r = np.exp(2.0 * rate)
     offset = (e2r - 1.0) / (2.0 * rate)
 

@@ -46,8 +46,11 @@ def test_tracer_records_apply_and_quadrature_spans(tracer_class, tmp_path):
         tracer.uninstall()
     assert exc.value.code == 0
     kinds = {span[0] for span in tracer.spans}
-    assert {"spectral.apply", "bessel.quadrature", "inversion.invert"} <= kinds
+    assert {"spectral.apply", "bessel.quadrature", "bessel.weight", "bessel.field", "inversion.invert"} <= kinds
     assert tracer.counts["spectral.apply_calls"] > 0
+    # the integrand gets the nodes and their weights and returns its node sum
+    assert tracer.counts["bessel.nodes_evaluated"] > 0
+    assert 0 < tracer.counts["bessel.field_cells"] < tracer.counts["bessel.nodes_evaluated"]
     assert sg.SpectralDecomposition.__dict__["coefficients"] is original
 
 

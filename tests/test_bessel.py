@@ -166,7 +166,7 @@ class TestBochnerQuadrature:
         c = np.array([2.0, -1.0, 0.5])
         res = sg.bochner_quadrature(
             lambda s: np.exp(-s),
-            lambda s: np.tile(c, (s.size, 1)),
+            lambda s, w: w.sum() * c,
             cfg,
             np.linspace(0.0, 30.0, 41),
             tail_rate=1.0,
@@ -185,7 +185,7 @@ class TestBochnerQuadrature:
             edges = geometric_refined_edges(s_max, 0.5, quarter_u=np.pi / 4.0, max_width=2.5)
             res = sg.bochner_quadrature(
                 lambda s: sg.bessel_j0(2.0 * np.sqrt(s)) * np.exp(-s),
-                lambda s: np.tile(c, (s.size, 1)),
+                lambda s, w: w.sum() * c,
                 sg.QuadratureConfig(tail_tol=1e-12),
                 breakpoints=edges,
             )
@@ -199,11 +199,11 @@ class TestBochnerQuadrature:
         def weight(s):
             return np.exp(-0.8 * s) * np.cos(s)
 
-        field = lambda s: np.ones_like(s)
+        integrand = lambda s, w: w.sum()
         vals = {}
         for pts in (16, 32):
             cfg = sg.QuadratureConfig(points_per_panel=pts, tail_tol=1e-10)
-            vals[pts] = sg.bochner_quadrature(weight, field, cfg, np.linspace(0.0, 40.0, 33)).value[0]
+            vals[pts] = float(sg.bochner_quadrature(weight, integrand, cfg, np.linspace(0.0, 40.0, 33)).value)
         assert abs(vals[32] - vals[16]) <= 1e-10
         oracle, err = quad(weight, 0.0, 40.0, limit=200)
         assert vals[32] == pytest.approx(oracle, abs=1e-9 + 10 * err)
@@ -213,7 +213,7 @@ class TestBochnerQuadrature:
         cfg = sg.QuadratureConfig(points_per_panel=2, tail_tol=1e-14)
         with pytest.raises(sg.QuadratureNotConverged):
             sg.bochner_quadrature(
-                lambda s: np.cos(40.0 * s), lambda s: np.ones_like(s), cfg, [0.0, 30.0, 60.0]
+                lambda s: np.cos(40.0 * s), lambda s, w: w.sum(), cfg, [0.0, 30.0, 60.0]
             )
 
     def test_config_validation(self):

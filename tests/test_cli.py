@@ -485,13 +485,23 @@ class TestBudgets:
     """Requests past the state and trajectory budgets exit 2 before allocating."""
 
     def test_trajectory_budget_exits_2(self, model_files, tmp_path):
-        # energetic lambda_max ~ 2234 needs the 2M-step grid: 800M cells at n = 400
+        # energetic lambda_max ~ 2234 over T = 0.002 needs 27272 steps: 10.9M cells at n = 400
+        out = tmp_path / "out"
+        argv = ["pde", "--model", model_files["ou"], "--output", str(out), "--T", "0.002", "--g", "random(5)"]
+        assert cli_exit(argv) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "ValidationError"
+        assert "27273 times x 400 states" in error["message"]
+        assert not (out / "trajectory.csv").exists()
+
+    def test_time_step_cap_exits_2(self, model_files, tmp_path):
+        # the same lambda_max over T = 0.25 needs 3408884 steps, past the 2M-step cap
         out = tmp_path / "out"
         argv = ["pde", "--model", model_files["ou"], "--output", str(out), "--T", "0.25", "--g", "x^2"]
         assert cli_exit(argv) == 2
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "ValidationError"
-        assert "2000001 times x 400 states" in error["message"]
+        assert "needs 3408884 steps, over the cap of 2000000" in error["message"]
         assert not (out / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("kind", ["ou", "diffusion"])

@@ -127,7 +127,7 @@ GOLDEN_RUNS = [
     (["sweep", "--T", "0.25", "--g", "x^2", "--phi", "tikhonov_exp"], "sweep.csv",
      "eae6f41a65cdb2440fc13a1a8d28f2a4c55650663454ec6173c055d7b79690d1"),
     (["check"], "summary.json",
-     "63b6bde3ad2591e5f65b737c623acc7d5a8ba330e84b5dfef3855a2bd10538d9"),
+     "7c9caea3987f833b4781699ae4f4706769b20d61018d0f35e06bdda8411afb9c"),
 ]
 GOLDEN_IDS = [
     "decompose", "pde", "pde-mixed", "invert", "regularise-tikhonov_exp", "regularise-constant",

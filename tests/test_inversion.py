@@ -137,11 +137,11 @@ class TestConditioningReport:
             edges = sqrt_uniform_edges(s_max, 0.64)
             res = bochner_quadrature(
                 lambda s: bessel_i0(2.0 * np.sqrt(2.0 * s)),
-                lambda s: np.exp(-np.outer(s, 1.0 / beta)) @ quad_form,
+                lambda s, w: (np.exp(-np.outer(s, 1.0 / beta)) @ quad_form) @ w,
                 cfg,
                 breakpoints=edges,
             )
-            values.append(float(res.value[0]))
+            values.append(float(res.value))
         assert np.all(np.diff(values) > 0)  # monotone in the truncation point
         assert values[-1] <= spectral * (1 + 1e-9)
         assert values[-1] == pytest.approx(spectral, rel=1e-6)

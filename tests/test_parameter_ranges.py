@@ -1,6 +1,7 @@
-"""Scalar parameter ranges: ``errors.check_range``, every public entry point
-against non-finite and out-of-range scalars, caller time grids, the Picard
-budget, and the required parameters of the ``make_phi`` families.
+"""Scalar parameter ranges: ``errors.check_range`` and ``check_count``, every
+public entry point against non-finite and out-of-range scalars, integer
+counts, overflow and step caps, caller time grids, the Picard budget, and
+the required parameters of the ``make_phi`` families.
 """
 
 import math
@@ -10,7 +11,7 @@ import pytest
 
 import semigroupinv as sg
 from semigroupinv import bessel
-from semigroupinv.errors import check_range
+from semigroupinv.errors import check_count, check_range
 from semigroupinv.spectral import _MAX_TRAJECTORY_CELLS
 
 NAN, INF = math.nan, math.inf
@@ -195,6 +196,44 @@ class TestSilentHoles:
     def test_nan_jump_horizon_is_an_invalid_boundary(self):
         with pytest.raises(sg.InvalidBoundary, match="t_star"):
             sg.gaussian_jump_kernel(_space(), NAN)
+
+
+class TestIntegerCounts:
+    """Grid sizes and iteration counts refuse floats before any array is built."""
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda dec: sg.build_ou(6.0, 3.5, 1.0), sg.LengthMismatch, "n must be an integer, got 3.5"),
+            (lambda dec: sg.DiffusionSpec(0.0, 1.0, 3.5), sg.LengthMismatch, "n must be an integer, got 3.5"),
+            (lambda dec: sg.picard_resolvent_flow(dec, 1.0, F, 0.01, n_iter=2.5), sg.ValidationError,
+             "n_iter must be an integer, got 2.5"),
+        ],
+        ids=["build_ou-n", "DiffusionSpec-n", "picard-n_iter"],
+    )
+    def test_float_count_raises_the_site_class(self, chain2, call, error, message):
+        with pytest.raises(error) as exc:
+            call(chain2[1])
+        assert str(exc.value) == message
+
+    def test_numpy_integers_are_counts(self):
+        assert sg.build_ou(6.0, np.int64(8), 1.0).size == 8
+        assert check_count("n", np.int32(3), 3) == 3
+        with pytest.raises(sg.ValidationError, match="n must be an integer, got 4.0"):
+            check_count("n", 4.0, 3)
+
+
+class TestOverflowAndCaps:
+    def test_ou_witness_pair_refuses_a_rate_whose_exp_overflows(self):
+        with pytest.raises(sg.OverflowRisk, match="exp\\(800\\)"):
+            sg.ou_witness_pair(400.0)
+        g, f = sg.ou_witness_pair(300.0)
+        assert np.all(np.isfinite(f(np.array([0.0, 1.0]))))
+
+    def test_time_grid_past_the_step_cap_is_refused(self):
+        with pytest.raises(sg.ValidationError, match="needs 129099444874 steps, over the cap of 2000000"):
+            sg.backward_time_grid(1.0, 1e6)
+        assert sg.backward_time_grid(1.0, 1.0).size == 201
 
 
 class TestCallerTimeGrids:

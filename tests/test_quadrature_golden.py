@@ -1,9 +1,13 @@
 """Byte identity and memory of the blocked Bochner integrands.
 
-Every Σ_k w_k exp(-s r_k) integrand goes through ``_decay_sum``, which
-evaluates it one cache-sized row block at a time.  The blocks must not
-change a single bit: the pinned SHA-256 values and ``float.hex`` strings
-below were computed from the unblocked ``exp(-outer(s, r)) @ w`` code.
+Every Σ_k w_k exp(-s r_k) goes through ``_decay_sum``, which evaluates it
+one row block at a time: the scalar integrands over the nodes, and the
+per-mode multipliers of ``invert_bessel`` and ``resolvent_flow_quadrature``
+(mode rates as rows, nodes as columns), which the quadrature's
+``integrand(s, w)`` returns as its node sums.  The blocks must not change
+a single bit.  The scalar twins' pins were computed from the unblocked
+``exp(-outer(s, r)) @ w`` code; the ``invert-bessel`` solution and
+summary and the flow hash from the unblocked multipliers.
 
 The bit contract holds for single-threaded BLAS.  A threaded GEMV splits
 its rows between threads at offsets that need not be multiples of 4, and
@@ -32,8 +36,8 @@ GOLDEN_ARTIFACTS = {
     "diagnose/report.json": "46345d25ff96205076d4f33802b844445f6b6c8933899288b24e971bee6eb07c",
     "diagnose/summary.json": "08e7df5027a047c69c0c63fb645ba4bfde37044c8caa1bceffcb6037ab60e5f4",
     "invert-bessel/report.json": "37688da6fcf6165a8815ffc36636b847e290346582893e2bfcefcf95c9f0b344",
-    "invert-bessel/solution.csv": "f2d105b373aff776fcaaa5281c3608c822fd3b2201f125eb18ede4b9bdbf307b",
-    "invert-bessel/summary.json": "3c668bd51af4b02b45ddce02a58c115c7eb848acb1ae9562d4bd3fd0152d5f67",
+    "invert-bessel/solution.csv": "d22f3a7640b9dc183f02445addb4277df7dab301963bf29cbff1c3ef91a82fb3",
+    "invert-bessel/summary.json": "a49d947117be2e6419feca13395f63158964a2d60b84ee68181d5479493f7bdc",
 }
 GOLDEN_RUNS = {
     "diagnose": ["diagnose", "--T", "1", "--g", "1.3*x^2", "--alpha", "1.5"],
@@ -43,7 +47,7 @@ GOLDEN_HEX = {
     "laplace_diagnostic": ["0x1.1930734d06409p+0", "0x1.1930734d06409p+0"],
     "squared_bessel_h_quadrature": "0x1.53b224287531dp-1",
     # the remaining Bessel twins, pinned while each still took a QuadratureConfig
-    "resolvent_flow_quadrature": "7f5be871a05460c7c6e600923273113fb5a86529ababaec13fbd5d08ffe77f84",
+    "resolvent_flow_quadrature": "916071f148498fbcb7910ba49db98e69e5fe5368542d45d4f14e22898a64656b",
     "laplace_j0_identity": ["0x1.78b56362cfe3ap-2", "0x1.78b56362cef38p-2"],
     "laplace_i0_identity": ["0x1.d8e64b8d4dd2ep+3", "0x1.d8e64b8d4ddaep+3"],
     "squared_bessel_pde_check": "0x1.0ddc424800000p-23",
@@ -110,6 +114,24 @@ for n_modes in (1, 400, 2000):
 print(json.dumps({"cases": cases, "failures": failures}))
 """
 
+# The vector twins' layout: a few mode rates as rows, many nodes as columns.
+_MULTIPLIER_BITS_PROBE = r"""
+import json
+import numpy as np
+from semigroupinv.inversion import _decay_sum
+
+rng = np.random.default_rng(20162)
+failures = []
+for n_modes in (1, 3, 33, 400):
+    for n_nodes in (1025, 20001):
+        rates = np.sort(rng.uniform(1e-3, 3.0, n_modes))
+        s = rng.uniform(0.0, 40.0, n_nodes)
+        w = rng.standard_normal(n_nodes)
+        if not np.array_equal(_decay_sum(rates, s, w), np.exp(-np.outer(rates, s)) @ w):
+            failures.append([n_modes, n_nodes])
+print(json.dumps({"failures": failures}))
+"""
+
 
 def _single_thread_probe(code: str, *args: str) -> dict:
     """Run ``code`` in a fresh interpreter with one BLAS thread; parse its JSON."""
@@ -128,6 +150,10 @@ def test_decay_sum_is_bit_identical_to_the_unblocked_product():
     assert result["failures"] == []
 
 
+def test_per_mode_multipliers_are_bit_identical_to_the_unblocked_product():
+    assert _single_thread_probe(_MULTIPLIER_BITS_PROBE)["failures"] == []
+
+
 def test_conditioning_artifacts_and_integrals_are_pinned(tmp_path):
     model = tmp_path / "ou24.json"
     model.write_text(json.dumps(SMALL_OU), encoding="utf-8")
@@ -135,6 +161,26 @@ def test_conditioning_artifacts_and_integrals_are_pinned(tmp_path):
     for key, sha256 in GOLDEN_ARTIFACTS.items():
         assert result["sha256"][key] == sha256, key
     assert result["hex"] == GOLDEN_HEX
+
+
+def test_invert_bessel_memory_does_not_grow_with_nodes_times_modes(ou400):
+    """All 400 modes of random(3) are active at T = 0.005 (lambda_max T = 11.2).
+
+    A nodes x modes field would take 364 MB here; the per-mode multipliers
+    need one ``_decay_sum`` block of 32 modes x nodes.
+    """
+    gen, dec = ou400
+    g = np.random.default_rng(3).standard_normal(gen.size)  # the CLI's random(3)
+    problem = sg.InverseProblem(dec, 0.005, g)
+    tracemalloc.start()
+    try:
+        f = sg.invert_bessel(problem, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    exact = sg.invert_spectral(problem)
+    assert sg.norm(gen.space, f - exact) <= 1e-13 * sg.norm(gen.space, exact)
+    assert peak < 32 * 2**20
 
 
 def test_conditioning_report_memory_does_not_grow_with_nodes_times_modes(ou400):
