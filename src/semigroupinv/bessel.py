@@ -4,9 +4,21 @@ J0 and I0 are the kernels of the inversion transform; they are evaluated to
 <= 1e-12 (absolute for J0, relative for I0) with a three-regime scheme:
 power series near the origin, anchored local Taylor expansions in the
 mid-range where the plain series loses digits to cancellation, and Hankel
-asymptotics beyond.  The Bochner integrals of semigroup orbits are computed
-with composite Gauss-Legendre panels laid out by the callers to track the
-integrand's oscillation and decay scales.
+asymptotics beyond.
+
+Every Bessel twin of the library integrates, mode by mode, one of two
+Laplace transforms with composite Gauss-Legendre panels:
+
+- :func:`j0_multipliers`: mu_k = int J0(2 sqrt(x s)) e^(-r_k s) ds = e^(-x/r_k) / r_k,
+  on J0 quarter periods until the slowest decay falls below the tail tolerance;
+- :func:`i0_multipliers`: mu_k = int I0(2 sqrt(a s)) e^(-s/beta_k) ds = beta_k e^(a beta_k),
+  on panels uniform in sqrt(s) across the widest bell.
+
+The slowest mode's decay rides in the weight with the kernel, and each mode
+integrates the rest of its decay, which is at most 1.  The node sums go
+through ``_decay_sum`` with the modes as rows and the nodes taken in blocks of
+about ``_BLOCK_CELLS`` cells, so a quadrature's memory beside its node arrays is
+one block, however many nodes it needs.
 """
 
 from __future__ import annotations
@@ -208,6 +220,9 @@ _REFINEMENTS = 3
 # J0 kernel at a large t, asks for more, and every node vector grows with it.
 _MAX_PANELS = 16384
 
+# Cells (rates x nodes) of one _decay_sum block: a 256 KB temporary, L2-sized.
+_BLOCK_CELLS = 32768
+
 _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -237,9 +252,26 @@ def _integrate(weight, integrand, edges, points):
     return np.asarray(integrand(nodes, w), dtype=float), nodes.size
 
 
-def _node_sum(s: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """sum_j w_j, the integrand when ``weight`` is all of it: a GEMV, whose bits ``w.sum()`` does not keep."""
-    return np.ones_like(s) @ w
+def _decay_sum(rates: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_j w_j exp(-rates_k s_j) for every rate k.
+
+    The rates are rows and the nodes are columns, taken in blocks of about
+    ``_BLOCK_CELLS`` cells (at least one column), so the temporary is one
+    block whatever the node count.  The blocks' partial sums are added in
+    node order; the result agrees with the unblocked
+    ``exp(-outer(rates, s)) @ w`` to rounding.
+    """
+    neg_rates = -rates
+    cols = max(1, _BLOCK_CELLS // neg_rates.size)
+    buf = np.empty((neg_rates.size, min(cols, s.size)))
+    out = np.zeros(neg_rates.size)
+    for start in range(0, s.size, cols):
+        nodes = s[start : start + cols]
+        block = buf[:, : nodes.size]
+        np.multiply.outer(neg_rates, nodes, out=block)
+        np.exp(block, out=block)
+        out += block @ w[start : start + cols]
+    return out
 
 
 def bochner_quadrature(
@@ -373,6 +405,47 @@ def j0_decay_edges(rate: float, scale: float, tail_tol: float, t: float, refine_
     )
 
 
+# -- per-mode Laplace multipliers ----------------------------------------------
+
+
+def j0_multipliers(x: float, rates, config: QuadratureConfig, scale: float = 1.0) -> QuadratureResult:
+    """mu_k = integral_0^inf J0(2 sqrt(x s)) exp(-r_k s) ds for every rate r_k > 0.
+
+    Closed form exp(-x/r_k) / r_k.  The range ends where ``scale`` times the
+    slowest decay exp(-min(r) s) falls below the tail tolerance; ``scale``
+    is the size of what the multipliers will be applied to.  Panels follow
+    the J0 quarter periods and resolve the fastest decay near 0.
+    """
+    rates = np.asarray(rates, dtype=float)
+    slow = float(rates.min())
+    return bochner_quadrature(
+        lambda s: np.exp(-slow * s) * bessel_j0(2.0 * np.sqrt(x * s)),
+        lambda s, w: _decay_sum(rates - slow, s, w),
+        config,
+        j0_decay_edges(slow, scale, config.tail_tol, x, refine_scale=1.0 / float(rates.max())),
+        tail_rate=slow,
+        tail_amplitude=scale,
+    )
+
+
+def i0_multipliers(a: float, betas, config: QuadratureConfig, s_cap: float = math.inf) -> QuadratureResult:
+    """mu_k = integral_0^inf I0(2 sqrt(a s)) exp(-s/beta_k) ds for every beta_k > 0.
+
+    Closed form beta_k exp(a beta_k).  The window runs to the end of the
+    widest bell (:func:`i0_window_end` at max(beta)), clipped at ``s_cap``;
+    the panels, uniform in sqrt(s), are scaled to the narrowest bell.
+    """
+    betas = np.asarray(betas, dtype=float)
+    wide = float(betas.max())
+    s_max = min(i0_window_end(a, wide, config.tail_tol), s_cap)
+    return bochner_quadrature(
+        lambda s: np.exp(-s / wide) * bessel_i0(2.0 * np.sqrt(a * s)),
+        lambda s, w: _decay_sum(1.0 / betas - 1.0 / wide, s, w),
+        config,
+        sqrt_uniform_edges(s_max, float(betas.min())),
+    )
+
+
 # -- Laplace transform identities ---------------------------------------------
 
 
@@ -384,15 +457,8 @@ def laplace_j0_identity(t: float, alpha: float) -> tuple[float, float]:
     """
     check_range("t", t)
     check_range("alpha", alpha)
-    res = bochner_quadrature(
-        lambda s: np.exp(-alpha * s) * bessel_j0(2.0 * np.sqrt(t * s)),
-        _node_sum,
-        LAPLACE_QUADRATURE,
-        j0_decay_edges(alpha, 1.0, LAPLACE_QUADRATURE.tail_tol, t, refine_scale=min(1.0 / alpha, 1.0)),
-        tail_rate=alpha,
-    )
-    rhs = np.exp(-t / alpha) / alpha
-    return float(res.value), float(rhs)
+    lhs = j0_multipliers(t, [alpha], LAPLACE_QUADRATURE).value[0]
+    return float(lhs), float(np.exp(-t / alpha) / alpha)
 
 
 def laplace_i0_identity(t: float, beta: float) -> tuple[float, float]:
@@ -408,12 +474,5 @@ def laplace_i0_identity(t: float, beta: float) -> tuple[float, float]:
             "exp(2 t beta) is too large to verify in double precision",
             log10_value=2.0 * t * beta / np.log(10.0),
         )
-    s_max = i0_window_end(2.0 * t, beta, LAPLACE_QUADRATURE.tail_tol)
-    res = bochner_quadrature(
-        lambda s: np.exp(-s / beta) * bessel_i0(2.0 * np.sqrt(2.0 * t * s)),
-        _node_sum,
-        LAPLACE_QUADRATURE,
-        sqrt_uniform_edges(s_max, beta),
-    )
-    rhs = beta * np.exp(2.0 * t * beta)
-    return float(res.value), float(rhs)
+    lhs = i0_multipliers(2.0 * t, [beta], LAPLACE_QUADRATURE).value[0]
+    return float(lhs), float(beta * np.exp(2.0 * t * beta))

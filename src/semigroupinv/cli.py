@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .bessel import j0_multipliers
 from .errors import (
     ExpressionParseError,
     InvalidConfig,
@@ -29,7 +30,9 @@ from .errors import (
 )
 from .inversion import (
     COEFF_TOL,
+    FLOW_QUADRATURE,
     InverseProblem,
+    _flow_multipliers,
     conditioning_report,
     invert_bessel,
     invert_spectral,
@@ -634,8 +637,11 @@ def _cmd_check(p, gen, dec, out: Path) -> dict:
         fs = resolvent_flow(dec, 1.0, 1.0, f)
         fq = resolvent_flow_quadrature(dec, 1.0, 1.0, f)
         record("flowQuadratureAgreement", norm(space, fs - fq) / max(norm(space, fs), 1e-300), 1e-6)
+        mu = j0_multipliers(1.0, dec.eigenvalues + 1.0, FLOW_QUADRATURE, max(1.0, norm(space, f))).value
+        closed = _flow_multipliers(dec.eigenvalues, 1.0, 1.0)
+        record("flowMultiplierAgreement", np.max(np.abs(mu - closed) / closed), 1e-8)
     else:
-        checks["flowQuadratureAgreement"] = {
+        skipped = {
             "skipped": True,
             "reason": (
                 f"lambdaMax {lam_max:.6g} exceeds {_FLOW_CHECK_LAMBDA_MAX:g}, the largest "
@@ -643,6 +649,8 @@ def _cmd_check(p, gen, dec, out: Path) -> dict:
             ),
             "lambdaMax": lam_max,
         }
+        checks["flowQuadratureAgreement"] = skipped
+        checks["flowMultiplierAgreement"] = skipped
     failures = [name for name, c in checks.items() if not c.get("passed", True)]
     if failures:
         raise NumericalError(f"invariant checks failed: {', '.join(failures)}")

@@ -19,18 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import (
-    LAPLACE_QUADRATURE,
-    QuadratureConfig,
-    _node_sum,
-    bessel_i0,
-    bessel_j0,
-    bochner_quadrature,
-    geometric_refined_edges,
-    i0_window_end,
-    j0_decay_edges,
-    sqrt_uniform_edges,
-)
+from .bessel import LAPLACE_QUADRATURE, QuadratureConfig, i0_multipliers, j0_multipliers
 from .errors import (
     ConditioningCapExceeded,
     LengthMismatch,
@@ -44,9 +33,6 @@ from .spectral import _MAX_TRAJECTORY_CELLS, SpectralDecomposition, norm
 
 _LN10 = math.log(10.0)
 _MAX_EXPONENT = 700.0  # exp() stays inside double range below this
-
-# Cells (rows x columns) of one _decay_sum block: a 256 KB temporary, L2-sized.
-_BLOCK_CELLS = 32768
 
 # Relative coefficient floor: modes of g below coeff_tol * ||g|| carry no
 # usable information and are excluded from inversion (their amplified images
@@ -140,45 +126,6 @@ def _flow_multipliers(lam: np.ndarray, alpha: float, t: float) -> np.ndarray:
     return np.exp(-t / beta) / beta
 
 
-def _block_rows(n_modes: int) -> int:
-    """Rows of one _decay_sum block: about _BLOCK_CELLS cells, a multiple of 32.
-
-    The GEMV kernel groups rows by 4, so block starts at multiples of 4 keep
-    every row in the same group as in one unblocked product.
-    """
-    return max(32, (_BLOCK_CELLS // n_modes) // 32 * 32)
-
-
-def _decay_sum(s: np.ndarray, rates: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_k weights_k exp(-s rates_k) at every entry of ``s``.
-
-    ``s`` holds the nodes, or the mode rates when the nodes come as
-    ``rates``.  Bit for bit ``np.exp(-s[:, None] * rates) @ weights``, but
-    evaluated one row block at a time: one block of about _BLOCK_CELLS
-    cells, at least 32 rows, however many rows there are.  A trailing
-    one-row block is merged into the block before it: numpy sends a one-row
-    product to a dot kernel, which sums in another order than the GEMV.
-    """
-    s = np.asarray(s, dtype=float)
-    neg_rates = -np.asarray(rates, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    rows = _block_rows(neg_rates.size)
-    stops = list(range(rows, s.size, rows))
-    if stops and s.size - stops[-1] == 1:
-        stops.pop()
-    stops.append(s.size)
-    out = np.empty(s.size)
-    buf = np.empty((min(rows + 1, s.size), neg_rates.size))
-    start = 0
-    for stop in stops:
-        block = buf[: stop - start]
-        np.multiply.outer(s[start:stop], neg_rates, out=block)
-        np.exp(block, out=block)
-        np.dot(block, weights, out=out[start:stop])
-        start = stop
-    return out
-
-
 def resolvent_flow(dec: SpectralDecomposition, alpha: float, t: float, f) -> np.ndarray:
     """Damped resolvent orbit: mode k scaled by exp(-t/(l+a)) / (l+a).
 
@@ -193,23 +140,14 @@ def resolvent_flow(dec: SpectralDecomposition, alpha: float, t: float, f) -> np.
 def resolvent_flow_quadrature(dec: SpectralDecomposition, alpha: float, t: float, f) -> np.ndarray:
     """The same orbit computed as a Bochner integral of J0-damped semigroup.
 
-    integral_0^inf J0(2 sqrt(t s)) exp(-alpha s) P_s f ds, integrated as one
-    multiplier per mode (P_s -> exp(-lambda_k s)) and truncated where the
-    exp(-alpha s) envelope falls below the tail tolerance.  Panels follow the
-    J0 quarter periods (uniform in sqrt(s)) and refine geometrically near 0.
+    integral_0^inf J0(2 sqrt(t s)) exp(-alpha s) P_s f ds: mode k is scaled
+    by :func:`~semigroupinv.bessel.j0_multipliers` at rate lambda_k + alpha,
+    truncated where the slowest decay, times ||f||, falls below the tail tolerance.
     """
     check_range("alpha", alpha, error=NonPositiveAlpha)
     check_range("flow time", t, closed=True)
     scale = max(1.0, norm(dec.space, f))
-    res = bochner_quadrature(
-        lambda s: np.exp(-alpha * s) * bessel_j0(2.0 * np.sqrt(t * s)),
-        lambda s, w: _decay_sum(dec.eigenvalues, s, w),
-        FLOW_QUADRATURE,
-        j0_decay_edges(alpha, scale, FLOW_QUADRATURE.tail_tol, t, refine_scale=1.0 / (dec.lambda_max + alpha)),
-        tail_rate=alpha,
-        tail_amplitude=scale,
-    )
-    return dec.apply(res.value, f)
+    return dec.apply(j0_multipliers(t, dec.eigenvalues + alpha, FLOW_QUADRATURE, scale).value, f)
 
 
 def _energy_active(dec: SpectralDecomposition, g, coeff_tol: float):
@@ -250,7 +188,8 @@ def invert_bessel(problem: InverseProblem, alpha: float, coeff_tol: float = COEF
     """Inverse via the Bessel-integral representation.
 
     exp(-alpha T) * integral_0^inf I0(2 sqrt(T s)) F_s g ds, where F_s is
-    the damped resolvent orbit of g, integrated as one multiplier per mode.
+    the damped resolvent orbit of g: per mode, exp(-alpha T) c_k / beta_k
+    times :func:`~semigroupinv.bessel.i0_multipliers` at beta_k = lambda_k + alpha.
     Its envelope I0(2 sqrt(T s)) exp(-s/(lambda_max+alpha)) converges only
     through the linear-beats-square-root balance, so the energetic
     lambda_max * T is capped at ``BESSEL_CONDITIONING_CAP`` and the
@@ -270,15 +209,9 @@ def invert_bessel(problem: InverseProblem, alpha: float, coeff_tol: float = COEF
             exponent=lam_max * T,
         )
     beta = dec.eigenvalues[idx] + alpha
-    s_max = i0_window_end(T, float(beta.max()), I0_QUADRATURE.tail_tol)
-    res = bochner_quadrature(
-        lambda s: bessel_i0(2.0 * np.sqrt(T * s)),
-        lambda s, w: _decay_sum(1.0 / beta, s, w),
-        I0_QUADRATURE,
-        sqrt_uniform_edges(s_max, alpha),
-    )
+    mu = i0_multipliers(T, beta, I0_QUADRATURE).value
     amplified = np.zeros(dec.size)
-    amplified[idx] = math.exp(-alpha * T) * res.value * c[idx] / beta
+    amplified[idx] = math.exp(-alpha * T) * mu * c[idx] / beta
     return dec.synthesize(amplified)
 
 
@@ -316,15 +249,9 @@ def conditioning_report(problem: InverseProblem, alpha: float) -> ConditioningRe
 
     beta = lam + alpha
     # keep both the I0 argument and the integrand inside double range
-    s_cap_i0 = (0.5 * _MAX_EXPONENT) ** 2 / (2.0 * T)
-    s_max = min(i0_window_end(2.0 * T, float(beta.max()), I0_QUADRATURE.tail_tol), s_cap_i0)
-    res = bochner_quadrature(
-        lambda s: bessel_i0(2.0 * np.sqrt(2.0 * T * s)),
-        lambda s, w: _decay_sum(s, 1.0 / beta, c * c / beta) @ w,
-        I0_QUADRATURE,
-        sqrt_uniform_edges(s_max, alpha),
-    )
-    membership_quadrature = float(res.value)
+    s_cap = (0.5 * _MAX_EXPONENT) ** 2 / (2.0 * T)
+    mu = i0_multipliers(2.0 * T, beta, I0_QUADRATURE, s_cap).value
+    membership_quadrature = float(c * c / beta @ mu)
 
     if amplification >= SEVERE_AMPLIFICATION:
         flag = "severe"
@@ -434,18 +361,10 @@ def laplace_diagnostic(dec: SpectralDecomposition, alpha: float, f, s: float) ->
     else:
         rhs = float(np.sum(c2 / (s * beta + 1.0)))
 
-    rate_slow = s + 1.0 / float(beta.max())
-    scale = max(1.0, float(np.sum(c2 / beta)))
-    t_max = math.log(scale / (LAPLACE_QUADRATURE.tail_tol * rate_slow)) / rate_slow
-    rates = 1.0 / beta
+    # J0(0) = 1, so j0_multipliers at x = 0 is the Laplace transform of each mode's exp(-t/beta_k)
     quad_form = c2 / beta
-    res = bochner_quadrature(
-        lambda t: np.exp(-s * t) * _decay_sum(t, rates, quad_form),
-        _node_sum,
-        LAPLACE_QUADRATURE,
-        geometric_refined_edges(t_max, refine_scale=alpha / 2.0, max_width=15.0 / rate_slow),
-    )
-    return float(res.value), rhs
+    mu = j0_multipliers(0.0, s + 1.0 / beta, LAPLACE_QUADRATURE, max(1.0, float(quad_form.sum()))).value
+    return float(quad_form @ mu), rhs
 
 
 # -- backward Cauchy problem ---------------------------------------------------
@@ -553,15 +472,8 @@ def squared_bessel_h_quadrature(dec: SpectralDecomposition, f, horizon: float, t
     if rate0 + float(lam.min()) <= 0:
         raise ValidationError("need 2 (horizon - t) + lambda_min > 0")
     c2 = dec.coefficients(f) ** 2
-    scale = max(1.0, float(c2.sum()))
-    rates = lam + rate0
-    res = bochner_quadrature(
-        lambda s: bessel_j0(2.0 * np.sqrt(x * s)) * _decay_sum(s, rates, c2),
-        _node_sum,
-        H_QUADRATURE,
-        j0_decay_edges(rate0 + float(lam.min()), scale, H_QUADRATURE.tail_tol, x, 1.0 / (rate0 + float(lam.max()))),
-    )
-    return float(res.value)
+    mu = j0_multipliers(x, lam + rate0, H_QUADRATURE, max(1.0, float(c2.sum()))).value
+    return float(c2 @ mu)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .errors import (
     LengthMismatch,
     NonPositiveSigma,
     RowMassExceeded,
+    ValidationError,
     check_count,
     check_range,
 )
@@ -113,7 +114,7 @@ def build_diffusion(spec: DiffusionSpec) -> SymmetricGenerator:
         raise NonPositiveSigma("sigma must be strictly positive on the grid")
     kill = np.zeros(spec.n) if spec.kill is None else np.asarray(spec.kill(points), float)
     if np.any(kill < 0):
-        raise InvalidBoundary("killing rate must be non-negative")
+        raise ValidationError("killing rate must be non-negative")
     m_density = 2.0 / sig**2
     conduct = np.full(spec.n - 1, 1.0 / h)
     return _divergence_form(

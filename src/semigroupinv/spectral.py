@@ -34,7 +34,6 @@ from .errors import (
 SYM_TOL = 1e-10
 EIG_TOL = 1e-8
 EIG_CLAMP = 1e-12
-CLUSTER_TOL = 1e-9
 
 # Largest (times x states) table SpectralDecomposition.trajectory builds:
 # 32 MB of doubles, and about 100 MB more as trajectory CSV text.
@@ -71,11 +70,11 @@ class WeightedStateSpace:
         if self.points.size < 2:
             raise LengthMismatch("a state space needs at least 2 points")
         if not np.all(np.isfinite(self.points)):
-            raise NonPositiveWeight("points must be finite")
+            raise ValidationError("points must be finite")
         if not (np.all(np.isfinite(self.weights)) and np.all(self.weights > 0)):
             raise NonPositiveWeight("all weights must be strictly positive")
         if np.any(np.diff(self.points) <= 0):
-            raise LengthMismatch("points must be strictly increasing")
+            raise ValidationError("points must be strictly increasing")
 
     @property
     def size(self) -> int:
@@ -310,21 +309,6 @@ def resolvent_apply(dec: SpectralDecomposition, alpha: float, f) -> np.ndarray:
     return apply_function(dec, lambda lam: 1.0 / (lam + alpha), f)
 
 
-def eigenvalue_clusters(dec: SpectralDecomposition):
-    """Group mode indices whose eigenvalues lie within ``CLUSTER_TOL``."""
-    clusters = []
-    current = [0]
-    lam = dec.eigenvalues
-    for k in range(1, lam.size):
-        if lam[k] - lam[current[-1]] <= CLUSTER_TOL:
-            current.append(k)
-        else:
-            clusters.append(current)
-            current = [k]
-    clusters.append(current)
-    return clusters
-
-
 # -- CSV serialization -------------------------------------------------------
 #
 # Every CSV artifact is rendered by ``_csv_text``: LF line endings, integers
@@ -364,7 +348,7 @@ def vector_from_csv(text: str) -> tuple[WeightedStateSpace, np.ndarray]:
     reader = io.StringIO(text)
     header = reader.readline().strip()
     if header != CSV_HEADER:
-        raise LengthMismatch(f"expected header {CSV_HEADER!r}, got {header!r}")
+        raise InvalidConfig(f"expected header {CSV_HEADER!r}, got {header!r}")
     xs, ms, vs = [], [], []
     for lineno, line in enumerate(reader, start=2):
         line = line.strip()

@@ -9,7 +9,8 @@ import pytest
 from scipy.integrate import quad
 
 import semigroupinv as sg
-from semigroupinv.bessel import geometric_refined_edges, sqrt_uniform_edges
+from semigroupinv.bessel import geometric_refined_edges, i0_multipliers, j0_multipliers, sqrt_uniform_edges
+from semigroupinv.inversion import FLOW_QUADRATURE, H_QUADRATURE, I0_QUADRATURE
 
 
 def series_j0(x: float) -> float:
@@ -158,6 +159,53 @@ class TestLaplaceIdentities:
     def test_i0_identity_overflow_guard(self):
         with pytest.raises(sg.OverflowRisk):
             sg.laplace_i0_identity(100.0, 2.0)
+
+
+class TestLaplaceMultipliers:
+    """The twins' per-mode multipliers against their closed forms, mode by mode.
+
+    Each case is a twin's own setting: the flow at alpha = 1, t = 1 and h at
+    T = 1, t = 0.25, x = 0.7 (both on f = 1.3 x^2), the inverse's I0 integral
+    at a = T and the conditioning integral at a = 2 T with alpha = 1.
+    """
+
+    @pytest.fixture(params=["ou24", "ou400"])
+    def case(self, request, ou400):
+        if request.param == "ou24":
+            gen = sg.build_ou(4.0, 24, 1.0)
+            return gen, sg.spectral_decompose(gen), 0.5
+        return ou400[0], ou400[1], 0.005
+
+    def test_j0_multipliers_of_flow_and_h(self, case):
+        gen, dec, _ = case
+        f = 1.3 * gen.space.points**2
+        c2 = dec.coefficients(f) ** 2
+        lam = dec.eigenvalues
+        for x, rates, config, scale in (
+            (1.0, lam + 1.0, FLOW_QUADRATURE, max(1.0, sg.norm(gen.space, f))),
+            (0.7, lam + 1.5, H_QUADRATURE, max(1.0, float(c2.sum()))),
+        ):
+            mu = j0_multipliers(x, rates, config, scale).value
+            closed = np.exp(-x / rates) / rates
+            assert mu.shape == rates.shape
+            assert np.max(np.abs(mu - closed) / closed) <= 1e-10
+
+    def test_uncapped_i0_multipliers_of_inverse_and_conditioning(self, case):
+        _, dec, T = case
+        beta = dec.eigenvalues + 1.0
+        for a in (T, 2.0 * T):
+            mu = i0_multipliers(a, beta, I0_QUADRATURE).value
+            closed = beta * np.exp(a * beta)
+            assert np.max(np.abs(mu - closed) / closed) <= 1e-12
+
+    def test_capped_i0_multipliers_stay_below_the_closed_form(self, ou400):
+        # ou400 at T = 1: the closed forms reach e^4470, the cap keeps I0's argument at 700
+        beta = ou400[1].eigenvalues + 1.0
+        with np.errstate(over="ignore"):
+            closed = beta * np.exp(2.0 * beta)
+        mu = i0_multipliers(2.0, beta, I0_QUADRATURE, s_cap=350.0**2 / 2.0).value
+        # the low modes end inside the window and agree to rounding; the high ones are cut short
+        assert np.all(np.isfinite(mu)) and np.all(mu <= closed * (1.0 + 1e-12))
 
 
 class TestBochnerQuadrature:

@@ -169,6 +169,7 @@ class TestCommands:
         assert summary["allPassed"] is True
         assert all(c["passed"] for c in summary["checks"].values())
         assert "flowQuadratureAgreement" in summary["checks"]
+        assert summary["checks"]["flowMultiplierAgreement"]["value"] <= 1e-10
 
     def test_check_reports_skipped_flow_check(self, model_files, tmp_path):
         out = tmp_path / "out_check_ou"
@@ -180,6 +181,7 @@ class TestCommands:
         lam_max = sg.spectral_decompose(load_model_file(model_files["ou"])).lambda_max
         assert flow["lambdaMax"] == pytest.approx(lam_max, rel=1e-12)
         assert flow["lambdaMax"] > 50.0 and "exceeds 50" in flow["reason"]
+        assert summary["checks"]["flowMultiplierAgreement"] == flow
 
     def test_decompose_artifacts(self, model_files, tmp_path):
         out = tmp_path / "out_dec"
@@ -395,6 +397,17 @@ class TestVectorFileInput:
         assert error["error"] == "InvalidConfig"
         assert "line 3" in error["message"]
 
+    def test_bad_header_exits_2_like_a_bad_row(self, model_files, tmp_path):
+        vector = tmp_path / "g.csv"
+        vector.write_bytes(b"index,x,m,v\n0,-0.5,1,1\n1,0.5,1,2\n")
+        out = tmp_path / "out"
+        argv = ["invert", "--model", model_files["chain2"], "--output", str(out),
+                "--T", "1", "--g", f"csv:{vector}"]
+        assert cli_exit(argv) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "InvalidConfig"
+        assert "expected header" in error["message"]
+
     def test_undecodable_file_exits_2(self, model_files, tmp_path):
         vector = tmp_path / "g.csv"
         vector.write_bytes(b"\xff\xfe\x00index")
@@ -554,9 +567,13 @@ class TestNonFiniteAndDeepInputs:
             ({"type": "jump", "parameters": {"points": [0.0, 1.0], "weights": [0.5, 0.5], "tStar": math.nan}},
              2, "InvalidBoundary"),
             ({"type": "ou", "parameters": {"halfWidth": math.nan, "n": 8}}, 2, "InvalidBoundary"),
+            ({"type": "diffusion", "parameters": {"left": 0.0, "right": 1.0, "n": 5, "kill": "x - 0.5"}},
+             2, "ValidationError"),
+            ({"type": "jump", "parameters": {"points": [0.0, math.nan], "weights": [0.5, 0.5]}}, 2, "ValidationError"),
+            ({"type": "jump", "parameters": {"points": [1.0, 0.0], "weights": [0.5, 0.5]}}, 2, "ValidationError"),
         ],
         ids=["chain-nan", "chain-symmetrised-overflow", "diffusion-subnormal-interval", "jump-tstar-nan",
-             "ou-half-width-nan"],
+             "ou-half-width-nan", "diffusion-negative-kill", "jump-points-nan", "jump-points-decreasing"],
     )
     @pytest.mark.parametrize("command", [["decompose"], ["diagnose", "--T", "1", "--g", "x"]])
     def test_non_finite_model_is_refused(self, tmp_path, spec, code, error_name, command):
@@ -696,9 +713,9 @@ class TestPanelBudget:
     """A panel layout past the budget fails before any quadrature runs."""
 
     def test_panel_budget_exits_2(self, tmp_path, monkeypatch):
-        from semigroupinv import bessel, inversion
+        from semigroupinv import bessel
 
-        monkeypatch.setattr(inversion, "bochner_quadrature", lambda *a, **k: pytest.fail("quadrature ran"))
+        monkeypatch.setattr(bessel, "bochner_quadrature", lambda *a, **k: pytest.fail("quadrature ran"))
         model = tmp_path / "ou16.json"
         model.write_text(json.dumps({"schemaVersion": 1, "type": "ou",
                                      "parameters": {"halfWidth": 1e-3, "n": 16, "rate": 1.0}}), encoding="utf-8")
@@ -711,9 +728,9 @@ class TestPanelBudget:
 
     def test_j0_quarter_periods_past_the_budget_raise(self, chain2, monkeypatch):
         # at t = 1e10 the J0 kernel needs 640,788 quarter periods on [0, 25.3]
-        from semigroupinv import bessel, inversion
+        from semigroupinv import bessel
 
-        monkeypatch.setattr(inversion, "bochner_quadrature", lambda *a, **k: pytest.fail("quadrature ran"))
+        monkeypatch.setattr(bessel, "bochner_quadrature", lambda *a, **k: pytest.fail("quadrature ran"))
         budget = f"budget of {bessel._MAX_PANELS}"
         with pytest.raises(sg.ValidationError, match=budget):
             bessel.j0_decay_edges(1.0, 1.0, 1e-11, 1e10, 0.5)

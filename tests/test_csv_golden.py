@@ -127,7 +127,7 @@ GOLDEN_RUNS = [
     (["sweep", "--T", "0.25", "--g", "x^2", "--phi", "tikhonov_exp"], "sweep.csv",
      "eae6f41a65cdb2440fc13a1a8d28f2a4c55650663454ec6173c055d7b79690d1"),
     (["check"], "summary.json",
-     "7c9caea3987f833b4781699ae4f4706769b20d61018d0f35e06bdda8411afb9c"),
+     "b9714b786400dff0cbfa372aec65a4dfa5f69730e4ccbe5cbafa941985706d70"),
 ]
 GOLDEN_IDS = [
     "decompose", "pde", "pde-mixed", "invert", "regularise-tikhonov_exp", "regularise-constant",

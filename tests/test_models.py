@@ -55,6 +55,12 @@ class TestDiffusion:
         with pytest.raises(sg.LengthMismatch):
             sg.DiffusionSpec(left=0.0, right=1.0, n=2)
 
+    def test_rejects_negative_killing_as_plain_validation_error(self):
+        spec = sg.DiffusionSpec(left=0.0, right=1.0, n=10, kill=lambda x: x - 0.5)
+        with pytest.raises(sg.ValidationError, match="killing rate") as exc:
+            sg.build_diffusion(spec)
+        assert type(exc.value) is sg.ValidationError
+
 
 class TestOrnsteinUhlenbeck:
     def test_conservative_zero_mode(self, ou400):

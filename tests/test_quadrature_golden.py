@@ -1,19 +1,19 @@
-"""Byte identity and memory of the blocked Bochner integrands.
+"""Pins, node-block contract and memory of the Bessel twins.
 
-Every Σ_k w_k exp(-s r_k) goes through ``_decay_sum``, which evaluates it
-one row block at a time: the scalar integrands over the nodes, and the
-per-mode multipliers of ``invert_bessel`` and ``resolvent_flow_quadrature``
-(mode rates as rows, nodes as columns), which the quadrature's
-``integrand(s, w)`` returns as its node sums.  The blocks must not change
-a single bit.  The scalar twins' pins were computed from the unblocked
-``exp(-outer(s, r)) @ w`` code; the ``invert-bessel`` solution and
-summary and the flow hash from the unblocked multipliers.
+Every twin integrates its per-mode Laplace multipliers with
+``bessel.j0_multipliers`` or ``bessel.i0_multipliers``, whose node sums go
+through ``bessel._decay_sum``: the modes are rows and the nodes are taken in
+column blocks of about ``_BLOCK_CELLS`` cells.  The blocks split each mode's
+sum, so ``_decay_sum`` agrees with the unblocked ``exp(-outer(rates, s)) @ w``
+within a few ulps of the sum of absolute terms rather than bit for bit, and
+it repeats its own bits exactly.  Its memory is one block, whatever the
+node count.
 
-The bit contract holds for single-threaded BLAS.  A threaded GEMV splits
-its rows between threads at offsets that need not be multiples of 4, and
-then the unblocked product itself changes in the last bits with the thread
-count.  The bit-level checks therefore run in a child process with one
-BLAS thread, as the benchmark does.
+The pinned artifacts and hex values are those of the multiplier twins.  The
+pins hold for single-threaded BLAS: a threaded GEMV splits its rows between
+threads, which changes the last bits with the thread count.  The pins are
+therefore computed in a child process with one BLAS thread, as the
+benchmark does.
 """
 
 import json
@@ -24,33 +24,34 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import semigroupinv as sg
+from semigroupinv.bessel import _BLOCK_CELLS, _decay_sum
 
 _SRC = str(Path(sg.__file__).resolve().parent.parent)
 
 SMALL_OU = {"schemaVersion": 1, "type": "ou", "parameters": {"halfWidth": 4.0, "n": 24, "rate": 1.0}}
 
-# run/artifact -> SHA-256 of the artifact written by the unblocked code
+# run/artifact -> SHA-256 of the artifact written by the multiplier twins
 GOLDEN_ARTIFACTS = {
-    "diagnose/report.json": "46345d25ff96205076d4f33802b844445f6b6c8933899288b24e971bee6eb07c",
-    "diagnose/summary.json": "08e7df5027a047c69c0c63fb645ba4bfde37044c8caa1bceffcb6037ab60e5f4",
-    "invert-bessel/report.json": "37688da6fcf6165a8815ffc36636b847e290346582893e2bfcefcf95c9f0b344",
-    "invert-bessel/solution.csv": "d22f3a7640b9dc183f02445addb4277df7dab301963bf29cbff1c3ef91a82fb3",
-    "invert-bessel/summary.json": "a49d947117be2e6419feca13395f63158964a2d60b84ee68181d5479493f7bdc",
+    "diagnose/report.json": "8f4a549b0ca37f3fd57351efd9b438e595323ccf52d12ef91f975219607b7828",
+    "diagnose/summary.json": "d9725e2867149c468978eee6e84175d003b2e3e33db1a850cfc7bd26948ccad4",
+    "invert-bessel/report.json": "6bfb5ee478f2039b75bd9ca8e28505b97c7c5194e222cfd0f1ca5f35edba84e4",
+    "invert-bessel/solution.csv": "2a4c6f7fb052e5040e5f69fff713a179a65f4a7c584f94f2140a8b52769b778b",
+    "invert-bessel/summary.json": "1557d726b27910072cbaae997de4737a6650b7a5f7766ea1545418069a2d750c",
 }
 GOLDEN_RUNS = {
     "diagnose": ["diagnose", "--T", "1", "--g", "1.3*x^2", "--alpha", "1.5"],
     "invert-bessel": ["invert", "--T", "0.5", "--g", "1.3*x^2", "--coeff-tol", "1e-8", "--method", "bessel"],
 }
 GOLDEN_HEX = {
-    "laplace_diagnostic": ["0x1.1930734d06409p+0", "0x1.1930734d06409p+0"],
+    "laplace_diagnostic": ["0x1.1930734d06408p+0", "0x1.1930734d06409p+0"],
     "squared_bessel_h_quadrature": "0x1.53b224287531dp-1",
-    # the remaining Bessel twins, pinned while each still took a QuadratureConfig
     "resolvent_flow_quadrature": "916071f148498fbcb7910ba49db98e69e5fe5368542d45d4f14e22898a64656b",
     "laplace_j0_identity": ["0x1.78b56362cfe3ap-2", "0x1.78b56362cef38p-2"],
     "laplace_i0_identity": ["0x1.d8e64b8d4dd2ep+3", "0x1.d8e64b8d4ddaep+3"],
-    "squared_bessel_pde_check": "0x1.0ddc424800000p-23",
+    "squared_bessel_pde_check": "0x1.0d8fa8e800000p-23",
 }
 
 _PROBE = r"""
@@ -93,46 +94,6 @@ print(json.dumps({
 }))
 """
 
-_BITS_PROBE = r"""
-import json, sys
-import numpy as np
-from semigroupinv.inversion import _block_rows, _decay_sum
-
-rng = np.random.default_rng(20161)
-failures, cases = [], 0
-for n_modes in (1, 400, 2000):
-    rows = _block_rows(n_modes)
-    for n_nodes in (1, 3, 31, 32, 33, rows - 1, rows, rows + 1, 2 * rows + 1, 5 * rows + 7):
-        s = np.sort(rng.uniform(0.0, 40.0, n_nodes))
-        rates = rng.uniform(1e-3, 3.0, n_modes)
-        weights = rng.standard_normal(n_modes)
-        expected = np.exp(-np.outer(s, rates)) @ weights
-        got = _decay_sum(s, rates, weights)
-        cases += 1
-        if got.shape != expected.shape or not np.array_equal(got, expected):
-            failures.append([n_modes, n_nodes])
-print(json.dumps({"cases": cases, "failures": failures}))
-"""
-
-# The vector twins' layout: a few mode rates as rows, many nodes as columns.
-_MULTIPLIER_BITS_PROBE = r"""
-import json
-import numpy as np
-from semigroupinv.inversion import _decay_sum
-
-rng = np.random.default_rng(20162)
-failures = []
-for n_modes in (1, 3, 33, 400):
-    for n_nodes in (1025, 20001):
-        rates = np.sort(rng.uniform(1e-3, 3.0, n_modes))
-        s = rng.uniform(0.0, 40.0, n_nodes)
-        w = rng.standard_normal(n_nodes)
-        if not np.array_equal(_decay_sum(rates, s, w), np.exp(-np.outer(rates, s)) @ w):
-            failures.append([n_modes, n_nodes])
-print(json.dumps({"failures": failures}))
-"""
-
-
 def _single_thread_probe(code: str, *args: str) -> dict:
     """Run ``code`` in a fresh interpreter with one BLAS thread; parse its JSON."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -144,14 +105,34 @@ def _single_thread_probe(code: str, *args: str) -> dict:
     return json.loads(proc.stdout)
 
 
-def test_decay_sum_is_bit_identical_to_the_unblocked_product():
-    result = _single_thread_probe(_BITS_PROBE)
-    assert result["cases"] == 30
-    assert result["failures"] == []
+class TestDecaySum:
+    """``_decay_sum`` against the unblocked product, on both sides of every block edge."""
 
+    CASES = [
+        (n_modes, n_nodes)
+        for n_modes in (1, 24, 400, 2000)
+        for cols in [max(1, _BLOCK_CELLS // n_modes)]
+        for n_nodes in (1, 3, cols - 1, cols, cols + 1, 5 * cols + 7, 20001)
+    ]
 
-def test_per_mode_multipliers_are_bit_identical_to_the_unblocked_product():
-    assert _single_thread_probe(_MULTIPLIER_BITS_PROBE)["failures"] == []
+    @staticmethod
+    def _draw(n_modes, n_nodes):
+        rng = np.random.default_rng(20161 + 7 * n_modes + n_nodes)
+        return rng.uniform(1e-3, 3.0, n_modes), np.sort(rng.uniform(0.0, 40.0, n_nodes)), rng.standard_normal(n_nodes)
+
+    @pytest.mark.parametrize("n_modes, n_nodes", CASES)
+    def test_agrees_with_the_unblocked_product_to_8_ulps(self, n_modes, n_nodes):
+        """|blocked - unblocked| <= 8 eps sum_j |w_j| exp(-r s_j); the worst of these cases is 2.1 eps."""
+        rates, s, w = self._draw(n_modes, n_nodes)
+        terms = np.exp(-np.outer(rates, s))
+        got = _decay_sum(rates, s, w)
+        assert got.shape == (n_modes,)
+        assert np.all(np.abs(got - terms @ w) <= 8 * np.finfo(float).eps * (terms @ np.abs(w)))
+
+    @pytest.mark.parametrize("n_modes, n_nodes", [(1, 40000), (24, 6832), (400, 20001)])
+    def test_repeat_calls_are_bit_identical(self, n_modes, n_nodes):
+        rates, s, w = self._draw(n_modes, n_nodes)
+        assert np.array_equal(_decay_sum(rates, s, w), _decay_sum(rates, s, w))
 
 
 def test_conditioning_artifacts_and_integrals_are_pinned(tmp_path):
@@ -167,7 +148,7 @@ def test_invert_bessel_memory_does_not_grow_with_nodes_times_modes(ou400):
     """All 400 modes of random(3) are active at T = 0.005 (lambda_max T = 11.2).
 
     A nodes x modes field would take 364 MB here; the per-mode multipliers
-    need one ``_decay_sum`` block of 32 modes x nodes.
+    need one ``_decay_sum`` block of 400 modes x 81 nodes.
     """
     gen, dec = ou400
     g = np.random.default_rng(3).standard_normal(gen.size)  # the CLI's random(3)
@@ -195,3 +176,25 @@ def test_conditioning_report_memory_does_not_grow_with_nodes_times_modes(ou400):
         tracemalloc.stop()
     assert np.isfinite(report.membership_quadrature)
     assert peak < 32 * 2**20
+
+
+def test_invert_bessel_memory_is_bounded_by_the_node_block():
+    """ou n=400 on [-1, 1] (lambda_max 8.0e4) at T = 19/lambda_max, all modes active.
+
+    The I0 window takes 6357 panels, 407k nodes after one halving: a block of
+    32 modes x nodes took 117 MB here, a nodes x modes field would take 1.3 GB.
+    What is left is the node arrays themselves.
+    """
+    gen = sg.build_ou(1.0, 400, 1.0)
+    dec = sg.spectral_decompose(gen)
+    g = np.random.default_rng(3).standard_normal(gen.size)  # the CLI's random(3)
+    problem = sg.InverseProblem(dec, 19.0 / dec.lambda_max, g)
+    tracemalloc.start()
+    try:
+        f = sg.invert_bessel(problem, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    exact = sg.invert_spectral(problem)
+    assert sg.norm(gen.space, f - exact) <= 1e-12 * sg.norm(gen.space, exact)
+    assert peak <= 48 * 2**20

@@ -9,6 +9,20 @@ from scipy.integrate import quad
 import semigroupinv as sg
 from conftest import expm_2state
 
+# Eigenvalues this close count as one degenerate eigenspace.
+CLUSTER_TOL = 1e-9
+
+
+def eigenvalue_clusters(lam):
+    """Group the indices of sorted eigenvalues that lie within ``CLUSTER_TOL`` of their neighbour."""
+    clusters = [[0]]
+    for k in range(1, lam.size):
+        if lam[k] - lam[clusters[-1][-1]] <= CLUSTER_TOL:
+            clusters[-1].append(k)
+        else:
+            clusters.append([k])
+    return clusters
+
 
 class TestWeightedSpace:
     def test_two_point_uniform_mass(self):
@@ -29,8 +43,15 @@ class TestWeightedSpace:
             sg.build_space([0.0], [1.0])
 
     def test_rejects_decreasing_points(self):
-        with pytest.raises(sg.LengthMismatch):
+        with pytest.raises(sg.ValidationError, match="strictly increasing") as exc:
             sg.build_space([1.0, 0.0], [1.0, 1.0])
+        assert type(exc.value) is sg.ValidationError
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(sg.ValidationError, match="finite") as exc:
+            sg.build_space([0.0, bad], [1.0, 1.0])
+        assert type(exc.value) is sg.ValidationError
 
     def test_gaussian_weighted_grid(self):
         # speed-measure space of the mean-reverting diffusion at rate 1
@@ -187,7 +208,7 @@ class TestApplyFunction:
         f = rng.standard_normal(4)
         baseline = sg.apply_function(dec, lambda lam: np.exp(-2.0 * lam), f)
         vectors = dec.eigenvectors.copy()
-        for cluster in sg.eigenvalue_clusters(dec):
+        for cluster in eigenvalue_clusters(dec.eigenvalues):
             if len(cluster) < 2:
                 continue
             theta = rng.uniform(0, 2 * np.pi)
