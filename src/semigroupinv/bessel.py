@@ -29,7 +29,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import OverflowRisk, QuadratureNotConverged, ValidationError, check_range
+from .errors import MAX_EXPONENT, OverflowRisk, QuadratureNotConverged, ValidationError, check_budget, check_range
 
 # J0 regimes: the 0-centered series keeps both its error AND the error's
 # point-to-point decorrelation at ~eps * I0(x); anchored local Taylor
@@ -40,7 +40,6 @@ _J0_SERIES_END = 3.65
 _J0_SEAMS = (5.45, 7.45, 9.45, 11.45)
 _J0_ASYMPTOTIC_START = 13.0
 _I0_SERIES_END = 15.0
-_I0_OVERFLOW = 700.0
 
 # J0 and J1 at the local-Taylor anchors, 25 significant digits.
 _J0_ANCHORS = {
@@ -122,12 +121,13 @@ def _j0_asymptotic(x: np.ndarray) -> np.ndarray:
 def bessel_j0(x):
     """Bessel function of the first kind, order zero; |error| <= 1e-12.
 
-    Negative arguments use the even extension.  Accepts scalars or arrays.
+    Negative arguments use the even extension.  Accepts scalars or arrays;
+    NaN maps to NaN.
     """
     arr = np.abs(np.asarray(x, dtype=float))
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
+    out = np.full_like(arr, np.nan)  # NaN falls in no regime below
 
     m = arr <= _J0_SERIES_END
     if np.any(m):
@@ -146,17 +146,17 @@ def bessel_j0(x):
 def bessel_i0(x):
     """Modified Bessel function of the first kind, order zero.
 
-    Relative error <= 1e-12.  Raises :class:`OverflowRisk` instead of
-    returning inf once exp(x) leaves double range (x > 700).
+    Relative error <= 1e-12; NaN maps to NaN.  Raises :class:`OverflowRisk`
+    instead of returning inf once exp(x) leaves double range (x > ``errors.MAX_EXPONENT``).
     """
     arr = np.abs(np.asarray(x, dtype=float))
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if np.any(arr > _I0_OVERFLOW):
+    if np.any(arr > MAX_EXPONENT):
         big = float(arr.max())
         log10 = (big - 0.5 * np.log(2.0 * np.pi * big)) / np.log(10.0)
         raise OverflowRisk(f"I0({big:g}) exceeds double range", log10_value=log10)
-    out = np.empty_like(arr)
+    out = np.full_like(arr, np.nan)  # NaN falls in no regime below
 
     m = arr <= _I0_SERIES_END
     if np.any(m):
@@ -319,13 +319,6 @@ def bochner_quadrature(
     return QuadratureResult(value, err, tail, n_nodes)
 
 
-def _panel_budget(panels: float) -> float:
-    """``panels``, or :class:`ValidationError` when it is over ``_MAX_PANELS``."""
-    if panels > _MAX_PANELS:
-        raise ValidationError(f"the quadrature needs {panels:.0f} panels, over the budget of {_MAX_PANELS}")
-    return panels
-
-
 def geometric_refined_edges(
     s_max: float,
     refine_scale: float,
@@ -348,7 +341,7 @@ def geometric_refined_edges(
         pts.add(s)
         s *= 2.0
     if quarter_u is not None and quarter_u > 0:
-        _panel_budget(np.ceil(np.sqrt(s_max) / quarter_u))
+        check_budget("J0 quarter periods", np.ceil(np.sqrt(s_max) / quarter_u), _MAX_PANELS)
         j = 1
         while (j * quarter_u) ** 2 < s_max:
             pts.add((j * quarter_u) ** 2)
@@ -375,7 +368,8 @@ def sqrt_uniform_edges(s_max: float, scale: float) -> np.ndarray:
     check_range("s_max", s_max)
     check_range("scale", scale)
     u_max = np.sqrt(s_max)
-    panels = _panel_budget(np.ceil(u_max / (0.5 * math.sqrt(scale))))
+    panels = np.ceil(u_max / (0.5 * math.sqrt(scale)))
+    check_budget("I0 panels uniform in sqrt(s)", panels, _MAX_PANELS)
     edges = np.linspace(0.0, u_max, max(1, int(panels)) + 1) ** 2
     return np.unique(np.concatenate([edges, geometric_refined_edges(s_max, scale / 4.0)]))
 

@@ -83,7 +83,8 @@ SCHEMA_VERSION = 1
 _FLOW_CHECK_LAMBDA_MAX = 50.0
 
 # Most states of any model (grid cells, chain weights, jump points): 128 MB
-# per dense n x n matrix, ~8 s of eigh.
+# per dense n x n matrix; spectral_decompose of ou at 4000 states took ~17 s,
+# nearly all eigh (one OpenBLAS thread, 2-core Xeon).
 _MAX_STATES = 4000
 
 # Deepest nesting of parentheses and exp( an expression may use, which keeps
@@ -145,7 +146,8 @@ class _Parser:
         self.depth = 0
 
     def parse(self) -> np.ndarray:
-        value = self._expr()
+        with np.errstate(over="ignore", invalid="ignore"):  # every caller refuses an inf or NaN value
+            value = self._expr()
         tok, pos = self.tok.peek()
         if tok is not None:
             raise ExpressionParseError(f"unexpected {tok[1]!r}", pos)

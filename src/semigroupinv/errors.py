@@ -2,7 +2,8 @@
 
 Validation failures (bad inputs, malformed specs) and numerical failures
 (overflow of exponential amplification, non-converged quadrature) are kept
-in separate branches so the CLI can map them to distinct exit codes.
+in separate branches so the CLI can map them to distinct exit codes.  Every
+module shares the checks here: ranges, counts, the exponent limit, budgets.
 """
 
 import math
@@ -152,3 +153,29 @@ def check_count(name, value, low, *, error=ValidationError) -> int:
         raise error(f"{name} must be an integer, got {value!r}") from None
     check_range(name, count, low, closed=True, error=error)
     return count
+
+
+# -- numerical limits ---------------------------------------------------------
+
+# Largest exponent x whose exp(x) is taken: e^700 ~ 1e304, inside double range.
+MAX_EXPONENT = 700.0
+
+# Largest (times x states) table a trajectory or the Picard iterates build:
+# 32 MB of doubles, and about 100 MB more as trajectory CSV text.
+MAX_TRAJECTORY_CELLS = 4_000_000
+
+
+def check_exponent(exponent: float, message: str) -> None:
+    """Raise :class:`OverflowRisk` with ``message`` unless exponent <= ``MAX_EXPONENT`` (NaN raises)."""
+    if not exponent <= MAX_EXPONENT:
+        raise OverflowRisk(message, log10_value=exponent / math.log(10.0))
+
+
+def check_budget(what: str, count, budget: int) -> None:
+    """Raise ``ValidationError("<count> <what> exceed the budget of <budget>")`` past ``budget``.
+
+    A float count (a panel count, possibly inf) is shown without decimals.
+    """
+    if count > budget:
+        shown = f"{count:.0f}" if isinstance(count, float) else count
+        raise ValidationError(f"{shown} {what} exceed the budget of {budget}")

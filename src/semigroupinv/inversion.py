@@ -21,18 +21,20 @@ import numpy as np
 
 from .bessel import LAPLACE_QUADRATURE, QuadratureConfig, i0_multipliers, j0_multipliers
 from .errors import (
+    MAX_EXPONENT,
+    MAX_TRAJECTORY_CELLS,
     ConditioningCapExceeded,
     LengthMismatch,
     NonPositiveAlpha,
-    OverflowRisk,
     ValidationError,
+    check_budget,
     check_count,
+    check_exponent,
     check_range,
 )
-from .spectral import _MAX_TRAJECTORY_CELLS, SpectralDecomposition, norm
+from .spectral import SpectralDecomposition, norm
 
 _LN10 = math.log(10.0)
-_MAX_EXPONENT = 700.0  # exp() stays inside double range below this
 
 # Relative coefficient floor: modes of g below coeff_tol * ||g|| carry no
 # usable information and are excluded from inversion (their amplified images
@@ -54,10 +56,8 @@ H_QUADRATURE = QuadratureConfig(tail_tol=1e-13, points_per_panel=32)
 # Trapezoid nodes per unit time of the Picard iterates.
 PICARD_POINTS_PER_UNIT = 2000
 
-# Central-difference residual the ``pde`` time grid is sized for, and the
-# most steps the grid may take.
+# Central-difference residual the ``pde`` time grid is sized for.
 PDE_RESIDUAL_TARGET = 1e-4
-_MAX_TIME_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -83,42 +83,29 @@ class ConditioningReport:
     """How ill-conditioned the inversion of g at horizon T is.
 
     ``lambda_max`` is the largest eigenvalue carrying non-negligible
-    g-energy; ``amplification`` = exp(lambda_max T) is the worst per-mode
-    blow-up of the inverse.  ``membership_spectral`` is the exact value of
-    the criterion sum; its quadrature twin is the truncated Bessel integral,
-    which increases to the spectral value as s_max grows.  Linear fields are
-    inf when the value exceeds double range; the log10 fields always hold
-    the magnitude.
+    g-energy; exp(lambda_max T) = 10^``amplification_log10`` is the worst
+    per-mode blow-up of the inverse, and 10^``membership_spectral_log10`` the
+    criterion sum.  Its quadrature twin ``membership_quadrature`` (inf past
+    double range) increases to the spectral value as s_max grows.
     """
 
     lambda_max: float
-    amplification: float
     amplification_log10: float
-    membership_spectral: float
     membership_spectral_log10: float
     membership_quadrature: float
     flag: str
 
     def to_json_dict(self) -> dict:
-        """The report's JSON fields; a zero membership value (log10 -inf) is written as null."""
+        """The report's JSON fields; a zero membership (log10 -inf) or an infinite twin is written as null."""
         spectral_log10 = self.membership_spectral_log10
+        quadrature = self.membership_quadrature
         return {
             "lambdaMax": self.lambda_max,
             "amplificationLog10": self.amplification_log10,
             "membershipSpectralLog10": spectral_log10 if math.isfinite(spectral_log10) else None,
-            "membershipQuadrature": self.membership_quadrature,
+            "membershipQuadrature": quadrature if math.isfinite(quadrature) else None,
             "flag": self.flag,
         }
-
-
-def _guard_exponent(exponent: float, message: str) -> None:
-    """Raise :class:`OverflowRisk` with ``message`` when exp(exponent) leaves double range."""
-    if exponent > _MAX_EXPONENT:
-        raise OverflowRisk(message, log10_value=exponent / _LN10)
-
-
-def _exp_or_inf(x: float) -> float:
-    return math.exp(x) if x <= _MAX_EXPONENT else math.inf
 
 
 def _flow_multipliers(lam: np.ndarray, alpha: float, t: float) -> np.ndarray:
@@ -178,7 +165,7 @@ def invert_spectral(problem: InverseProblem, coeff_tol: float = COEFF_TOL) -> np
     if not idx.size:
         return np.zeros(dec.size)
     message = f"inverse amplification exp({lam_max:.6g} * {T:g}) exceeds double range"
-    _guard_exponent(lam_max * T, message)
+    check_exponent(lam_max * T, message)
     amplified = np.zeros(dec.size)
     amplified[idx] = np.exp(dec.eigenvalues[idx] * T) * c[idx]
     return dec.synthesize(amplified)
@@ -231,39 +218,33 @@ def conditioning_report(problem: InverseProblem, alpha: float) -> ConditioningRe
     c, _, lam_max = _energy_active(dec, g, COEFF_TOL)
     lam = dec.eigenvalues
 
-    amp_log10 = lam_max * T / _LN10
-    amplification = _exp_or_inf(lam_max * T)
-
     # log-sum-exp of ln terms 2T(l+a) + ln c^2, in natural log
     with np.errstate(divide="ignore"):
         ln_terms = 2.0 * T * (lam + alpha) + 2.0 * np.log(np.abs(c))
     ln_terms = ln_terms[np.isfinite(ln_terms)]
     if ln_terms.size == 0:
         spectral_log10 = -math.inf
-        spectral = 0.0
     else:
         peak = float(ln_terms.max())
-        ln_sum = peak + math.log(float(np.exp(ln_terms - peak).sum()))
-        spectral_log10 = ln_sum / _LN10
-        spectral = _exp_or_inf(ln_sum)
+        spectral_log10 = (peak + math.log(float(np.exp(ln_terms - peak).sum()))) / _LN10
 
     beta = lam + alpha
     # keep both the I0 argument and the integrand inside double range
-    s_cap = (0.5 * _MAX_EXPONENT) ** 2 / (2.0 * T)
+    s_cap = (0.5 * MAX_EXPONENT) ** 2 / (2.0 * T)
     mu = i0_multipliers(2.0 * T, beta, I0_QUADRATURE, s_cap).value
-    membership_quadrature = float(c * c / beta @ mu)
+    with np.errstate(over="ignore"):  # c^2 past double range: the twin is inf, written as null
+        membership_quadrature = float(c * c / beta @ mu)
 
-    if amplification >= SEVERE_AMPLIFICATION:
+    exponent = lam_max * T
+    if exponent >= math.log(SEVERE_AMPLIFICATION):
         flag = "severe"
-    elif amplification >= WARNING_AMPLIFICATION:
+    elif exponent >= math.log(WARNING_AMPLIFICATION):
         flag = "warning"
     else:
         flag = "ok"
     return ConditioningReport(
         lambda_max=lam_max,
-        amplification=amplification,
-        amplification_log10=amp_log10,
-        membership_spectral=spectral,
+        amplification_log10=exponent / _LN10,
         membership_spectral_log10=spectral_log10,
         membership_quadrature=membership_quadrature,
         flag=flag,
@@ -305,18 +286,14 @@ def picard_resolvent_flow(
     trapezoid rule on a uniform grid; ``PICARD_POINTS_PER_UNIT`` keeps the
     discretisation bias well below the Picard bound through n ~ 10.
     The n_iter + 1 tables of times x states may hold at most
-    ``_MAX_TRAJECTORY_CELLS`` cells in all, else :class:`ValidationError`.
+    ``errors.MAX_TRAJECTORY_CELLS`` cells in all, else :class:`ValidationError`.
     """
     check_range("alpha", alpha, error=NonPositiveAlpha)
     check_range("t", t)
     check_count("n_iter", n_iter, 0)
     n_points = max(2, int(round(PICARD_POINTS_PER_UNIT * t)) + 1)
-    cells = (n_iter + 1) * n_points * dec.size
-    if cells > _MAX_TRAJECTORY_CELLS:
-        raise ValidationError(
-            f"{n_iter + 1} Picard iterates x {n_points} times x {dec.size} states = {cells} cells"
-            f" exceed the budget of {_MAX_TRAJECTORY_CELLS}"
-        )
+    tables = f"{n_iter + 1} iterates x {n_points} times x {dec.size} states"
+    check_budget(f"Picard cells ({tables})", (n_iter + 1) * n_points * dec.size, MAX_TRAJECTORY_CELLS)
     s = np.linspace(0.0, t, n_points)
     ds = s[1] - s[0]
     u_mult = 1.0 / (dec.eigenvalues + alpha)
@@ -383,19 +360,15 @@ def backward_time_grid(horizon: float, lam_max: float) -> np.ndarray:
 
     The FD residual of the mode growing like exp(lambda t) scales as
     lambda^3 h^2 / 6; the step targets a tenth of ``PDE_RESIDUAL_TARGET``
-    for the stiffest mode, with at least 200 steps.  A grid of more than
-    ``_MAX_TIME_STEPS`` steps raises :class:`ValidationError`.
+    for the stiffest mode, with at least 200 steps.  More steps than the cell budget of
+    a 2-state space, ``MAX_TRAJECTORY_CELLS // 2`` = 2,000,000, raise :class:`ValidationError`.
     """
     check_range("horizon", horizon)
     check_range("lam_max", lam_max, closed=True)
     lam = max(float(lam_max), 1.0)
     h = math.sqrt(0.6 * PDE_RESIDUAL_TARGET / lam**3)
     n_steps = max(200, math.ceil(horizon / h))
-    if n_steps > _MAX_TIME_STEPS:
-        raise ValidationError(
-            f"the time grid for lambda_max {lam_max:.6g} on [0, {horizon:g}] needs {n_steps} steps,"
-            f" over the cap of {_MAX_TIME_STEPS}"
-        )
+    check_budget(f"time steps (lambda_max {lam_max:.6g} on [0, {horizon:g}])", n_steps, MAX_TRAJECTORY_CELLS // 2)
     return np.linspace(0.0, horizon, n_steps + 1)
 
 
@@ -404,8 +377,9 @@ def _time_grid(t_grid, horizon: float, rate_max: float | None = None) -> np.ndar
 
     A given grid is refused unless it is 1-D and every time is finite and
     in [0, horizon], so a trajectory evaluates only where its guard holds.
+    Without ``rate_max`` a grid is required: None reads as a 0-d NaN and is refused.
     """
-    if t_grid is None:
+    if t_grid is None and rate_max is not None:
         return backward_time_grid(horizon, rate_max)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or not np.all(np.isfinite(t_grid) & (t_grid >= 0) & (t_grid <= horizon)):
@@ -428,7 +402,7 @@ def solve_backward_cauchy(
     dec = problem.decomposition
     T = problem.horizon
     c, idx, lam_max = _energy_active(dec, problem.observed, coeff_tol)
-    _guard_exponent(lam_max * T, f"backward solution reaches exp({lam_max * T:.6g})")
+    check_exponent(lam_max * T, f"backward solution reaches exp({lam_max * T:.6g})")
     t_grid = _time_grid(t_grid, T, lam_max)
     values = dec.trajectory(dec.eigenvalues[idx], t_grid, c[idx], modes=idx)
     return BackwardTrajectory(t_grid, values)

@@ -22,9 +22,9 @@ from .errors import (
     RowMassExceeded,
     ValidationError,
     check_count,
+    check_exponent,
     check_range,
 )
-from .inversion import _guard_exponent
 from .spectral import SymmetricGenerator, WeightedStateSpace, build_space
 
 _BOUNDARIES = ("dirichlet", "neumann")
@@ -154,7 +154,7 @@ def ou_witness_pair(rate: float) -> tuple[Callable[[np.ndarray], np.ndarray], Ca
     raises :class:`OverflowRisk`: e^(2 rate) would leave double range.
     """
     check_range("rate", rate, error=InvalidBoundary)
-    _guard_exponent(2.0 * rate, f"f needs exp(2 rate) = exp({2.0 * rate:.6g}), beyond double range")
+    check_exponent(2.0 * rate, f"f needs exp(2 rate) = exp({2.0 * rate:.6g}), beyond double range")
     e2r = np.exp(2.0 * rate)
     offset = (e2r - 1.0) / (2.0 * rate)
 

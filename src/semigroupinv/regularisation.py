@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePhi, ValidationError, check_range
+from .errors import DegeneratePhi, ValidationError, check_exponent, check_range
 from .inversion import (
-    _guard_exponent,
     _time_grid,
     BackwardTrajectory,
     InverseProblem,
@@ -260,7 +259,7 @@ def mixture_invert(model: MixtureModel, t: float, g) -> np.ndarray:
     """
     mult = mixture_multipliers(model, t)
     bound = t - math.log(model.gamma)
-    _guard_exponent(bound, f"mixture inverse norm bound exp(t)/gamma = exp({bound:.6g}) exceeds double range")
+    check_exponent(bound, f"mixture inverse norm bound exp(t)/gamma = exp({bound:.6g}) exceeds double range")
     dec = model.decomposition
     # a division, not dec.apply(1.0 / mult, g): 1/mult rounds once more
     return dec.synthesize(dec.coefficients(g) / mult)
@@ -286,7 +285,7 @@ def regularised_pide_solve(
     rates = w * lam + (1.0 - w) * (1.0 - np.exp(-model.t_star * lam))
     rate_max = float(rates.max())
     growth = rate_max * horizon
-    _guard_exponent(growth, f"mixed backward growth exp({growth:.6g}) exceeds double range")
+    check_exponent(growth, f"mixed backward growth exp({growth:.6g}) exceeds double range")
     t_grid = _time_grid(t_grid, horizon, rate_max)
     c = dec.coefficients(np.asarray(g, float))
     return BackwardTrajectory(t_grid, dec.trajectory(rates, t_grid, c))

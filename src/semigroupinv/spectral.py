@@ -17,6 +17,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import (
+    MAX_TRAJECTORY_CELLS,
     InvalidConfig,
     LengthMismatch,
     NegativeEigenvalue,
@@ -27,6 +28,7 @@ from .errors import (
     NotMSymmetric,
     OverflowRisk,
     ValidationError,
+    check_budget,
     check_range,
 )
 
@@ -34,10 +36,6 @@ from .errors import (
 SYM_TOL = 1e-10
 EIG_TOL = 1e-8
 EIG_CLAMP = 1e-12
-
-# Largest (times x states) table SpectralDecomposition.trajectory builds:
-# 32 MB of doubles, and about 100 MB more as trajectory CSV text.
-_MAX_TRAJECTORY_CELLS = 4_000_000
 
 
 def _as_readonly(a) -> np.ndarray:
@@ -129,14 +127,16 @@ def check_m_symmetry(matrix, space: WeightedStateSpace) -> float:
     """Largest relative asymmetry of the weighted matrix m_i A_ij.
 
     Returns max_ij |m_i A_ij - m_j A_ji| / max(|m_i A_ij|, |m_j A_ji|, 1).
-    Zero means exactly m-symmetric.  Diagnostic only: never raises.
+    Zero means exactly m-symmetric, and NaN means some m_i A_ij leaves
+    double range.  Diagnostic only: never raises.
     """
     a = np.asarray(matrix, dtype=float)
     if a.shape != (space.size, space.size):
         raise LengthMismatch(f"matrix shape {a.shape} on a space of size {space.size}")
-    w = a * space.weights[:, None]
-    scale = np.maximum(np.maximum(np.abs(w), np.abs(w.T)), 1.0)
-    return float(np.max(np.abs(w - w.T) / scale))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = a * space.weights[:, None]
+        scale = np.maximum(np.maximum(np.abs(w), np.abs(w.T)), 1.0)
+        return float(np.max(np.abs(w - w.T) / scale))
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ class SymmetricGenerator:
     """An m-symmetric rate matrix A with -A non-negative definite in L2(m).
 
     ``symmetry_residual`` is :func:`check_m_symmetry` of the matrix, measured
-    once here and at most ``SYM_TOL``.
+    once here and at most ``SYM_TOL``; a NaN residual raises :class:`OverflowRisk`.
     """
 
     space: WeightedStateSpace
@@ -160,6 +160,8 @@ class SymmetricGenerator:
         if not np.all(np.isfinite(self.matrix)):
             raise ValidationError("generator matrix must be finite")
         residual = check_m_symmetry(self.matrix, self.space)
+        if math.isnan(residual):
+            raise OverflowRisk("the weighted generator m_i A_ij leaves double range")
         if not residual <= SYM_TOL:
             raise NotMSymmetric(
                 f"m-symmetry residual {residual:.3e} exceeds tolerance {SYM_TOL:.1e}"
@@ -239,14 +241,10 @@ class SpectralDecomposition:
     def trajectory(self, rates, times, coeffs, modes=slice(None)) -> np.ndarray:
         """Rows sum_k exp(rates_k t) coeffs_k phi_k over the ``modes``, one per time t.
 
-        Raises :class:`ValidationError` past ``_MAX_TRAJECTORY_CELLS``.
+        Raises :class:`ValidationError` past ``errors.MAX_TRAJECTORY_CELLS``.
         """
         cells = len(times) * self.size
-        if cells > _MAX_TRAJECTORY_CELLS:
-            raise ValidationError(
-                f"trajectory of {len(times)} times x {self.size} states = {cells} cells"
-                f" exceeds the budget of {_MAX_TRAJECTORY_CELLS}"
-            )
+        check_budget(f"trajectory cells ({len(times)} times x {self.size} states)", cells, MAX_TRAJECTORY_CELLS)
         return (np.exp(np.outer(times, rates)) * coeffs) @ self.eigenvectors[:, modes].T
 
 

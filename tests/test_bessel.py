@@ -89,6 +89,13 @@ class TestPointValues:
         assert zero == pytest.approx(2.404825557695773, abs=1e-12)
         assert abs(sg.bessel_j0(zero)) <= 1e-10
 
+    @pytest.mark.parametrize("bessel", [sg.bessel_j0, sg.bessel_i0])
+    def test_nan_maps_to_nan(self, bessel):
+        # a NaN entry falls in no regime, so its output must not be left uninitialised
+        values = bessel(np.array([math.nan] * 64 + [1.0]))
+        assert np.all(np.isnan(values[:-1])) and values[-1] == bessel(1.0)
+        assert math.isnan(bessel(math.nan))
+
     def test_i0_overflow_guard(self):
         with pytest.raises(sg.OverflowRisk) as exc:
             sg.bessel_i0(710.0)

@@ -514,7 +514,8 @@ class TestBudgets:
         assert cli_exit(argv) == 2
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "ValidationError"
-        assert "needs 3408884 steps, over the cap of 2000000" in error["message"]
+        assert error["message"].startswith("3408884 time steps (lambda_max ")
+        assert error["message"].endswith(" on [0, 0.25]) exceed the budget of 2000000")
         assert not (out / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("kind", ["ou", "diffusion"])
@@ -563,6 +564,8 @@ class TestNonFiniteAndDeepInputs:
              2, "ValidationError"),
             ({"type": "chain", "parameters": {"matrix": [[-1e308, 1e308], [1e308, -1e308]], "weights": [1.0, 1.0]}},
              3, "OverflowRisk"),
+            ({"type": "chain", "parameters": {"matrix": [[-1e300, 1e300], [1e300, -1e300]], "weights": [1e10, 1e10]}},
+             3, "OverflowRisk"),
             ({"type": "diffusion", "parameters": {"left": 0.0, "right": 1e-310, "n": 5}}, 2, "ValidationError"),
             ({"type": "jump", "parameters": {"points": [0.0, 1.0], "weights": [0.5, 0.5], "tStar": math.nan}},
              2, "InvalidBoundary"),
@@ -572,8 +575,8 @@ class TestNonFiniteAndDeepInputs:
             ({"type": "jump", "parameters": {"points": [0.0, math.nan], "weights": [0.5, 0.5]}}, 2, "ValidationError"),
             ({"type": "jump", "parameters": {"points": [1.0, 0.0], "weights": [0.5, 0.5]}}, 2, "ValidationError"),
         ],
-        ids=["chain-nan", "chain-symmetrised-overflow", "diffusion-subnormal-interval", "jump-tstar-nan",
-             "ou-half-width-nan", "diffusion-negative-kill", "jump-points-nan", "jump-points-decreasing"],
+        ids=["chain-nan", "chain-symmetrised-overflow", "chain-weighted-overflow", "diffusion-subnormal-interval",
+             "jump-tstar-nan", "ou-half-width-nan", "diffusion-negative-kill", "jump-points-nan", "jump-points-decreasing"],
     )
     @pytest.mark.parametrize("command", [["decompose"], ["diagnose", "--T", "1", "--g", "x"]])
     def test_non_finite_model_is_refused(self, tmp_path, spec, code, error_name, command):
@@ -724,15 +727,15 @@ class TestPanelBudget:
                          "--T", "1e-11", "--g", "random(1)"]) == 2
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "ValidationError"
-        assert f"budget of {bessel._MAX_PANELS}" in error["message"]
+        assert error["message"] == f"119509 I0 panels uniform in sqrt(s) exceed the budget of {bessel._MAX_PANELS}"
 
     def test_j0_quarter_periods_past_the_budget_raise(self, chain2, monkeypatch):
         # at t = 1e10 the J0 kernel needs 640,788 quarter periods on [0, 25.3]
         from semigroupinv import bessel
 
         monkeypatch.setattr(bessel, "bochner_quadrature", lambda *a, **k: pytest.fail("quadrature ran"))
-        budget = f"budget of {bessel._MAX_PANELS}"
-        with pytest.raises(sg.ValidationError, match=budget):
+        budget = f"J0 quarter periods exceed the budget of {bessel._MAX_PANELS}"
+        with pytest.raises(sg.ValidationError, match=f"640788 {budget}"):
             bessel.j0_decay_edges(1.0, 1.0, 1e-11, 1e10, 0.5)
         _, dec = chain2
         with pytest.raises(sg.ValidationError, match=budget):
@@ -779,6 +782,21 @@ class TestStrictJsonArtifacts:
         assert cli_exit(argv) == 0
         for name in ("report.json", "summary.json"):
             assert strict_json(out / name)["membershipSpectralLog10"] is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["diagnose", "--T", "1", "--g", "1e200"], ["invert", "--T", "0.01", "--g", "1e300", "--method", "bessel"]],
+        ids=["diagnose", "invert-bessel"],
+    )
+    def test_membership_quadrature_past_double_range_is_null(self, tmp_path, argv):
+        model = tmp_path / "ou8.json"
+        model.write_text(json.dumps({"schemaVersion": 1, "type": "ou",
+                                     "parameters": {"halfWidth": 3, "n": 8, "rate": 1}}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_exit(argv + ["--model", str(model), "--output", str(out)]) == 0
+        report = strict_json(out / "report.json")
+        assert report["membershipQuadrature"] is None and report["membershipSpectralLog10"] > 308
+        assert strict_json(out / "summary.json").get("membershipQuadrature", None) is None
 
     def test_infinite_log10_is_left_out_of_error_json(self, tmp_path):
         model = tmp_path / "ou8.json"

@@ -98,7 +98,7 @@ class TestConditioningReport:
         problem = sg.InverseProblem(dec, 1.0, phi0)
         report = sg.conditioning_report(problem, 1.0)
         # single zero mode: sum = e^(2 T alpha) ||g||^2 = e^2
-        assert report.membership_spectral == pytest.approx(math.exp(2.0), rel=1e-10)
+        assert report.membership_spectral_log10 == pytest.approx(2.0 / math.log(10.0), rel=1e-10)
         assert report.lambda_max == 0.0
         assert report.flag == "ok"
 
@@ -108,9 +108,9 @@ class TestConditioningReport:
         report = sg.conditioning_report(problem, 1.0)
         expected = (math.exp(2.0) + math.exp(4.0)) / 2.0
         assert expected == pytest.approx(30.993603066037444, abs=1e-12)
-        assert report.membership_spectral == pytest.approx(expected, rel=1e-9)
+        assert 10.0 ** report.membership_spectral_log10 == pytest.approx(expected, rel=1e-9)
         assert report.membership_quadrature == pytest.approx(expected, rel=1e-6)
-        assert report.amplification == pytest.approx(math.e, rel=1e-12)
+        assert report.amplification_log10 == pytest.approx(math.log10(math.e), rel=1e-12)
 
     def test_membership_lower_bound(self, jump30):
         # sum_k e^(2T(l+a)) c_k^2 >= e^(2Ta) ||g||^2
@@ -120,7 +120,7 @@ class TestConditioningReport:
         problem = sg.InverseProblem(dec, 0.7, g)
         report = sg.conditioning_report(problem, 1.3)
         bound = math.exp(2 * 0.7 * 1.3) * sg.norm(gen.space, g) ** 2
-        assert report.membership_spectral >= bound * (1 - 1e-12)
+        assert report.membership_spectral_log10 >= math.log10(bound * (1 - 1e-12))
 
     def test_quadrature_increases_to_spectral(self, chain2):
         _, dec = chain2
@@ -152,14 +152,25 @@ class TestConditioningReport:
         problem = sg.InverseProblem(dec, 1.0, g)
         report = sg.conditioning_report(problem, 1.0)
         assert report.flag == "severe"
-        assert math.isinf(report.membership_spectral)  # beyond double range
+        assert report.membership_spectral_log10 > 308  # beyond double range
         assert report.membership_spectral_log10 == pytest.approx(
             2.0 * (dec.lambda_max + 1.0) / math.log(10.0), rel=1e-6
         )
-        assert report.amplification > 1e12
         assert report.amplification_log10 == pytest.approx(
             dec.lambda_max / math.log(10.0), rel=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "threshold, below, at",
+        [(sg.inversion.WARNING_AMPLIFICATION, "ok", "warning"),
+         (sg.inversion.SEVERE_AMPLIFICATION, "warning", "severe")],
+    )
+    def test_flag_grades_lambda_max_t_at_the_log_of_each_threshold(self, chain2, threshold, below, at):
+        # g = (1, 0) carries mode 1 (lambda = 1), so lambda_max * T = T
+        _, dec = chain2
+        edge = math.log(threshold)
+        for horizon, flag in ((math.nextafter(edge, 0.0), below), (edge, at)):
+            assert sg.conditioning_report(sg.InverseProblem(dec, horizon, np.array([1.0, 0.0])), 1.0).flag == flag
 
     def test_json_field_contract(self, chain2):
         _, dec = chain2

@@ -1,6 +1,7 @@
 """Scalar parameter ranges: ``errors.check_range`` and ``check_count``, every
 public entry point against non-finite and out-of-range scalars, integer
-counts, overflow and step caps, caller time grids, the Picard budget, and
+counts, the shared limits ``check_exponent`` and ``check_budget``, overflow
+and step caps, caller time grids, the Picard budget, and
 the required parameters of the ``make_phi`` families.
 """
 
@@ -11,8 +12,7 @@ import pytest
 
 import semigroupinv as sg
 from semigroupinv import bessel
-from semigroupinv.errors import check_count, check_range
-from semigroupinv.spectral import _MAX_TRAJECTORY_CELLS
+from semigroupinv.errors import MAX_TRAJECTORY_CELLS, check_budget, check_count, check_exponent, check_range
 
 NAN, INF = math.nan, math.inf
 POSITIVE = (NAN, INF, -INF, -1.0, 0.0)  # out of range for a parameter > 0
@@ -50,6 +50,22 @@ class TestCheckRange:
     def test_raises_the_given_class(self):
         with pytest.raises(sg.NonPositiveAlpha):
             check_range("alpha", NAN, error=sg.NonPositiveAlpha)
+
+
+class TestSharedLimits:
+    def test_check_exponent_passes_the_limit_and_refuses_past_it_or_nan(self):
+        check_exponent(700.0, "fits")
+        for exponent in (math.nextafter(700.0, INF), NAN):
+            with pytest.raises(sg.OverflowRisk, match="^past"):
+                check_exponent(exponent, "past")
+
+    def test_check_budget_passes_the_budget_and_refuses_one_more(self):
+        check_budget("cells", 10, 10)
+        with pytest.raises(sg.ValidationError) as exc:
+            check_budget("cells", 11, 10)
+        assert str(exc.value) == "11 cells exceed the budget of 10"
+        with pytest.raises(sg.ValidationError, match="^inf panels exceed the budget of 10$"):
+            check_budget("panels", INF, 10)
 
 
 def _problem(dec, horizon=1.0):
@@ -231,7 +247,8 @@ class TestOverflowAndCaps:
         assert np.all(np.isfinite(f(np.array([0.0, 1.0]))))
 
     def test_time_grid_past_the_step_cap_is_refused(self):
-        with pytest.raises(sg.ValidationError, match="needs 129099444874 steps, over the cap of 2000000"):
+        assert MAX_TRAJECTORY_CELLS // 2 == 2_000_000  # the cell budget of a 2-state space
+        with pytest.raises(sg.ValidationError, match=r"^129099444874 time steps .* exceed the budget of 2000000$"):
             sg.backward_time_grid(1.0, 1e6)
         assert sg.backward_time_grid(1.0, 1.0).size == 201
 
@@ -246,6 +263,11 @@ class TestCallerTimeGrids:
             sg.solve_backward_cauchy(_problem(dec), t_grid=t_grid)
         with pytest.raises(sg.ValidationError, match="t_grid"):
             sg.regularised_pide_solve(_mixture(dec), F, 1.0, t_grid=t_grid)
+
+    def test_resolvent_cauchy_needs_a_grid(self, chain2):
+        _, dec = chain2
+        with pytest.raises(sg.ValidationError, match="^t_grid needs"):
+            sg.solve_resolvent_cauchy(dec, 1.0, F, None)
 
     @pytest.mark.parametrize("t_grid", [[0.0, NAN], [0.0, INF], [-1.0, 0.5], 0.5])
     def test_resolvent_cauchy_refuses_non_finite_or_negative_grids(self, chain2, t_grid):
@@ -269,7 +291,8 @@ class TestPicardBudget:
         _, dec = chain2
         monkeypatch.setattr(inversion.np, "linspace", lambda *a, **k: pytest.fail("grid was built"))
         # 2001 times x 2 states per table: 1000 iterates are 4.0M cells
-        with pytest.raises(sg.ValidationError, match=f"budget of {_MAX_TRAJECTORY_CELLS}"):
+        message = r"4006002 Picard cells \(1001 iterates x 2001 times x 2 states\) exceed the budget of 4000000"
+        with pytest.raises(sg.ValidationError, match=message):
             sg.picard_resolvent_flow(dec, 1.0, F, 1.0, 1000)
         with pytest.raises(sg.ValidationError, match="cells"):
             sg.picard_resolvent_flow(dec, 1.0, F, 1e6, 0)
@@ -277,7 +300,7 @@ class TestPicardBudget:
     def test_run_inside_the_budget(self, chain2):
         _, dec = chain2
         cells = 998 * 2001 * 2
-        assert cells <= _MAX_TRAJECTORY_CELLS
+        assert cells <= MAX_TRAJECTORY_CELLS
         assert len(sg.picard_resolvent_flow(dec, 1.0, F, 1.0, 997).trajectories) == 998
 
 

@@ -240,12 +240,14 @@ class TestApplyAndTrajectory:
             assert row == pytest.approx(dec.synthesize(amplified), rel=1e-12, abs=1e-12)
 
     def test_trajectory_budget(self, ou400):
-        from semigroupinv.spectral import _MAX_TRAJECTORY_CELLS
+        from semigroupinv.errors import MAX_TRAJECTORY_CELLS
 
         _, dec = ou400
-        rows = _MAX_TRAJECTORY_CELLS // dec.size
+        rows = MAX_TRAJECTORY_CELLS // dec.size
         assert dec.trajectory(np.zeros(1), np.zeros(rows), np.ones(1), modes=[0]).shape == (rows, dec.size)
-        with pytest.raises(sg.ValidationError, match="exceeds the budget"):
+        cells = (rows + 1) * dec.size
+        message = rf"{cells} trajectory cells \({rows + 1} times x 400 states\) exceed the budget of 4000000"
+        with pytest.raises(sg.ValidationError, match=message):
             dec.trajectory(np.zeros(1), np.zeros(rows + 1), np.ones(1), modes=[0])
 
 
