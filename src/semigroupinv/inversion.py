@@ -360,15 +360,16 @@ def backward_time_grid(horizon: float, lam_max: float) -> np.ndarray:
 
     The FD residual of the mode growing like exp(lambda t) scales as
     lambda^3 h^2 / 6; the step targets a tenth of ``PDE_RESIDUAL_TARGET``
-    for the stiffest mode, with at least 200 steps.  More steps than the cell budget of
-    a 2-state space, ``MAX_TRAJECTORY_CELLS // 2`` = 2,000,000, raise :class:`ValidationError`.
+    for the stiffest mode, with at least 200 steps.  A grid of more times (steps + 1)
+    than the cell budget of a 2-state space, ``MAX_TRAJECTORY_CELLS // 2`` = 2,000,000,
+    raises :class:`ValidationError`, so every grid it returns fits a 2-state trajectory.
     """
     check_range("horizon", horizon)
     check_range("lam_max", lam_max, closed=True)
     lam = max(float(lam_max), 1.0)
     h = math.sqrt(0.6 * PDE_RESIDUAL_TARGET / lam**3)
     n_steps = max(200, math.ceil(horizon / h))
-    check_budget(f"time steps (lambda_max {lam_max:.6g} on [0, {horizon:g}])", n_steps, MAX_TRAJECTORY_CELLS // 2)
+    check_budget(f"grid times (lambda_max {lam_max:.6g} on [0, {horizon:g}])", n_steps + 1, MAX_TRAJECTORY_CELLS // 2)
     return np.linspace(0.0, horizon, n_steps + 1)
 
 

@@ -37,6 +37,17 @@ SYM_TOL = 1e-10
 EIG_TOL = 1e-8
 EIG_CLAMP = 1e-12
 
+# Fewest states at which spectral_decompose hands a tridiagonal generator to
+# LAPACK's stevd (scipy) instead of the dense eigh.  Both end in the same
+# divide and conquer (dsyevd is dsytrd + dstedc, and dsytrd leaves a
+# tridiagonal matrix as it is), so the bits agree.  The first stevd call pays
+# for importing scipy.linalg (about 0.33 s and 28 MB).  A fresh process's
+# first ou decomposition, dense vs stevd with that import (one OpenBLAS
+# thread, 2-core Xeon, three runs each): n=1000 0.24-0.28 vs 0.27-0.33 s and
+# 79 vs 89 MB peak; n=1200 0.44-0.52 vs 0.29-0.41 s, 99 vs 103 MB; n=1500
+# 0.82-0.86 vs 0.34-0.51 s, 137 vs 129 MB.
+TRIDIAGONAL_MIN_STATES = 1200
+
 
 def _as_readonly(a) -> np.ndarray:
     out = np.array(a, dtype=float)
@@ -123,20 +134,44 @@ def norm(space: WeightedStateSpace, f) -> float:
     return _root_sum_squares(lambda v: float(np.sqrt(np.dot(v * v, space.weights))), f)
 
 
+def _tridiagonal_bands(a: np.ndarray):
+    """``(lower, diagonal, upper)`` views of square ``a`` when it has no other nonzero entry, else None.
+
+    Counts nonzeros, which allocates no n x n array (NaN counts as nonzero).
+    """
+    bands = np.diagonal(a, -1), np.diagonal(a), np.diagonal(a, 1)
+    if np.count_nonzero(a) != sum(map(np.count_nonzero, bands)):
+        return None
+    return bands
+
+
+def _asymmetry(w: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+    """|w - w_t| / max(|w|, |w_t|, 1), entry by entry."""
+    return np.abs(w - w_t) / np.maximum(np.maximum(np.abs(w), np.abs(w_t)), 1.0)
+
+
 def check_m_symmetry(matrix, space: WeightedStateSpace) -> float:
     """Largest relative asymmetry of the weighted matrix m_i A_ij.
 
     Returns max_ij |m_i A_ij - m_j A_ji| / max(|m_i A_ij|, |m_j A_ji|, 1).
     Zero means exactly m-symmetric, and NaN means some m_i A_ij leaves
-    double range.  Diagnostic only: never raises.
+    double range.  Diagnostic only: never raises.  A tridiagonal matrix is
+    measured on its three diagonals, every other entry being 0; the
+    diagonal's own term is 0, or NaN once m_i A_ii overflows.
     """
     a = np.asarray(matrix, dtype=float)
     if a.shape != (space.size, space.size):
         raise LengthMismatch(f"matrix shape {a.shape} on a space of size {space.size}")
+    m = space.weights
+    bands = _tridiagonal_bands(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        w = a * space.weights[:, None]
-        scale = np.maximum(np.maximum(np.abs(w), np.abs(w.T)), 1.0)
-        return float(np.max(np.abs(w - w.T) / scale))
+        if bands is None:
+            w = a * m[:, None]
+            return float(np.max(_asymmetry(w, w.T)))
+        lower, diag, upper = bands
+        w_diag = diag * m
+        off = np.max(_asymmetry(upper * m[:-1], lower * m[1:]))
+        return float(np.maximum(off, np.max(_asymmetry(w_diag, w_diag))))
 
 
 @dataclass(frozen=True)
@@ -257,15 +292,34 @@ def spectral_decompose(gen: SymmetricGenerator) -> SpectralDecomposition:
     spectral radius (at least ``EIG_CLAMP``) are snapped to exactly zero;
     anything below ``-EIG_TOL`` relative is an invalid generator.  A
     transformed matrix that leaves double range raises :class:`OverflowRisk`.
+    A tridiagonal generator (``ou``, ``diffusion``) of at least
+    ``TRIDIAGONAL_MIN_STATES`` states is solved on its two bands by
+    ``scipy.linalg.eigh_tridiagonal(..., lapack_driver="stevd")``, with the
+    same bits as the dense ``eigh``.
     """
-    m = gen.space.weights
-    sqrt_m = np.sqrt(m)
+    sqrt_m = np.sqrt(gen.space.weights)
+    bands = _tridiagonal_bands(gen.matrix) if gen.size >= TRIDIAGONAL_MIN_STATES else None
     with np.errstate(over="ignore", invalid="ignore"):
-        sym = (-gen.matrix) * (sqrt_m[:, None] / sqrt_m[None, :])
-        sym = 0.5 * (sym + sym.T)
-    if not np.all(np.isfinite(sym)):
+        if bands is None:
+            sym = (-gen.matrix) * (sqrt_m[:, None] / sqrt_m[None, :])
+            sym = 0.5 * (sym + sym.T)
+            finite = np.all(np.isfinite(sym))
+        else:
+            # the dense sym's diagonal and lower band, the entries eigh reads;
+            # an entry off the bands is 0 * s_i/s_j, NaN once s_max/s_min overflows
+            lower, diag, upper = bands
+            d = (-diag) * (sqrt_m / sqrt_m)
+            d = 0.5 * (d + d)
+            e = 0.5 * ((-lower) * (sqrt_m[1:] / sqrt_m[:-1]) + (-upper) * (sqrt_m[:-1] / sqrt_m[1:]))
+            finite = np.all(np.isfinite(d)) and np.all(np.isfinite(e)) and np.isfinite(sqrt_m.max() / sqrt_m.min())
+    if not finite:
         raise OverflowRisk("the symmetrised generator M^(1/2) (-A) M^(-1/2) leaves double range")
-    lam, vecs = np.linalg.eigh(sym)
+    if bands is None:
+        lam, vecs = np.linalg.eigh(sym)
+    else:
+        from scipy.linalg import eigh_tridiagonal
+
+        lam, vecs = eigh_tridiagonal(d, e, lapack_driver="stevd")
     scale = max(1.0, float(np.abs(lam).max()))
     if lam[0] < -EIG_TOL * scale:
         raise NegativeEigenvalue(
@@ -274,7 +328,8 @@ def spectral_decompose(gen: SymmetricGenerator) -> SpectralDecomposition:
     lam = lam.copy()
     lam[np.abs(lam) <= EIG_CLAMP * scale] = 0.0
     lam[lam < 0.0] = 0.0
-    phi = vecs / sqrt_m[:, None]
+    # C order whatever the solver's: the coefficient GEMVs' bits depend on the layout
+    phi = np.divide(vecs, sqrt_m[:, None], order="C")
     return SpectralDecomposition(gen.space, lam, phi)
 
 

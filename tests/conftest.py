@@ -1,9 +1,17 @@
 """Shared model fixtures: small hand-checkable chains and desk-scale grids."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import semigroupinv as sg
+
+_SRC = str(Path(sg.__file__).resolve().parent.parent)
 
 
 @pytest.fixture(scope="session")
@@ -96,3 +104,17 @@ def rk4(rhs, y0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[i + 1] = y
     return out
+
+
+def single_thread_probe(code: str, *args: str) -> dict:
+    """Run ``code`` in a fresh interpreter with one BLAS thread; parse its JSON.
+
+    Bit-level pins hold for single-threaded BLAS only, as the benchmark runs it.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)

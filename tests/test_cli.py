@@ -508,13 +508,13 @@ class TestBudgets:
         assert not (out / "trajectory.csv").exists()
 
     def test_time_step_cap_exits_2(self, model_files, tmp_path):
-        # the same lambda_max over T = 0.25 needs 3408884 steps, past the 2M-step cap
+        # the same lambda_max over T = 0.25 needs 3408884 steps (3408885 times), past the 2M-time cap
         out = tmp_path / "out"
         argv = ["pde", "--model", model_files["ou"], "--output", str(out), "--T", "0.25", "--g", "x^2"]
         assert cli_exit(argv) == 2
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "ValidationError"
-        assert error["message"].startswith("3408884 time steps (lambda_max ")
+        assert error["message"].startswith("3408885 grid times (lambda_max ")
         assert error["message"].endswith(" on [0, 0.25]) exceed the budget of 2000000")
         assert not (out / "trajectory.csv").exists()
 
@@ -566,6 +566,9 @@ class TestNonFiniteAndDeepInputs:
              3, "OverflowRisk"),
             ({"type": "chain", "parameters": {"matrix": [[-1e300, 1e300], [1e300, -1e300]], "weights": [1e10, 1e10]}},
              3, "OverflowRisk"),
+            ({"type": "diffusion", "parameters": {"left": 0.0, "right": 1.0, "n": 8, "sigma": "1e-5", "kill": "1e300",
+                                                  "boundaryLeft": "dirichlet", "boundaryRight": "dirichlet"}},
+             3, "OverflowRisk"),
             ({"type": "diffusion", "parameters": {"left": 0.0, "right": 1e-310, "n": 5}}, 2, "ValidationError"),
             ({"type": "jump", "parameters": {"points": [0.0, 1.0], "weights": [0.5, 0.5], "tStar": math.nan}},
              2, "InvalidBoundary"),
@@ -575,7 +578,8 @@ class TestNonFiniteAndDeepInputs:
             ({"type": "jump", "parameters": {"points": [0.0, math.nan], "weights": [0.5, 0.5]}}, 2, "ValidationError"),
             ({"type": "jump", "parameters": {"points": [1.0, 0.0], "weights": [0.5, 0.5]}}, 2, "ValidationError"),
         ],
-        ids=["chain-nan", "chain-symmetrised-overflow", "chain-weighted-overflow", "diffusion-subnormal-interval",
+        ids=["chain-nan", "chain-symmetrised-overflow", "chain-weighted-overflow", "diffusion-weighted-diagonal-overflow",
+             "diffusion-subnormal-interval",
              "jump-tstar-nan", "ou-half-width-nan", "diffusion-negative-kill", "jump-points-nan", "jump-points-decreasing"],
     )
     @pytest.mark.parametrize("command", [["decompose"], ["diagnose", "--T", "1", "--g", "x"]])

@@ -13,6 +13,7 @@ import pytest
 import semigroupinv as sg
 from semigroupinv import bessel
 from semigroupinv.errors import MAX_TRAJECTORY_CELLS, check_budget, check_count, check_exponent, check_range
+from semigroupinv.inversion import PDE_RESIDUAL_TARGET
 
 NAN, INF = math.nan, math.inf
 POSITIVE = (NAN, INF, -INF, -1.0, 0.0)  # out of range for a parameter > 0
@@ -248,9 +249,19 @@ class TestOverflowAndCaps:
 
     def test_time_grid_past_the_step_cap_is_refused(self):
         assert MAX_TRAJECTORY_CELLS // 2 == 2_000_000  # the cell budget of a 2-state space
-        with pytest.raises(sg.ValidationError, match=r"^129099444874 time steps .* exceed the budget of 2000000$"):
+        with pytest.raises(sg.ValidationError, match=r"^129099444875 grid times .* exceed the budget of 2000000$"):
             sg.backward_time_grid(1.0, 1e6)
         assert sg.backward_time_grid(1.0, 1.0).size == 201
+
+    def test_the_largest_admitted_grid_fits_a_two_state_trajectory(self, chain2):
+        _, dec = chain2
+        budget = MAX_TRAJECTORY_CELLS // 2
+        h = math.sqrt(0.6 * PDE_RESIDUAL_TARGET)  # the step at lambda_max <= 1
+        grid = sg.backward_time_grid((budget - 1.5) * h, 1.0)  # budget - 1 steps
+        assert grid.size == budget
+        assert dec.trajectory(-dec.eigenvalues, grid, np.ones(2)).shape == (budget, 2)
+        with pytest.raises(sg.ValidationError, match=rf"^{budget + 1} grid times .* exceed the budget of {budget}$"):
+            sg.backward_time_grid((budget - 0.5) * h, 1.0)  # one step more
 
 
 class TestCallerTimeGrids:

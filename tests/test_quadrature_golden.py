@@ -17,19 +17,14 @@ benchmark does.
 """
 
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import semigroupinv as sg
+from conftest import single_thread_probe
 from semigroupinv.bessel import _BLOCK_CELLS, _decay_sum
-
-_SRC = str(Path(sg.__file__).resolve().parent.parent)
 
 SMALL_OU = {"schemaVersion": 1, "type": "ou", "parameters": {"halfWidth": 4.0, "n": 24, "rate": 1.0}}
 
@@ -94,17 +89,6 @@ print(json.dumps({
 }))
 """
 
-def _single_thread_probe(code: str, *args: str) -> dict:
-    """Run ``code`` in a fresh interpreter with one BLAS thread; parse its JSON."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, check=False
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
 class TestDecaySum:
     """``_decay_sum`` against the unblocked product, on both sides of every block edge."""
 
@@ -138,7 +122,7 @@ class TestDecaySum:
 def test_conditioning_artifacts_and_integrals_are_pinned(tmp_path):
     model = tmp_path / "ou24.json"
     model.write_text(json.dumps(SMALL_OU), encoding="utf-8")
-    result = _single_thread_probe(_PROBE, str(model), str(tmp_path / "out"), json.dumps(GOLDEN_RUNS))
+    result = single_thread_probe(_PROBE, str(model), str(tmp_path / "out"), json.dumps(GOLDEN_RUNS))
     for key, sha256 in GOLDEN_ARTIFACTS.items():
         assert result["sha256"][key] == sha256, key
     assert result["hex"] == GOLDEN_HEX

@@ -7,7 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 import semigroupinv as sg
-from conftest import expm_2state
+from conftest import expm_2state, single_thread_probe
+from semigroupinv import spectral
+from semigroupinv.spectral import TRIDIAGONAL_MIN_STATES, _tridiagonal_bands
 
 # Eigenvalues this close count as one degenerate eigenspace.
 CLUSTER_TOL = 1e-9
@@ -352,3 +354,97 @@ class TestCsvSerialization:
         assert np.array_equal(space2.weights, gen.space.weights)
         # 17 significant digits re-serialize byte-identically
         assert sg.vector_to_csv(space2, values2) == text
+
+
+_BAND_PROBE = r"""
+import json
+import numpy as np
+import semigroupinv as sg
+from semigroupinv import spectral
+
+def killed(n):
+    return sg.build_diffusion(sg.DiffusionSpec(
+        0.0, 1.0, n, sigma=lambda x: 1.0 + 0.5 * x, kill=lambda x: np.full_like(x, 0.2),
+        boundary_left="dirichlet", boundary_right="dirichlet"))
+
+models = {
+    "ou8": lambda: sg.build_ou(6.0, 8, 1.0),
+    "ou400": lambda: sg.build_ou(6.0, 400, 1.0),
+    "ou2000": lambda: sg.build_ou(6.0, 2000, 1.0),
+    "killed2000": lambda: killed(2000),
+    "laplacian400": lambda: sg.build_diffusion(sg.DiffusionSpec(0.0, np.pi, 400)),
+}
+threshold = spectral.TRIDIAGONAL_MIN_STATES
+out = {}
+for name, build in models.items():
+    gen = build()
+    spectral.TRIDIAGONAL_MIN_STATES = gen.size + 1
+    dense = sg.spectral_decompose(gen)
+    # the default threshold for the large models, 0 for the small ones
+    spectral.TRIDIAGONAL_MIN_STATES = threshold if gen.size >= threshold else 0
+    band = sg.spectral_decompose(gen)
+    spectral.TRIDIAGONAL_MIN_STATES = threshold
+    w = gen.matrix * gen.space.weights[:, None]
+    residual = np.max(np.abs(w - w.T) / np.maximum(np.maximum(np.abs(w), np.abs(w.T)), 1.0))
+    out[name] = {
+        "eigenvalues": dense.eigenvalues.tobytes() == band.eigenvalues.tobytes(),
+        "eigenvectors": dense.eigenvectors.tobytes() == band.eigenvectors.tobytes(),
+        "c_order": bool(band.eigenvectors.flags.c_contiguous),
+        "residual": [float(residual).hex(), gen.symmetry_residual.hex()],
+    }
+print(json.dumps(out))
+"""
+
+_SCIPY_PROBE = r"""
+import json, sys
+import semigroupinv as sg
+for n in (400, 1000):
+    sg.spectral_decompose(sg.build_ou(6.0, n, 1.0))
+print(json.dumps({"scipy": "scipy" in sys.modules}))
+"""
+
+
+class TestTridiagonalPath:
+    """Tridiagonal generators are checked on their bands and solved by ``stevd``, with the dense bits.
+
+    The identity holds because dense ``eigh`` (``dsyevd``) ends in the same
+    ``dstedc`` as ``stevd``; no golden pin covers a model past
+    ``TRIDIAGONAL_MIN_STATES``, so a numpy, scipy or BLAS upgrade that
+    breaks it fails here.
+    """
+
+    def test_band_path_has_the_bits_of_dense_eigh(self):
+        result = single_thread_probe(_BAND_PROBE)
+        assert set(result) == {"ou8", "ou400", "ou2000", "killed2000", "laplacian400"}
+        for name, same in result.items():
+            assert same["eigenvalues"] and same["eigenvectors"] and same["c_order"], name
+            dense_residual, band_residual = same["residual"]
+            assert band_residual == dense_residual, name
+
+    def test_models_below_the_threshold_do_not_import_scipy(self):
+        assert 1000 < TRIDIAGONAL_MIN_STATES
+        assert single_thread_probe(_SCIPY_PROBE) == {"scipy": False}
+
+    def test_bands_only_for_a_matrix_without_other_entries(self):
+        a = np.diag([1.0, 2.0, 3.0]) + np.diag([4.0, 5.0], 1) + np.diag([6.0, 7.0], -1)
+        lower, diag, upper = _tridiagonal_bands(a)
+        assert list(lower) == [6.0, 7.0] and list(diag) == [1.0, 2.0, 3.0] and list(upper) == [4.0, 5.0]
+        for entry in (1.0, math.nan, -0.0):
+            b = a.copy()
+            b[0, 2] = entry
+            assert (_tridiagonal_bands(b) is None) == (entry != 0.0)
+
+    @pytest.mark.parametrize(
+        "matrix, weights",
+        [
+            ([[-1e308, 1e308], [1e308, -1e308]], [1.0, 1.0]),  # 0.5 (x + x) overflows on both bands
+            (np.zeros((3, 3)), [1e308, 1.0, 5e-324]),  # 0 * s_0/s_2 = NaN off the bands
+        ],
+        ids=["band-entry", "off-band-ratio"],
+    )
+    @pytest.mark.parametrize("threshold", [0, 10**9], ids=["band", "dense"])
+    def test_overflowing_symmetrised_entry_raises(self, monkeypatch, matrix, weights, threshold):
+        monkeypatch.setattr(spectral, "TRIDIAGONAL_MIN_STATES", threshold)
+        gen = sg.build_chain(matrix, weights)
+        with pytest.raises(sg.OverflowRisk, match="leaves double range"):
+            sg.spectral_decompose(gen)
