@@ -10,21 +10,24 @@ Every Bessel twin of the library integrates, mode by mode, one of two
 Laplace transforms with composite Gauss-Legendre panels:
 
 - :func:`j0_multipliers`: mu_k = int J0(2 sqrt(x s)) e^(-r_k s) ds = e^(-x/r_k) / r_k,
-  on J0 quarter periods until the slowest decay falls below the tail tolerance;
+  on J0 quarter periods until the slowest decay falls below the tail tolerance.
+  The slowest mode's decay rides in the weight with the kernel, and each mode
+  integrates the rest of its decay, which is at most 1, through ``_decay_sum``
+  with the modes as rows and the nodes taken in blocks of about
+  ``_BLOCK_CELLS`` cells.
 - :func:`i0_multipliers`: mu_k = int I0(2 sqrt(a s)) e^(-s/beta_k) ds = beta_k e^(a beta_k),
-  on panels uniform in sqrt(s) across the widest bell.
+  each mode over its own envelope window in u = sqrt(s), on the same few
+  panels mapped to every window, with the modes taken in blocks of about
+  ``_BLOCK_CELLS`` cells.
 
-The slowest mode's decay rides in the weight with the kernel, and each mode
-integrates the rest of its decay, which is at most 1.  The node sums go
-through ``_decay_sum`` with the modes as rows and the nodes taken in blocks of
-about ``_BLOCK_CELLS`` cells, so a quadrature's memory beside its node arrays is
-one block, however many nodes it needs.
+So a quadrature's memory beside its node arrays is one block, however many
+nodes or modes it needs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,7 +42,10 @@ from .errors import MAX_EXPONENT, OverflowRisk, QuadratureNotConverged, Validati
 _J0_SERIES_END = 3.65
 _J0_SEAMS = (5.45, 7.45, 9.45, 11.45)
 _J0_ASYMPTOTIC_START = 13.0
-_I0_SERIES_END = 15.0
+# I0 regimes: the 60-term series of positive terms stays within 2e-15
+# relative up to x = 20 (and beyond); the 25-term asymptotic sum is within
+# 3.2e-16 from x = 20 on, but off by 1.9e-14 at 16 and 3.9e-13 at 14.
+_I0_SERIES_END = 20.0
 
 # J0 and J1 at the local-Taylor anchors, 25 significant digits.
 _J0_ANCHORS = {
@@ -151,7 +157,12 @@ def bessel_i0(x):
     """
     arr = np.abs(np.asarray(x, dtype=float))
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    out = _i0(np.atleast_1d(arr), scaled=False)
+    return float(out[0]) if scalar else out
+
+
+def _i0(arr: np.ndarray, scaled: bool) -> np.ndarray:
+    """I0 of the non-negative ``arr``, or I0(x) exp(-x) when ``scaled``; the same range guard."""
     if np.any(arr > MAX_EXPONENT):
         big = float(arr.max())
         log10 = (big - 0.5 * np.log(2.0 * np.pi * big)) / np.log(10.0)
@@ -166,15 +177,15 @@ def bessel_i0(x):
         for k in range(1, 60):
             term = term * q / (k * k)
             acc = acc + term
-        out[m] = acc
+        out[m] = acc * np.exp(-arr[m]) if scaled else acc
     m = arr > _I0_SERIES_END
     if np.any(m):
         z = arr[m]
         s = np.zeros_like(z)
         for k in range(_I0_ASYMPT_TERMS - 1, -1, -1):
             s = s / z + _I0_B[k]
-        out[m] = np.exp(z) / np.sqrt(2.0 * np.pi * z) * s
-    return float(out[0]) if scalar else out
+        out[m] = s / np.sqrt(2.0 * np.pi * z) if scaled else np.exp(z) / np.sqrt(2.0 * np.pi * z) * s
+    return out
 
 
 # -- composite Gauss-Legendre Bochner quadrature ------------------------------
@@ -210,18 +221,27 @@ class QuadratureResult:
     error_estimate: float
     tail_bound: Optional[float]
     n_nodes: int
+    refinements: int
 
 
 # Panel halvings bochner_quadrature tries before giving up.
 _REFINEMENTS = 3
 
-# Most panels an edge builder lays out: uniform panels in sqrt(s), or J0
-# quarter periods.  The I0 window of a large lambda_max at a small T, or a
-# J0 kernel at a large t, asks for more, and every node vector grows with it.
+# Most J0 quarter periods an edge builder lays out.  A J0 kernel at a large t
+# asks for more, and every node vector grows with it.
 _MAX_PANELS = 16384
 
-# Cells (rates x nodes) of one _decay_sum block: a 256 KB temporary, L2-sized.
+# Cells (modes x nodes) of one _decay_sum or I0 window block: a 256 KB
+# temporary, L2-sized.
 _BLOCK_CELLS = 32768
+
+# Equal panels on each mode's I0 window before the first halving.
+_I0_WINDOW_PANELS = 4
+
+# e-folds an I0 window runs past ln(1/tail_tol).  A window that starts at
+# u = 0 cuts off the tail of 2u exp(-u^2/beta), e^-L of the mode: so
+# e^-8 tail_tol = 3.4e-16 at a tail_tol of 1e-12, below rounding.
+_I0_WINDOW_MARGIN = 8.0
 
 _LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -289,7 +309,8 @@ def bochner_quadrature(
     sum, a scalar or one value per component.  Panels are split in half
     until two successive evaluations agree within tail_tol (absolute, relative to a
     unit scale), at most ``_REFINEMENTS`` times, else
-    :class:`QuadratureNotConverged` is raised.  When the caller knows the
+    :class:`QuadratureNotConverged` is raised; the result's ``refinements``
+    counts the halvings run.  When the caller knows the
     integrand is dominated by ``tail_amplitude * exp(-tail_rate s)``, the
     reported truncation bound is ``tail_amplitude * exp(-tail_rate * s_max)
     / tail_rate`` with s_max the last breakpoint.
@@ -300,7 +321,7 @@ def bochner_quadrature(
 
     value, n_nodes = _integrate(weight, integrand, edges, config.points_per_panel)
     err = np.inf
-    for _ in range(_REFINEMENTS):
+    for refinements in range(1, _REFINEMENTS + 1):
         edges = _split_edges(edges)
         refined, n_nodes = _integrate(weight, integrand, edges, config.points_per_panel)
         err = float(np.max(np.abs(refined - value)))
@@ -316,7 +337,7 @@ def bochner_quadrature(
     if tail_rate is not None and tail_rate > 0:
         amp = 1.0 if tail_amplitude is None else tail_amplitude
         tail = amp * np.exp(-tail_rate * edges[-1]) / tail_rate
-    return QuadratureResult(value, err, tail, n_nodes)
+    return QuadratureResult(value, err, tail, n_nodes, refinements)
 
 
 def geometric_refined_edges(
@@ -354,34 +375,6 @@ def geometric_refined_edges(
             pieces.append(np.linspace(a, b, k + 1)[1:])
         edges = np.concatenate(pieces)
     return edges
-
-
-def sqrt_uniform_edges(s_max: float, scale: float) -> np.ndarray:
-    """I0 panel edges for a bell exp(2 sqrt(a s) - s/beta) of width ``scale``.
-
-    The bell is Gaussian in u = sqrt(s), so the edges sit at
-    s = (j u_width)^2 with u_width = sqrt(scale) / 2, plus geometric edges
-    from scale / 16 upward (:func:`geometric_refined_edges` at refine scale
-    scale / 4) that resolve the fastest-decaying modes of a vector field.
-    More than ``_MAX_PANELS`` uniform panels raise :class:`ValidationError`.
-    """
-    check_range("s_max", s_max)
-    check_range("scale", scale)
-    u_max = np.sqrt(s_max)
-    panels = np.ceil(u_max / (0.5 * math.sqrt(scale)))
-    check_budget("I0 panels uniform in sqrt(s)", panels, _MAX_PANELS)
-    edges = np.linspace(0.0, u_max, max(1, int(panels)) + 1) ** 2
-    return np.unique(np.concatenate([edges, geometric_refined_edges(s_max, scale / 4.0)]))
-
-
-def i0_window_end(a: float, beta: float, tail_tol: float) -> float:
-    """End of the bell envelope exp(2 sqrt(a s) - s/beta).
-
-    The exponent peaks at s* = a beta^2 with value a beta; the window runs
-    until the envelope has dropped ``tail_tol`` below the peak.
-    """
-    drop = math.log(1.0 / tail_tol) + a * beta
-    return a * beta**2 * (1.0 + math.sqrt(drop / max(a * beta, 1e-12))) ** 2
 
 
 def j0_decay_edges(rate: float, scale: float, tail_tol: float, t: float, refine_scale: float) -> np.ndarray:
@@ -423,21 +416,57 @@ def j0_multipliers(x: float, rates, config: QuadratureConfig, scale: float = 1.0
 
 
 def i0_multipliers(a: float, betas, config: QuadratureConfig, s_cap: float = math.inf) -> QuadratureResult:
-    """mu_k = integral_0^inf I0(2 sqrt(a s)) exp(-s/beta_k) ds for every beta_k > 0.
+    """mu_k = integral_0^s_cap I0(2 sqrt(a s)) exp(-s/beta_k) ds for every beta_k > 0.
 
-    Closed form beta_k exp(a beta_k).  The window runs to the end of the
-    widest bell (:func:`i0_window_end` at max(beta)), clipped at ``s_cap``;
-    the panels, uniform in sqrt(s), are scaled to the narrowest bell.
+    Closed form beta_k exp(a beta_k) when s_cap = inf.  In u = sqrt(s) the
+    integrand is 2u I0(2 sqrt(a) u) e^(-u^2/beta_k), whose exponent
+    2 sqrt(a) u - u^2/beta_k peaks at u*_k = sqrt(a) beta_k.  Each mode is
+    integrated over its own window in u, from where that exponent has dropped
+    L = ln(1/tail_tol) + ``_I0_WINDOW_MARGIN`` below its highest value on
+    [0, sqrt(s_cap)] to u*_k + sqrt(L beta_k), clipped to [0, sqrt(s_cap)]; a
+    mode whose peak lies beyond the cap gets the last stretch before it.
+    ``bochner_quadrature`` runs once for all modes on ``_I0_WINDOW_PANELS``
+    equal panels of v in [0, 1], mapped to each window, so the cost is modes
+    times a constant.  Each mode is divided by its size at the window's peak,
+    exp(E_k) min(beta_k, sqrt(s_cap/a)), so the halving test is relative per
+    mode.  A window that is empty or not finite raises :class:`ValidationError`,
+    an I0 argument past ``errors.MAX_EXPONENT`` :class:`OverflowRisk`; a capped
+    multiplier past double range is inf.
     """
+    a = check_range("a", a)
     betas = np.asarray(betas, dtype=float)
-    wide = float(betas.max())
-    s_max = min(i0_window_end(a, wide, config.tail_tol), s_cap)
-    return bochner_quadrature(
-        lambda s: np.exp(-s / wide) * bessel_i0(2.0 * np.sqrt(a * s)),
-        lambda s, w: _decay_sum(1.0 / betas - 1.0 / wide, s, w),
-        config,
-        sqrt_uniform_edges(s_max, float(betas.min())),
-    )
+    root_a = math.sqrt(a)
+    u_cap = math.sqrt(max(s_cap, 0.0))
+    with np.errstate(invalid="ignore", over="ignore"):  # a bad beta or cap gives a NaN or inf window, refused below
+        spread = np.sqrt((math.log(1.0 / config.tail_tol) + _I0_WINDOW_MARGIN) * betas)
+        peak = root_a * betas
+        top = np.minimum(peak, u_cap)
+        hi = np.minimum(u_cap, peak + spread)
+        lo = np.maximum(0.0, peak - np.hypot(peak - top, spread))
+    if not (np.all(lo < hi) and np.all(np.isfinite(hi))):
+        raise ValidationError(f"the I0 window of a = {a:g} up to s_cap = {s_cap:g} is empty or not finite")
+    width = hi - lo
+    # E_k = 2 sqrt(a) top - top^2/beta; a beta, the closed form's own exponent, when uncapped
+    exponent = np.where(top < peak, top * (2.0 * root_a - top / betas), a * betas)
+    size = np.minimum(betas, math.sqrt(s_cap / a))
+
+    def integrand(v, w):
+        out = np.empty(betas.size)
+        rows = max(1, _BLOCK_CELLS // v.size)
+        for start in range(0, betas.size, rows):
+            k = slice(start, start + rows)
+            u = lo[k, None] + width[k, None] * v
+            top_k, peak_k = top[k, None], peak[k, None]
+            # 2 sqrt(a) u - u^2/beta - E_k, written so that it does not cancel
+            drop = (top_k - u) * (top_k + u - 2.0 * peak_k) / betas[k, None]
+            field = 2.0 * u * _i0(2.0 * root_a * u, scaled=True) * np.exp(drop)
+            out[k] = (field @ w) * (width[k] / size[k])
+        return out
+
+    result = bochner_quadrature(np.ones_like, integrand, config, np.linspace(0.0, 1.0, _I0_WINDOW_PANELS + 1))
+    with np.errstate(over="ignore"):
+        value = result.value * size * np.exp(exponent)
+    return replace(result, value=value)
 
 
 # -- Laplace transform identities ---------------------------------------------

@@ -22,11 +22,14 @@ import numpy as np
 from . import __version__
 from .bessel import j0_multipliers
 from .errors import (
+    MAX_TRAJECTORY_CELLS,
     ExpressionParseError,
     InvalidConfig,
     NumericalError,
     SemigroupInvError,
     ValidationError,
+    check_budget,
+    check_count,
 )
 from .inversion import (
     COEFF_TOL,
@@ -84,9 +87,9 @@ _FLOW_CHECK_LAMBDA_MAX = 50.0
 
 # Most states of any model (grid cells, chain weights, jump points): 128 MB
 # per dense n x n matrix.  At 4000 states (one OpenBLAS thread, 2-core Xeon)
-# an ou or diffusion model builds and decomposes in 2.4-2.9 s at a peak RSS
-# of 0.56 GB, through the tridiagonal eigensolver; a jump model, which runs
-# the dense eigh, takes about 19.5 s at 1.0 GB.
+# an ou or diffusion model builds and decomposes in 2.5-3.1 s at a peak RSS
+# of 0.43 GB, through the tridiagonal eigensolver; a jump model, which runs
+# the dense eigh, takes about 22 s at 0.9 GB.
 _MAX_STATES = 4000
 
 # Deepest nesting of parentheses and exp( an expression may use, which keeps
@@ -408,6 +411,7 @@ _FLAGS = {
     "tstar": (float, 1.0, "horizon t* of the jump process"),
     "gammas": (str, "1e-1,1e-2,1e-3,1e-4,1e-5,1e-6,1e-7,1e-8", "comma-separated list"),
     "seed": (_seed, 0, "seed of the random test vectors"),
+    "steps": (int, None, "uniform time steps of the pde grid (default: sized for the stiffest active mode)"),
 }
 
 
@@ -587,17 +591,35 @@ def _cmd_diagnose(p, gen, dec, out: Path) -> dict:
     return {"T": T, "alpha": alpha, **report.to_json_dict()}
 
 
+def _uniform_steps(T: float, steps: int, states: int) -> np.ndarray:
+    """The grid of ``--steps`` equal steps on [0, T], refused past the trajectory budget.
+
+    A space has at least 2 states, so that budget also holds the grid under
+    ``backward_time_grid``'s cap of ``MAX_TRAJECTORY_CELLS // 2`` times.
+    """
+    steps = check_count("--steps", steps, 1)
+    cells = (steps + 1) * states
+    check_budget(f"trajectory cells (--steps {steps}: {steps + 1} times x {states} states)", cells, MAX_TRAJECTORY_CELLS)
+    return np.linspace(0.0, T, steps + 1)
+
+
 def _cmd_pde(p, gen, dec, out: Path) -> dict:
-    T, gamma = p["T"], p["gamma"]
+    T, gamma, steps = p["T"], p["gamma"], p["steps"]
     g = _observed_vector(p["g"], gen)
+    t_grid = None if steps is None else _uniform_steps(T, steps, gen.size)
     summary: dict = {"T": T}
-    if gamma is not None:
-        model = MixtureModel(dec, gamma, p["tstar"])
-        traj = regularised_pide_solve(model, g, T)
-        summary["gamma"] = gamma
-        summary["tStar"] = model.t_star
-    else:
-        traj = solve_backward_cauchy(InverseProblem(dec, T, g), coeff_tol=p["coeff_tol"])
+    try:
+        if gamma is not None:
+            model = MixtureModel(dec, gamma, p["tstar"])
+            traj = regularised_pide_solve(model, g, T, t_grid)
+            summary["gamma"] = gamma
+            summary["tStar"] = model.t_star
+        else:
+            traj = solve_backward_cauchy(InverseProblem(dec, T, g), t_grid, coeff_tol=p["coeff_tol"])
+    except ValidationError as exc:  # a budget of the default grid; --steps was checked above
+        if exc.budget is None:
+            raise
+        raise ValidationError(f"{exc}; --steps N sets a uniform grid of N steps instead", exc.budget) from exc
     _write(out / "trajectory.csv", trajectory_to_csv(traj))
     summary["steps"] = int(traj.times.size - 1)
     summary["finalNorm"] = norm(gen.space, traj.values[-1])
@@ -673,7 +695,7 @@ _COMMANDS = {
               ("phi", "value", "tau", "alpha", "tstar", "gammas")),
     "diagnose": (_cmd_diagnose, "conditioning report for an inversion problem", ("T", "g"), ("alpha",)),
     "pde": (_cmd_pde, "backward trajectory (spectral, or mixed PIDE with --gamma)", ("T", "g"),
-            ("coeff_tol", "gamma", "tstar")),
+            ("coeff_tol", "gamma", "tstar", "steps")),
     "check": (_cmd_check, "run the model invariant suite", (), ("seed",)),
 }
 

@@ -15,7 +15,11 @@ class SemigroupInvError(Exception):
 
 
 class ValidationError(SemigroupInvError):
-    """Input violates a documented precondition."""
+    """Input violates a documented precondition; ``budget`` is set when it asked for more than a budget."""
+
+    def __init__(self, message, budget=None):
+        super().__init__(message)
+        self.budget = budget
 
 
 class NumericalError(SemigroupInvError):
@@ -178,4 +182,4 @@ def check_budget(what: str, count, budget: int) -> None:
     """
     if count > budget:
         shown = f"{count:.0f}" if isinstance(count, float) else count
-        raise ValidationError(f"{shown} {what} exceed the budget of {budget}")
+        raise ValidationError(f"{shown} {what} exceed the budget of {budget}", budget)

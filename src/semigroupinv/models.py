@@ -78,6 +78,7 @@ def _divergence_form(
     """
     n = points.size
     m = m_density * h
+    space = build_space(points, m)  # refuses a weight that underflowed to 0 before it divides
     w = edge_conductance
     a = np.zeros((n, n))
     i = np.arange(n - 1)
@@ -93,8 +94,7 @@ def _divergence_form(
     if boundary_right == "dirichlet":
         diag[-1] -= wall_conductance[1] / m[-1]
     a[np.diag_indices(n)] = diag - kill_rate
-    space = build_space(points, m)
-    return SymmetricGenerator(space, a)
+    return SymmetricGenerator(space, a, _owned=True)
 
 
 def build_diffusion(spec: DiffusionSpec) -> SymmetricGenerator:
@@ -201,7 +201,7 @@ def build_jump(spec: JumpKernelSpec) -> SymmetricGenerator:
     spectrum of -A lies in [0, 2].
     """
     a = spec.kernel * spec.space.weights[None, :] - np.eye(spec.space.size)
-    return SymmetricGenerator(spec.space, a)
+    return SymmetricGenerator(spec.space, a, _owned=True)
 
 
 def gaussian_jump_kernel(space: WeightedStateSpace, t_star: float) -> JumpKernelSpec:

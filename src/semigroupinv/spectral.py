@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -49,8 +49,9 @@ EIG_CLAMP = 1e-12
 TRIDIAGONAL_MIN_STATES = 1200
 
 
-def _as_readonly(a) -> np.ndarray:
-    out = np.array(a, dtype=float)
+def _as_readonly(a, owned: bool = False) -> np.ndarray:
+    """A read-only float copy of ``a``; an ``owned`` float array, which no caller holds, is frozen in place."""
+    out = np.asarray(a, dtype=float) if owned else np.array(a, dtype=float)
     out.setflags(write=False)
     return out
 
@@ -180,14 +181,17 @@ class SymmetricGenerator:
 
     ``symmetry_residual`` is :func:`check_m_symmetry` of the matrix, measured
     once here and at most ``SYM_TOL``; a NaN residual raises :class:`OverflowRisk`.
+    The matrix is copied, unless ``_owned`` says that the library's builder
+    has just made it and holds it nowhere else.
     """
 
     space: WeightedStateSpace
     matrix: np.ndarray
     symmetry_residual: float = field(init=False)
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _as_readonly(self.matrix))
+    def __post_init__(self, _owned):
+        object.__setattr__(self, "matrix", _as_readonly(self.matrix, _owned))
         if self.matrix.shape != (self.space.size, self.space.size):
             raise LengthMismatch(
                 f"matrix shape {self.matrix.shape} on a space of size {self.space.size}"
@@ -235,16 +239,18 @@ class SpectralDecomposition:
     ``eigenvectors[:, k]`` is the k-th mode.  The projection-valued spectral
     family is realised as the finite sum over modes with eigenvalue below a
     threshold, so every spectral integral in this library is a finite sum
-    over ``eigenvalues``.
+    over ``eigenvalues``.  The arrays are copied, unless ``_owned`` says that
+    :func:`spectral_decompose` has just made them.
     """
 
     space: WeightedStateSpace
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    _owned: InitVar[bool] = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _as_readonly(self.eigenvalues))
-        object.__setattr__(self, "eigenvectors", _as_readonly(self.eigenvectors))
+    def __post_init__(self, _owned):
+        object.__setattr__(self, "eigenvalues", _as_readonly(self.eigenvalues, _owned))
+        object.__setattr__(self, "eigenvectors", _as_readonly(self.eigenvectors, _owned))
         n = self.space.size
         if self.eigenvalues.shape != (n,) or self.eigenvectors.shape != (n, n):
             raise LengthMismatch("decomposition shapes do not match the space")
@@ -330,7 +336,7 @@ def spectral_decompose(gen: SymmetricGenerator) -> SpectralDecomposition:
     lam[lam < 0.0] = 0.0
     # C order whatever the solver's: the coefficient GEMVs' bits depend on the layout
     phi = np.divide(vecs, sqrt_m[:, None], order="C")
-    return SpectralDecomposition(gen.space, lam, phi)
+    return SpectralDecomposition(gen.space, lam, phi, _owned=True)
 
 
 def apply_function(dec: SpectralDecomposition, phi, f) -> np.ndarray:

@@ -78,6 +78,14 @@ def laplacian400():
     return gen, sg.spectral_decompose(gen)
 
 
+@pytest.fixture(scope="session")
+def dirichlet_laplacian400():
+    """The benchmark's laplacian400: absorbing walls on [0, pi], n=400; lambda_max ~ 3.2e4."""
+    gen = sg.build_diffusion(sg.DiffusionSpec(left=0.0, right=np.pi, n=400, boundary_left="dirichlet",
+                                              boundary_right="dirichlet"))
+    return sg.spectral_decompose(gen)
+
+
 def expm_2state(a: float, b: float, t: float) -> np.ndarray:
     """Closed-form matrix exponential of [[-a, a], [b, -b]].
 

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import semigroupinv as sg
-from semigroupinv.bessel import geometric_refined_edges, i0_multipliers, j0_multipliers, sqrt_uniform_edges
+from semigroupinv.bessel import geometric_refined_edges, i0_multipliers, j0_multipliers
 from semigroupinv.inversion import FLOW_QUADRATURE, H_QUADRATURE, I0_QUADRATURE
 
 
@@ -205,6 +205,19 @@ class TestLaplaceMultipliers:
             closed = beta * np.exp(a * beta)
             assert np.max(np.abs(mu - closed) / closed) <= 1e-12
 
+    @pytest.mark.parametrize("case", ["ou400", "laplacian400"])
+    def test_benchmark_i0_multipliers_converge_at_the_first_halving(self, case, ou400, dirichlet_laplacian400):
+        # the conditioning integrals of ou400 at T = 1 and laplacian400 at T = 0.02, cut at s_cap
+        dec, a = (ou400[1], 2.0) if case == "ou400" else (dirichlet_laplacian400, 0.04)
+        result = i0_multipliers(a, dec.eigenvalues + 1.0, I0_QUADRATURE, s_cap=350.0**2 / a)
+        assert result.refinements == 1
+        assert result.n_nodes == 8 * I0_QUADRATURE.points_per_panel
+
+    def test_empty_or_non_finite_window_is_refused(self):
+        for a, betas, s_cap in ((math.inf, [1.0], math.inf), (1e300, [1e300], math.inf), (2.0, [1.0], 0.0)):
+            with pytest.raises(sg.ValidationError):
+                i0_multipliers(a, betas, I0_QUADRATURE, s_cap)
+
     def test_capped_i0_multipliers_stay_below_the_closed_form(self, ou400):
         # ou400 at T = 1: the closed forms reach e^4470, the cap keeps I0's argument at 700
         beta = ou400[1].eigenvalues + 1.0
@@ -282,8 +295,44 @@ class TestBochnerQuadrature:
         assert edges[0] == 0.0 and edges[-1] == 50.0
         assert np.all(np.diff(edges) > 0)
         assert np.max(np.diff(edges)) <= 5.0 + 1e-9
-        # a bell of width scale: sqrt-spacing at most sqrt(scale) / 2, geometric edges from scale / 16
-        edges = sqrt_uniform_edges(100.0, 0.64)
-        assert edges[0] == 0.0 and edges[-1] == pytest.approx(100.0)
-        assert np.all(np.diff(np.sqrt(edges)) <= 0.4 + 1e-12)
-        assert 0.64 / 16.0 in edges
+
+
+class TestCappedI0Oracle:
+    """Capped I0 multipliers against 40-digit mpmath, where no closed form exists.
+
+    The benchmark's two conditioning integrals, mu_k = int_0^s_cap
+    I0(2 sqrt(a s)) exp(-s/beta_k) ds with s_cap = 350^2 / a: ou400 at T = 1
+    (a = 2) and the Dirichlet laplacian400 at T = 0.02 (a = 0.04).  In each,
+    one mode's bell ends inside the cap, one's is clipped by the cap, and
+    one's peak sqrt(a) beta lies beyond it.
+    """
+
+    @staticmethod
+    def _oracle(mp, a, beta, s_cap):
+        a, beta, u_cap = mp.mpf(a), mp.mpf(beta), mp.sqrt(mp.mpf(s_cap))
+        peak = mp.sqrt(a) * beta
+        top = min(peak, u_cap)
+        # the length over which the integrand falls by e from its highest point
+        scale = min(mp.sqrt(beta), beta / (2 * (peak - top))) if peak > top else mp.sqrt(beta)
+        inner = [top + k * scale for k in (-12, -4, 0, 4, 12)]
+        points = [mp.mpf(0)] + [u for u in inner if 0 < u < u_cap] + [u_cap]
+        return mp.quad(lambda u: 2 * u * mp.besseli(0, 2 * mp.sqrt(a) * u) * mp.exp(-u * u / beta),
+                       points, method="gauss-legendre")
+
+    @pytest.mark.parametrize("case", ["ou400", "laplacian400"])
+    def test_capped_modes_agree_with_mpmath_to_1e_12(self, case, ou400, dirichlet_laplacian400):
+        mp = pytest.importorskip("mpmath")
+        dec, a = (ou400[1], 2.0) if case == "ou400" else (dirichlet_laplacian400, 0.04)
+        s_cap = 350.0**2 / a
+        beta = dec.eigenvalues + 1.0
+        mu = i0_multipliers(a, beta, I0_QUADRATURE, s_cap).value
+        peak, bell_end = math.sqrt(a) * beta, math.sqrt(a) * beta + np.sqrt(math.log(1e12) * beta)
+        u_cap = math.sqrt(s_cap)
+        inside = np.flatnonzero(bell_end < u_cap)[-1]
+        clipped = np.flatnonzero((peak < u_cap) & (bell_end >= u_cap))[0]
+        beyond = np.flatnonzero(peak >= u_cap)[0]
+        assert inside < clipped < beyond < beta.size - 1
+        with mp.workdps(40):
+            for k in (inside, clipped, beyond):
+                exact = self._oracle(mp, a, beta[k], s_cap)
+                assert float(abs(mp.mpf(mu[k]) - exact) / exact) <= 1e-12, k

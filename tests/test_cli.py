@@ -504,7 +504,7 @@ class TestBudgets:
         assert cli_exit(argv) == 2
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "ValidationError"
-        assert "27273 times x 400 states" in error["message"]
+        assert "27273 times x 400 states" in error["message"] and "--steps N" in error["message"]
         assert not (out / "trajectory.csv").exists()
 
     def test_time_step_cap_exits_2(self, model_files, tmp_path):
@@ -515,8 +515,21 @@ class TestBudgets:
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "ValidationError"
         assert error["message"].startswith("3408885 grid times (lambda_max ")
-        assert error["message"].endswith(" on [0, 0.25]) exceed the budget of 2000000")
+        assert error["message"].endswith(
+            " on [0, 0.25]) exceed the budget of 2000000; --steps N sets a uniform grid of N steps instead")
         assert not (out / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("steps, message", [
+        ("0", "--steps must be finite and >= 1, got 0"),
+        ("20000", "8000400 trajectory cells (--steps 20000: 20001 times x 400 states) exceed the budget of 4000000"),
+        ("10" * 20, "trajectory cells (--steps 1010"),
+    ])
+    def test_bad_or_oversized_steps_exit_2(self, model_files, tmp_path, steps, message):
+        out = tmp_path / "out"
+        argv = ["pde", "--model", model_files["ou"], "--output", str(out), "--T", "1", "--g", "x^2", "--steps", steps]
+        assert cli_exit(argv) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "ValidationError" and message in error["message"]
 
     @pytest.mark.parametrize("kind", ["ou", "diffusion"])
     def test_state_budget_exits_2(self, tmp_path, monkeypatch, kind):
@@ -716,22 +729,47 @@ class TestNonFiniteFlags:
         assert json.loads((out / "summary.json").read_text())["inverseNormBound"] < math.inf
 
 
+class TestPdeSteps:
+    """``pde --steps N`` lays a uniform grid where the default one is past the step cap."""
+
+    KILLED200 = {"schemaVersion": 1, "type": "diffusion",
+                 "parameters": {"left": 0.0, "right": math.pi, "n": 200, "sigma": "1+0.5x", "kill": "0.2",
+                                "boundaryLeft": "dirichlet", "boundaryRight": "dirichlet"}}
+
+    def test_killed_diffusion_ends_at_the_spectral_inverse(self, tmp_path):
+        # lambda_max 5.2e4 at T = 0.002: the default grid needs 3,099,203 steps
+        model = tmp_path / "killed200.json"
+        model.write_text(json.dumps(self.KILLED200), encoding="utf-8")
+        argv = ["pde", "--model", str(model), "--T", "0.002", "--g", "random(5)"]
+        assert cli_exit(argv + ["--output", str(tmp_path / "default")]) == 2
+        out = tmp_path / "out"
+        assert cli_exit(argv + ["--output", str(out), "--steps", "1000"]) == 0
+        assert json.loads((out / "summary.json").read_text())["steps"] == 1000
+        gen = load_model_file(model)
+        dec = sg.spectral_decompose(gen)
+        rows = np.loadtxt(out / "trajectory.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (1001 * 200, 3)
+        last = rows[-200:]
+        assert np.all(last[:, 0] == 0.002) and np.array_equal(last[:, 1], np.arange(200))
+        exact = sg.invert_spectral(sg.InverseProblem(dec, 0.002, parse_function_literal("random(5)", gen.space)))
+        assert sg.norm(gen.space, last[:, 2] - exact) <= 1e-12 * sg.norm(gen.space, exact)
+
+
 class TestPanelBudget:
-    """A panel layout past the budget fails before any quadrature runs."""
+    """J0 quarter periods past the budget fail before any quadrature runs; I0 windows need no budget."""
 
-    def test_panel_budget_exits_2(self, tmp_path, monkeypatch):
-        from semigroupinv import bessel
-
-        monkeypatch.setattr(bessel, "bochner_quadrature", lambda *a, **k: pytest.fail("quadrature ran"))
+    def test_wide_i0_window_exits_0_and_matches_the_spectral_value(self, tmp_path):
+        # lambda_max 1.3e8 at T = 1e-11: one panel layout shared by all modes would need 119,509 panels
         model = tmp_path / "ou16.json"
         model.write_text(json.dumps({"schemaVersion": 1, "type": "ou",
                                      "parameters": {"halfWidth": 1e-3, "n": 16, "rate": 1.0}}), encoding="utf-8")
         out = tmp_path / "out"
         assert cli_exit(["diagnose", "--model", str(model), "--output", str(out),
-                         "--T", "1e-11", "--g", "random(1)"]) == 2
-        error = json.loads((out / "error.json").read_text())
-        assert error["error"] == "ValidationError"
-        assert error["message"] == f"119509 I0 panels uniform in sqrt(s) exceed the budget of {bessel._MAX_PANELS}"
+                         "--T", "1e-11", "--g", "random(1)"]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["lambdaMax"] > 1e8
+        spectral = 10.0 ** report["membershipSpectralLog10"]
+        assert abs(report["membershipQuadrature"] - spectral) <= 1e-12 * spectral
 
     def test_j0_quarter_periods_past_the_budget_raise(self, chain2, monkeypatch):
         # at t = 1e10 the J0 kernel needs 640,788 quarter periods on [0, 25.3]

@@ -126,8 +126,9 @@ ENTRY_POINTS = [
     ("QuadratureConfig",
      lambda dec, tail_tol=1e-12, points_per_panel=24: sg.QuadratureConfig(tail_tol, points_per_panel),
      {"tail_tol": POSITIVE, "points_per_panel": POSITIVE}),
-    ("sqrt_uniform_edges", lambda dec, s_max=1.0, scale=1.0: bessel.sqrt_uniform_edges(s_max, scale),
-     {"s_max": POSITIVE, "scale": POSITIVE}),
+    ("i0_multipliers",
+     lambda dec, a=1.0, s_cap=INF: bessel.i0_multipliers(a, [1.0, 2.0], bessel.LAPLACE_QUADRATURE, s_cap),
+     {"a": POSITIVE, "s_cap": (NAN, -INF, -1.0, 0.0)}),
     ("geometric_refined_edges", lambda dec, s_max=1.0: bessel.geometric_refined_edges(s_max, 0.1),
      {"s_max": POSITIVE}),
     ("build_ou", lambda dec, half_width=3.0, n=8, rate=1.0: sg.build_ou(half_width, n, rate),

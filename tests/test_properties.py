@@ -145,6 +145,7 @@ FLAG_VALUES = {
     "method": ["spectral", "bessel"], "coeff_tol": ["1e-8", "0"], "gamma": ["0.1", "0.5"],
     "phi": ["tikhonov_exp", "constant", "jump_mixture", "resolvent_jump"], "value": ["2"],
     "tau": ["0.5", "1"], "tstar": ["0.5", "1"], "gammas": ["0.1,0.01", "1e-3"], "seed": ["0", "3"],
+    "steps": ["1", "50"],
 }
 BAD_FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e309", "abc", ""]
 # chain2 (lambda_max 1) and ou on 6 states (lambda_max 7.8) keep every pde grid small.

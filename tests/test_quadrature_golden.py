@@ -1,9 +1,10 @@
 """Pins, node-block contract and memory of the Bessel twins.
 
 Every twin integrates its per-mode Laplace multipliers with
-``bessel.j0_multipliers`` or ``bessel.i0_multipliers``, whose node sums go
+``bessel.j0_multipliers`` or ``bessel.i0_multipliers``.  The J0 node sums go
 through ``bessel._decay_sum``: the modes are rows and the nodes are taken in
-column blocks of about ``_BLOCK_CELLS`` cells.  The blocks split each mode's
+column blocks of about ``_BLOCK_CELLS`` cells; the I0 windows take their
+modes in row blocks of the same size.  The blocks split each mode's
 sum, so ``_decay_sum`` agrees with the unblocked ``exp(-outer(rates, s)) @ w``
 within a few ulps of the sum of absolute terms rather than bit for bit, and
 it repeats its own bits exactly.  Its memory is one block, whatever the
@@ -30,11 +31,11 @@ SMALL_OU = {"schemaVersion": 1, "type": "ou", "parameters": {"halfWidth": 4.0, "
 
 # run/artifact -> SHA-256 of the artifact written by the multiplier twins
 GOLDEN_ARTIFACTS = {
-    "diagnose/report.json": "8f4a549b0ca37f3fd57351efd9b438e595323ccf52d12ef91f975219607b7828",
-    "diagnose/summary.json": "d9725e2867149c468978eee6e84175d003b2e3e33db1a850cfc7bd26948ccad4",
-    "invert-bessel/report.json": "6bfb5ee478f2039b75bd9ca8e28505b97c7c5194e222cfd0f1ca5f35edba84e4",
-    "invert-bessel/solution.csv": "2a4c6f7fb052e5040e5f69fff713a179a65f4a7c584f94f2140a8b52769b778b",
-    "invert-bessel/summary.json": "1557d726b27910072cbaae997de4737a6650b7a5f7766ea1545418069a2d750c",
+    "diagnose/report.json": "e1a1601242051fbb24072f3d4f971f4fa52aba31164900567c351f68cc08b733",
+    "diagnose/summary.json": "45bd402cd1b3f45b2fff767c5e7e84f2bccae69c39d5173f810622d55fcd4259",
+    "invert-bessel/report.json": "d9b0f5d5c85ea782f26b2a7591a99d97374bd8126b4128e8a99f81b67a34a34b",
+    "invert-bessel/solution.csv": "40eff4d5aed49a8a8c39b490872f57d34cd3c7ff9206ead91bfd1296afd377dd",
+    "invert-bessel/summary.json": "682467c736545223b928f498221d3a630478a2c58b54fbd92822ca8bdd9eb7cb",
 }
 GOLDEN_RUNS = {
     "diagnose": ["diagnose", "--T", "1", "--g", "1.3*x^2", "--alpha", "1.5"],
@@ -45,7 +46,7 @@ GOLDEN_HEX = {
     "squared_bessel_h_quadrature": "0x1.53b224287531dp-1",
     "resolvent_flow_quadrature": "916071f148498fbcb7910ba49db98e69e5fe5368542d45d4f14e22898a64656b",
     "laplace_j0_identity": ["0x1.78b56362cfe3ap-2", "0x1.78b56362cef38p-2"],
-    "laplace_i0_identity": ["0x1.d8e64b8d4dd2ep+3", "0x1.d8e64b8d4ddaep+3"],
+    "laplace_i0_identity": ["0x1.d8e64b8d4ddadp+3", "0x1.d8e64b8d4ddaep+3"],
     "squared_bessel_pde_check": "0x1.0d8fa8e800000p-23",
 }
 

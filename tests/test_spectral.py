@@ -1,6 +1,7 @@
 """Spectral core: spaces, m-symmetry, decomposition, functional calculus."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,41 @@ class TestSpectralDecompose:
             recon = a @ f + dec.synthesize(dec.eigenvalues * dec.coefficients(f))
             assert sg.norm(gen.space, recon) < 1e-8 * sg.norm(gen.space, f)
             assert np.all(np.diff(dec.eigenvalues) >= 0)
+
+
+class TestReadOnlyArrays:
+    """The library freezes the arrays it has just built in place and copies a caller's."""
+
+    def test_caller_arrays_are_copied_and_frozen(self):
+        space = sg.build_space([0.0, 1.0], [1.0, 1.0])
+        matrix = np.array([[-1.0, 1.0], [1.0, -1.0]])
+        lam, vecs = np.array([0.0, 2.0]), np.eye(2)
+        gen = sg.SymmetricGenerator(space, matrix)
+        dec = sg.SpectralDecomposition(space, lam, vecs)
+        matrix[0, 0], lam[1], vecs[0, 0] = 5.0, 7.0, 3.0
+        assert gen.matrix[0, 0] == -1.0 and dec.eigenvalues[1] == 2.0 and dec.eigenvectors[0, 0] == 1.0
+        for array in (gen.matrix, dec.eigenvalues, dec.eigenvectors):
+            assert not array.flags.writeable
+
+    def test_ou2000_build_and_decomposition_copy_no_n_by_n_array(self):
+        import scipy.linalg  # noqa: F401  (imported by the first stevd call; kept out of the peak)
+
+        copy = 2000 * 2000 * 8  # one n x n array, 32 MB
+        tracemalloc.start()
+        try:
+            gen = sg.build_ou(6.0, 2000, 1.0)
+            build_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            kept = tracemalloc.get_traced_memory()[0]
+            dec = sg.spectral_decompose(gen)
+            decompose_peak = tracemalloc.get_traced_memory()[1] - kept
+        finally:
+            tracemalloc.stop()
+        # the matrix alone: 1.13 copies measured, 2.13 with a second copy
+        assert build_peak < 1.5 * copy
+        # stevd's vectors and their C-order rescale: 2.0 copies measured, 3.0 with a third
+        assert decompose_peak < 2.5 * copy
+        assert not gen.matrix.flags.writeable and not dec.eigenvectors.flags.writeable
 
 
 class TestApplyFunction:
