@@ -9,12 +9,14 @@ per-mode multiplier applied in the eigenbasis.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import math
 from dataclasses import InitVar, dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     MAX_TRAJECTORY_CELLS,
@@ -26,6 +28,7 @@ from .errors import (
     NonPositiveAlpha,
     NonPositiveWeight,
     NotMSymmetric,
+    NumericalError,
     OverflowRisk,
     ValidationError,
     check_budget,
@@ -37,16 +40,33 @@ SYM_TOL = 1e-10
 EIG_TOL = 1e-8
 EIG_CLAMP = 1e-12
 
-# Fewest states at which spectral_decompose hands a tridiagonal generator to
-# LAPACK's stevd (scipy) instead of the dense eigh.  Both end in the same
-# divide and conquer (dsyevd is dsytrd + dstedc, and dsytrd leaves a
-# tridiagonal matrix as it is), so the bits agree.  The first stevd call pays
-# for importing scipy.linalg (about 0.33 s and 28 MB).  A fresh process's
-# first ou decomposition, dense vs stevd with that import (one OpenBLAS
-# thread, 2-core Xeon, three runs each): n=1000 0.24-0.28 vs 0.27-0.33 s and
-# 79 vs 89 MB peak; n=1200 0.44-0.52 vs 0.29-0.41 s, 99 vs 103 MB; n=1500
-# 0.82-0.86 vs 0.34-0.51 s, 137 vs 129 MB.
-TRIDIAGONAL_MIN_STATES = 1200
+
+def _load_dstevd():
+    """LAPACK's ``dstevd`` from the OpenBLAS that numpy's linalg extension links, or None.
+
+    ``dlsym`` on the extension's handle also searches its dependencies.
+    numpy wheels export LAPACK with 64-bit integers under ``scipy_dstevd_64_``
+    (numpy >= 2) or ``dstevd_64_`` (numpy 1.2x).
+    """
+    try:
+        lapack = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_dstevd_64_", "dstevd_64_"):
+        routine = getattr(lapack, name, None)
+        if routine is not None:
+            floats = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+            ints = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+            # JOBZ, N, D, E, Z, LDZ, WORK, LWORK, IWORK, LIWORK, INFO, then JOBZ's length
+            routine.argtypes = [ctypes.c_char_p, ints, floats, floats, floats, ints,
+                                floats, ints, ints, ints, ints, ctypes.c_size_t]
+            routine.restype = None
+            return routine
+    return None
+
+
+# None when numpy's LAPACK does not export it: tridiagonal generators then run the dense eigh
+_DSTEVD = _load_dstevd()
 
 
 def _as_readonly(a, owned: bool = False) -> np.ndarray:
@@ -289,6 +309,24 @@ class SpectralDecomposition:
         return (np.exp(np.outer(times, rates)) * coeffs) @ self.eigenvectors[:, modes].T
 
 
+def _stevd(d: np.ndarray, e: np.ndarray):
+    """Eigenvalues and vectors of the symmetric tridiagonal matrix with diagonal ``d`` and off-diagonal ``e``.
+
+    ``dstevd`` overwrites ``d`` with the ascending eigenvalues and writes the
+    k-th vector into the k-th row of the C-ordered ``z``; a nonzero ``info``
+    raises :class:`NumericalError`.  The n x n workspace is freed on return.
+    """
+    n = d.size
+    z = np.empty((n, n))
+    work = np.empty(1 + 4 * n + n * n)
+    iwork = np.empty(3 + 5 * n, dtype=np.int64)
+    size, lwork, liwork, info = np.array([[n], [work.size], [iwork.size], [0]], dtype=np.int64)
+    _DSTEVD(b"V", size, d, e, z, size, work, lwork, iwork, liwork, info, 1)
+    if info[0] != 0:
+        raise NumericalError(f"LAPACK dstevd failed with info = {info[0]}")
+    return d, z.T
+
+
 def spectral_decompose(gen: SymmetricGenerator) -> SpectralDecomposition:
     """Diagonalise -A in L2(m) via the similarity M^(1/2) (-A) M^(-1/2).
 
@@ -297,14 +335,14 @@ def spectral_decompose(gen: SymmetricGenerator) -> SpectralDecomposition:
     by construction.  Eigenvalues with |lambda| below ``EIG_CLAMP`` times the
     spectral radius (at least ``EIG_CLAMP``) are snapped to exactly zero;
     anything below ``-EIG_TOL`` relative is an invalid generator.  A
-    transformed matrix that leaves double range raises :class:`OverflowRisk`.
-    A tridiagonal generator (``ou``, ``diffusion``) of at least
-    ``TRIDIAGONAL_MIN_STATES`` states is solved on its two bands by
-    ``scipy.linalg.eigh_tridiagonal(..., lapack_driver="stevd")``, with the
-    same bits as the dense ``eigh``.
+    transformed matrix that leaves double range raises :class:`OverflowRisk`,
+    and an eigensolver that fails raises :class:`NumericalError`.
+    A tridiagonal generator (``ou``, ``diffusion``) is solved on its two
+    bands by numpy's LAPACK ``dstevd``, with the same bits as the dense
+    ``eigh``; without that routine it runs the dense ``eigh`` too.
     """
     sqrt_m = np.sqrt(gen.space.weights)
-    bands = _tridiagonal_bands(gen.matrix) if gen.size >= TRIDIAGONAL_MIN_STATES else None
+    bands = _tridiagonal_bands(gen.matrix) if _DSTEVD is not None else None
     with np.errstate(over="ignore", invalid="ignore"):
         if bands is None:
             sym = (-gen.matrix) * (sqrt_m[:, None] / sqrt_m[None, :])
@@ -321,11 +359,12 @@ def spectral_decompose(gen: SymmetricGenerator) -> SpectralDecomposition:
     if not finite:
         raise OverflowRisk("the symmetrised generator M^(1/2) (-A) M^(-1/2) leaves double range")
     if bands is None:
-        lam, vecs = np.linalg.eigh(sym)
+        try:
+            lam, vecs = np.linalg.eigh(sym)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"LAPACK dsyevd (numpy.linalg.eigh) failed: {exc}") from None
     else:
-        from scipy.linalg import eigh_tridiagonal
-
-        lam, vecs = eigh_tridiagonal(d, e, lapack_driver="stevd")
+        lam, vecs = _stevd(d, e)
     scale = max(1.0, float(np.abs(lam).max()))
     if lam[0] < -EIG_TOL * scale:
         raise NegativeEigenvalue(

@@ -114,6 +114,11 @@ def rk4(rhs, y0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
     return out
 
 
+def failing_dstevd(*args):
+    """Stands in for LAPACK ``dstevd`` and reports failure through INFO, its eleventh argument."""
+    args[10][0] = 1
+
+
 def single_thread_probe(code: str, *args: str) -> dict:
     """Run ``code`` in a fresh interpreter with one BLAS thread; parse its JSON.
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import semigroupinv as sg
-from semigroupinv import cli
+from conftest import failing_dstevd
+from semigroupinv import cli, spectral
 from semigroupinv.cli import RunConfig, build_model, load_model_file, main, parse_function_literal, run
 
 CHAIN2_JSON = {
@@ -227,6 +228,17 @@ class TestCommands:
         assert error["operation"] == "invert"
         assert error["log10_value"] > 300
         assert not (out / "solution.csv").exists()
+
+    def test_eigensolver_failure_exits_3_with_error_json(self, model_files, tmp_path, monkeypatch):
+        monkeypatch.setattr(spectral, "_DSTEVD", failing_dstevd)
+        out = tmp_path / "out_eigensolver"
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", "--model", model_files["ou"], "--output", str(out)])
+        assert exc.value.code == 3
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "NumericalError" and error["operation"] == "decompose"
+        assert "dstevd" in error["message"] and "info = 1" in error["message"]
+        assert not (out / "eigenvalues.csv").exists()
 
     def test_malformed_model_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

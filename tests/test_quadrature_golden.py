@@ -132,8 +132,9 @@ def test_conditioning_artifacts_and_integrals_are_pinned(tmp_path):
 def test_invert_bessel_memory_does_not_grow_with_nodes_times_modes(ou400):
     """All 400 modes of random(3) are active at T = 0.005 (lambda_max T = 11.2).
 
-    A nodes x modes field would take 364 MB here; the per-mode multipliers
-    need one ``_decay_sum`` block of 400 modes x 81 nodes.
+    Each mode is integrated over its own I0 window, 256 nodes after one
+    halving, and the modes are taken in row blocks of ``_BLOCK_CELLS``
+    cells: the call peaks at 4.2 MB (tracemalloc), bounded at 8 MB.
     """
     gen, dec = ou400
     g = np.random.default_rng(3).standard_normal(gen.size)  # the CLI's random(3)
@@ -146,11 +147,14 @@ def test_invert_bessel_memory_does_not_grow_with_nodes_times_modes(ou400):
         tracemalloc.stop()
     exact = sg.invert_spectral(problem)
     assert sg.norm(gen.space, f - exact) <= 1e-13 * sg.norm(gen.space, exact)
-    assert peak < 32 * 2**20
+    assert peak < 8 * 2**20
 
 
 def test_conditioning_report_memory_does_not_grow_with_nodes_times_modes(ou400):
-    """ou400 at T = 1 integrates over ~5e4 nodes x 400 modes (158 MB a matrix)."""
+    """ou400 at T = 1: 400 per-mode I0 windows of 256 nodes each, peak 2.6 MB (tracemalloc), bounded at 8 MB.
+
+    One node layout shared by all modes would need about 5e4 nodes here.
+    """
     gen, dec = ou400
     problem = sg.InverseProblem(dec, 1.0, 1.3 * gen.space.points**2)
     tracemalloc.start()
@@ -160,15 +164,15 @@ def test_conditioning_report_memory_does_not_grow_with_nodes_times_modes(ou400):
     finally:
         tracemalloc.stop()
     assert np.isfinite(report.membership_quadrature)
-    assert peak < 32 * 2**20
+    assert peak < 8 * 2**20
 
 
 def test_invert_bessel_memory_is_bounded_by_the_node_block():
     """ou n=400 on [-1, 1] (lambda_max 8.0e4) at T = 19/lambda_max, all modes active.
 
-    The I0 window takes 6357 panels, 407k nodes after one halving: a block of
-    32 modes x nodes took 117 MB here, a nodes x modes field would take 1.3 GB.
-    What is left is the node arrays themselves.
+    Each mode's I0 window takes 256 nodes after one halving, where one
+    window shared by all modes would take 6357 panels and 407k nodes.  The
+    call peaks at 2.5 MB (tracemalloc), bounded at 8 MB.
     """
     gen = sg.build_ou(1.0, 400, 1.0)
     dec = sg.spectral_decompose(gen)
@@ -182,4 +186,4 @@ def test_invert_bessel_memory_is_bounded_by_the_node_block():
         tracemalloc.stop()
     exact = sg.invert_spectral(problem)
     assert sg.norm(gen.space, f - exact) <= 1e-12 * sg.norm(gen.space, exact)
-    assert peak <= 48 * 2**20
+    assert peak < 8 * 2**20

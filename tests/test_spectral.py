@@ -8,9 +8,9 @@ import pytest
 from scipy.integrate import quad
 
 import semigroupinv as sg
-from conftest import expm_2state, single_thread_probe
+from conftest import expm_2state, failing_dstevd, single_thread_probe
 from semigroupinv import spectral
-from semigroupinv.spectral import TRIDIAGONAL_MIN_STATES, _tridiagonal_bands
+from semigroupinv.spectral import _tridiagonal_bands
 
 # Eigenvalues this close count as one degenerate eigenspace.
 CLUSTER_TOL = 1e-9
@@ -171,8 +171,6 @@ class TestReadOnlyArrays:
             assert not array.flags.writeable
 
     def test_ou2000_build_and_decomposition_copy_no_n_by_n_array(self):
-        import scipy.linalg  # noqa: F401  (imported by the first stevd call; kept out of the peak)
-
         copy = 2000 * 2000 * 8  # one n x n array, 32 MB
         tracemalloc.start()
         try:
@@ -186,7 +184,8 @@ class TestReadOnlyArrays:
             tracemalloc.stop()
         # the matrix alone: 1.13 copies measured, 2.13 with a second copy
         assert build_peak < 1.5 * copy
-        # stevd's vectors and their C-order rescale: 2.0 copies measured, 3.0 with a third
+        # dstevd's vectors with its workspace, then the vectors with their C-order rescale:
+        # 2.0 copies measured, 3.0 with a third
         assert decompose_peak < 2.5 * copy
         assert not gen.matrix.flags.writeable and not dec.eigenvectors.flags.writeable
 
@@ -398,33 +397,42 @@ import numpy as np
 import semigroupinv as sg
 from semigroupinv import spectral
 
+assert spectral._DSTEVD is not None, "numpy's LAPACK exports no dstevd under the names looked up"
+
 def killed(n):
     return sg.build_diffusion(sg.DiffusionSpec(
         0.0, 1.0, n, sigma=lambda x: 1.0 + 0.5 * x, kill=lambda x: np.full_like(x, 0.2),
         boundary_left="dirichlet", boundary_right="dirichlet"))
 
+def dense_eigh(gen):
+    # spectral_decompose's dense route, written out: eigh, clamp, C-ordered rescale
+    sqrt_m = np.sqrt(gen.space.weights)
+    sym = (-gen.matrix) * (sqrt_m[:, None] / sqrt_m[None, :])
+    lam, vecs = np.linalg.eigh(0.5 * (sym + sym.T))
+    scale = max(1.0, float(np.abs(lam).max()))
+    lam[np.abs(lam) <= spectral.EIG_CLAMP * scale] = 0.0
+    lam[lam < 0.0] = 0.0
+    return lam, np.divide(vecs, sqrt_m[:, None], order="C")
+
 models = {
+    "chain2": lambda: sg.build_chain([[-0.5, 0.5], [0.5, -0.5]], [1.0, 1.0]),
     "ou8": lambda: sg.build_ou(6.0, 8, 1.0),
     "ou400": lambda: sg.build_ou(6.0, 400, 1.0),
+    "ou1000": lambda: sg.build_ou(6.0, 1000, 1.0),
     "ou2000": lambda: sg.build_ou(6.0, 2000, 1.0),
     "killed2000": lambda: killed(2000),
     "laplacian400": lambda: sg.build_diffusion(sg.DiffusionSpec(0.0, np.pi, 400)),
 }
-threshold = spectral.TRIDIAGONAL_MIN_STATES
 out = {}
 for name, build in models.items():
     gen = build()
-    spectral.TRIDIAGONAL_MIN_STATES = gen.size + 1
-    dense = sg.spectral_decompose(gen)
-    # the default threshold for the large models, 0 for the small ones
-    spectral.TRIDIAGONAL_MIN_STATES = threshold if gen.size >= threshold else 0
     band = sg.spectral_decompose(gen)
-    spectral.TRIDIAGONAL_MIN_STATES = threshold
+    lam, phi = dense_eigh(gen)
     w = gen.matrix * gen.space.weights[:, None]
     residual = np.max(np.abs(w - w.T) / np.maximum(np.maximum(np.abs(w), np.abs(w.T)), 1.0))
     out[name] = {
-        "eigenvalues": dense.eigenvalues.tobytes() == band.eigenvalues.tobytes(),
-        "eigenvectors": dense.eigenvectors.tobytes() == band.eigenvectors.tobytes(),
+        "eigenvalues": lam.tobytes() == band.eigenvalues.tobytes(),
+        "eigenvectors": phi.tobytes() == band.eigenvectors.tobytes(),
         "c_order": bool(band.eigenvectors.flags.c_contiguous),
         "residual": [float(residual).hex(), gen.symmetry_residual.hex()],
     }
@@ -433,33 +441,49 @@ print(json.dumps(out))
 
 _SCIPY_PROBE = r"""
 import json, sys
+import numpy as np
 import semigroupinv as sg
-for n in (400, 1000):
-    sg.spectral_decompose(sg.build_ou(6.0, n, 1.0))
+sg.spectral_decompose(sg.build_ou(6.0, 400, 1.0))
+sg.spectral_decompose(sg.build_ou(6.0, 2000, 1.0))
+sg.spectral_decompose(sg.build_diffusion(sg.DiffusionSpec(
+    0.0, 1.0, 2000, sigma=lambda x: 1.0 + 0.5 * x, kill=lambda x: np.full_like(x, 0.2),
+    boundary_left="dirichlet", boundary_right="dirichlet")))
 print(json.dumps({"scipy": "scipy" in sys.modules}))
 """
 
 
 class TestTridiagonalPath:
-    """Tridiagonal generators are checked on their bands and solved by ``stevd``, with the dense bits.
+    """Tridiagonal generators are checked on their bands and solved by ``dstevd``, with the dense bits.
 
     The identity holds because dense ``eigh`` (``dsyevd``) ends in the same
-    ``dstedc`` as ``stevd``; no golden pin covers a model past
-    ``TRIDIAGONAL_MIN_STATES``, so a numpy, scipy or BLAS upgrade that
-    breaks it fails here.
+    ``dstedc`` as ``dstevd``; every size takes the band route, and a numpy
+    or BLAS upgrade that breaks the identity, or renames the routine, fails here.
     """
 
     def test_band_path_has_the_bits_of_dense_eigh(self):
         result = single_thread_probe(_BAND_PROBE)
-        assert set(result) == {"ou8", "ou400", "ou2000", "killed2000", "laplacian400"}
+        assert set(result) == {"chain2", "ou8", "ou400", "ou1000", "ou2000", "killed2000", "laplacian400"}
         for name, same in result.items():
             assert same["eigenvalues"] and same["eigenvectors"] and same["c_order"], name
             dense_residual, band_residual = same["residual"]
             assert band_residual == dense_residual, name
 
-    def test_models_below_the_threshold_do_not_import_scipy(self):
-        assert 1000 < TRIDIAGONAL_MIN_STATES
+    def test_decomposition_does_not_import_scipy(self):
         assert single_thread_probe(_SCIPY_PROBE) == {"scipy": False}
+
+    def test_dstevd_failure_raises_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_DSTEVD", failing_dstevd)
+        with pytest.raises(sg.NumericalError, match=r"dstevd failed with info = 1"):
+            sg.spectral_decompose(sg.build_ou(6.0, 400, 1.0))
+
+    def test_dense_eigh_failure_raises_numerical_error(self, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(spectral.np.linalg, "eigh", failing_eigh)
+        gen = sg.build_chain(np.full((3, 3), 1.0) - 3.0 * np.eye(3), [1.0, 1.0, 1.0])
+        with pytest.raises(sg.NumericalError, match=r"dsyevd .*Eigenvalues did not converge"):
+            sg.spectral_decompose(gen)
 
     def test_bands_only_for_a_matrix_without_other_entries(self):
         a = np.diag([1.0, 2.0, 3.0]) + np.diag([4.0, 5.0], 1) + np.diag([6.0, 7.0], -1)
@@ -478,9 +502,9 @@ class TestTridiagonalPath:
         ],
         ids=["band-entry", "off-band-ratio"],
     )
-    @pytest.mark.parametrize("threshold", [0, 10**9], ids=["band", "dense"])
-    def test_overflowing_symmetrised_entry_raises(self, monkeypatch, matrix, weights, threshold):
-        monkeypatch.setattr(spectral, "TRIDIAGONAL_MIN_STATES", threshold)
+    @pytest.mark.parametrize("routine", [spectral._DSTEVD, None], ids=["band", "dense"])
+    def test_overflowing_symmetrised_entry_raises(self, monkeypatch, matrix, weights, routine):
+        monkeypatch.setattr(spectral, "_DSTEVD", routine)
         gen = sg.build_chain(matrix, weights)
         with pytest.raises(sg.OverflowRisk, match="leaves double range"):
             sg.spectral_decompose(gen)
