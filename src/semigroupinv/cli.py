@@ -64,11 +64,11 @@ from .regularisation import (
     regularised_pide_solve,
     regularised_residual,
     regularised_solve,
-    trajectory_to_csv,
+    _trajectory_csv_chunks,
 )
 from .spectral import (
     SymmetricGenerator,
-    _csv_text,
+    _csv_table,
     build_space,
     inner,
     norm,
@@ -492,7 +492,7 @@ def _phi_from_params(p: dict, horizon: float):
 def _cmd_decompose(p, gen, dec, out: Path) -> dict:
     _write(
         out / "eigenvalues.csv",
-        _csv_text("index,lambda", "%d,%.17g\n", enumerate(dec.eigenvalues.tolist())),
+        _csv_table("index,lambda", np.arange(dec.size), dec.eigenvalues),
     )
     return {
         "n": gen.size,
@@ -620,7 +620,8 @@ def _cmd_pde(p, gen, dec, out: Path) -> dict:
         if exc.budget is None:
             raise
         raise ValidationError(f"{exc}; --steps N sets a uniform grid of N steps instead", exc.budget) from exc
-    _write(out / "trajectory.csv", trajectory_to_csv(traj))
+    with open(out / "trajectory.csv", "wb") as fh:
+        fh.writelines(_trajectory_csv_chunks(traj))
     summary["steps"] = int(traj.times.size - 1)
     summary["finalNorm"] = norm(gen.space, traj.values[-1])
     return summary
@@ -732,8 +733,13 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _build_arg_parser() -> argparse.ArgumentParser:
-    """Subcommands and flags from ``_COMMANDS``/``_FLAGS``; values stay strings for ``_param``."""
+def _build_arg_parser(flagged=None) -> argparse.ArgumentParser:
+    """Subcommands and flags from ``_COMMANDS``/``_FLAGS``; values stay strings for ``_param``.
+
+    Only the commands in ``flagged`` (default: all) get their flags and
+    ``--help``; every other command is registered with its help line alone,
+    which is all that the top-level help and errors show.
+    """
     parser = argparse.ArgumentParser(
         prog="semigroupinv",
         description="Spectral inversion and regularisation for symmetric Markov semigroups.",
@@ -741,7 +747,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, required, optional) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        full = flagged is None or name in flagged
+        p = sub.add_parser(name, help=help_text, add_help=full)
+        if not full:
+            continue
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--output", default="out", help="output directory (default: out)")
         for flag in required + optional:
@@ -753,7 +762,10 @@ def _build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> None:
-    args = vars(_build_arg_parser().parse_args(argv))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option with a value, so its first positional names the command
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = vars(_build_arg_parser(flagged=(command,)).parse_args(argv))
     command, model, output = args.pop("command"), args.pop("model"), args.pop("output")
     try:
         config = RunConfig(command, model, Path(output), {k: v for k, v in args.items() if v is not None})

@@ -24,7 +24,7 @@ from .inversion import (
     InverseProblem,
     invert_spectral,
 )
-from .spectral import SpectralDecomposition, SpectralFunction, _csv_text, _root_sum_squares, norm
+from .spectral import SpectralDecomposition, SpectralFunction, _csv_chunks, _csv_table, _root_sum_squares, norm
 
 # Each regularising multiplier family: its parameters, the error class an
 # out-of-range parameter raises, and phi(lambda) built from their values.
@@ -203,11 +203,8 @@ def gamma_convergence_study(
 
 def gamma_study_to_csv(rows) -> str:
     """CSV ``gamma,error,residual`` of a :func:`gamma_convergence_study`."""
-    return _csv_text(
-        "gamma,error,residual",
-        "%.17g,%.17g,%.17g\n",
-        ((row.gamma, row.error, row.residual) for row in rows),
-    )
+    columns = np.array([(row.gamma, row.error, row.residual) for row in rows], float).reshape(-1, 3).T
+    return _csv_table("gamma,error,residual", *columns)
 
 
 # -- jump-mixture regularisation ------------------------------------------------
@@ -291,19 +288,14 @@ def regularised_pide_solve(
     return BackwardTrajectory(t_grid, dec.trajectory(rates, t_grid, c))
 
 
+def _trajectory_csv_chunks(traj: BackwardTrajectory):
+    """The bytes of :func:`trajectory_to_csv`, in chunks of about 8192 values."""
+    return _csv_chunks("t,index,value", traj.times, traj.values)
+
+
 def trajectory_to_csv(traj: BackwardTrajectory) -> str:
     """Long-format CSV ``t,index,value`` of a backward trajectory.
 
-    One block of n rows per time, len(times) * n rows after the header;
-    each block fills one n-line template, with the time formatted once.
+    One block of n rows per time, len(times) * n rows after the header.
     """
-    n = traj.values.shape[1]
-    block = "".join("%%s,%d,%%.17g\n" % j for j in range(n))
-    cells = [None] * (2 * n)
-
-    def fill(t, values):
-        cells[0::2] = ["%.17g" % t] * n
-        cells[1::2] = values.tolist()
-        return tuple(cells)
-
-    return _csv_text("t,index,value", block, map(fill, traj.times.tolist(), traj.values))
+    return b"".join(_trajectory_csv_chunks(traj)).decode("ascii")

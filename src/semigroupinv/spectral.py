@@ -231,9 +231,6 @@ class SymmetricGenerator:
     def size(self) -> int:
         return self.space.size
 
-    def apply(self, f) -> np.ndarray:
-        return self.matrix @ _check_vector(self.space, f)
-
 
 @dataclass(frozen=True)
 class SpectralFunction:
@@ -345,8 +342,12 @@ def spectral_decompose(gen: SymmetricGenerator) -> SpectralDecomposition:
     bands = _tridiagonal_bands(gen.matrix) if _DSTEVD is not None else None
     with np.errstate(over="ignore", invalid="ignore"):
         if bands is None:
-            sym = (-gen.matrix) * (sqrt_m[:, None] / sqrt_m[None, :])
-            sym = 0.5 * (sym + sym.T)
+            # 0.5 (sym + sym.T) with sym = (-A) * (s_i / s_j), in place: the same bits in two n x n arrays
+            sym = sqrt_m[:, None] / sqrt_m[None, :]
+            sym *= gen.matrix
+            np.negative(sym, out=sym)
+            sym += sym.T
+            sym *= 0.5
             finite = np.all(np.isfinite(sym))
         else:
             # the dense sym's diagonal and lower band, the entries eigh reads;
@@ -373,8 +374,9 @@ def spectral_decompose(gen: SymmetricGenerator) -> SpectralDecomposition:
     lam = lam.copy()
     lam[np.abs(lam) <= EIG_CLAMP * scale] = 0.0
     lam[lam < 0.0] = 0.0
-    # C order whatever the solver's: the coefficient GEMVs' bits depend on the layout
-    phi = np.divide(vecs, sqrt_m[:, None], order="C")
+    # C order whatever the solver's: the coefficient GEMVs' bits depend on the layout;
+    # eigh's vectors are C-ordered already and are rescaled in place
+    phi = np.divide(vecs, sqrt_m[:, None], out=vecs if vecs.flags.c_contiguous else None, order="C")
     return SpectralDecomposition(gen.space, lam, phi, _owned=True)
 
 
@@ -409,31 +411,228 @@ def resolvent_apply(dec: SpectralDecomposition, alpha: float, f) -> np.ndarray:
 
 # -- CSV serialization -------------------------------------------------------
 #
-# Every CSV artifact is rendered by ``_csv_text``: LF line endings, integers
-# as %d and floats as %.17g, which round-trips every double and is the same
-# text as ``format(x, ".17g")``.  Each table builds its row template once and
-# fills it with plain Python floats from ``.tolist()``; formatting numpy
-# scalars cell by cell costs several times more.
+# Every CSV artifact has LF line endings and writes each number as
+# format(x, ".17g"), which round-trips every double; an integer index i is
+# written as the float i, whose %.17g is its %d.  One numpy kernel,
+# ``_g17_words``, renders a float column as those bytes:
+#
+# * Fast path: each cell whose %.17g exponent X lies in [-4, 16], %g's fixed
+#   notation at precision 17.  There 10^(16-X) is an exact double, and
+#   Dekker's TwoProduct (Veltkamp's split by 2^27 + 1, no FMA) gives
+#   |x| 10^(16-X) = P + e exactly, P an even integer >= 2^53; so
+#   N = P + rint(e) is the 17-digit integer that %.17g rounds |x| to, half
+#   to even.  X starts at floor(log10|x|); an N outside [10^16, 10^17)
+#   moves X by one, once, and only 10^16 < N < 10^17 proves X.
+# * Layout: a cell is eleven uint32 words, NUL-padded: the comma, the sign,
+#   the "0" of "0." and, for |x| >= 1, the leading digit; four words of
+#   integer digits; the point and up to three zeros after it; the leading
+#   digit of |x| < 1; four words of fraction digits without trailing zeros.
+#   A table of 4-digit words and a byte mask per X fill them.
+# * Fallback: every other cell (zeros, subnormals, |x| < 1e-4 or >= ~1e17,
+#   inf, nan, and values that round to a power of ten, such as 1.0 and
+#   100.0) is formatted by Python's own %.17g.
+#
+# A table's cells lie row after row, the first of each line with LF in
+# place of its comma, and one ``bytes.translate(None, b"\0")`` drops the
+# padding: the text is the header, the lines and one final LF.  A
+# trajectory is rendered in chunks of about ``_CSV_CHUNK_CELLS`` values
+# (``_csv_chunks``), which ``pde`` streams to trajectory.csv without
+# building the whole text.
 
 CSV_HEADER = "index,x,m,value"
 
+_CELL_WORDS = 11
+# Values in a chunk of a long table: the chunk's arrays stay in a core's cache.
+_CSV_CHUNK_CELLS = 8192
 
-def _csv_text(header: str, row: str, rows) -> str:
-    """``header``, then ``row % cells`` for each tuple of cells in ``rows``.
 
-    ``row`` ends in a newline and may hold several lines of the table.
+def _words(byte_rows) -> np.ndarray:
+    """Rows of 4 bytes as native uint32 words, so a word holds its bytes in memory order."""
+    return np.ascontiguousarray(byte_rows, dtype=np.uint8).view(np.uint32)[..., 0]
+
+
+def _build_g17_tables():
+    """The kernel's word tables, built with numpy.
+
+    ``groups``: at v, the 4 digits of v; at v + 10000, the same without
+    trailing zeros (0000 gives four NULs).  ``lead``: at d, three NULs and
+    the digit d.  ``integer_mask``: in column X + 4, the bytes of the four
+    digit words that hold digits 1..16 of N at positions p <= X.
+    ``point``: at X + 4, NULs; at 21 + X + 4, the point and, for X < 0,
+    -X - 1 zeros.  ``head``: at 2 * sign + (X < 0), the comma, then "-" for
+    a negative x and "0" before the point of |x| < 1.
     """
-    return header + "\n" + "".join(map(row.__mod__, rows))
+    digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T  # row v: the digits of v
+    trailing_zero = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]  # it and every later digit 0
+    ascii_digits = digits + np.uint8(ord("0"))
+    groups = _words(np.concatenate([ascii_digits, np.where(trailing_zero, np.uint8(0), ascii_digits)]))
+    lead = np.zeros((10, 4), np.uint8)
+    lead[:, 3] = ascii_digits[:10, 3]
+    x = np.arange(-4, 17)
+    positions = np.arange(1, 17).reshape(4, 4)
+    integer_mask = _words(np.where(positions <= x[:, None, None], 255, 0)).T.copy()
+    point = np.zeros((2, 21, 4), np.uint8)
+    point[1, :, 0] = ord(".")
+    point[1, :3, 1:] = np.where(np.arange(1, 4) <= -1 - x[:3, None], ord("0"), 0)
+    head = np.zeros((4, 4), np.uint8)
+    head[:, 0] = ord(",")
+    head[2:, 1] = ord("-")
+    head[1::2, 2] = ord("0")
+    return groups, _words(lead), integer_mask, _words(point).ravel(), _words(head)
+
+
+_DIGITS4, _LEAD_DIGIT, _INTEGER_MASK, _POINT, _HEAD = _build_g17_tables()
+
+_POW10 = 10.0 ** np.arange(21)  # exact: every 10^k with k <= 22 is a double
+_SPLITTER = 2.0**27 + 1.0
+
+
+def _split(a: np.ndarray):
+    """Veltkamp's split of ``a`` into a 26-bit high part and the exact rest."""
+    c = a * _SPLITTER
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
+
+
+def _round17(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round-half-even(a 10^k) as int64, exactly, wherever 2^53 <= a 10^k < 2^63.
+
+    Dekker's TwoProduct gives a 10^k = p + e with p = fl(a 10^k), an even
+    integer there; so the rounded value is p + rint(e).
+    """
+    p = np.take(_POW10, k)
+    p *= a
+    a_high, a_low = _split(a)
+    b_high, b_low = np.take(_POW10_HIGH, k), np.take(_POW10_LOW, k)
+    # e = a_low b_low - (((p - a_high b_high) - a_low b_high) - a_high b_low), every step exact
+    e = a_high * b_high
+    e -= p
+    e += a_low * b_high
+    e += a_high * b_low
+    e += a_low * b_low
+    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+
+def _digits17(x: np.ndarray):
+    """``(n, exp10, fast)``: where ``fast``, |x| rounds to n 10^(exp10 - 16) with 10^16 < n < 10^17.
+
+    The cells outside ``fast`` hold arbitrary n and exp10.
+    """
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        exp10 = np.floor(np.log10(a))
+    fast = (exp10 >= -4) & (exp10 <= 16)  # False for 0, nan, inf and every subnormal
+    a[~fast], exp10[~fast] = 1.0, 0.0
+    exp10 = exp10.astype(np.int64)
+    n = _round17(a, 16 - exp10)
+    # log10 may round across a power of ten, and N may round up to 10^17: move X once
+    moved = np.flatnonzero((n < 10**16) | (n >= 10**17))
+    if moved.size:
+        exp10[moved] += np.where(n[moved] < 10**16, -1, 1)
+        n[moved] = _round17(a[moved], np.clip(16 - exp10[moved], 0, 20))
+        fast[moved] &= (exp10[moved] >= -4) & (exp10[moved] <= 16)
+    # 10^16 < N < 10^17 proves X; N = 10^16 may also come from |x| just below 10^X
+    fast &= (n > 10**16) & (n < 10**17)
+    return n, exp10, fast
+
+
+def _g17_words(x, out=None) -> np.ndarray:
+    """``"," + format(x_i, ".17g")`` for each x_i, as NUL-padded rows of ``_CELL_WORDS`` uint32 words.
+
+    The rows are written into ``out`` when it is given, a (cells,
+    ``_CELL_WORDS``) uint32 array.
+    """
+    x = np.ascontiguousarray(x, dtype=float).ravel()
+    if out is None:
+        out = np.empty((x.size, _CELL_WORDS), np.uint32)
+    n, exp10, fast = _digits17(x)
+    # N = lead 10^16 + four 4-digit groups, one per row of the planar arrays
+    lead = n // 10**16
+    n -= lead * 10**16
+    high = n // 10**8
+    low = n - high * 10**8
+    groups = np.empty((4, x.size), np.int64)
+    np.floor_divide(high, 10**4, out=groups[0])
+    np.subtract(high, groups[0] * 10**4, out=groups[1])
+    np.floor_divide(low, 10**4, out=groups[2])
+    np.subtract(low, groups[2] * 10**4, out=groups[3])
+    # a fraction group drops its trailing zeros when every later group is 0
+    stripped = np.empty((4, x.size), np.int64)
+    stripped[3] = 10000
+    np.multiply(groups[3] == 0, 10000, out=stripped[2])
+    np.multiply(groups[2] == 0, stripped[2], out=stripped[1])
+    np.multiply(groups[1] == 0, stripped[1], out=stripped[0])
+    stripped += groups
+    # every table index below is in range where fast; "clip" keeps the other cells' harmless
+    mask = np.take(_INTEGER_MASK, exp10 + 4, axis=1, mode="clip")
+    integer = np.take(_DIGITS4, groups, mode="clip")
+    integer &= mask
+    fraction = np.take(_DIGITS4, stripped, mode="clip")
+    fraction &= ~mask
+    below_one = exp10 < 0
+    lead = np.take(_LEAD_DIGIT, lead, mode="clip")
+    head = np.take(_HEAD, 2 * np.signbit(x) + below_one)
+    out[:, 0] = np.where(below_one, head, head | lead)
+    out[:, 1:5] = integer.T
+    point = fraction[0] | fraction[1] | fraction[2] | fraction[3]
+    point |= below_one
+    out[:, 5] = np.take(_POINT, (point != 0) * 21 + exp10 + 4, mode="clip")
+    out[:, 6] = np.where(below_one, lead, 0)
+    out[:, 7:] = fraction.T
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = [b",%.17g" % v for v in x[slow].tolist()]
+        out[slow] = np.array(text, dtype=f"S{4 * _CELL_WORDS}").view(np.uint32).reshape(-1, _CELL_WORDS)
+    return out
+
+
+def _csv_table(header: str, *columns) -> str:
+    """``header``, then one line of the float ``columns``, comma-separated, per row."""
+    cells = np.column_stack(columns)
+    words = _g17_words(cells)
+    words.view(np.uint8)[:: cells.shape[1], 0] = ord("\n")  # each line opens with LF, not a comma
+    return header + words.tobytes().translate(None, b"\0").decode("ascii") + "\n"
+
+
+def _packed_words(x, lead: bytes) -> np.ndarray:
+    """``lead + format(x_i, ".17g")`` for each x_i, as rows of uint32 words NUL-padded to the longest."""
+    cells = [lead + c for c in _g17_words(x).tobytes().translate(None, b"\0").split(b",")[1:]]
+    width = -(-max(map(len, cells), default=1) // 4)
+    return np.array(cells, dtype=f"S{4 * width}").view(np.uint32).reshape(len(cells), width)
+
+
+def _csv_chunks(header: str, times, values):
+    """``header``, then the line ``times[i],j,values[i, j]`` for each i and j, as bytes in chunks.
+
+    A chunk holds the lines of whole rows i, at least one and about
+    ``_CSV_CHUNK_CELLS`` values.  The index column is rendered once and the
+    times about ``_CSV_CHUNK_CELLS`` at a time, so the working set does not
+    grow with the number of rows.
+    """
+    yield header.encode("ascii")
+    n = values.shape[1]
+    index = _packed_words(np.arange(n), b",")
+    rows = max(1, _CSV_CHUNK_CELLS // max(n, 1))
+    block = rows * max(1, _CSV_CHUNK_CELLS // rows)
+    for start in range(0, len(times), block):
+        stamps = _packed_words(times[start:start + block], b"\n")
+        width = stamps.shape[1] + index.shape[1] + _CELL_WORDS
+        for a in range(0, len(stamps), rows):
+            lines = np.empty((len(stamps[a:a + rows]), n, width), np.uint32)
+            lines[..., :stamps.shape[1]] = stamps[a:a + rows, None]
+            lines[..., stamps.shape[1]:-_CELL_WORDS] = index
+            _g17_words(values[start + a:start + a + rows], out=lines.reshape(-1, width)[:, -_CELL_WORDS:])
+            yield lines.tobytes().translate(None, b"\0")
+    yield b"\n"
 
 
 def vector_to_csv(space: WeightedStateSpace, values) -> str:
     """Serialize a grid function as ``index,x,m,value`` rows, LF endings."""
     values = _check_vector(space, values)
-    return _csv_text(
-        CSV_HEADER,
-        "%d,%.17g,%.17g,%.17g\n",
-        zip(range(space.size), space.points.tolist(), space.weights.tolist(), values.tolist()),
-    )
+    return _csv_table(CSV_HEADER, np.arange(space.size), space.points, space.weights, values)
 
 
 def vector_from_csv(text: str) -> tuple[WeightedStateSpace, np.ndarray]:

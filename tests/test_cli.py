@@ -700,6 +700,26 @@ class TestFlagTable:
             assert re.search(r"--%s\b" % flag.replace("_", "-"), text)
 
 
+def _parse_outcome(parse, argv, capsys):
+    """Exit code, stdout and stderr of ``parse(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+class TestOneCommandParser:
+    """``main`` gives flags only to the invoked command, with every output of the full parser."""
+
+    CASES = [["--help"], ["--version"], [], ["bogus"], ["decompose"], ["invert", "--model", "m.json", "--T", "1"]]
+    CASES += [[command, "--help"] for command in sorted(cli._COMMANDS)]
+
+    @pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "no-command")
+    def test_same_output_as_the_full_parser(self, argv, capsys):
+        full = _parse_outcome(cli._build_arg_parser().parse_args, argv, capsys)
+        assert _parse_outcome(main, argv, capsys) == full
+        assert full[0] in (0, 2) and full[1] + full[2]
+
+
 class TestNonFiniteFlags:
     """Non-finite or out-of-range values that once gave NaN artifacts or a traceback."""
 

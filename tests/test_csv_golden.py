@@ -1,21 +1,25 @@
 """Byte identity of the CSV artifacts.
 
-Every writer renders rows through one %-template per table.  The reference
-writers below format one cell at a time with ``format(float(x), ".17g")``;
-the library must produce exactly the same text, down to signed zeros,
-subnormals, whole numbers, non-finite values and the LF line endings.  The
-pinned SHA-256 values are the artifacts of small fixed CLI runs of every
-command, written by the reference formatting.
+Every writer renders its float columns through one numpy %.17g kernel.  The
+reference writers below format one cell at a time with
+``format(float(x), ".17g")``; the library must produce exactly the same
+text, down to signed zeros, subnormals, whole numbers, non-finite values and
+the LF line endings.  The pinned SHA-256 values are the artifacts of small
+fixed CLI runs of every command, written by the reference formatting.
 """
 
 import hashlib
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semigroupinv as sg
-from semigroupinv import cli
+from semigroupinv import cli, regularisation, spectral
 from semigroupinv.regularisation import GammaStudyRow
 
 SPECIAL = [
@@ -145,3 +149,138 @@ def test_cli_artifact_sha256(tmp_path, argv, artifact, sha256):
         cli.main(argv + ["--model", str(model), "--output", str(out)])
     assert exc.value.code == 0
     assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == sha256
+
+
+# -- the %.17g kernel ------------------------------------------------------------
+
+
+def _g17(values) -> list[str]:
+    """The kernel's text of each value, one line each."""
+    words = spectral._g17_words(np.asarray(values, float))
+    return words.tobytes().translate(None, b"\0").decode("ascii").split(",")[1:]
+
+
+def _assert_g17(values):
+    values = np.asarray(values, float)
+    assert _g17(values) == [_fmt(v) for v in values]
+
+
+def _neighbours(x: float, steps: int = 3) -> list[float]:
+    """``x`` and the ``steps`` doubles on either side of it."""
+    below, above = [x], [x]
+    for _ in range(steps):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+class TestG17Kernel:
+    """The vectorised kernel against Python's own ``format(x, ".17g")``, value by value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=64))
+    def test_any_double(self, values):
+        _assert_g17(values)
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        values = [v for k in range(-6, 19) for v in _neighbours(float(f"1e{k}"))]
+        _assert_g17(values + [-v for v in values])
+
+    def test_fast_path_keeps_the_neighbours_of_powers_of_ten(self):
+        # log10 rounds some of them across the power, and X moves by one; only a
+        # value that rounds to a power of ten, N = 10^16, goes to Python's %.17g
+        for k in range(-3, 17):
+            values = _neighbours(float(f"1e{k}"))
+            expected = [format(v, ".16e")[:18] != "1.0000000000000000" for v in values]
+            assert list(spectral._digits17(np.array(values))[2]) == expected, k
+
+    def test_exact_ties_round_half_even(self):
+        rng = np.random.default_rng(16)
+        odd = 2 * rng.integers(0, 2**52, 3000, dtype=np.int64) + 1
+        odd = np.concatenate([odd, 2 * np.arange(1, 3000) + 1, 2**53 - 1 - 2 * np.arange(3000)])
+        for d in (2, 4, 8):
+            _assert_g17(odd / d)
+            _assert_g17(-(odd / d))
+        # the exact decimal of m / 2^j ends in 5: a tie wherever it has 18 digits
+        _assert_g17([m / 2.0**j for m in (1234567890123456789 >> 10 | 1, 3, 5, 99) for j in range(1, 70)])
+
+    def test_edges_of_the_fast_range(self):
+        # the doubles on either side of 1e-4, 1e16 and 1e17, and of the literals
+        # just below 1e-4 and 1e17 that round up to them at 17 digits
+        values = [v for edge in (1e-4, 1e-5, 1e16, 1e17, 9.99999999999999995e-5, 99999999999999999.0)
+                  for v in _neighbours(edge, 12)]
+        _assert_g17(values + [-v for v in values])
+
+    def test_signed_zeros_subnormals_and_non_finite(self):
+        tiny = np.finfo(float).tiny
+        values = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, math.nextafter(tiny, 0.0), 1e-310,
+                  np.finfo(float).max, -np.finfo(float).max, math.inf, -math.inf, math.nan]
+        _assert_g17(values)
+
+    def test_fast_path_share_of_a_trajectory(self):
+        # the ou400 witness trajectory: almost every value is in the fast range
+        gen = sg.build_ou(6.0, 400, 1.0)
+        dec = sg.spectral_decompose(gen)
+        traj = sg.solve_backward_cauchy(sg.InverseProblem(dec, 1.0, gen.space.points**2), coeff_tol=1e-8)
+        _, _, fast = spectral._digits17(traj.values.ravel())
+        assert np.count_nonzero(fast) >= 0.999 * fast.size
+
+
+class TestTrajectoryChunks:
+    """``trajectory.csv`` in chunks of whole rows, each the bytes of the reference writer."""
+
+    @pytest.mark.parametrize("n", [100, spectral._CSV_CHUNK_CELLS + 5], ids=["rows-per-chunk", "row-over-chunk"])
+    def test_fallback_cells_at_chunk_edges(self, n):
+        rows_per_chunk = max(1, spectral._CSV_CHUNK_CELLS // n)
+        rows = 3 * rows_per_chunk
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal((rows, n))
+        for start in range(0, rows, rows_per_chunk):
+            values[start, 0] = -0.0  # first cell of a chunk
+            values[start + rows_per_chunk - 1, -1] = 5e-324  # last cell of a chunk
+            values[start + rows_per_chunk // 2, n // 2] = math.nan
+        traj = sg.BackwardTrajectory(np.linspace(0.0, 1.0, rows), values)
+        chunks = list(regularisation._trajectory_csv_chunks(traj))
+        assert chunks[0] == b"t,index,value" and chunks[-1] == b"\n"
+        assert [c.count(b"\n") for c in chunks[1:-1]] == [rows_per_chunk * n] * 3
+        assert b"".join(chunks).decode("ascii") == reference_trajectory_csv(traj)
+
+    @pytest.mark.parametrize("gamma", [None, "0.2"], ids=["spectral", "mixed"])
+    def test_streamed_pde_file_is_trajectory_to_csv(self, tmp_path, monkeypatch, gamma):
+        solves = []
+
+        def keep(solve):
+            def wrapper(*args, **kwargs):
+                solves.append(solve(*args, **kwargs))
+                return solves[-1]
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "solve_backward_cauchy", keep(cli.solve_backward_cauchy))
+        monkeypatch.setattr(cli, "regularised_pide_solve", keep(cli.regularised_pide_solve))
+        model = tmp_path / "ou400.json"
+        model.write_text(json.dumps({"schemaVersion": 1, "type": "ou", "parameters": {"n": 400}}), encoding="utf-8")
+        argv = ["pde", "--model", str(model), "--T", "0.05", "--g", "x^2", "--steps", "60", "--output", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ([] if gamma is None else ["--gamma", gamma]))
+        assert exc.value.code == 0
+        (traj,) = solves
+        assert traj.values.size > 2 * spectral._CSV_CHUNK_CELLS
+        assert (tmp_path / "trajectory.csv").read_bytes() == sg.trajectory_to_csv(traj).encode("ascii")
+
+    def test_streamed_write_holds_a_working_set_independent_of_the_rows(self, tmp_path):
+        rng = np.random.default_rng(7)
+        peaks = []
+        for rows in (1000, 2000):  # 0.4 M and 0.8 M cells: 18 and 35 MB of text
+            values = rng.standard_normal((rows, 400)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 400))
+            traj = sg.BackwardTrajectory(np.linspace(0.0, 1.0, rows), values)
+            tracemalloc.start()
+            try:
+                with open(tmp_path / "trajectory.csv", "wb") as fh:
+                    fh.writelines(regularisation._trajectory_csv_chunks(traj))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # one chunk's buffers and kernel arrays: 2.1 MB measured at both row counts
+        assert peaks[1] < 4_000_000
+        assert peaks[1] < 1.1 * peaks[0]
