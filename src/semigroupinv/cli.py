@@ -85,12 +85,18 @@ SCHEMA_VERSION = 1
 # lambda_max; above it the comparison is reported as skipped, with the reason.
 _FLOW_CHECK_LAMBDA_MAX = 50.0
 
-# Most states of any model (grid cells, chain weights, jump points): 128 MB
-# per dense n x n matrix.  At 4000 states (one OpenBLAS thread, 2-core Xeon)
-# an ou or diffusion model builds and decomposes in 2.5-3.1 s at a peak RSS
-# of 0.43 GB, through the tridiagonal eigensolver; a jump model, which runs
-# the dense eigh, takes about 22 s at 0.9 GB.
+# Most grid cells of an ``ou`` or ``diffusion`` model, which the library holds
+# as three bands.  At 4000 cells (one OpenBLAS thread, 2-core Xeon) such a
+# model builds and decomposes in 2.0-2.4 s at a peak RSS of 0.28 GB, nearly
+# all of it dstevd's eigenvectors with its workspace or with their C-ordered
+# rescaling, two of the 128 MB n x n arrays.
 _MAX_STATES = 4000
+
+# Most states of a dense model: the ``weights`` of a ``chain``, the ``points``
+# and ``weights`` of a ``jump``.  These run the dense eigh, and their peak
+# grows as n^2: a Gaussian ``jump`` model of 2000 points builds and
+# decomposes in about 1.9 s at 0.25 GB, one of 2800 points reaches 0.45 GB.
+_MAX_DENSE_STATES = 2000
 
 # Deepest nesting of parentheses and exp( an expression may use, which keeps
 # the recursive-descent parser far inside Python's recursion limit.
@@ -297,9 +303,10 @@ def _array(value) -> np.ndarray:
 
 
 def _state_array(value) -> np.ndarray:
-    """One entry per state: ``_array(value)``, at most ``_MAX_STATES`` long."""
+    """One entry per state of a dense model: ``_array(value)``, at most ``_MAX_DENSE_STATES`` long."""
     values = _array(value)
-    _states(values.size)
+    if values.size > _MAX_DENSE_STATES:
+        raise ValueError(f"{values.size} states exceed the dense-model budget of {_MAX_DENSE_STATES}")
     return values
 
 

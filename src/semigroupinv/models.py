@@ -70,31 +70,26 @@ def _divergence_form(
     boundary_right: str,
     wall_conductance: tuple[float, float],
 ) -> SymmetricGenerator:
-    """Assemble A = M^-1 D^T C D - diag(c) on a cell-centered grid.
+    """A = M^-1 D^T C D - diag(c) on a cell-centered grid, as its three bands.
 
     ``edge_conductance`` has n-1 interior entries; ``wall_conductance`` gives
     the absorbing-wall conductances used when an endpoint is dirichlet (the
     wall sits half a cell beyond the end node).
     """
-    n = points.size
     m = m_density * h
     space = build_space(points, m)  # refuses a weight that underflowed to 0 before it divides
-    w = edge_conductance
-    a = np.zeros((n, n))
-    i = np.arange(n - 1)
-    a[i, i + 1] = w / m[:-1]
-    a[i + 1, i] = w / m[1:]
+    lower = edge_conductance / m[1:]
+    upper = edge_conductance / m[:-1]
     # diagonal sums in the order of an edge-by-edge assembly, which fixes
     # their bits: left edge, right edge, wall, kill
-    diag = np.zeros(n)
-    diag[1:] -= w / m[1:]
-    diag[:-1] -= w / m[:-1]
+    diag = np.zeros(points.size)
+    diag[1:] -= lower
+    diag[:-1] -= upper
     if boundary_left == "dirichlet":
         diag[0] -= wall_conductance[0] / m[0]
     if boundary_right == "dirichlet":
         diag[-1] -= wall_conductance[1] / m[-1]
-    a[np.diag_indices(n)] = diag - kill_rate
-    return SymmetricGenerator(space, a, _owned=True)
+    return SymmetricGenerator(space, (lower, diag - kill_rate, upper), _owned=True)
 
 
 def build_diffusion(spec: DiffusionSpec) -> SymmetricGenerator:

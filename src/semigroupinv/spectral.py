@@ -10,6 +10,7 @@ per-mode multiplier applied in the eigenbasis.
 from __future__ import annotations
 
 import ctypes
+import functools
 import io
 import math
 from dataclasses import InitVar, dataclass, field
@@ -65,7 +66,7 @@ def _load_dstevd():
     return None
 
 
-# None when numpy's LAPACK does not export it: tridiagonal generators then run the dense eigh
+# None when numpy's LAPACK does not export it: band generators then run eigh on their tridiagonal
 _DSTEVD = _load_dstevd()
 
 
@@ -155,15 +156,13 @@ def norm(space: WeightedStateSpace, f) -> float:
     return _root_sum_squares(lambda v: float(np.sqrt(np.dot(v * v, space.weights))), f)
 
 
-def _tridiagonal_bands(a: np.ndarray):
-    """``(lower, diagonal, upper)`` views of square ``a`` when it has no other nonzero entry, else None.
-
-    Counts nonzeros, which allocates no n x n array (NaN counts as nonzero).
-    """
-    bands = np.diagonal(a, -1), np.diagonal(a), np.diagonal(a, 1)
-    if np.count_nonzero(a) != sum(map(np.count_nonzero, bands)):
-        return None
-    return bands
+def _tridiagonal(lower, diag, upper) -> np.ndarray:
+    """The dense matrix with the given sub-, main and super-diagonals and zeros elsewhere."""
+    n = diag.size
+    a = np.zeros((n, n))
+    flat = a.reshape(-1)
+    flat[n::n + 1], flat[::n + 1], flat[1::n + 1] = lower, diag, upper
+    return a
 
 
 def _asymmetry(w: np.ndarray, w_t: np.ndarray) -> np.ndarray:
@@ -176,20 +175,27 @@ def check_m_symmetry(matrix, space: WeightedStateSpace) -> float:
 
     Returns max_ij |m_i A_ij - m_j A_ji| / max(|m_i A_ij|, |m_j A_ji|, 1).
     Zero means exactly m-symmetric, and NaN means some m_i A_ij leaves
-    double range.  Diagnostic only: never raises.  A tridiagonal matrix is
-    measured on its three diagonals, every other entry being 0; the
-    diagonal's own term is 0, or NaN once m_i A_ii overflows.
+    double range.  Diagnostic only: never raises on values.  ``matrix`` is
+    A as a dense (n, n) array, or a tridiagonal A as its ``(lower,
+    diagonal, upper)`` bands; the bands give the dense matrix's value, every
+    other entry being 0 and the diagonal's own term 0, or NaN once m_i A_ii
+    overflows.  A wrong shape raises :class:`LengthMismatch`.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.shape != (space.size, space.size):
-        raise LengthMismatch(f"matrix shape {a.shape} on a space of size {space.size}")
+    n = space.size
+    banded = isinstance(matrix, tuple)
+    if banded:
+        lower, diag, upper = (np.asarray(x, dtype=float) for x in matrix)
+        shape, expected = (lower.shape, diag.shape, upper.shape), ((n - 1,), (n,), (n - 1,))
+    else:
+        a = np.asarray(matrix, dtype=float)
+        shape, expected = a.shape, (n, n)
+    if shape != expected:
+        raise LengthMismatch(f"matrix shape {shape} on a space of size {n}")
     m = space.weights
-    bands = _tridiagonal_bands(a)
     with np.errstate(over="ignore", invalid="ignore"):
-        if bands is None:
+        if not banded:
             w = a * m[:, None]
             return float(np.max(_asymmetry(w, w.T)))
-        lower, diag, upper = bands
         w_diag = diag * m
         off = np.max(_asymmetry(upper * m[:-1], lower * m[1:]))
         return float(np.maximum(off, np.max(_asymmetry(w_diag, w_diag))))
@@ -199,33 +205,44 @@ def check_m_symmetry(matrix, space: WeightedStateSpace) -> float:
 class SymmetricGenerator:
     """An m-symmetric rate matrix A with -A non-negative definite in L2(m).
 
-    ``symmetry_residual`` is :func:`check_m_symmetry` of the matrix, measured
-    once here and at most ``SYM_TOL``; a NaN residual raises :class:`OverflowRisk`.
-    The matrix is copied, unless ``_owned`` says that the library's builder
-    has just made it and holds it nowhere else.
+    ``rates`` is A as a dense (n, n) array, or a tridiagonal A (the ``ou``
+    and ``diffusion`` builders) as its ``(lower, diagonal, upper)`` bands,
+    kept as ``bands``; ``bands`` is None for a dense generator.  ``matrix``
+    is A as a read-only dense array either way, built from the bands on
+    first read.  ``symmetry_residual`` is :func:`check_m_symmetry` of the
+    form held, measured once here and at most ``SYM_TOL``; a NaN residual
+    raises :class:`OverflowRisk`.  The arrays are copied, unless ``_owned``
+    says that the library's builder has just made them and holds them
+    nowhere else.
     """
 
     space: WeightedStateSpace
-    matrix: np.ndarray
+    rates: InitVar[np.ndarray | tuple]
+    bands: tuple | None = field(init=False)
     symmetry_residual: float = field(init=False)
     _owned: InitVar[bool] = False
 
-    def __post_init__(self, _owned):
-        object.__setattr__(self, "matrix", _as_readonly(self.matrix, _owned))
-        if self.matrix.shape != (self.space.size, self.space.size):
-            raise LengthMismatch(
-                f"matrix shape {self.matrix.shape} on a space of size {self.space.size}"
-            )
-        if not np.all(np.isfinite(self.matrix)):
+    def __post_init__(self, rates, _owned):
+        banded = isinstance(rates, tuple)
+        parts = tuple(_as_readonly(x, _owned) for x in (rates if banded else (rates,)))
+        residual = check_m_symmetry(parts if banded else parts[0], self.space)
+        if not all(np.all(np.isfinite(x)) for x in parts):
             raise ValidationError("generator matrix must be finite")
-        residual = check_m_symmetry(self.matrix, self.space)
         if math.isnan(residual):
             raise OverflowRisk("the weighted generator m_i A_ij leaves double range")
         if not residual <= SYM_TOL:
             raise NotMSymmetric(
                 f"m-symmetry residual {residual:.3e} exceeds tolerance {SYM_TOL:.1e}"
             )
+        object.__setattr__(self, "bands", parts if banded else None)
         object.__setattr__(self, "symmetry_residual", residual)
+        if not banded:
+            self.__dict__["matrix"] = parts[0]  # the cached value of ``matrix`` below
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        """A as a read-only dense (n, n) array, built from the bands on first read."""
+        return _as_readonly(_tridiagonal(*self.bands), owned=True)
 
     @property
     def size(self) -> int:
@@ -334,14 +351,14 @@ def spectral_decompose(gen: SymmetricGenerator) -> SpectralDecomposition:
     anything below ``-EIG_TOL`` relative is an invalid generator.  A
     transformed matrix that leaves double range raises :class:`OverflowRisk`,
     and an eigensolver that fails raises :class:`NumericalError`.
-    A tridiagonal generator (``ou``, ``diffusion``) is solved on its two
-    bands by numpy's LAPACK ``dstevd``, with the same bits as the dense
-    ``eigh``; without that routine it runs the dense ``eigh`` too.
+    A band generator (``ou``, ``diffusion``) is symmetrised on its bands
+    and solved by numpy's LAPACK ``dstevd``, with the same bits as the dense
+    ``eigh`` of its matrix; without that routine, ``eigh`` runs on the
+    tridiagonal built from the symmetrised bands.
     """
     sqrt_m = np.sqrt(gen.space.weights)
-    bands = _tridiagonal_bands(gen.matrix) if _DSTEVD is not None else None
     with np.errstate(over="ignore", invalid="ignore"):
-        if bands is None:
+        if gen.bands is None:
             # 0.5 (sym + sym.T) with sym = (-A) * (s_i / s_j), in place: the same bits in two n x n arrays
             sym = sqrt_m[:, None] / sqrt_m[None, :]
             sym *= gen.matrix
@@ -350,22 +367,24 @@ def spectral_decompose(gen: SymmetricGenerator) -> SpectralDecomposition:
             sym *= 0.5
             finite = np.all(np.isfinite(sym))
         else:
-            # the dense sym's diagonal and lower band, the entries eigh reads;
-            # an entry off the bands is 0 * s_i/s_j, NaN once s_max/s_min overflows
-            lower, diag, upper = bands
+            # the dense sym's diagonal and lower band, the entries eigh reads; the ratio
+            # check fails where a dense matrix's 0 * s_i/s_j off the bands would be NaN
+            lower, diag, upper = gen.bands
             d = (-diag) * (sqrt_m / sqrt_m)
             d = 0.5 * (d + d)
             e = 0.5 * ((-lower) * (sqrt_m[1:] / sqrt_m[:-1]) + (-upper) * (sqrt_m[:-1] / sqrt_m[1:]))
             finite = np.all(np.isfinite(d)) and np.all(np.isfinite(e)) and np.isfinite(sqrt_m.max() / sqrt_m.min())
     if not finite:
         raise OverflowRisk("the symmetrised generator M^(1/2) (-A) M^(-1/2) leaves double range")
-    if bands is None:
+    if gen.bands is not None and _DSTEVD is not None:
+        lam, vecs = _stevd(d, e)
+    else:
+        if gen.bands is not None:
+            sym = _tridiagonal(e, d, e)
         try:
             lam, vecs = np.linalg.eigh(sym)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"LAPACK dsyevd (numpy.linalg.eigh) failed: {exc}") from None
-    else:
-        lam, vecs = _stevd(d, e)
     scale = max(1.0, float(np.abs(lam).max()))
     if lam[0] < -EIG_TOL * scale:
         raise NegativeEigenvalue(

@@ -565,7 +565,7 @@ class TestBudgets:
     )
     def test_state_budget_covers_every_model_type(self, tmp_path, monkeypatch, kind, long_key, builder):
         monkeypatch.setattr(cli, builder, lambda *a: pytest.fail("an n x n array was built"))
-        n = cli._MAX_STATES + 1
+        n = cli._MAX_DENSE_STATES + 1
         params = {"points": [0.0, 1.0], "weights": [0.5, 0.5]}
         if kind == "chain":
             params = {"matrix": [[-0.5, 0.5], [0.5, -0.5]], "weights": [0.5, 0.5]}
@@ -576,7 +576,16 @@ class TestBudgets:
         assert cli_exit(["decompose", "--model", str(model), "--output", str(out)]) == 2
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "InvalidConfig"
-        assert f"'{long_key}': {n} states exceed" in error["message"]
+        assert f"'{long_key}': {n} states exceed the dense-model budget of 2000" in error["message"]
+
+    def test_dense_model_budget_admits_2000_states_and_refuses_2001(self):
+        assert cli._MAX_DENSE_STATES == 2000
+        params = {"weights": [1.0] * 2000}
+        assert cli._model_param(params, "weights", cli._state_array).shape == (2000,)
+        params["weights"].append(1.0)
+        with pytest.raises(sg.InvalidConfig, match="^model parameter 'weights': 2001 states exceed the "
+                                                   "dense-model budget of 2000$"):
+            cli._model_param(params, "weights", cli._state_array)
 
 
 class TestNonFiniteAndDeepInputs:

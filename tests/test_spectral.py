@@ -10,7 +10,6 @@ from scipy.integrate import quad
 import semigroupinv as sg
 from conftest import expm_2state, failing_dstevd, single_thread_probe
 from semigroupinv import spectral
-from semigroupinv.spectral import _tridiagonal_bands
 
 # Eigenvalues this close count as one degenerate eigenspace.
 CLUSTER_TOL = 1e-9
@@ -111,6 +110,37 @@ class TestMSymmetry:
         with pytest.raises(sg.NotMSymmetric):
             sg.build_chain([[-2.0, 2.0], [1.0, -1.0]], [1.0, 1.0])
 
+    @pytest.mark.parametrize("weights", [[1.0, 2.0, 0.5], [1e308, 1e10, 1.0]], ids=["finite", "overflow"])
+    def test_bands_measure_what_the_dense_matrix_measures(self, weights):
+        space = sg.build_space([0.0, 1.0, 2.0], weights)
+        lower, diag, upper = np.array([2.0, 1.0]), np.array([-10.0, -3.0, -2.0]), np.array([1.0, 0.25])
+        dense = np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1)
+        banded = sg.check_m_symmetry((lower, diag, upper), space)
+        assert banded.hex() == sg.check_m_symmetry(dense, space).hex()
+        assert math.isnan(banded) == (weights[0] == 1e308)  # m_0 A_00 overflows
+
+    @pytest.mark.parametrize("bands", [
+        ([1.0], [-1.0, -1.0, -1.0], [1.0, 1.0]),
+        ([1.0, 1.0], [-1.0, -1.0], [1.0, 1.0]),
+        (np.ones((2, 1)), [-1.0, -1.0, -1.0], [1.0, 1.0]),
+    ], ids=["lower", "diagonal", "2-d"])
+    def test_band_shapes_must_fit_the_space(self, bands):
+        space = sg.build_space([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+        with pytest.raises(sg.LengthMismatch, match="on a space of size 3"):
+            sg.check_m_symmetry(bands, space)
+        with pytest.raises(sg.LengthMismatch, match="on a space of size 3"):
+            sg.SymmetricGenerator(space, bands)
+
+    @pytest.mark.parametrize("upper, error", [
+        ([2.0], sg.NotMSymmetric), ([math.nan], sg.ValidationError), ([math.inf], sg.ValidationError),
+    ])
+    def test_band_generator_refuses_what_a_dense_one_refuses(self, upper, error):
+        space = sg.build_space([0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(error):
+            sg.SymmetricGenerator(space, ([1.0], [-1.0, -1.0], upper))
+        with pytest.raises(error):
+            sg.SymmetricGenerator(space, [[-1.0, upper[0]], [1.0, -1.0]])
+
 
 class TestSpectralDecompose:
     def test_two_state_eigenpairs(self, chain2):
@@ -170,6 +200,16 @@ class TestReadOnlyArrays:
         for array in (gen.matrix, dec.eigenvalues, dec.eigenvectors):
             assert not array.flags.writeable
 
+    def test_caller_bands_are_copied_and_the_matrix_is_built_once(self):
+        space = sg.build_space([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+        bands = np.array([1.0, 2.0]), np.array([-1.0, -3.0, -2.0]), np.array([1.0, 2.0])
+        gen = sg.SymmetricGenerator(space, bands)
+        bands[1][0] = 5.0
+        assert gen.bands[1][0] == -1.0 and all(not b.flags.writeable for b in gen.bands)
+        assert gen.matrix is gen.matrix and not gen.matrix.flags.writeable
+        assert np.array_equal(gen.matrix, [[-1.0, 1.0, 0.0], [1.0, -3.0, 2.0], [0.0, 2.0, -2.0]])
+        assert sg.build_chain(gen.matrix, [1.0, 1.0, 1.0]).bands is None
+
     def test_ou2000_build_and_decomposition_copy_no_n_by_n_array(self):
         copy = 2000 * 2000 * 8  # one n x n array, 32 MB
         tracemalloc.start()
@@ -182,8 +222,8 @@ class TestReadOnlyArrays:
             decompose_peak = tracemalloc.get_traced_memory()[1] - kept
         finally:
             tracemalloc.stop()
-        # the matrix alone: 1.13 copies measured, 2.13 with a second copy
-        assert build_peak < 1.5 * copy
+        # the bands, the space and the builder's vectors: 0.01 copies measured; a dense matrix is 1.0
+        assert build_peak < 0.05 * copy
         # dstevd's vectors with its workspace, then the vectors with their C-order rescale:
         # 2.0 copies measured, 3.0 with a third
         assert decompose_peak < 2.5 * copy
@@ -200,8 +240,8 @@ class TestReadOnlyArrays:
             decompose_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the symmetrised matrix with the buffer of its transpose, then with eigh's
-        # vectors, rescaled in place: 2.0 copies measured, 3.0 with a third
+        # the tridiagonal built from the symmetrised bands, then with eigh's vectors,
+        # rescaled in place: 2.0 copies measured, 3.0 with a third
         assert decompose_peak < 2.5 * copy
         assert dec.eigenvectors.flags.c_contiguous and not dec.eigenvectors.flags.writeable
 
@@ -439,19 +479,24 @@ models = {
     "killed2000": lambda: killed(2000),
     "laplacian400": lambda: sg.build_diffusion(sg.DiffusionSpec(0.0, np.pi, 400)),
 }
-out = {}
+# the band route and the fallback of a numpy whose LAPACK exports no dstevd
+routes = {"dstevd": spectral._DSTEVD, "eigh": None}
+out = {route: {} for route in routes}
 for name, build in models.items():
     gen = build()
-    band = sg.spectral_decompose(gen)
     lam, phi = dense_eigh(gen)
     w = gen.matrix * gen.space.weights[:, None]
     residual = np.max(np.abs(w - w.T) / np.maximum(np.maximum(np.abs(w), np.abs(w.T)), 1.0))
-    out[name] = {
-        "eigenvalues": lam.tobytes() == band.eigenvalues.tobytes(),
-        "eigenvectors": phi.tobytes() == band.eigenvectors.tobytes(),
-        "c_order": bool(band.eigenvectors.flags.c_contiguous),
-        "residual": [float(residual).hex(), gen.symmetry_residual.hex()],
-    }
+    for route, routine in routes.items():
+        spectral._DSTEVD = routine
+        dec = sg.spectral_decompose(gen)
+        out[route][name] = {
+            "bands": gen.bands is not None,
+            "eigenvalues": lam.tobytes() == dec.eigenvalues.tobytes(),
+            "eigenvectors": phi.tobytes() == dec.eigenvectors.tobytes(),
+            "c_order": bool(dec.eigenvectors.flags.c_contiguous),
+            "residual": [float(residual).hex(), gen.symmetry_residual.hex()],
+        }
 print(json.dumps(out))
 """
 
@@ -469,20 +514,25 @@ print(json.dumps({"scipy": "scipy" in sys.modules}))
 
 
 class TestTridiagonalPath:
-    """Tridiagonal generators are checked on their bands and solved by ``dstevd``, with the dense bits.
+    """Band generators are checked on their bands and solved by ``dstevd``, with the dense bits.
 
     The identity holds because dense ``eigh`` (``dsyevd``) ends in the same
     ``dstedc`` as ``dstevd``; every size takes the band route, and a numpy
     or BLAS upgrade that breaks the identity, or renames the routine, fails here.
+    Without the routine, ``eigh`` on the tridiagonal of the symmetrised bands
+    gives the same bits too.  chain2 is a dense control.
     """
 
     def test_band_path_has_the_bits_of_dense_eigh(self):
         result = single_thread_probe(_BAND_PROBE)
-        assert set(result) == {"chain2", "ou8", "ou400", "ou1000", "ou2000", "killed2000", "laplacian400"}
-        for name, same in result.items():
-            assert same["eigenvalues"] and same["eigenvectors"] and same["c_order"], name
-            dense_residual, band_residual = same["residual"]
-            assert band_residual == dense_residual, name
+        assert set(result) == {"dstevd", "eigh"}
+        for route, models in result.items():
+            assert set(models) == {"chain2", "ou8", "ou400", "ou1000", "ou2000", "killed2000", "laplacian400"}
+            for name, same in models.items():
+                assert same["bands"] == (name != "chain2"), (route, name)
+                assert same["eigenvalues"] and same["eigenvectors"] and same["c_order"], (route, name)
+                dense_residual, band_residual = same["residual"]
+                assert band_residual == dense_residual, (route, name)
 
     def test_decomposition_does_not_import_scipy(self):
         assert single_thread_probe(_SCIPY_PROBE) == {"scipy": False}
@@ -501,15 +551,6 @@ class TestTridiagonalPath:
         with pytest.raises(sg.NumericalError, match=r"dsyevd .*Eigenvalues did not converge"):
             sg.spectral_decompose(gen)
 
-    def test_bands_only_for_a_matrix_without_other_entries(self):
-        a = np.diag([1.0, 2.0, 3.0]) + np.diag([4.0, 5.0], 1) + np.diag([6.0, 7.0], -1)
-        lower, diag, upper = _tridiagonal_bands(a)
-        assert list(lower) == [6.0, 7.0] and list(diag) == [1.0, 2.0, 3.0] and list(upper) == [4.0, 5.0]
-        for entry in (1.0, math.nan, -0.0):
-            b = a.copy()
-            b[0, 2] = entry
-            assert (_tridiagonal_bands(b) is None) == (entry != 0.0)
-
     @pytest.mark.parametrize(
         "matrix, weights",
         [
@@ -520,7 +561,11 @@ class TestTridiagonalPath:
     )
     @pytest.mark.parametrize("routine", [spectral._DSTEVD, None], ids=["band", "dense"])
     def test_overflowing_symmetrised_entry_raises(self, monkeypatch, matrix, weights, routine):
+        # the matrix as a dense chain and as a band generator, on either band route
         monkeypatch.setattr(spectral, "_DSTEVD", routine)
-        gen = sg.build_chain(matrix, weights)
-        with pytest.raises(sg.OverflowRisk, match="leaves double range"):
-            sg.spectral_decompose(gen)
+        a = np.array(matrix)
+        bands = np.diagonal(a, -1), np.diagonal(a), np.diagonal(a, 1)
+        space = sg.build_space(np.arange(a.shape[0], dtype=float), weights)
+        for gen in (sg.build_chain(a, weights), sg.SymmetricGenerator(space, bands)):
+            with pytest.raises(sg.OverflowRisk, match="leaves double range"):
+                sg.spectral_decompose(gen)
