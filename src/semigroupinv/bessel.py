@@ -16,9 +16,11 @@ Laplace transforms with composite Gauss-Legendre panels:
   with the modes as rows and the nodes taken in blocks of about
   ``_BLOCK_CELLS`` cells.
 - :func:`i0_multipliers`: mu_k = int I0(2 sqrt(a s)) e^(-s/beta_k) ds = beta_k e^(a beta_k),
-  each mode over its own envelope window in u = sqrt(s), on the same few
-  panels mapped to every window, with the modes taken in blocks of about
-  ``_BLOCK_CELLS`` cells.
+  each mode over its own envelope window in u = sqrt(s), on the same two
+  panels mapped to every window (at 32 points a panel, 64 + 128 I0
+  evaluations a mode, the 128-node sum returned), with the modes taken in
+  blocks of about ``_BLOCK_CELLS`` cells.  An uncapped mode's exponent
+  a beta_k is carried with its exact rounding error (Dekker's TwoProduct).
 
 So a quadrature's memory beside its node arrays is one block, however many
 nodes or modes it needs.
@@ -33,6 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import MAX_EXPONENT, OverflowRisk, QuadratureNotConverged, ValidationError, check_budget, check_range
+from .spectral import _BLOCK_CELLS, _split
 
 # J0 regimes: the 0-centered series keeps both its error AND the error's
 # point-to-point decorrelation at ~eps * I0(x); anchored local Taylor
@@ -42,9 +45,11 @@ from .errors import MAX_EXPONENT, OverflowRisk, QuadratureNotConverged, Validati
 _J0_SERIES_END = 3.65
 _J0_SEAMS = (5.45, 7.45, 9.45, 11.45)
 _J0_ASYMPTOTIC_START = 13.0
-# I0 regimes: the 60-term series of positive terms stays within 2e-15
-# relative up to x = 20 (and beyond); the 25-term asymptotic sum is within
-# 3.2e-16 from x = 20 on, but off by 1.9e-14 at 16 and 3.9e-13 at 14.
+# I0 regimes, each summed in Horner form on precomputed coefficients: the
+# 60-term series of positive terms stays within 1.2e-15 relative up to
+# x = 20 (and beyond); the 25-term asymptotic sum is within 3.4e-16 from
+# x = 20 on, but off by 1.9e-14 at 16 and 3.9e-13 at 14, and 16 terms would
+# be off by 1.6e-14 at 20 (against mpmath).
 _I0_SERIES_END = 20.0
 
 # J0 and J1 at the local-Taylor anchors, 25 significant digits.
@@ -88,6 +93,10 @@ _I0_B = np.empty(_I0_ASYMPT_TERMS)
 _I0_B[0] = 1.0
 for _j in range(1, _I0_ASYMPT_TERMS):
     _I0_B[_j] = _I0_B[_j - 1] * ((2.0 * _j - 1.0) ** 2) / (8.0 * _j)
+
+# I0 series coefficients 1/(k!)^2, each correctly rounded.
+_I0_SERIES_TERMS = 60
+_I0_SERIES = np.array([1 / math.factorial(_j) ** 2 for _j in range(_I0_SERIES_TERMS)])
 
 
 def _j0_series(x: np.ndarray) -> np.ndarray:
@@ -167,25 +176,43 @@ def _i0(arr: np.ndarray, scaled: bool) -> np.ndarray:
         big = float(arr.max())
         log10 = (big - 0.5 * np.log(2.0 * np.pi * big)) / np.log(10.0)
         raise OverflowRisk(f"I0({big:g}) exceeds double range", log10_value=log10)
+    asymptotic = arr > _I0_SERIES_END
+    if asymptotic.all():  # one regime, the bulk of every I0 window block: no gather or scatter
+        return _i0_asymptotic(arr, scaled)
+    series = arr <= _I0_SERIES_END
+    if series.all():
+        return _i0_series(arr, scaled)
     out = np.full_like(arr, np.nan)  # NaN falls in no regime below
-
-    m = arr <= _I0_SERIES_END
-    if np.any(m):
-        q = 0.25 * arr[m] * arr[m]
-        acc = np.ones_like(q)
-        term = np.ones_like(q)
-        for k in range(1, 60):
-            term = term * q / (k * k)
-            acc = acc + term
-        out[m] = acc * np.exp(-arr[m]) if scaled else acc
-    m = arr > _I0_SERIES_END
-    if np.any(m):
-        z = arr[m]
-        s = np.zeros_like(z)
-        for k in range(_I0_ASYMPT_TERMS - 1, -1, -1):
-            s = s / z + _I0_B[k]
-        out[m] = s / np.sqrt(2.0 * np.pi * z) if scaled else np.exp(z) / np.sqrt(2.0 * np.pi * z) * s
+    if series.any():
+        out[series] = _i0_series(arr[series], scaled)
+    if asymptotic.any():
+        out[asymptotic] = _i0_asymptotic(arr[asymptotic], scaled)
     return out
+
+
+def _i0_series(x: np.ndarray, scaled: bool) -> np.ndarray:
+    # sum_k q^k / (k!)^2 with q = x^2/4, in Horner form on the rounded 1/(k!)^2
+    q = 0.25 * x * x
+    acc = np.full_like(q, _I0_SERIES[-1])
+    for c in _I0_SERIES[-2::-1]:
+        acc *= q
+        acc += c
+    return acc * np.exp(-x) if scaled else acc
+
+
+def _i0_asymptotic(z: np.ndarray, scaled: bool) -> np.ndarray:
+    # sum_k b_k / z^k / sqrt(2 pi z), in Horner form on r = 1/z
+    r = 1.0 / z
+    s = np.full_like(z, _I0_B[-1])
+    for b in _I0_B[-2::-1]:
+        s *= r
+        s += b
+    if not scaled:
+        return np.exp(z) / np.sqrt(2.0 * np.pi * z) * s
+    np.multiply(2.0 * np.pi, z, out=r)
+    np.sqrt(r, out=r)
+    s /= r
+    return s
 
 
 # -- composite Gauss-Legendre Bochner quadrature ------------------------------
@@ -231,12 +258,13 @@ _REFINEMENTS = 3
 # asks for more, and every node vector grows with it.
 _MAX_PANELS = 16384
 
-# Cells (modes x nodes) of one _decay_sum or I0 window block: a 256 KB
-# temporary, L2-sized.
-_BLOCK_CELLS = 32768
-
-# Equal panels on each mode's I0 window before the first halving.
-_I0_WINDOW_PANELS = 4
+# Equal panels on each mode's I0 window before the first halving: at 32
+# points a panel, 64 nodes and then 128, whose sum is returned.  The windowed
+# bell is smooth enough that every benchmark window converges at the first
+# halving (ou400 at a = 1 and 2, laplacian400 at a = 0.04, both capped at
+# s_cap = 350^2/a; ou n=400 over [-1, 1] at a = 19/lambda_max), where 4
+# panels cost twice the nodes for the same halving count.
+_I0_WINDOW_PANELS = 2
 
 # e-folds an I0 window runs past ln(1/tail_tol).  A window that starts at
 # u = 0 cuts off the tail of 2u exp(-u^2/beta), e^-L of the mode: so
@@ -415,6 +443,23 @@ def j0_multipliers(x: float, rates, config: QuadratureConfig, scale: float = 1.0
     )
 
 
+def _product_error(a: float, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """a b - p exactly for p = fl(a b): Dekker's TwoProduct on Veltkamp's split.
+
+    0 wherever the split of a factor or the product leaves double range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_high, a_low = _split(np.float64(a))
+        b_high, b_low = _split(b)
+        # every step exact, as in spectral._round17
+        e = a_high * b_high
+        e -= p
+        e += a_low * b_high
+        e += a_high * b_low
+        e += a_low * b_low
+    return np.where(np.isfinite(e), e, 0.0)
+
+
 def i0_multipliers(a: float, betas, config: QuadratureConfig, s_cap: float = math.inf) -> QuadratureResult:
     """mu_k = integral_0^s_cap I0(2 sqrt(a s)) exp(-s/beta_k) ds for every beta_k > 0.
 
@@ -429,9 +474,11 @@ def i0_multipliers(a: float, betas, config: QuadratureConfig, s_cap: float = mat
     equal panels of v in [0, 1], mapped to each window, so the cost is modes
     times a constant.  Each mode is divided by its size at the window's peak,
     exp(E_k) min(beta_k, sqrt(s_cap/a)), so the halving test is relative per
-    mode.  A window that is empty or not finite raises :class:`ValidationError`,
-    an I0 argument past ``errors.MAX_EXPONENT`` :class:`OverflowRisk`; a capped
-    multiplier past double range is inf.
+    mode; an uncapped mode's E_k = a beta_k is the rounded product plus its
+    exact error, e^E_k = e^fl(a beta_k) (1 + error).  A window that is empty
+    or not finite raises :class:`ValidationError`, an I0 argument past
+    ``errors.MAX_EXPONENT`` :class:`OverflowRisk`; a multiplier past double
+    range is inf.
     """
     a = check_range("a", a)
     betas = np.asarray(betas, dtype=float)
@@ -446,8 +493,11 @@ def i0_multipliers(a: float, betas, config: QuadratureConfig, s_cap: float = mat
     if not (np.all(lo < hi) and np.all(np.isfinite(hi))):
         raise ValidationError(f"the I0 window of a = {a:g} up to s_cap = {s_cap:g} is empty or not finite")
     width = hi - lo
-    # E_k = 2 sqrt(a) top - top^2/beta; a beta, the closed form's own exponent, when uncapped
-    exponent = np.where(top < peak, top * (2.0 * root_a - top / betas), a * betas)
+    capped = top < peak
+    # E_k = 2 sqrt(a) top - top^2/beta; a beta, the closed form's own exponent, when uncapped,
+    # carried there as the rounded product plus its exact error
+    exponent = np.where(capped, top * (2.0 * root_a - top / betas), a * betas)
+    low = np.where(capped, 0.0, _product_error(a, betas, exponent))
     size = np.minimum(betas, math.sqrt(s_cap / a))
 
     def integrand(v, w):
@@ -455,17 +505,28 @@ def i0_multipliers(a: float, betas, config: QuadratureConfig, s_cap: float = mat
         rows = max(1, _BLOCK_CELLS // v.size)
         for start in range(0, betas.size, rows):
             k = slice(start, start + rows)
-            u = lo[k, None] + width[k, None] * v
-            top_k, peak_k = top[k, None], peak[k, None]
+            u = width[k, None] * v
+            u += lo[k, None]
+            top_k = top[k, None]
             # 2 sqrt(a) u - u^2/beta - E_k, written so that it does not cancel
-            drop = (top_k - u) * (top_k + u - 2.0 * peak_k) / betas[k, None]
-            field = 2.0 * u * _i0(2.0 * root_a * u, scaled=True) * np.exp(drop)
+            drop = top_k - u
+            rise = top_k + u
+            rise -= 2.0 * peak[k, None]
+            drop *= rise
+            drop /= betas[k, None]
+            np.exp(drop, out=drop)
+            # 2u (I0(2 sqrt(a) u) e^(-2 sqrt(a) u)) e^drop
+            field = _i0(np.multiply(2.0 * root_a, u, out=rise), scaled=True)
+            u *= 2.0
+            field *= u
+            field *= drop
             out[k] = (field @ w) * (width[k] / size[k])
         return out
 
     result = bochner_quadrature(np.ones_like, integrand, config, np.linspace(0.0, 1.0, _I0_WINDOW_PANELS + 1))
     with np.errstate(over="ignore"):
         value = result.value * size * np.exp(exponent)
+    value *= 1.0 + low  # e^low to rounding, |low| <= 2^-53 E_k
     return replace(result, value=value)
 
 

@@ -740,13 +740,18 @@ def run(config: RunConfig) -> int:
     return 0
 
 
-def _build_arg_parser(flagged=None) -> argparse.ArgumentParser:
-    """Subcommands and flags from ``_COMMANDS``/``_FLAGS``; values stay strings for ``_param``.
+def _add_flags(parser: argparse.ArgumentParser, required, optional) -> None:
+    parser.add_argument("--model", required=True, help="model JSON file")
+    parser.add_argument("--output", default="out", help="output directory (default: out)")
+    for flag in required + optional:
+        _, default, flag_help = _FLAGS[flag]
+        if default is not None:
+            flag_help += f" (default: {default})"
+        parser.add_argument("--" + flag.replace("_", "-"), required=flag in required, help=flag_help)
 
-    Only the commands in ``flagged`` (default: all) get their flags and
-    ``--help``; every other command is registered with its help line alone,
-    which is all that the top-level help and errors show.
-    """
+
+def _build_arg_parser() -> argparse.ArgumentParser:
+    """Subcommands and flags from ``_COMMANDS``/``_FLAGS``; values stay strings for ``_param``."""
     parser = argparse.ArgumentParser(
         prog="semigroupinv",
         description="Spectral inversion and regularisation for symmetric Markov semigroups.",
@@ -754,25 +759,42 @@ def _build_arg_parser(flagged=None) -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, required, optional) in _COMMANDS.items():
-        full = flagged is None or name in flagged
-        p = sub.add_parser(name, help=help_text, add_help=full)
-        if not full:
-            continue
-        p.add_argument("--model", required=True, help="model JSON file")
-        p.add_argument("--output", default="out", help="output directory (default: out)")
-        for flag in required + optional:
-            _, default, flag_help = _FLAGS[flag]
-            if default is not None:
-                flag_help += f" (default: {default})"
-            p.add_argument("--" + flag.replace("_", "-"), required=flag in required, help=flag_help)
+        _add_flags(sub.add_parser(name, help=help_text), required, optional)
     return parser
+
+
+class _NotParsed(Exception):
+    pass
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """One command's flags, without help; raises on any error instead of printing."""
+
+    def error(self, message):
+        raise _NotParsed
+
+
+def _parse_args(argv: list) -> dict:
+    """``_build_arg_parser().parse_args(argv)`` as a dict, parsed by the invoked command's flags alone.
+
+    That parser is the subparser's twin, so it accepts the same arguments
+    with the same values.  Anything it does not parse (no or an unknown
+    command, an option before the command, help, a missing or unknown flag)
+    goes to the full parser, which prints its usage, help or error.
+    """
+    if argv and argv[0] in _COMMANDS:
+        parser = _CommandParser(prog=f"semigroupinv {argv[0]}", add_help=False)
+        _add_flags(parser, *_COMMANDS[argv[0]][2:])
+        try:
+            return {"command": argv[0], **vars(parser.parse_args(argv[1:]))}
+        except _NotParsed:
+            pass
+    return vars(_build_arg_parser().parse_args(argv))
 
 
 def main(argv=None) -> None:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top level takes no option with a value, so its first positional names the command
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = vars(_build_arg_parser(flagged=(command,)).parse_args(argv))
+    args = _parse_args(argv)
     command, model, output = args.pop("command"), args.pop("model"), args.pop("output")
     try:
         config = RunConfig(command, model, Path(output), {k: v for k, v in args.items() if v is not None})

@@ -156,6 +156,12 @@ def norm(space: WeightedStateSpace, f) -> float:
     return _root_sum_squares(lambda v: float(np.sqrt(np.dot(v * v, space.weights))), f)
 
 
+# Cells of one block of a blocked pass: rows of the dense m-symmetry residual,
+# and bessel's _decay_sum and I0 window blocks (modes x nodes).  A 256 KB
+# temporary, L2-sized.
+_BLOCK_CELLS = 32768
+
+
 def _tridiagonal(lower, diag, upper) -> np.ndarray:
     """The dense matrix with the given sub-, main and super-diagonals and zeros elsewhere."""
     n = diag.size
@@ -179,7 +185,9 @@ def check_m_symmetry(matrix, space: WeightedStateSpace) -> float:
     A as a dense (n, n) array, or a tridiagonal A as its ``(lower,
     diagonal, upper)`` bands; the bands give the dense matrix's value, every
     other entry being 0 and the diagonal's own term 0, or NaN once m_i A_ii
-    overflows.  A wrong shape raises :class:`LengthMismatch`.
+    overflows.  A wrong shape raises :class:`LengthMismatch`.  A dense
+    matrix is measured in row blocks of about ``_BLOCK_CELLS`` cells, so its
+    temporaries are a few blocks, not n x n arrays.
     """
     n = space.size
     banded = isinstance(matrix, tuple)
@@ -194,8 +202,13 @@ def check_m_symmetry(matrix, space: WeightedStateSpace) -> float:
     m = space.weights
     with np.errstate(over="ignore", invalid="ignore"):
         if not banded:
-            w = a * m[:, None]
-            return float(np.max(_asymmetry(w, w.T)))
+            # rows i of w = m_i A_ij against the same rows of w.T, a block at a time
+            rows = max(1, _BLOCK_CELLS // n)
+            block_max = [
+                np.max(_asymmetry(a[i : i + rows] * m[i : i + rows, None], (a[:, i : i + rows] * m[:, None]).T))
+                for i in range(0, n, rows)
+            ]
+            return float(np.max(block_max))
         w_diag = diag * m
         off = np.max(_asymmetry(upper * m[:-1], lower * m[1:]))
         return float(np.maximum(off, np.max(_asymmetry(w_diag, w_diag))))

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import semigroupinv as sg
-from semigroupinv.bessel import geometric_refined_edges, i0_multipliers, j0_multipliers
+from semigroupinv.bessel import _i0, geometric_refined_edges, i0_multipliers, j0_multipliers
 from semigroupinv.inversion import FLOW_QUADRATURE, H_QUADRATURE, I0_QUADRATURE
 
 
@@ -100,6 +100,38 @@ class TestPointValues:
         with pytest.raises(sg.OverflowRisk) as exc:
             sg.bessel_i0(710.0)
         assert exc.value.log10_value > 300
+
+
+class TestI0MpmathOracle:
+    """``bessel_i0`` and the scaled ``_i0`` against 30-digit mpmath, 400 points a regime.
+
+    Each range is one call, so the series range and the asymptotic range
+    each run as a single regime; [20, 60] and the seam mix the two.  The
+    worst measured error is 1.2e-15, against a contract of 1e-12.
+    """
+
+    RANGES = {
+        "series": np.linspace(0.0, 20.0, 401)[1:],
+        "asymptotic-near": np.linspace(20.0, 60.0, 400),
+        "asymptotic-far": np.linspace(60.0, 700.0, 400),
+        "seam": np.array([np.nextafter(20.0, 0.0), 20.0, np.nextafter(20.0, 21.0)]),
+    }
+
+    @pytest.mark.parametrize("regime", sorted(RANGES))
+    def test_within_1e_12_relative(self, regime):
+        mp = pytest.importorskip("mpmath")
+        x = self.RANGES[regime]
+        with mp.workdps(30):
+            exact = [mp.besseli(0, mp.mpf(v)) for v in x]
+            scaled_exact = [e * mp.exp(-mp.mpf(v)) for e, v in zip(exact, x)]
+            for got, want in ((sg.bessel_i0(x), exact), (_i0(x, scaled=True), scaled_exact)):
+                worst = max(float(abs(mp.mpf(g) - w) / w) for g, w in zip(got, want))
+                assert worst <= 1e-12, regime
+
+    @pytest.mark.parametrize("values", [[5.0, 10.0], [30.0, 400.0]], ids=["series", "asymptotic"])
+    def test_nan_among_one_regime_maps_to_nan(self, values):
+        got = _i0(np.array(values + [math.nan]), scaled=True)
+        assert np.array_equal(got[:-1], _i0(np.array(values), scaled=True)) and math.isnan(got[-1])
 
 
 class TestBounds:
@@ -211,7 +243,7 @@ class TestLaplaceMultipliers:
         dec, a = (ou400[1], 2.0) if case == "ou400" else (dirichlet_laplacian400, 0.04)
         result = i0_multipliers(a, dec.eigenvalues + 1.0, I0_QUADRATURE, s_cap=350.0**2 / a)
         assert result.refinements == 1
-        assert result.n_nodes == 8 * I0_QUADRATURE.points_per_panel
+        assert result.n_nodes == 4 * I0_QUADRATURE.points_per_panel
 
     def test_empty_or_non_finite_window_is_refused(self):
         for a, betas, s_cap in ((math.inf, [1.0], math.inf), (1e300, [1e300], math.inf), (2.0, [1.0], 0.0)):
@@ -226,6 +258,29 @@ class TestLaplaceMultipliers:
         mu = i0_multipliers(2.0, beta, I0_QUADRATURE, s_cap=350.0**2 / 2.0).value
         # the low modes end inside the window and agree to rounding; the high ones are cut short
         assert np.all(np.isfinite(mu)) and np.all(mu <= closed * (1.0 + 1e-12))
+
+    def test_uncapped_exponent_carries_its_rounding_error(self, dirichlet_laplacian400):
+        """laplacian400 at a = 0.04: the modes whose bell ends inside the cap, against the 30-digit closed form.
+
+        They reach e^251, and fl(a beta) alone left them 1.4e-14 off; the
+        exact product's error brings the worst to 1.3e-15.
+        """
+        mp = pytest.importorskip("mpmath")
+        a, s_cap = 0.04, 350.0**2 / 0.04
+        beta = dirichlet_laplacian400.eigenvalues + 1.0
+        mu = i0_multipliers(a, beta, I0_QUADRATURE, s_cap).value
+        spread = np.sqrt((math.log(1e12) + 8.0) * beta)
+        inside = np.flatnonzero(math.sqrt(a) * beta + spread < math.sqrt(s_cap))
+        assert inside.size > 100
+        with mp.workdps(30):
+            worst = max(float(abs(mp.mpf(mu[k]) / (mp.mpf(beta[k]) * mp.exp(mp.mpf(a) * mp.mpf(beta[k]))) - 1))
+                        for k in inside)
+        assert worst <= 4e-15
+
+    @pytest.mark.parametrize("a, beta", [(1e-298, 1e300), (1e-303, 1e305)], ids=["product", "split"])
+    def test_uncapped_multiplier_past_double_range_is_inf(self, a, beta):
+        # beta e^(a beta) is e^791 and e^802; at 1e305 Veltkamp's split of beta overflows, which must not give NaN
+        assert i0_multipliers(a, [beta], I0_QUADRATURE).value[0] == math.inf
 
 
 class TestBochnerQuadrature:

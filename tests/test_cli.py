@@ -1,5 +1,6 @@
 """CLI harness: expression grammar, model configs, artifacts, exit codes."""
 
+import argparse
 import json
 import math
 import re
@@ -727,6 +728,27 @@ class TestOneCommandParser:
         full = _parse_outcome(cli._build_arg_parser().parse_args, argv, capsys)
         assert _parse_outcome(main, argv, capsys) == full
         assert full[0] in (0, 2) and full[1] + full[2]
+
+    VALID = [
+        ["invert", "--model", "m.json", "--T", "1", "--g", "x^2", "--method", "bessel"],
+        ["regularise", "--model=m.json", "--T", "-0.5", "--g", "x", "--gamma", "0.1", "--tau", "2"],
+        ["sweep", "--mod", "m.json", "--T", "1", "--g", "x", "--output", "o", "--T", "2"],
+        ["check", "--model", "m.json", "--seed", "3"],
+    ]
+
+    @pytest.mark.parametrize("argv", VALID, ids=lambda argv: argv[0])
+    def test_valid_arguments_parse_as_with_the_full_parser_and_build_one_parser(self, argv, monkeypatch):
+        full = vars(cli._build_arg_parser().parse_args(argv))
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        assert cli._parse_args(argv) == full
+        assert len(built) == 1
 
 
 class TestNonFiniteFlags:

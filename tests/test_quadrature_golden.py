@@ -31,11 +31,11 @@ SMALL_OU = {"schemaVersion": 1, "type": "ou", "parameters": {"halfWidth": 4.0, "
 
 # run/artifact -> SHA-256 of the artifact written by the multiplier twins
 GOLDEN_ARTIFACTS = {
-    "diagnose/report.json": "e1a1601242051fbb24072f3d4f971f4fa52aba31164900567c351f68cc08b733",
-    "diagnose/summary.json": "45bd402cd1b3f45b2fff767c5e7e84f2bccae69c39d5173f810622d55fcd4259",
+    "diagnose/report.json": "901e9d9e0a796fd667d0a204dfb7b634f5faf7c4a33a8fad3497efb3f35121f0",
+    "diagnose/summary.json": "7a561f744988dc363bf741868e21097e0ba16e1e206ab6a0f169f9a686bbfa14",
     "invert-bessel/report.json": "d9b0f5d5c85ea782f26b2a7591a99d97374bd8126b4128e8a99f81b67a34a34b",
-    "invert-bessel/solution.csv": "40eff4d5aed49a8a8c39b490872f57d34cd3c7ff9206ead91bfd1296afd377dd",
-    "invert-bessel/summary.json": "682467c736545223b928f498221d3a630478a2c58b54fbd92822ca8bdd9eb7cb",
+    "invert-bessel/solution.csv": "9c435b3c100b7b48ae598dd256e47f69a40aec2e1f08f68412ac6ba39ec034ba",
+    "invert-bessel/summary.json": "b8622e14b58413fad171ea0309e582cc1d8112c68e145a470b700217864ec0b9",
 }
 GOLDEN_RUNS = {
     "diagnose": ["diagnose", "--T", "1", "--g", "1.3*x^2", "--alpha", "1.5"],
@@ -46,7 +46,7 @@ GOLDEN_HEX = {
     "squared_bessel_h_quadrature": "0x1.53b224287531dp-1",
     "resolvent_flow_quadrature": "916071f148498fbcb7910ba49db98e69e5fe5368542d45d4f14e22898a64656b",
     "laplace_j0_identity": ["0x1.78b56362cfe3ap-2", "0x1.78b56362cef38p-2"],
-    "laplace_i0_identity": ["0x1.d8e64b8d4ddadp+3", "0x1.d8e64b8d4ddaep+3"],
+    "laplace_i0_identity": ["0x1.d8e64b8d4ddacp+3", "0x1.d8e64b8d4ddaep+3"],
     "squared_bessel_pde_check": "0x1.0d8fa8e800000p-23",
 }
 
@@ -132,9 +132,9 @@ def test_conditioning_artifacts_and_integrals_are_pinned(tmp_path):
 def test_invert_bessel_memory_does_not_grow_with_nodes_times_modes(ou400):
     """All 400 modes of random(3) are active at T = 0.005 (lambda_max T = 11.2).
 
-    Each mode is integrated over its own I0 window, 256 nodes after one
+    Each mode is integrated over its own I0 window, 128 nodes after one
     halving, and the modes are taken in row blocks of ``_BLOCK_CELLS``
-    cells: the call peaks at 4.2 MB (tracemalloc), bounded at 8 MB.
+    cells: the call peaks at 3.7 MB (tracemalloc), bounded at 8 MB.
     """
     gen, dec = ou400
     g = np.random.default_rng(3).standard_normal(gen.size)  # the CLI's random(3)
@@ -151,7 +151,7 @@ def test_invert_bessel_memory_does_not_grow_with_nodes_times_modes(ou400):
 
 
 def test_conditioning_report_memory_does_not_grow_with_nodes_times_modes(ou400):
-    """ou400 at T = 1: 400 per-mode I0 windows of 256 nodes each, peak 2.6 MB (tracemalloc), bounded at 8 MB.
+    """ou400 at T = 1: 400 per-mode I0 windows of 128 nodes each, peak 1.9 MB (tracemalloc), bounded at 8 MB.
 
     One node layout shared by all modes would need about 5e4 nodes here.
     """
@@ -170,9 +170,9 @@ def test_conditioning_report_memory_does_not_grow_with_nodes_times_modes(ou400):
 def test_invert_bessel_memory_is_bounded_by_the_node_block():
     """ou n=400 on [-1, 1] (lambda_max 8.0e4) at T = 19/lambda_max, all modes active.
 
-    Each mode's I0 window takes 256 nodes after one halving, where one
+    Each mode's I0 window takes 128 nodes after one halving, where one
     window shared by all modes would take 6357 panels and 407k nodes.  The
-    call peaks at 2.5 MB (tracemalloc), bounded at 8 MB.
+    call peaks at 1.9 MB (tracemalloc), bounded at 8 MB.
     """
     gen = sg.build_ou(1.0, 400, 1.0)
     dec = sg.spectral_decompose(gen)

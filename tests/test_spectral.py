@@ -141,6 +141,55 @@ class TestMSymmetry:
         with pytest.raises(error):
             sg.SymmetricGenerator(space, [[-1.0, upper[0]], [1.0, -1.0]])
 
+    @staticmethod
+    def _unblocked(matrix, space):
+        """The residual as one n x n expression, the value the row blocks must give."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.asarray(matrix, dtype=float) * space.weights[:, None]
+            return float(np.max(spectral._asymmetry(w, w.T)))
+
+    @staticmethod
+    def _random_m_symmetric(n, seed):
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal((n, n))
+        weights = rng.uniform(0.5, 2.0, n)
+        return (s + s.T) / weights[:, None], sg.build_space(np.arange(n, dtype=float), weights)
+
+    @pytest.mark.parametrize("case", ["chain2", "jump400", "jump1000", "random300"])
+    def test_dense_row_blocks_give_the_unblocked_bits(self, case, chain2):
+        if case == "chain2":
+            matrix, space = chain2[0].matrix, chain2[0].space
+        elif case.startswith("jump"):  # the benchmark's Gaussian jump models
+            x = np.linspace(-3.0, 3.0, int(case[4:]))
+            weights = np.exp(-0.5 * x**2) / math.sqrt(2.0 * math.pi) * (x[1] - x[0])
+            gen = sg.build_jump(sg.gaussian_jump_kernel(sg.build_space(x, weights), 0.5))
+            matrix, space = gen.matrix, gen.space
+        else:
+            matrix, space = self._random_m_symmetric(300, 7)
+        residual = sg.check_m_symmetry(matrix, space)
+        assert residual.hex() == self._unblocked(matrix, space).hex()
+        assert (residual > 0.0) == (case != "chain2")
+
+    def test_dense_overflow_in_a_late_row_block_gives_nan(self):
+        # rows i >= 150 and 290 lie past the first block of 109 rows, so a reduction that drops NaN would miss it
+        matrix, space = self._random_m_symmetric(300, 7)
+        i = 150 + int(np.argmax(space.weights[150:] > 1.0))
+        matrix[i, 290] = np.finfo(float).max  # m_i A_ij overflows
+        assert i < 290 and math.isnan(self._unblocked(matrix, space))
+        assert math.isnan(sg.check_m_symmetry(matrix, space))
+
+    def test_dense_2000_residual_peaks_below_a_quarter_of_the_matrix(self):
+        """Row blocks of about ``_BLOCK_CELLS`` cells: 1.5 MB (tracemalloc) beside the 32 MB matrix."""
+        matrix, space = self._random_m_symmetric(2000, 11)
+        tracemalloc.start()
+        try:
+            residual = sg.check_m_symmetry(matrix, space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < residual <= spectral.SYM_TOL
+        assert peak < 0.25 * matrix.nbytes
+
 
 class TestSpectralDecompose:
     def test_two_state_eigenpairs(self, chain2):
