@@ -28,6 +28,7 @@ nodes or modes it needs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -35,7 +36,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import MAX_EXPONENT, OverflowRisk, QuadratureNotConverged, ValidationError, check_budget, check_range
-from .spectral import _BLOCK_CELLS, _split
+from .spectral import _BLOCK_CELLS, _split, _two_product_error
 
 # J0 regimes: the 0-centered series keeps both its error AND the error's
 # point-to-point decorrelation at ~eps * I0(x); anchored local Taylor
@@ -271,13 +272,9 @@ _I0_WINDOW_PANELS = 2
 # e^-8 tail_tol = 3.4e-16 at a tail_tol of 1e-12, below rounding.
 _I0_WINDOW_MARGIN = 8.0
 
-_LEGGAUSS_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _LEGGAUSS_CACHE:
-        _LEGGAUSS_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _LEGGAUSS_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _panel_nodes(edges: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
@@ -449,14 +446,7 @@ def _product_error(a: float, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     0 wherever the split of a factor or the product leaves double range.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        a_high, a_low = _split(np.float64(a))
-        b_high, b_low = _split(b)
-        # every step exact, as in spectral._round17
-        e = a_high * b_high
-        e -= p
-        e += a_low * b_high
-        e += a_high * b_low
-        e += a_low * b_low
+        e = _two_product_error(*_split(np.float64(a)), *_split(b), p)
     return np.where(np.isfinite(e), e, 0.0)
 
 
@@ -498,7 +488,7 @@ def i0_multipliers(a: float, betas, config: QuadratureConfig, s_cap: float = mat
     # carried there as the rounded product plus its exact error
     exponent = np.where(capped, top * (2.0 * root_a - top / betas), a * betas)
     low = np.where(capped, 0.0, _product_error(a, betas, exponent))
-    size = np.minimum(betas, math.sqrt(s_cap / a))
+    size = np.minimum(betas, math.sqrt(s_cap / a) or u_cap / root_a)  # s_cap / a underflows to 0 past a ~ 1e164
 
     def integrand(v, w):
         out = np.empty(betas.size)

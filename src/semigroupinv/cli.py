@@ -12,6 +12,7 @@ thread (``OPENBLAS_NUM_THREADS=1``).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -97,6 +98,13 @@ _MAX_STATES = 4000
 # grows as n^2: a Gaussian ``jump`` model of 2000 points builds and
 # decomposes in about 1.9 s at 0.25 GB, one of 2800 points reaches 0.45 GB.
 _MAX_DENSE_STATES = 2000
+
+# Most bytes of a model or vector file.  It admits the largest model the
+# state budgets allow: a ``chain`` of _MAX_DENSE_STATES whose matrix json.dumps
+# writes at full precision, at most 26 bytes an entry ("-2.2250738585072014e-308, ").
+# Reading and parsing such a file of 94 MB peaks at 0.27 GB RSS in 1.6 s (2-core
+# Xeon); a budget-sized file of "0," entries, a list of 67M references, at 0.67 GB.
+_MAX_INPUT_BYTES = 128 * 2**20
 
 # Deepest nesting of parentheses and exp( an expression may use, which keeps
 # the recursive-descent parser far inside Python's recursion limit.
@@ -371,11 +379,24 @@ def build_model(spec: dict) -> SymmetricGenerator:
     raise InvalidConfig(f"unknown model type {kind!r}")
 
 
-def load_model_file(path) -> SymmetricGenerator:
+def _read_text(path, what: str) -> str:
+    """The UTF-8 text of the ``what`` file at ``path``, read in binary up to ``_MAX_INPUT_BYTES`` + 1 bytes.
+
+    A file that cannot be opened or read or is not UTF-8 raises
+    :class:`InvalidConfig`; one past the budget, :class:`ValidationError`.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InvalidConfig(f"cannot read model file {path}: {exc}") from exc
+        with open(path, "rb") as fh:
+            data = fh.read(_MAX_INPUT_BYTES + 1)
+        if len(data) <= _MAX_INPUT_BYTES:
+            return data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfig(f"cannot read {what} {path}: {exc}") from exc
+    raise ValidationError(f"{what} {path} exceeds the budget of {_MAX_INPUT_BYTES} bytes", _MAX_INPUT_BYTES)
+
+
+def load_model_file(path) -> SymmetricGenerator:
+    text = _read_text(path, "model file")
     try:
         spec = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -452,12 +473,7 @@ def _param(params: dict, name: str):
 
 def _observed_vector(source: str, gen: SymmetricGenerator) -> np.ndarray:
     if source.startswith("csv:"):
-        path = source[4:]
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InvalidConfig(f"cannot read vector file {path}: {exc}") from exc
-        space, values = vector_from_csv(text)
+        space, values = vector_from_csv(_read_text(source[4:], "vector file"))
         if values.size != gen.size:
             raise InvalidConfig(
                 f"vector file has {values.size} entries, model has {gen.size}"
@@ -750,8 +766,12 @@ def _add_flags(parser: argparse.ArgumentParser, required, optional) -> None:
         parser.add_argument("--" + flag.replace("_", "-"), required=flag in required, help=flag_help)
 
 
+@functools.cache
 def _build_arg_parser() -> argparse.ArgumentParser:
-    """Subcommands and flags from ``_COMMANDS``/``_FLAGS``; values stay strings for ``_param``."""
+    """Subcommands and flags from ``_COMMANDS``/``_FLAGS``; values stay strings for ``_param``.
+
+    Built once per process: parsing leaves the parser as it was.
+    """
     parser = argparse.ArgumentParser(
         prog="semigroupinv",
         description="Spectral inversion and regularisation for symmetric Markov semigroups.",
@@ -763,45 +783,11 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _NotParsed(Exception):
-    pass
-
-
-class _CommandParser(argparse.ArgumentParser):
-    """One command's flags, without help; raises on any error instead of printing."""
-
-    def error(self, message):
-        raise _NotParsed
-
-
-def _parse_args(argv: list) -> dict:
-    """``_build_arg_parser().parse_args(argv)`` as a dict, parsed by the invoked command's flags alone.
-
-    That parser is the subparser's twin, so it accepts the same arguments
-    with the same values.  Anything it does not parse (no or an unknown
-    command, an option before the command, help, a missing or unknown flag)
-    goes to the full parser, which prints its usage, help or error.
-    """
-    if argv and argv[0] in _COMMANDS:
-        parser = _CommandParser(prog=f"semigroupinv {argv[0]}", add_help=False)
-        _add_flags(parser, *_COMMANDS[argv[0]][2:])
-        try:
-            return {"command": argv[0], **vars(parser.parse_args(argv[1:]))}
-        except _NotParsed:
-            pass
-    return vars(_build_arg_parser().parse_args(argv))
-
-
 def main(argv=None) -> None:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _parse_args(argv)
+    args = vars(_build_arg_parser().parse_args(argv))
     command, model, output = args.pop("command"), args.pop("model"), args.pop("output")
-    try:
-        config = RunConfig(command, model, Path(output), {k: v for k, v in args.items() if v is not None})
-    except SemigroupInvError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
-    raise SystemExit(run(config))
+    params = {k: v for k, v in args.items() if v is not None}
+    raise SystemExit(run(RunConfig(command, model, Path(output), params)))
 
 
 if __name__ == "__main__":

@@ -96,7 +96,7 @@ class ConditioningReport:
     flag: str
 
     def to_json_dict(self) -> dict:
-        """The report's JSON fields; a zero membership (log10 -inf) or an infinite twin is written as null."""
+        """The report's JSON fields; a membership log10 of +-inf or an infinite twin is written as null."""
         spectral_log10 = self.membership_spectral_log10
         quadrature = self.membership_quadrature
         return {
@@ -210,6 +210,8 @@ def conditioning_report(problem: InverseProblem, alpha: float) -> ConditioningRe
     size.  The quadrature twin integrates I0(2 sqrt(2 T s)) against the
     flow's quadratic form, truncated both by the tail tolerance and by
     double range, and increases monotonically to the spectral value.
+    A horizon at which 2T or 2T(lambda_max + alpha) leaves double range
+    raises :class:`ValidationError`.
     """
     check_range("alpha", alpha, error=NonPositiveAlpha)
     dec = problem.decomposition
@@ -217,15 +219,22 @@ def conditioning_report(problem: InverseProblem, alpha: float) -> ConditioningRe
     g = problem.observed
     c, _, lam_max = _energy_active(dec, g, COEFF_TOL)
     lam = dec.eigenvalues
+    top = float(lam[-1]) + float(alpha)
+    # 2T first, the I0 horizon below, then the largest ln term's 2T(l + alpha)
+    if not 2.0 * float(T) * top < math.inf:
+        raise ValidationError(
+            f"horizon T = {T!r} takes 2T or 2T(lambda_max + alpha) out of double range,"
+            f" at lambda_max + alpha = {top!r}"
+        )
 
     # log-sum-exp of ln terms 2T(l+a) + ln c^2, in natural log
     with np.errstate(divide="ignore"):
         ln_terms = 2.0 * T * (lam + alpha) + 2.0 * np.log(np.abs(c))
-    ln_terms = ln_terms[np.isfinite(ln_terms)]
-    if ln_terms.size == 0:
-        spectral_log10 = -math.inf
+    ln_terms = ln_terms[ln_terms > -math.inf]  # a zero coefficient adds nothing
+    peak = float(ln_terms.max(initial=-math.inf))
+    if math.isinf(peak):  # no term, or a coefficient past double range
+        spectral_log10 = peak
     else:
-        peak = float(ln_terms.max())
         spectral_log10 = (peak + math.log(float(np.exp(ln_terms - peak).sum()))) / _LN10
 
     beta = lam + alpha

@@ -9,6 +9,7 @@ both orientations by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -60,6 +61,19 @@ class DiffusionSpec:
                 raise InvalidBoundary(f"boundary must be one of {_BOUNDARIES}, got {b!r}")
 
 
+def _cell_grid(left: float, right: float, n: int) -> tuple[float, np.ndarray]:
+    """The spacing h and the n cell centres of [left, right].
+
+    A spacing that, or whose 4/h (the conductances' bound), leaves the
+    positive doubles raises :class:`ValidationError`.
+    """
+    left, right = float(left), float(right)  # Python floats overflow to inf without a RuntimeWarning
+    h = (right - left) / n
+    if not (0.0 < h < math.inf and 4.0 / h < math.inf):
+        raise ValidationError(f"[{left!r}, {right!r}] in {n} cells gives a spacing h = {h!r} out of double range")
+    return h, left + (np.arange(n) + 0.5) * h
+
+
 def _divergence_form(
     points: np.ndarray,
     h: float,
@@ -100,17 +114,26 @@ def build_diffusion(spec: DiffusionSpec) -> SymmetricGenerator:
     (half a cell away) contributes 2/h.  Killing with constant rate kappa
     shifts the whole matrix by exactly -kappa I.
     """
-    h = (spec.right - spec.left) / spec.n
-    points = spec.left + (np.arange(spec.n) + 0.5) * h
+    h, points = _cell_grid(spec.left, spec.right, spec.n)
     sig = np.asarray(spec.sigma(points), dtype=float)
     if sig.shape != points.shape:
         raise NonPositiveSigma("sigma must evaluate elementwise on the grid")
     if not np.all(sig > 0):
         raise NonPositiveSigma("sigma must be strictly positive on the grid")
+    with np.errstate(over="ignore", divide="ignore"):  # refused below, naming sigma
+        m_density = 2.0 / sig**2
+        weight = m_density * h
+        rate = 4.0 / h / weight  # bounds the point's bands, sigma^2/(2h^2) an edge and twice that a wall
+    outside = np.flatnonzero((weight == np.inf) | (rate == np.inf))
+    if outside.size:
+        k = outside[0]
+        raise NonPositiveSigma(
+            f"sigma = {float(sig[k])!r} at grid point x = {float(points[k])!r} takes the speed"
+            " weight 2h/sigma^2 or the rate sigma^2/(2h^2) out of double range"
+        )
     kill = np.zeros(spec.n) if spec.kill is None else np.asarray(spec.kill(points), float)
     if np.any(kill < 0):
         raise ValidationError("killing rate must be non-negative")
-    m_density = 2.0 / sig**2
     conduct = np.full(spec.n - 1, 1.0 / h)
     return _divergence_form(
         points, h, m_density, conduct, kill,
@@ -129,11 +152,11 @@ def build_ou(half_width: float, n: int, rate: float) -> SymmetricGenerator:
     check_range("half_width", half_width, error=InvalidBoundary)
     check_range("rate", rate, error=InvalidBoundary)
     check_count("n", n, 3, error=LengthMismatch)
-    h = 2.0 * half_width / n
-    points = -half_width + (np.arange(n) + 0.5) * h
+    h, points = _cell_grid(-half_width, half_width, n)
     edges = -half_width + np.arange(1, n) * h
-    m_density = np.exp(-rate * points**2)
-    conduct = 0.5 * np.exp(-rate * edges**2) / h
+    with np.errstate(over="ignore"):  # a weight that underflows to 0 is refused by build_space
+        m_density = np.exp(-rate * points**2)
+        conduct = 0.5 * np.exp(-rate * edges**2) / h
     kill = np.zeros(n)
     return _divergence_form(
         points, h, m_density, conduct, kill, "neumann", "neumann", (0.0, 0.0)
@@ -180,8 +203,8 @@ class JumpKernelSpec:
         n = self.space.size
         if q.shape != (n, n):
             raise LengthMismatch(f"kernel shape {q.shape} on a space of size {n}")
-        if np.any(q < 0):
-            raise AsymmetricKernel("kernel values must be non-negative")
+        if not np.all((q >= 0.0) & (q < np.inf)):
+            raise AsymmetricKernel("kernel values must be finite and non-negative")
         if not np.allclose(q, q.T, rtol=0, atol=1e-12 * max(1.0, float(np.abs(q).max()))):
             raise AsymmetricKernel("kernel must be symmetric")
         mass = q @ self.space.weights
@@ -207,7 +230,8 @@ def gaussian_jump_kernel(space: WeightedStateSpace, t_star: float) -> JumpKernel
     """
     check_range("t_star", t_star, error=InvalidBoundary)
     x = space.points
-    q = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * t_star))
+    with np.errstate(over="ignore"):  # a jump past double range has its limit, probability 0
+        q = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * t_star))
     scale = float(np.max(q @ space.weights))
     return JumpKernelSpec(q / scale, space)
 

@@ -403,7 +403,6 @@ def spectral_decompose(gen: SymmetricGenerator) -> SpectralDecomposition:
         raise NegativeEigenvalue(
             f"-A has eigenvalue {lam[0]:.6e}; generator is not negative semi-definite"
         )
-    lam = lam.copy()
     lam[np.abs(lam) <= EIG_CLAMP * scale] = 0.0
     lam[lam < 0.0] = 0.0
     # C order whatever the solver's: the coefficient GEMVs' bits depend on the layout;
@@ -529,6 +528,17 @@ def _split(a: np.ndarray):
 _POW10_HIGH, _POW10_LOW = _split(_POW10)
 
 
+def _two_product_error(a_high, a_low, b_high, b_low, p) -> np.ndarray:
+    """a b - p exactly for p = fl(a b): Dekker's TwoProduct on the Veltkamp splits of a and b."""
+    # e = a_low b_low - (((p - a_high b_high) - a_low b_high) - a_high b_low), every step exact
+    e = a_high * b_high
+    e -= p
+    e += a_low * b_high
+    e += a_high * b_low
+    e += a_low * b_low
+    return e
+
+
 def _round17(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     """round-half-even(a 10^k) as int64, exactly, wherever 2^53 <= a 10^k < 2^63.
 
@@ -537,14 +547,7 @@ def _round17(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     """
     p = np.take(_POW10, k)
     p *= a
-    a_high, a_low = _split(a)
-    b_high, b_low = np.take(_POW10_HIGH, k), np.take(_POW10_LOW, k)
-    # e = a_low b_low - (((p - a_high b_high) - a_low b_high) - a_high b_low), every step exact
-    e = a_high * b_high
-    e -= p
-    e += a_low * b_high
-    e += a_high * b_low
-    e += a_low * b_low
+    e = _two_product_error(*_split(a), np.take(_POW10_HIGH, k), np.take(_POW10_LOW, k), p)
     return p.astype(np.int64) + np.rint(e).astype(np.int64)
 
 

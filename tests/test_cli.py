@@ -484,6 +484,42 @@ class TestVectorFileInput:
         assert summary["roundTripRelativeResidual"] <= 1e-8
 
 
+class TestBoundedRead:
+    """Model and ``csv:`` vector files share one reader: past its byte budget, or not UTF-8, exit 2."""
+
+    def test_undecodable_model_exits_2(self, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_bytes(b'{"schemaVersion": 1, "type": "\xff"}')
+        out = tmp_path / "out"
+        assert cli_exit(["decompose", "--model", str(model), "--output", str(out)]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "InvalidConfig"
+        assert "cannot read model file" in error["message"]
+
+    @pytest.mark.parametrize("endless", ["model", "vector"])
+    def test_endless_file_exits_2_at_the_budget(self, model_files, tmp_path, monkeypatch, endless):
+        monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", 1024)  # never the real budget: /dev/zero has no end
+        model, g = ("/dev/zero", "x") if endless == "model" else (model_files["chain2"], "csv:/dev/zero")
+        out = tmp_path / "out"
+        assert cli_exit(["invert", "--model", model, "--output", str(out), "--T", "1", "--g", g]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "ValidationError"
+        assert f"{endless} file /dev/zero exceeds the budget of 1024 bytes" in error["message"]
+
+    def test_a_file_of_the_budget_is_read_one_byte_more_is_not(self, model_files, tmp_path, monkeypatch):
+        size = len(json.dumps(CHAIN2_JSON))
+        for budget, code in ((size, 0), (size - 1, 2)):
+            monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", budget)
+            assert cli_exit(["decompose", "--model", model_files["chain2"], "--output", str(tmp_path / str(budget))]) == code
+
+    def test_budget_admits_the_largest_dense_chain(self):
+        # json.dumps of the longest double and its separator, for every matrix and weight entry;
+        # brackets and keys add under 10 kB
+        entry = len(json.dumps([-2.2250738585072014e-308, 0.0])) - len(json.dumps([0.0]))
+        n = cli._MAX_DENSE_STATES
+        assert n * (n + 1) * entry + 10_000 < cli._MAX_INPUT_BYTES
+
+
 class TestConsoleEntry:
     def test_subprocess_invocation(self, model_files, tmp_path):
         out = tmp_path / "out_sub"
@@ -612,10 +648,16 @@ class TestNonFiniteAndDeepInputs:
              2, "ValidationError"),
             ({"type": "jump", "parameters": {"points": [0.0, math.nan], "weights": [0.5, 0.5]}}, 2, "ValidationError"),
             ({"type": "jump", "parameters": {"points": [1.0, 0.0], "weights": [0.5, 0.5]}}, 2, "ValidationError"),
+            ({"type": "ou", "parameters": {"halfWidth": 1e308, "n": 3}}, 2, "ValidationError"),
+            ({"type": "ou", "parameters": {"halfWidth": 1e-310, "n": 3}}, 2, "ValidationError"),
+            ({"type": "diffusion", "parameters": {"left": -math.inf, "right": 0.0, "n": 3}}, 2, "ValidationError"),
+            ({"type": "jump", "parameters": {"points": [0.0, 1.0], "weights": [0.5, 0.5],
+                                             "kernel": [[math.inf, 0.0], [0.0, 0.0]]}}, 2, "AsymmetricKernel"),
         ],
         ids=["chain-nan", "chain-symmetrised-overflow", "chain-weighted-overflow", "diffusion-weighted-diagonal-overflow",
              "diffusion-subnormal-interval",
-             "jump-tstar-nan", "ou-half-width-nan", "diffusion-negative-kill", "jump-points-nan", "jump-points-decreasing"],
+             "jump-tstar-nan", "ou-half-width-nan", "diffusion-negative-kill", "jump-points-nan", "jump-points-decreasing",
+             "ou-spacing-overflow", "ou-spacing-subnormal", "diffusion-left-inf", "jump-kernel-inf"],
     )
     @pytest.mark.parametrize("command", [["decompose"], ["diagnose", "--T", "1", "--g", "x"]])
     def test_non_finite_model_is_refused(self, tmp_path, spec, code, error_name, command):
@@ -711,21 +753,23 @@ class TestFlagTable:
 
 
 def _parse_outcome(parse, argv, capsys):
-    """Exit code, stdout and stderr of ``parse(argv)``, which must exit."""
-    with pytest.raises(SystemExit) as exc:
-        parse(argv)
-    return (exc.value.code, *capsys.readouterr())
+    """What ``parse(argv)`` gives, its arguments as a dict or its exit code, then stdout and stderr."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    return (result, *capsys.readouterr())
 
 
 class TestOneCommandParser:
-    """``main`` gives flags only to the invoked command, with every output of the full parser."""
+    """``main`` parses with one parser per process, with every output of a freshly built one."""
 
     CASES = [["--help"], ["--version"], [], ["bogus"], ["decompose"], ["invert", "--model", "m.json", "--T", "1"]]
     CASES += [[command, "--help"] for command in sorted(cli._COMMANDS)]
 
     @pytest.mark.parametrize("argv", CASES, ids=lambda argv: " ".join(argv) or "no-command")
     def test_same_output_as_the_full_parser(self, argv, capsys):
-        full = _parse_outcome(cli._build_arg_parser().parse_args, argv, capsys)
+        full = _parse_outcome(cli._build_arg_parser.__wrapped__().parse_args, argv, capsys)
         assert _parse_outcome(main, argv, capsys) == full
         assert full[0] in (0, 2) and full[1] + full[2]
 
@@ -736,9 +780,8 @@ class TestOneCommandParser:
         ["check", "--model", "m.json", "--seed", "3"],
     ]
 
-    @pytest.mark.parametrize("argv", VALID, ids=lambda argv: argv[0])
-    def test_valid_arguments_parse_as_with_the_full_parser_and_build_one_parser(self, argv, monkeypatch):
-        full = vars(cli._build_arg_parser().parse_args(argv))
+    def test_main_builds_one_parser_that_parses_as_a_fresh_one(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.chdir(tmp_path)  # the VALID argvs run, and write error.json for the missing m.json
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -747,8 +790,18 @@ class TestOneCommandParser:
             init(parser, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
-        assert cli._parse_args(argv) == full
-        assert len(built) == 1
+        cli._build_arg_parser.cache_clear()
+        for argv in self.CASES + self.VALID:
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert len(built) == 1 + len(cli._COMMANDS), argv  # the parser and its subparsers, once
+        monkeypatch.undo()
+        capsys.readouterr()
+        used = cli._build_arg_parser()
+        for argv in self.CASES + self.VALID:
+            fresh = _parse_outcome(cli._build_arg_parser.__wrapped__().parse_args, argv, capsys)
+            assert _parse_outcome(used.parse_args, argv, capsys) == fresh, argv
+        assert cli._build_arg_parser() is used
 
 
 class TestNonFiniteFlags:

@@ -172,6 +172,28 @@ class TestConditioningReport:
         for horizon, flag in ((math.nextafter(edge, 0.0), below), (edge, at)):
             assert sg.conditioning_report(sg.InverseProblem(dec, horizon, np.array([1.0, 0.0])), 1.0).flag == flag
 
+    @pytest.mark.parametrize(
+        "matrix, alpha",
+        [([[-1.0, 1.0], [1.0, -1.0]], 1.0), ([[0.0, 0.0], [0.0, 0.0]], 0.5)],
+        ids=["2T-lambda-max-plus-alpha", "2T"],
+    )
+    def test_horizon_past_double_range_is_refused_naming_t(self, matrix, alpha):
+        # 2T(lambda_max + alpha) = 6e308 once met ln c^2 = -inf as a NaN; 2T = 2e308 with
+        # lambda_max + alpha = 0.5 reached the I0 quadrature as "a must be finite"
+        dec = sg.spectral_decompose(sg.build_chain(matrix, [1.0, 1.0]))
+        problem = sg.InverseProblem(dec, 1e308, np.ones(2))
+        with pytest.raises(sg.ValidationError, match=r"horizon T = 1e\+308 takes 2T or 2T\(lambda_max \+ alpha\)"):
+            sg.conditioning_report(problem, alpha)
+
+    def test_quadrature_twin_holds_its_trend_past_horizon_1e164(self, chain2):
+        # s_cap / a = 122500 / (4 T^2) underflows to 0 there; the window size once divided by it
+        _, dec = chain2
+        twin_times_t = [
+            horizon * sg.conditioning_report(sg.InverseProblem(dec, horizon, np.array([1.0, 0.0])), 1.0).membership_quadrature
+            for horizon in (1e160, 1e170, 1e300)
+        ]
+        assert twin_times_t == pytest.approx([twin_times_t[0]] * 3, rel=1e-11)
+
     def test_json_field_contract(self, chain2):
         _, dec = chain2
         problem = sg.InverseProblem(dec, 1.0, np.array([1.0, 0.0]))

@@ -47,6 +47,19 @@ class TestDiffusion:
         with pytest.raises(sg.NonPositiveSigma):
             sg.build_diffusion(sg.DiffusionSpec(left=-1.0, right=1.0, n=10, sigma=lambda x: x))
 
+    @pytest.mark.parametrize(
+        "sigma, right",
+        [(lambda x: x**92, 3.3125), (lambda x: np.full_like(x, 1e200), 3.3125),
+         (lambda x: np.full_like(x, 1.3e154), 0.1)],
+        ids=["weight-overflows", "weight-underflows", "rate-overflows"],
+    )
+    def test_rejects_sigma_whose_weight_or_rate_leaves_double_range(self, sigma, right):
+        # no RuntimeWarning (an error under this suite's filter), and sigma named at its grid point
+        spec = sg.DiffusionSpec(left=-0.6875, right=right, n=3, sigma=sigma,
+                                boundary_left="dirichlet", boundary_right="dirichlet")
+        with pytest.raises(sg.NonPositiveSigma, match=r"sigma = \S+ at grid point x = -0\.\d+ "):
+            sg.build_diffusion(spec)
+
     def test_rejects_bad_boundary(self):
         with pytest.raises(sg.InvalidBoundary):
             sg.DiffusionSpec(left=0.0, right=1.0, n=10, boundary_left="absorbing")
@@ -170,6 +183,12 @@ class TestJump:
         space = sg.build_space([0.0, 1.0], [0.5, 0.5])
         with pytest.raises(sg.AsymmetricKernel):
             sg.JumpKernelSpec(np.array([[0.1, -0.1], [-0.1, 0.1]]), space)
+
+    def test_gaussian_kernel_of_subnormal_variance_never_jumps(self):
+        # d^2 / (2 t_star) overflows: the kernel takes its limit, no jump off the diagonal
+        space = sg.build_space([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+        kernel = sg.gaussian_jump_kernel(space, 2.225073858507203e-309).kernel
+        assert np.array_equal(kernel, np.eye(3))
 
 
 class TestChain:
