@@ -31,12 +31,14 @@ from .errors import (
     ValidationError,
     check_budget,
     check_count,
+    check_range,
 )
 from .inversion import (
     COEFF_TOL,
     FLOW_QUADRATURE,
     InverseProblem,
     _flow_multipliers,
+    check_observed,
     conditioning_report,
     invert_bessel,
     invert_spectral,
@@ -103,8 +105,16 @@ _MAX_DENSE_STATES = 2000
 # state budgets allow: a ``chain`` of _MAX_DENSE_STATES whose matrix json.dumps
 # writes at full precision, at most 26 bytes an entry ("-2.2250738585072014e-308, ").
 # Reading and parsing such a file of 94 MB peaks at 0.27 GB RSS in 1.6 s (2-core
-# Xeon); a budget-sized file of "0," entries, a list of 67M references, at 0.67 GB.
+# Xeon).
 _MAX_INPUT_BYTES = 128 * 2**20
+
+# Most commas in a model file.  They bound the values json.loads makes of it,
+# which the byte budget alone does not: a budget-sized file of "0," entries
+# parses to 67M references at a 1.2 GB peak.  The largest model the state
+# budgets allow, a ``jump`` of _MAX_DENSE_STATES points with its kernel, holds
+# n^2 + 2n values and n^2 + 2n + 2 commas; keys and expressions take far
+# fewer than the 1000 to spare.
+_MAX_MODEL_COMMAS = _MAX_DENSE_STATES * (_MAX_DENSE_STATES + 2) + 1000
 
 # Deepest nesting of parentheses and exp( an expression may use, which keeps
 # the recursive-descent parser far inside Python's recursion limit.
@@ -379,16 +389,19 @@ def build_model(spec: dict) -> SymmetricGenerator:
     raise InvalidConfig(f"unknown model type {kind!r}")
 
 
-def _read_text(path, what: str) -> str:
+def _read_text(path, what: str, max_commas: int) -> str:
     """The UTF-8 text of the ``what`` file at ``path``, read in binary up to ``_MAX_INPUT_BYTES`` + 1 bytes.
 
-    A file that cannot be opened or read or is not UTF-8 raises
-    :class:`InvalidConfig`; one past the budget, :class:`ValidationError`.
+    Its commas, which bound the values a parse of it makes, are counted
+    before it is decoded.  A file that cannot be opened or read or is not
+    UTF-8 raises :class:`InvalidConfig`; one past the byte budget or with
+    more than ``max_commas`` commas, :class:`ValidationError`.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read(_MAX_INPUT_BYTES + 1)
         if len(data) <= _MAX_INPUT_BYTES:
+            check_budget(f"commas in {what} {path}", data.count(b","), max_commas)
             return data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfig(f"cannot read {what} {path}: {exc}") from exc
@@ -396,10 +409,10 @@ def _read_text(path, what: str) -> str:
 
 
 def load_model_file(path) -> SymmetricGenerator:
-    text = _read_text(path, "model file")
+    text = _read_text(path, "model file", _MAX_MODEL_COMMAS)
     try:
         spec = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidConfig(f"model file {path} is not valid JSON: {exc}") from exc
     return build_model(spec)
 
@@ -473,7 +486,9 @@ def _param(params: dict, name: str):
 
 def _observed_vector(source: str, gen: SymmetricGenerator) -> np.ndarray:
     if source.startswith("csv:"):
-        space, values = vector_from_csv(_read_text(source[4:], "vector file"))
+        # an index,x,m,value file of the model's states has 3 commas a line, the header's too;
+        # one more a line leaves a row with a field too many to be named by its line
+        space, values = vector_from_csv(_read_text(source[4:], "vector file", 4 * (gen.size + 1)))
         if values.size != gen.size:
             raise InvalidConfig(
                 f"vector file has {values.size} entries, model has {gen.size}"
@@ -488,8 +503,7 @@ def _observed_vector(source: str, gen: SymmetricGenerator) -> np.ndarray:
                 )
     else:
         values = parse_function_literal(source, gen.space)
-    if not np.all(np.isfinite(values)):
-        raise ValidationError("observed data must be finite")
+    check_observed(gen.space, values)
     return values
 
 
@@ -620,6 +634,7 @@ def _uniform_steps(T: float, steps: int, states: int) -> np.ndarray:
     A space has at least 2 states, so that budget also holds the grid under
     ``backward_time_grid``'s cap of ``MAX_TRAJECTORY_CELLS // 2`` times.
     """
+    check_range("horizon", T)  # before linspace, which fills an infinite T's grid with NaN
     steps = check_count("--steps", steps, 1)
     cells = (steps + 1) * states
     check_budget(f"trajectory cells (--steps {steps}: {steps + 1} times x {states} states)", cells, MAX_TRAJECTORY_CELLS)

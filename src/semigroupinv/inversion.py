@@ -32,7 +32,7 @@ from .errors import (
     check_exponent,
     check_range,
 )
-from .spectral import SpectralDecomposition, norm
+from .spectral import SpectralDecomposition, WeightedStateSpace, norm
 
 _LN10 = math.log(10.0)
 
@@ -74,8 +74,21 @@ class InverseProblem:
         check_range("horizon", self.horizon)
         if g.shape != (self.decomposition.size,):
             raise LengthMismatch("observed data length does not match the space")
-        if not np.all(np.isfinite(g)):
-            raise ValidationError("observed data must be finite")
+        check_observed(self.decomposition.space, g)
+
+
+def check_observed(space: WeightedStateSpace, g: np.ndarray) -> None:
+    """Refuse observed data g unless g, every m_i g_i and ||g||_m are finite doubles.
+
+    By Cauchy-Schwarz every coefficient |(phi_k, g)| <= ||g||_m, and so is
+    each partial sum of it, so past this check no coefficient is inf or NaN.
+    """
+    if not np.all(np.isfinite(g)):
+        raise ValidationError("observed data must be finite")
+    with np.errstate(over="ignore"):
+        weighted = space.weights * g
+    if not (np.all(np.isfinite(weighted)) and math.isfinite(norm(space, g))):
+        raise ValidationError("observed data g leaves the double range: m_i g_i or ||g||_m overflows")
 
 
 @dataclass(frozen=True)

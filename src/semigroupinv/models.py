@@ -92,18 +92,20 @@ def _divergence_form(
     """
     m = m_density * h
     space = build_space(points, m)  # refuses a weight that underflowed to 0 before it divides
-    lower = edge_conductance / m[1:]
-    upper = edge_conductance / m[:-1]
-    # diagonal sums in the order of an edge-by-edge assembly, which fixes
-    # their bits: left edge, right edge, wall, kill
-    diag = np.zeros(points.size)
-    diag[1:] -= lower
-    diag[:-1] -= upper
-    if boundary_left == "dirichlet":
-        diag[0] -= wall_conductance[0] / m[0]
-    if boundary_right == "dirichlet":
-        diag[-1] -= wall_conductance[1] / m[-1]
-    return SymmetricGenerator(space, (lower, diag - kill_rate, upper), _owned=True)
+    with np.errstate(over="ignore"):  # a band past double range, as 1/h^2 on a tiny grid, is refused as not finite
+        lower = edge_conductance / m[1:]
+        upper = edge_conductance / m[:-1]
+        # diagonal sums in the order of an edge-by-edge assembly, which fixes
+        # their bits: left edge, right edge, wall, kill
+        diag = np.zeros(points.size)
+        diag[1:] -= lower
+        diag[:-1] -= upper
+        if boundary_left == "dirichlet":
+            diag[0] -= wall_conductance[0] / m[0]
+        if boundary_right == "dirichlet":
+            diag[-1] -= wall_conductance[1] / m[-1]
+        diag -= kill_rate
+    return SymmetricGenerator(space, (lower, diag, upper), _owned=True)
 
 
 def build_diffusion(spec: DiffusionSpec) -> SymmetricGenerator:
@@ -207,7 +209,8 @@ class JumpKernelSpec:
             raise AsymmetricKernel("kernel values must be finite and non-negative")
         if not np.allclose(q, q.T, rtol=0, atol=1e-12 * max(1.0, float(np.abs(q).max()))):
             raise AsymmetricKernel("kernel must be symmetric")
-        mass = q @ self.space.weights
+        with np.errstate(over="ignore"):  # a row mass past double range is inf, and refused below
+            mass = q @ self.space.weights
         if np.any(mass > 1.0 + ROW_TOL):
             raise RowMassExceeded(f"max row mass {mass.max():.6f} exceeds 1")
 

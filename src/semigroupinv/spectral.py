@@ -134,26 +134,29 @@ def inner(space: WeightedStateSpace, f, g) -> float:
     return float(np.dot(f * space.weights, g))
 
 
-def _root_sum_squares(squares_root: Callable[[np.ndarray], float], v: np.ndarray) -> float:
-    """``squares_root(v)``, an L2 norm of ``v``, rescaled when its squares overflow.
+def _root_sum_squares(squares_root: Callable[[np.ndarray], float], v: np.ndarray, weights=None) -> float:
+    """``squares_root(v)``, an L2 norm of ``v`` with ``weights`` (or none), rescaled when its squares overflow.
 
-    A finite ``v`` with entries past ~1e154 has infinite squares; then the
-    norm is max|v| * squares_root(v / max|v|).  Every finite plain result
-    is returned as it is, bit for bit.
+    Entries of ``v``, or weights, past ~1e154 can make the squares
+    infinite; then the norm is s * sqrt(sum_i (t_i / s)^2), where
+    t_i = |v_i| sqrt(w_i) and s = max t_i is at most the norm.  Every finite
+    plain result is returned as it is, bit for bit, and a norm past double
+    range is inf.
     """
     with np.errstate(over="ignore"):
         value = squares_root(v)
-    if value == math.inf:
-        big = float(np.max(np.abs(v)))
-        if big < math.inf:
-            value = big * squares_root(v / big)
+        if value == math.inf:
+            terms = np.abs(v) if weights is None else np.abs(v) * np.sqrt(weights)
+            big = float(np.max(terms))
+            if big < math.inf:
+                value = big * float(np.sqrt(np.sum((terms / big) ** 2)))
     return value
 
 
 def norm(space: WeightedStateSpace, f) -> float:
     """Weighted L2 norm induced by :func:`inner`; finite whenever the norm itself is below the double range."""
     f = _check_vector(space, f)
-    return _root_sum_squares(lambda v: float(np.sqrt(np.dot(v * v, space.weights))), f)
+    return _root_sum_squares(lambda v: float(np.sqrt(np.dot(v * v, space.weights))), f, space.weights)
 
 
 # Cells of one block of a blocked pass: rows of the dense m-symmetry residual,
@@ -444,8 +447,9 @@ def resolvent_apply(dec: SpectralDecomposition, alpha: float, f) -> np.ndarray:
 #
 # Every CSV artifact has LF line endings and writes each number as
 # format(x, ".17g"), which round-trips every double; an integer index i is
-# written as the float i, whose %.17g is its %d.  One numpy kernel,
-# ``_g17_words``, renders a float column as those bytes:
+# written as the float i, whose %.17g is its %d.  One numpy kernel renders a
+# float column as those bytes: ``_digits17`` finds each cell's digits, and
+# ``_g17_render`` writes them into a caller's buffer.
 #
 # * Fast path: each cell whose %.17g exponent X lies in [-4, 16], %g's fixed
 #   notation at precision 17.  There 10^(16-X) is an exact double, and
@@ -454,25 +458,26 @@ def resolvent_apply(dec: SpectralDecomposition, alpha: float, f) -> np.ndarray:
 #   N = P + rint(e) is the 17-digit integer that %.17g rounds |x| to, half
 #   to even.  X starts at floor(log10|x|); an N outside [10^16, 10^17)
 #   moves X by one, once, and only 10^16 < N < 10^17 proves X.
-# * Layout: a cell is eleven uint32 words, NUL-padded: the comma, the sign,
-#   the "0" of "0." and, for |x| >= 1, the leading digit; four words of
-#   integer digits; the point and up to three zeros after it; the leading
+# * Layout: the cells of a table or chunk are 7 + k uint32 words, NUL-padded,
+#   with k = ceil(max(X, 0) / 4) over its fast cells (``_cell_words``): the comma,
+#   the sign, the "0" of "0." and, for |x| >= 1, the leading digit; k words
+#   of integer digits; the point and up to three zeros after it; the leading
 #   digit of |x| < 1; four words of fraction digits without trailing zeros.
 #   A table of 4-digit words and a byte mask per X fill them.
 # * Fallback: every other cell (zeros, subnormals, |x| < 1e-4 or >= ~1e17,
 #   inf, nan, and values that round to a power of ten, such as 1.0 and
-#   100.0) is formatted by Python's own %.17g.
+#   100.0) is formatted by Python's own %.17g.  Its widest text,
+#   ",-2.2250738585072014e-308", is 25 bytes, so it fits 7 words.
 #
 # A table's cells lie row after row, the first of each line with LF in
 # place of its comma, and one ``bytes.translate(None, b"\0")`` drops the
 # padding: the text is the header, the lines and one final LF.  A
 # trajectory is rendered in chunks of about ``_CSV_CHUNK_CELLS`` values
-# (``_csv_chunks``), which ``pde`` streams to trajectory.csv without
-# building the whole text.
+# (``_csv_chunks``), each with its own k, which ``pde`` streams to
+# trajectory.csv without building the whole text.
 
 CSV_HEADER = "index,x,m,value"
 
-_CELL_WORDS = 11
 # Values in a chunk of a long table: the chunk's arrays stay in a core's cache.
 _CSV_CHUNK_CELLS = 8192
 
@@ -574,53 +579,64 @@ def _digits17(x: np.ndarray):
     return n, exp10, fast
 
 
-def _g17_words(x, out=None) -> np.ndarray:
-    """``"," + format(x_i, ".17g")`` for each x_i, as NUL-padded rows of ``_CELL_WORDS`` uint32 words.
+def _cell_words(exp10, fast) -> int:
+    """7 + k, the words of a cell that holds every ``fast`` X <= 4k in k integer-digit words."""
+    return 7 + -(-int(np.max(exp10, where=fast, initial=0)) // 4)
 
-    The rows are written into ``out`` when it is given, a (cells,
-    ``_CELL_WORDS``) uint32 array.
+
+def _g17_render(x: np.ndarray, digits, out: np.ndarray) -> None:
+    """Write ``"," + format(x_i, ".17g")`` into row i of ``out``, NUL-padded.
+
+    ``digits`` is ``_digits17(x)``, whose ``n`` this overwrites.  ``out`` is
+    a (cells, 7 + k) uint32 array with 7 + k >= ``_cell_words(exp10, fast)``.
     """
-    x = np.ascontiguousarray(x, dtype=float).ravel()
-    if out is None:
-        out = np.empty((x.size, _CELL_WORDS), np.uint32)
-    n, exp10, fast = _digits17(x)
+    n, exp10, fast = digits
+    k = out.shape[1] - 7
     # N = lead 10^16 + four 4-digit groups, one per row of the planar arrays
     lead = n // 10**16
     n -= lead * 10**16
-    high = n // 10**8
-    low = n - high * 10**8
-    groups = np.empty((4, x.size), np.int64)
+    high = (n // 10**8).astype(np.int32)
+    low = (n - high * 10**8).astype(np.int32)
+    groups = np.empty((4, x.size), np.int32)
     np.floor_divide(high, 10**4, out=groups[0])
     np.subtract(high, groups[0] * 10**4, out=groups[1])
     np.floor_divide(low, 10**4, out=groups[2])
     np.subtract(low, groups[2] * 10**4, out=groups[3])
     # a fraction group drops its trailing zeros when every later group is 0
-    stripped = np.empty((4, x.size), np.int64)
+    stripped = np.empty((4, x.size), np.int32)
     stripped[3] = 10000
     np.multiply(groups[3] == 0, 10000, out=stripped[2])
     np.multiply(groups[2] == 0, stripped[2], out=stripped[1])
     np.multiply(groups[1] == 0, stripped[1], out=stripped[0])
     stripped += groups
-    # every table index below is in range where fast; "clip" keeps the other cells' harmless
-    mask = np.take(_INTEGER_MASK, exp10 + 4, axis=1, mode="clip")
-    integer = np.take(_DIGITS4, groups, mode="clip")
-    integer &= mask
+    # every table index below is in range where fast; "clip" keeps the other cells' harmless.
+    # Digits at positions p > 4k are fraction digits in every fast cell, so only k words need a mask.
     fraction = np.take(_DIGITS4, stripped, mode="clip")
-    fraction &= ~mask
+    if k:
+        mask = np.take(_INTEGER_MASK[:k], exp10 + 4, axis=1, mode="clip")
+        out[:, 1:1 + k] = (np.take(_DIGITS4, groups[:k], mode="clip") & mask).T
+        fraction[:k] &= ~mask
     below_one = exp10 < 0
     lead = np.take(_LEAD_DIGIT, lead, mode="clip")
     head = np.take(_HEAD, 2 * np.signbit(x) + below_one)
     out[:, 0] = np.where(below_one, head, head | lead)
-    out[:, 1:5] = integer.T
     point = fraction[0] | fraction[1] | fraction[2] | fraction[3]
     point |= below_one
-    out[:, 5] = np.take(_POINT, (point != 0) * 21 + exp10 + 4, mode="clip")
-    out[:, 6] = np.where(below_one, lead, 0)
-    out[:, 7:] = fraction.T
+    out[:, k + 1] = np.take(_POINT, (point != 0) * 21 + exp10 + 4, mode="clip")
+    out[:, k + 2] = np.where(below_one, lead, 0)
+    out[:, k + 3:] = fraction.T
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = [b",%.17g" % v for v in x[slow].tolist()]
-        out[slow] = np.array(text, dtype=f"S{4 * _CELL_WORDS}").view(np.uint32).reshape(-1, _CELL_WORDS)
+        out[slow] = np.array(text, dtype=f"S{4 * out.shape[1]}").view(np.uint32).reshape(-1, out.shape[1])
+
+
+def _g17_words(x) -> np.ndarray:
+    """``"," + format(x_i, ".17g")`` for each x_i, as NUL-padded rows of ``_cell_words`` uint32 words."""
+    x = np.ascontiguousarray(x, dtype=float).ravel()
+    digits = _digits17(x)
+    out = np.empty((x.size, _cell_words(*digits[1:])), np.uint32)
+    _g17_render(x, digits, out)
     return out
 
 
@@ -654,13 +670,18 @@ def _csv_chunks(header: str, times, values):
     block = rows * max(1, _CSV_CHUNK_CELLS // rows)
     for start in range(0, len(times), block):
         stamps = _packed_words(times[start:start + block], b"\n")
-        width = stamps.shape[1] + index.shape[1] + _CELL_WORDS
         for a in range(0, len(stamps), rows):
-            lines = np.empty((len(stamps[a:a + rows]), n, width), np.uint32)
+            chunk = values[start + a:start + a + rows]
+            x = np.ascontiguousarray(chunk, dtype=float).ravel()
+            digits = _digits17(x)
+            cell = _cell_words(*digits[1:])
+            width = stamps.shape[1] + index.shape[1] + cell
+            buf = bytearray(4 * width * x.size)  # ``lines`` renders in place: no copy before translate
+            lines = np.frombuffer(buf, np.uint32).reshape(len(chunk), n, width)
             lines[..., :stamps.shape[1]] = stamps[a:a + rows, None]
-            lines[..., stamps.shape[1]:-_CELL_WORDS] = index
-            _g17_words(values[start + a:start + a + rows], out=lines.reshape(-1, width)[:, -_CELL_WORDS:])
-            yield lines.tobytes().translate(None, b"\0")
+            lines[..., stamps.shape[1]:-cell] = index
+            _g17_render(x, digits, lines.reshape(-1, width)[:, -cell:])
+            yield buf.translate(None, b"\0")
     yield b"\n"
 
 

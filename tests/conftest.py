@@ -8,8 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import semigroupinv as sg
+
+# Every Hypothesis test draws the same examples on every run.  The "random"
+# profile draws afresh: ``--hypothesis-profile random --hypothesis-seed N``
+# replays the draws of seed N.
+settings.register_profile("default", derandomize=True)
+settings.register_profile("random", derandomize=False)
+settings.load_profile("default")
 
 _SRC = str(Path(sg.__file__).resolve().parent.parent)
 

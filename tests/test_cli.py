@@ -512,6 +512,51 @@ class TestBoundedRead:
             monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", budget)
             assert cli_exit(["decompose", "--model", model_files["chain2"], "--output", str(tmp_path / str(budget))]) == code
 
+    def test_model_file_is_refused_past_its_comma_budget_before_parsing(self, model_files, tmp_path, monkeypatch):
+        # a budget-sized file of "0," entries once parsed to 67M references at a 1.2 GB peak
+        commas = json.dumps(CHAIN2_JSON).count(",")
+        parsed = []
+        monkeypatch.setattr(json, "loads", lambda text, loads=json.loads: parsed.append(text) or loads(text))
+        for budget, code in ((commas, 0), (commas - 1, 2)):
+            monkeypatch.setattr(cli, "_MAX_MODEL_COMMAS", budget)
+            out = tmp_path / str(budget)
+            assert cli_exit(["decompose", "--model", model_files["chain2"], "--output", str(out)]) == code
+        monkeypatch.undo()
+        assert len(parsed) == 1
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "ValidationError"
+        message = f"{commas} commas in model file {model_files['chain2']} exceed the budget of {commas - 1}"
+        assert message in error["message"]
+
+    def test_comma_budget_admits_the_largest_dense_jump(self):
+        # the points, weights and kernel of a jump model: n^2 + 2n values, n^2 + 2n + 2 commas
+        def commas(n):
+            params = {"points": [0.0] * n, "weights": [1.0] * n, "kernel": [[0.5] * n] * n, "tStar": 0.5}
+            return json.dumps({"schemaVersion": 1, "type": "jump", "parameters": params}).count(",")
+
+        assert [commas(n) for n in (1, 2, 5)] == [n * n + 2 * n + 2 for n in (1, 2, 5)]
+        n = cli._MAX_DENSE_STATES
+        assert n * n + 2 * n + 2 + 100 < cli._MAX_MODEL_COMMAS
+
+    def test_vector_file_past_the_model_rows_is_refused_before_parsing(self, model_files, tmp_path):
+        vector = tmp_path / "long.csv"
+        vector.write_bytes(b"index,x,m,value\n" + b"".join(b"%d,0,1,1\n" % i for i in range(4)))
+        out = tmp_path / "out"
+        assert cli_exit(["invert", "--model", model_files["chain2"], "--output", str(out),
+                         "--T", "1", "--g", f"csv:{vector}"]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "ValidationError"
+        assert "15 commas in vector file" in error["message"] and "budget of 12" in error["message"]
+
+    def test_deeply_nested_model_exits_2(self, tmp_path):
+        model = tmp_path / "deep.json"
+        model.write_text("[" * 100_000, encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_exit(["decompose", "--model", str(model), "--output", str(out)]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "InvalidConfig"
+        assert "is not valid JSON" in error["message"]
+
     def test_budget_admits_the_largest_dense_chain(self):
         # json.dumps of the longest double and its separator, for every matrix and weight entry;
         # brackets and keys add under 10 kB
@@ -653,11 +698,15 @@ class TestNonFiniteAndDeepInputs:
             ({"type": "diffusion", "parameters": {"left": -math.inf, "right": 0.0, "n": 3}}, 2, "ValidationError"),
             ({"type": "jump", "parameters": {"points": [0.0, 1.0], "weights": [0.5, 0.5],
                                              "kernel": [[math.inf, 0.0], [0.0, 0.0]]}}, 2, "AsymmetricKernel"),
+            ({"type": "ou", "parameters": {"halfWidth": 2.76e-198, "n": 3}}, 2, "ValidationError"),
+            ({"type": "jump", "parameters": {"points": [0.0, 1.0], "weights": [2.0, 1.0],
+                                             "kernel": [[1e308, 0.0], [0.0, 0.0]]}}, 2, "RowMassExceeded"),
         ],
         ids=["chain-nan", "chain-symmetrised-overflow", "chain-weighted-overflow", "diffusion-weighted-diagonal-overflow",
              "diffusion-subnormal-interval",
              "jump-tstar-nan", "ou-half-width-nan", "diffusion-negative-kill", "jump-points-nan", "jump-points-decreasing",
-             "ou-spacing-overflow", "ou-spacing-subnormal", "diffusion-left-inf", "jump-kernel-inf"],
+             "ou-spacing-overflow", "ou-spacing-subnormal", "diffusion-left-inf", "jump-kernel-inf",
+             "ou-rates-overflow", "jump-row-mass-overflow"],
     )
     @pytest.mark.parametrize("command", [["decompose"], ["diagnose", "--T", "1", "--g", "x"]])
     def test_non_finite_model_is_refused(self, tmp_path, spec, code, error_name, command):
@@ -666,6 +715,27 @@ class TestNonFiniteAndDeepInputs:
         out = tmp_path / "out"
         assert cli_exit(command + ["--model", str(model), "--output", str(out)]) == code
         assert json.loads((out / "error.json").read_text())["error"] == error_name
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "spec, g",
+        [
+            ({"type": "chain", "parameters": {"matrix": [[-1.0, 1.0], [0.5, -0.5]], "weights": [1.0, 2.0]}}, "1e308"),
+            ({"type": "diffusion", "parameters": {"left": -1e308, "right": 0.0, "n": 3,
+                                                  "boundaryLeft": "dirichlet", "boundaryRight": "dirichlet"}}, "x"),
+        ],
+        ids=["chain-weighted-g-overflow", "diffusion-weighted-g-overflow"],
+    )
+    @pytest.mark.parametrize("command", ["diagnose", "invert", "pde"])
+    def test_observed_data_past_double_range_exits_2(self, tmp_path, spec, g, command):
+        # m_i g_i overflows: the coefficients would be inf or NaN, and diagnose once graded them "ok"
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"schemaVersion": 1, **spec}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_exit([command, "--model", str(model), "--output", str(out), "--T", "1", "--g", g]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "ValidationError"
+        assert "observed data g leaves the double range" in error["message"]
         assert not (out / "summary.json").exists()
 
     def test_deep_expression_exits_2(self, model_files, tmp_path):
@@ -697,6 +767,16 @@ class TestNonFiniteAndDeepInputs:
         assert cli_exit(["diagnose", "--model", model_files["chain2"], "--output", str(out),
                          "--T", "1", "--g", g]) == 2
         assert json.loads((out / "error.json").read_text())["error"] == "ExpressionParseError"
+
+    @pytest.mark.parametrize("gamma", [[], ["--gamma", "0.2"]], ids=["spectral", "mixed"])
+    def test_infinite_horizon_of_a_uniform_pde_grid_exits_2(self, model_files, tmp_path, gamma):
+        # the grid of --steps was built before T was checked, with a RuntimeWarning from linspace
+        out = tmp_path / "out"
+        assert cli_exit(["pde", "--model", model_files["chain2"], "--output", str(out),
+                         "--T", "inf", "--g", "x", "--steps", "1", *gamma]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "ValidationError"
+        assert error["message"] == "horizon must be finite and > 0, got inf"
 
     @pytest.mark.parametrize("horizon", ["inf", "1.7976931348623157e308"])
     def test_infinite_or_huge_horizon_exits_2(self, model_files, tmp_path, horizon):

@@ -284,3 +284,80 @@ class TestTrajectoryChunks:
         # one chunk's buffers and kernel arrays: 2.1 MB measured at both row counts
         assert peaks[1] < 4_000_000
         assert peaks[1] < 1.1 * peaks[0]
+
+
+# -- cells sized to the largest exponent ------------------------------------------
+
+WIDEST = -2.2250738585072014e-308  # ",-2.2250738585072014e-308": 25 bytes, the longest %.17g cell
+FALLBACK = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e300, math.nan, math.inf, -math.inf,
+            1.0, 100.0, -1e16, 1e17, 1e-5, WIDEST]  # every cell outside the fast path
+
+
+def _capped(rng, size, cap) -> np.ndarray:
+    """Signed values with %.17g exponents X drawn from [-4, cap], one of them exactly at ``cap``."""
+    x = rng.uniform(1.0, 9.9, size) * 10.0 ** rng.integers(-4, cap + 1, size)
+    x.flat[rng.integers(x.size)] = 1.2345678901234567 * 10.0**cap
+    return np.where(rng.random(size) < 0.5, -x, x)
+
+
+def _k(values) -> int:
+    """The integer-digit words of ``values``' cells."""
+    return spectral._cell_words(*spectral._digits17(np.ravel(values).astype(float))[1:]) - 7
+
+
+class TestCellWidth:
+    """Each table or chunk takes 7 + k words a cell, k = ceil(max(X, 0) / 4) over its fast cells."""
+
+    @pytest.mark.parametrize("cap", range(-4, 17))
+    def test_random_tables_at_each_exponent_cap(self, cap):
+        rng = np.random.default_rng(cap + 100)
+        for _ in range(40):
+            values = _capped(rng, 64, cap)
+            slow = rng.random(64) < 0.2
+            values[slow] = rng.choice(FALLBACK, np.count_nonzero(slow))
+            values[rng.integers(64)] = 1.2345678901234567 * 10.0**cap  # keep the cap if it was replaced
+            assert spectral._g17_words(values).shape == (64, 7 + -(-max(cap, 0) // 4))
+            _assert_g17(values)
+
+    def test_fallback_cells_only_take_seven_words(self):
+        values = FALLBACK + [-WIDEST]
+        assert not spectral._digits17(np.array(values))[2].any()
+        assert spectral._g17_words(values).shape == (len(values), 7)
+        _assert_g17(values)
+
+    def test_widest_fallback_in_a_table_of_small_exponents(self):
+        # every fast X <= 0: no integer-digit word, and the widest fallback still fits
+        values = [0.5, -0.0001234, WIDEST, 9.87654321, -1e-300, WIDEST]
+        assert spectral._g17_words(values).shape == (6, 7)
+        _assert_g17(values)
+
+    def test_csv_table_with_mixed_width_columns(self):
+        rng = np.random.default_rng(21)
+        columns = [
+            np.arange(50.0),  # the index: X <= 1
+            _capped(rng, 50, 16),  # 16 integer digits: k = 4
+            _capped(rng, 50, -1),  # no integer digit
+            np.array([WIDEST, math.nan, -0.0, 5e-324, 1e300] * 10),  # fallback cells only
+        ]
+        expected = "a,b,c,d\n" + "".join(",".join(_fmt(c[i]) for c in columns) + "\n" for i in range(50))
+        assert spectral._csv_table("a,b,c,d", *columns) == expected
+        assert spectral._csv_table("a,b", columns[2], columns[3]) == "a,b\n" + "".join(
+            f"{_fmt(b)},{_fmt(c)}\n" for b, c in zip(columns[2], columns[3]))
+
+    def test_trajectory_chunks_take_each_k(self):
+        n = 100
+        rows_per_chunk = spectral._CSV_CHUNK_CELLS // n
+        caps = [-4, 0, 4, 5, 8, 9, 12, 13, 16]  # k = 0, 0, 1, 2, 2, 3, 3, 4, 4
+        rng = np.random.default_rng(9)
+        blocks = [_capped(rng, (rows_per_chunk, n), cap) for cap in caps]
+        for block, cap in zip(blocks, caps):
+            block[0, 0] = -0.0  # first cell of a chunk
+            block[-1, -1] = 5e-324  # last cell of a chunk
+            block[rows_per_chunk // 2, n // 2] = math.nan
+            block[1, 0] = 1.2345678901234567 * 10.0**cap  # keep the cap if a corner held it
+        assert [_k(b) for b in blocks] == [0, 0, 1, 2, 2, 3, 3, 4, 4]
+        values = np.concatenate(blocks)
+        traj = sg.BackwardTrajectory(np.linspace(0.0, 1.0, len(values)), values)
+        chunks = list(regularisation._trajectory_csv_chunks(traj))
+        assert [c.count(b"\n") for c in chunks[1:-1]] == [rows_per_chunk * n] * len(caps)
+        assert b"".join(chunks).decode("ascii") == reference_trajectory_csv(traj)

@@ -207,6 +207,25 @@ class TestConditioningReport:
         }
 
 
+class TestObservedData:
+    """g is refused where m_i g_i or ||g||_m leaves double range, which bounds every |(phi_k, g)|."""
+
+    def test_weighted_entry_or_norm_past_double_range_is_refused(self, chain2):
+        _, dec = chain2
+        weighted = sg.build_chain([[-1.0, 1.0], [0.5, -0.5]], [1.0, 2.0])
+        for d, g in ((dec, [1.5e308, 1.5e308]), (sg.spectral_decompose(weighted), [0.0, 1e308])):
+            with pytest.raises(sg.ValidationError, match="observed data g leaves the double range"):
+                sg.InverseProblem(d, 1.0, np.array(g))
+        with pytest.raises(sg.ValidationError, match="observed data must be finite"):
+            sg.InverseProblem(dec, 1.0, np.array([math.nan, 0.0]))
+
+    def test_largest_admitted_data_give_finite_coefficients(self, chain2):
+        _, dec = chain2
+        for g in ([1.7976931348623157e308, 0.0], [1e308 / math.sqrt(2.0), -1e308 / math.sqrt(2.0)]):
+            problem = sg.InverseProblem(dec, 1.0, np.array(g))
+            assert np.all(np.isfinite(dec.coefficients(problem.observed)))
+
+
 class TestInvertSpectral:
     def test_eigenmode_amplification(self, chain3):
         _, dec = chain3

@@ -125,7 +125,7 @@ def models(draw):
     return {"schemaVersion": 1, "type": kind, "parameters": params}
 
 
-@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@settings(max_examples=100, database=None, deadline=None)
 @given(model=models(), g=EXPRESSIONS, horizon=st.one_of(SANE, SANE, EXTREMES))
 def test_cli_exits_0_2_or_3_with_error_json_on_failure(model, g, horizon):
     with tempfile.TemporaryDirectory() as tmp:
@@ -170,7 +170,7 @@ def invocations(draw):
     return argv
 
 
-@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@settings(max_examples=120, database=None, deadline=None)
 @given(model=st.sampled_from(sorted(ARGV_MODELS)), argv=invocations())
 def test_argv_exits_0_2_or_3_with_error_json_on_failure(model, argv):
     with tempfile.TemporaryDirectory() as tmp:

@@ -91,6 +91,13 @@ class TestInnerProduct:
         assert sg.norm(space, [math.inf, 0.0, 0.0]) == math.inf
 
 
+    def test_norm_is_finite_when_only_the_weights_overflow_its_squares(self):
+        # sum_i m_i f_i^2 = 2e308 overflows, but ||f||_m = 1.4e154; rescaling f alone left it inf
+        space = sg.build_space([0.0, 1.0, 2.0], [6.7e307] * 3)
+        assert sg.norm(space, np.ones(3)) == pytest.approx(math.sqrt(3.0) * math.sqrt(6.7e307), rel=1e-15)
+        assert sg.norm(space, [1e155, 1.0, 0.0]) == math.inf
+
+
 class TestMSymmetry:
     def test_symmetric_matrix_uniform_weights(self):
         space = sg.build_space([0.0, 1.0], [1.0, 1.0])
