@@ -108,13 +108,15 @@ _MAX_DENSE_STATES = 2000
 # Xeon).
 _MAX_INPUT_BYTES = 128 * 2**20
 
-# Most commas in a model file.  They bound the values json.loads makes of it,
-# which the byte budget alone does not: a budget-sized file of "0," entries
-# parses to 67M references at a 1.2 GB peak.  The largest model the state
-# budgets allow, a ``jump`` of _MAX_DENSE_STATES points with its kernel, holds
-# n^2 + 2n values and n^2 + 2n + 2 commas; keys and expressions take far
-# fewer than the 1000 to spare.
-_MAX_MODEL_COMMAS = _MAX_DENSE_STATES * (_MAX_DENSE_STATES + 2) + 1000
+# Most value marks in a model file: commas, colons and opening brackets.  Every
+# JSON value but the outermost follows one of them, so they bound the values
+# json.loads makes of it, which the byte budget alone does not: a budget-sized
+# file of "0," entries parses to 67M references at a 1.2 GB peak, and one of
+# nested one-element lists, which holds no comma, to 60M lists.  The largest
+# model the state budgets allow, a ``jump`` of _MAX_DENSE_STATES points with its
+# kernel, holds n^2 + 3n + 14; keys and expressions take far fewer than the
+# 1000 to spare.
+_MAX_MODEL_MARKS = _MAX_DENSE_STATES * (_MAX_DENSE_STATES + 3) + 1000
 
 # Deepest nesting of parentheses and exp( an expression may use, which keeps
 # the recursive-descent parser far inside Python's recursion limit.
@@ -389,19 +391,24 @@ def build_model(spec: dict) -> SymmetricGenerator:
     raise InvalidConfig(f"unknown model type {kind!r}")
 
 
-def _read_text(path, what: str, max_commas: int) -> str:
+def _value_marks(data: bytes) -> int:
+    """The commas, colons and opening brackets in ``data``: one before every JSON value or CSV field but the first."""
+    return sum(map(data.count, (b",", b":", b"[", b"{")))
+
+
+def _read_text(path, what: str, max_marks: int) -> str:
     """The UTF-8 text of the ``what`` file at ``path``, read in binary up to ``_MAX_INPUT_BYTES`` + 1 bytes.
 
-    Its commas, which bound the values a parse of it makes, are counted
-    before it is decoded.  A file that cannot be opened or read or is not
-    UTF-8 raises :class:`InvalidConfig`; one past the byte budget or with
-    more than ``max_commas`` commas, :class:`ValidationError`.
+    Its value marks, which bound the values a parse of it makes, are
+    counted before it is decoded.  A file that cannot be opened or read or
+    is not UTF-8 raises :class:`InvalidConfig`; one past the byte budget or
+    with more than ``max_marks`` value marks, :class:`ValidationError`.
     """
     try:
         with open(path, "rb") as fh:
             data = fh.read(_MAX_INPUT_BYTES + 1)
         if len(data) <= _MAX_INPUT_BYTES:
-            check_budget(f"commas in {what} {path}", data.count(b","), max_commas)
+            check_budget(f"commas, colons and opening brackets in {what} {path}", _value_marks(data), max_marks)
             return data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidConfig(f"cannot read {what} {path}: {exc}") from exc
@@ -409,7 +416,7 @@ def _read_text(path, what: str, max_commas: int) -> str:
 
 
 def load_model_file(path) -> SymmetricGenerator:
-    text = _read_text(path, "model file", _MAX_MODEL_COMMAS)
+    text = _read_text(path, "model file", _MAX_MODEL_MARKS)
     try:
         spec = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:

@@ -118,7 +118,7 @@ def regularised_residual(
     cg = dec.coefficients(g)
     lhs = (1.0 - config.gamma) * np.exp(-dec.eigenvalues * config.horizon) * cf
     lhs = lhs + config.gamma * phi_vals * cf
-    return _root_sum_squares(lambda v: float(np.sqrt(np.sum(v ** 2))), lhs - cg)
+    return _root_sum_squares(lhs - cg)
 
 
 def variational_objective(

@@ -134,8 +134,8 @@ def inner(space: WeightedStateSpace, f, g) -> float:
     return float(np.dot(f * space.weights, g))
 
 
-def _root_sum_squares(squares_root: Callable[[np.ndarray], float], v: np.ndarray, weights=None) -> float:
-    """``squares_root(v)``, an L2 norm of ``v`` with ``weights`` (or none), rescaled when its squares overflow.
+def _root_sum_squares(v: np.ndarray, weights=None) -> float:
+    """sqrt(sum_i v_i^2 w_i), the L2 norm of ``v`` with ``weights`` (or none), rescaled when its squares overflow.
 
     Entries of ``v``, or weights, past ~1e154 can make the squares
     infinite; then the norm is s * sqrt(sum_i (t_i / s)^2), where
@@ -144,7 +144,7 @@ def _root_sum_squares(squares_root: Callable[[np.ndarray], float], v: np.ndarray
     range is inf.
     """
     with np.errstate(over="ignore"):
-        value = squares_root(v)
+        value = float(np.sqrt(np.sum(v ** 2) if weights is None else np.dot(v * v, weights)))
         if value == math.inf:
             terms = np.abs(v) if weights is None else np.abs(v) * np.sqrt(weights)
             big = float(np.max(terms))
@@ -156,7 +156,7 @@ def _root_sum_squares(squares_root: Callable[[np.ndarray], float], v: np.ndarray
 def norm(space: WeightedStateSpace, f) -> float:
     """Weighted L2 norm induced by :func:`inner`; finite whenever the norm itself is below the double range."""
     f = _check_vector(space, f)
-    return _root_sum_squares(lambda v: float(np.sqrt(np.dot(v * v, space.weights))), f, space.weights)
+    return _root_sum_squares(f, space.weights)
 
 
 # Cells of one block of a blocked pass: rows of the dense m-symmetry residual,
@@ -595,8 +595,9 @@ def _g17_render(x: np.ndarray, digits, out: np.ndarray) -> None:
     # N = lead 10^16 + four 4-digit groups, one per row of the planar arrays
     lead = n // 10**16
     n -= lead * 10**16
-    high = (n // 10**8).astype(np.int32)
+    high = n // 10**8
     low = (n - high * 10**8).astype(np.int32)
+    high = high.astype(np.int32)
     groups = np.empty((4, x.size), np.int32)
     np.floor_divide(high, 10**4, out=groups[0])
     np.subtract(high, groups[0] * 10**4, out=groups[1])

@@ -12,9 +12,9 @@ from hypothesis import settings
 
 import semigroupinv as sg
 
-# Every Hypothesis test draws the same examples on every run.  The "random"
-# profile draws afresh: ``--hypothesis-profile random --hypothesis-seed N``
-# replays the draws of seed N.
+# Hypothesis tests draw the same examples on every run, unless their own
+# settings say otherwise.  The "random" profile draws afresh:
+# ``--hypothesis-profile random --hypothesis-seed N`` replays the draws of seed N.
 settings.register_profile("default", derandomize=True)
 settings.register_profile("random", derandomize=False)
 settings.load_profile("default")

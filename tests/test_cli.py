@@ -512,31 +512,48 @@ class TestBoundedRead:
             monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", budget)
             assert cli_exit(["decompose", "--model", model_files["chain2"], "--output", str(tmp_path / str(budget))]) == code
 
-    def test_model_file_is_refused_past_its_comma_budget_before_parsing(self, model_files, tmp_path, monkeypatch):
+    def test_model_file_is_refused_past_its_value_mark_budget_before_parsing(self, model_files, tmp_path, monkeypatch):
         # a budget-sized file of "0," entries once parsed to 67M references at a 1.2 GB peak
-        commas = json.dumps(CHAIN2_JSON).count(",")
+        marks = cli._value_marks(json.dumps(CHAIN2_JSON).encode())
         parsed = []
         monkeypatch.setattr(json, "loads", lambda text, loads=json.loads: parsed.append(text) or loads(text))
-        for budget, code in ((commas, 0), (commas - 1, 2)):
-            monkeypatch.setattr(cli, "_MAX_MODEL_COMMAS", budget)
+        for budget, code in ((marks, 0), (marks - 1, 2)):
+            monkeypatch.setattr(cli, "_MAX_MODEL_MARKS", budget)
             out = tmp_path / str(budget)
             assert cli_exit(["decompose", "--model", model_files["chain2"], "--output", str(out)]) == code
         monkeypatch.undo()
         assert len(parsed) == 1
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "ValidationError"
-        message = f"{commas} commas in model file {model_files['chain2']} exceed the budget of {commas - 1}"
+        message = (f"{marks} commas, colons and opening brackets in model file {model_files['chain2']}"
+                   f" exceed the budget of {marks - 1}")
         assert message in error["message"]
 
-    def test_comma_budget_admits_the_largest_dense_jump(self):
-        # the points, weights and kernel of a jump model: n^2 + 2n values, n^2 + 2n + 2 commas
-        def commas(n):
-            params = {"points": [0.0] * n, "weights": [1.0] * n, "kernel": [[0.5] * n] * n, "tStar": 0.5}
-            return json.dumps({"schemaVersion": 1, "type": "jump", "parameters": params}).count(",")
+    @pytest.mark.parametrize("element", ["[" * 500 + "]" * 500, '{"":' * 500 + "0" + "}" * 500],
+                             ids=["lists", "objects"])
+    def test_nested_containers_without_commas_count_against_the_budget(self, element, tmp_path, monkeypatch):
+        # one-element containers hold no comma: a budget-sized file of them once parsed to 60M lists
+        model = tmp_path / "nested.json"
+        model.write_text("[" + ",".join([element] * 20) + "]", encoding="utf-8")
+        monkeypatch.setattr(cli, "_MAX_MODEL_MARKS", 5000)
+        monkeypatch.setattr(json, "loads", lambda text: pytest.fail("parsed past the budget"))
+        out = tmp_path / "out"
+        assert cli_exit(["decompose", "--model", str(model), "--output", str(out)]) == 2
+        monkeypatch.undo()
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "ValidationError"
+        assert "commas, colons and opening brackets in model file" in error["message"]
+        assert "budget of 5000" in error["message"]
 
-        assert [commas(n) for n in (1, 2, 5)] == [n * n + 2 * n + 2 for n in (1, 2, 5)]
+    def test_value_mark_budget_admits_the_largest_dense_jump(self):
+        # the points, weights and kernel of a jump model: n^2 + 2n values, n^2 + 3n + 14 value marks
+        def marks(n):
+            params = {"points": [0.0] * n, "weights": [1.0] * n, "kernel": [[0.5] * n] * n, "tStar": 0.5}
+            return cli._value_marks(json.dumps({"schemaVersion": 1, "type": "jump", "parameters": params}).encode())
+
+        assert [marks(n) for n in (1, 2, 5)] == [n * n + 3 * n + 14 for n in (1, 2, 5)]
         n = cli._MAX_DENSE_STATES
-        assert n * n + 2 * n + 2 + 100 < cli._MAX_MODEL_COMMAS
+        assert n * n + 3 * n + 14 + 100 < cli._MAX_MODEL_MARKS
 
     def test_vector_file_past_the_model_rows_is_refused_before_parsing(self, model_files, tmp_path):
         vector = tmp_path / "long.csv"
@@ -546,7 +563,7 @@ class TestBoundedRead:
                          "--T", "1", "--g", f"csv:{vector}"]) == 2
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "ValidationError"
-        assert "15 commas in vector file" in error["message"] and "budget of 12" in error["message"]
+        assert "15 commas, colons and opening brackets in vector file" in error["message"] and "budget of 12" in error["message"]
 
     def test_deeply_nested_model_exits_2(self, tmp_path):
         model = tmp_path / "deep.json"

@@ -177,7 +177,8 @@ def _neighbours(x: float, steps: int = 3) -> list[float]:
 class TestG17Kernel:
     """The vectorised kernel against Python's own ``format(x, ".17g")``, value by value."""
 
-    @settings(max_examples=300, deadline=None)
+    # fresh draws on every run; the "random" profile's --hypothesis-seed replays them
+    @settings(max_examples=300, deadline=None, derandomize=False)
     @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=64))
     def test_any_double(self, values):
         _assert_g17(values)
