@@ -35,8 +35,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from ._numerics import _BLOCK_CELLS, _split, _two_product_error
 from .errors import MAX_EXPONENT, OverflowRisk, QuadratureNotConverged, ValidationError, check_budget, check_range
-from .spectral import _BLOCK_CELLS, _split, _two_product_error
 
 # J0 regimes: the 0-centered series keeps both its error AND the error's
 # point-to-point decorrelation at ~eps * I0(x); anchored local Taylor
@@ -440,16 +440,6 @@ def j0_multipliers(x: float, rates, config: QuadratureConfig, scale: float = 1.0
     )
 
 
-def _product_error(a: float, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """a b - p exactly for p = fl(a b): Dekker's TwoProduct on Veltkamp's split.
-
-    0 wherever the split of a factor or the product leaves double range.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = _two_product_error(*_split(np.float64(a)), *_split(b), p)
-    return np.where(np.isfinite(e), e, 0.0)
-
-
 def i0_multipliers(a: float, betas, config: QuadratureConfig, s_cap: float = math.inf) -> QuadratureResult:
     """mu_k = integral_0^s_cap I0(2 sqrt(a s)) exp(-s/beta_k) ds for every beta_k > 0.
 
@@ -487,7 +477,9 @@ def i0_multipliers(a: float, betas, config: QuadratureConfig, s_cap: float = mat
     # E_k = 2 sqrt(a) top - top^2/beta; a beta, the closed form's own exponent, when uncapped,
     # carried there as the rounded product plus its exact error
     exponent = np.where(capped, top * (2.0 * root_a - top / betas), a * betas)
-    low = np.where(capped, 0.0, _product_error(a, betas, exponent))
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 below where a split or the product leaves double range
+        low = _two_product_error(*_split(np.float64(a)), *_split(betas), exponent)
+    low[capped | ~np.isfinite(low)] = 0.0
     size = np.minimum(betas, math.sqrt(s_cap / a) or u_cap / root_a)  # s_cap / a underflows to 0 past a ~ 1e164
 
     def integrand(v, w):

@@ -21,6 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .artifacts import (
+    eigenvalues_to_csv,
+    gamma_study_to_csv,
+    vector_from_csv,
+    vector_to_csv,
+    write_json,
+    write_text,
+    write_trajectory,
+)
 from .bessel import j0_multipliers
 from .errors import (
     MAX_TRAJECTORY_CELLS,
@@ -37,9 +46,9 @@ from .inversion import (
     COEFF_TOL,
     FLOW_QUADRATURE,
     InverseProblem,
-    _flow_multipliers,
     check_observed,
     conditioning_report,
+    flow_multipliers,
     invert_bessel,
     invert_spectral,
     resolvent_flow,
@@ -60,26 +69,21 @@ from .regularisation import (
     MixtureModel,
     RegularisationConfig,
     gamma_convergence_study,
-    gamma_study_to_csv,
     make_phi,
     mixture_invert,
     mixture_multipliers,
     regularised_pide_solve,
     regularised_residual,
     regularised_solve,
-    _trajectory_csv_chunks,
 )
 from .spectral import (
     SymmetricGenerator,
-    _csv_table,
     build_space,
     inner,
     norm,
     resolvent_apply,
     semigroup_apply,
     spectral_decompose,
-    vector_from_csv,
-    vector_to_csv,
 )
 
 SCHEMA_VERSION = 1
@@ -514,14 +518,6 @@ def _observed_vector(source: str, gen: SymmetricGenerator) -> np.ndarray:
     return values
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="\n")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    _write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 def _phi_from_params(p: dict, horizon: float):
     return make_phi(p["phi"], horizon=horizon, value=p["value"], t_star=p["tstar"], tau=p["tau"],
                     alpha=p["alpha"])
@@ -534,10 +530,7 @@ def _phi_from_params(p: dict, horizon: float):
 
 
 def _cmd_decompose(p, gen, dec, out: Path) -> dict:
-    _write(
-        out / "eigenvalues.csv",
-        _csv_table("index,lambda", np.arange(dec.size), dec.eigenvalues),
-    )
+    write_text(out / "eigenvalues.csv", eigenvalues_to_csv(dec))
     return {
         "n": gen.size,
         "lambdaMin": float(dec.eigenvalues[0]),
@@ -551,12 +544,12 @@ def _cmd_invert(p, gen, dec, out: Path) -> dict:
     g = _observed_vector(p["g"], gen)
     problem = InverseProblem(dec, T, g)
     report = conditioning_report(problem, alpha)
-    _write_json(out / "report.json", report.to_json_dict())
+    write_json(out / "report.json", report.to_json_dict())
     if p["method"] == "bessel":
         f = invert_bessel(problem, alpha, coeff_tol=coeff_tol)
     else:
         f = invert_spectral(problem, coeff_tol=coeff_tol)
-    _write(out / "solution.csv", vector_to_csv(gen.space, f))
+    write_text(out / "solution.csv", vector_to_csv(gen.space, f))
     round_trip = norm(gen.space, semigroup_apply(dec, T, f) - g) / max(
         norm(gen.space, g), np.finfo(float).tiny
     )
@@ -576,7 +569,7 @@ def _cmd_regularise(p, gen, dec, out: Path) -> dict:
     phi = _phi_from_params(p, T)
     reg = RegularisationConfig(gamma, phi, T)
     f = regularised_solve(dec, reg, g)
-    _write(out / "solution.csv", vector_to_csv(gen.space, f))
+    write_text(out / "solution.csv", vector_to_csv(gen.space, f))
     return {
         "T": T,
         "gamma": gamma,
@@ -593,7 +586,7 @@ def _cmd_mixture(p, gen, dec, out: Path) -> dict:
     model = MixtureModel(dec, gamma, t_star)
     f = mixture_invert(model, t, g)
     mult = mixture_multipliers(model, t)
-    _write(out / "solution.csv", vector_to_csv(gen.space, f))
+    write_text(out / "solution.csv", vector_to_csv(gen.space, f))
     residual = norm(gen.space, dec.apply(mult, f) - g)
     return {
         "T": t,
@@ -616,7 +609,7 @@ def _cmd_sweep(p, gen, dec, out: Path) -> dict:
     if not gammas:
         raise InvalidConfig("--gammas lists no values")
     rows = gamma_convergence_study(dec, phi, T, g, gammas)
-    _write(out / "sweep.csv", gamma_study_to_csv(rows))
+    write_text(out / "sweep.csv", gamma_study_to_csv(rows))
     return {
         "T": T,
         "phi": phi.name,
@@ -631,7 +624,7 @@ def _cmd_diagnose(p, gen, dec, out: Path) -> dict:
     g = _observed_vector(p["g"], gen)
     problem = InverseProblem(dec, T, g)
     report = conditioning_report(problem, alpha)
-    _write_json(out / "report.json", report.to_json_dict())
+    write_json(out / "report.json", report.to_json_dict())
     return {"T": T, "alpha": alpha, **report.to_json_dict()}
 
 
@@ -665,8 +658,7 @@ def _cmd_pde(p, gen, dec, out: Path) -> dict:
         if exc.budget is None:
             raise
         raise ValidationError(f"{exc}; --steps N sets a uniform grid of N steps instead", exc.budget) from exc
-    with open(out / "trajectory.csv", "wb") as fh:
-        fh.writelines(_trajectory_csv_chunks(traj))
+    write_trajectory(out / "trajectory.csv", traj)
     summary["steps"] = int(traj.times.size - 1)
     summary["finalNorm"] = norm(gen.space, traj.values[-1])
     return summary
@@ -710,7 +702,7 @@ def _cmd_check(p, gen, dec, out: Path) -> dict:
         fq = resolvent_flow_quadrature(dec, 1.0, 1.0, f)
         record("flowQuadratureAgreement", norm(space, fs - fq) / max(norm(space, fs), 1e-300), 1e-6)
         mu = j0_multipliers(1.0, dec.eigenvalues + 1.0, FLOW_QUADRATURE, max(1.0, norm(space, f))).value
-        closed = _flow_multipliers(dec.eigenvalues, 1.0, 1.0)
+        closed = flow_multipliers(dec.eigenvalues, 1.0, 1.0)
         record("flowMultiplierAgreement", np.max(np.abs(mu - closed) / closed), 1e-8)
     else:
         skipped = {
@@ -769,12 +761,12 @@ def run(config: RunConfig) -> int:
             value = getattr(exc, attr, None)
             if value is not None and np.isfinite(value):
                 payload[attr] = value
-        _write_json(out / "error.json", payload)
+        write_json(out / "error.json", payload)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return code
     summary["command"] = config.command
     summary["schemaVersion"] = SCHEMA_VERSION
-    _write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", summary)
     return 0
 
 

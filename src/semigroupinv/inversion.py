@@ -121,7 +121,8 @@ class ConditioningReport:
         }
 
 
-def _flow_multipliers(lam: np.ndarray, alpha: float, t: float) -> np.ndarray:
+def flow_multipliers(lam: np.ndarray, alpha: float, t: float) -> np.ndarray:
+    """The per-mode multipliers exp(-t/(l+a)) / (l+a) of :func:`resolvent_flow` at eigenvalues ``lam``."""
     beta = lam + alpha
     return np.exp(-t / beta) / beta
 
@@ -134,7 +135,7 @@ def resolvent_flow(dec: SpectralDecomposition, alpha: float, t: float, f) -> np.
     """
     check_range("alpha", alpha, error=NonPositiveAlpha)
     check_range("flow time", t, closed=True)
-    return dec.apply(_flow_multipliers(dec.eigenvalues, alpha, t), f)
+    return dec.apply(flow_multipliers(dec.eigenvalues, alpha, t), f)
 
 
 def resolvent_flow_quadrature(dec: SpectralDecomposition, alpha: float, t: float, f) -> np.ndarray:
@@ -330,9 +331,7 @@ def picard_resolvent_flow(
     return PicardResult(s, trajectories)
 
 
-def solve_resolvent_cauchy(
-    dec: SpectralDecomposition, alpha: float, f, t_grid
-) -> np.ndarray:
+def solve_resolvent_cauchy(dec: SpectralDecomposition, alpha: float, f, t_grid) -> np.ndarray:
     """Solve dj/dt = -U j, j(0) = U f, where U is the resolvent at alpha.
 
     The resolvent is bounded, so the solution is the uniformly continuous
@@ -340,7 +339,7 @@ def solve_resolvent_cauchy(
     exp(-t/(l+a)) / (l+a).  Returns the trajectory (len(t_grid), n).
     """
     check_range("alpha", alpha, error=NonPositiveAlpha)
-    t_grid = _time_grid(t_grid, math.inf)
+    t_grid = time_grid(t_grid, math.inf)
     u_mult = 1.0 / (dec.eigenvalues + alpha)
     return dec.trajectory(-u_mult, t_grid, u_mult * dec.coefficients(f))
 
@@ -395,7 +394,7 @@ def backward_time_grid(horizon: float, lam_max: float) -> np.ndarray:
     return np.linspace(0.0, horizon, n_steps + 1)
 
 
-def _time_grid(t_grid, horizon: float, rate_max: float | None = None) -> np.ndarray:
+def time_grid(t_grid, horizon: float, rate_max: float | None = None) -> np.ndarray:
     """The caller's ``t_grid``, or :func:`backward_time_grid` for ``rate_max`` when it is None.
 
     A given grid is refused unless it is 1-D and every time is finite and
@@ -410,11 +409,7 @@ def _time_grid(t_grid, horizon: float, rate_max: float | None = None) -> np.ndar
     return t_grid
 
 
-def solve_backward_cauchy(
-    problem: InverseProblem,
-    t_grid=None,
-    coeff_tol: float = COEFF_TOL,
-) -> BackwardTrajectory:
+def solve_backward_cauchy(problem: InverseProblem, t_grid=None, coeff_tol: float = COEFF_TOL) -> BackwardTrajectory:
     """Backward evolution u(t) = P_(T-t) applied to the inverse of g.
 
     The trajectory starts at g (up to the coefficient floor), ends at the
@@ -426,7 +421,7 @@ def solve_backward_cauchy(
     T = problem.horizon
     c, idx, lam_max = _energy_active(dec, problem.observed, coeff_tol)
     check_exponent(lam_max * T, f"backward solution reaches exp({lam_max * T:.6g})")
-    t_grid = _time_grid(t_grid, T, lam_max)
+    t_grid = time_grid(t_grid, T, lam_max)
     values = dec.trajectory(dec.eigenvalues[idx], t_grid, c[idx], modes=idx)
     return BackwardTrajectory(t_grid, values)
 
@@ -434,9 +429,7 @@ def solve_backward_cauchy(
 # -- squared-Bessel transform of the flow's quadratic form ---------------------
 
 
-def squared_bessel_h(
-    dec: SpectralDecomposition, f, horizon: float, t, x
-) -> np.ndarray:
+def squared_bessel_h(dec: SpectralDecomposition, f, horizon: float, t, x) -> np.ndarray:
     """Closed form of the kernel transform h(t, x).
 
     Per mode: (phi_k, f)^2 exp(-x/beta_k) / beta_k with

@@ -88,13 +88,18 @@ def _divergence_form(
 
     ``edge_conductance`` has n-1 interior entries; ``wall_conductance`` gives
     the absorbing-wall conductances used when an endpoint is dirichlet (the
-    wall sits half a cell beyond the end node).
+    wall sits half a cell beyond the end node).  An edge rate that underflows
+    to 0, as ~1/h^2 does at h ~ 1e308, raises :class:`ValidationError`.
     """
     m = m_density * h
     space = build_space(points, m)  # refuses a weight that underflowed to 0 before it divides
     with np.errstate(over="ignore"):  # a band past double range, as 1/h^2 on a tiny grid, is refused as not finite
         lower = edge_conductance / m[1:]
         upper = edge_conductance / m[:-1]
+        cut = np.flatnonzero((lower == 0) | (upper == 0))
+        if cut.size:
+            x = points[cut[0]:cut[0] + 2].tolist()
+            raise ValidationError(f"the rate between grid points x = {x[0]!r} and {x[1]!r} underflows to 0 at h = {h!r}")
         # diagonal sums in the order of an edge-by-edge assembly, which fixes
         # their bits: left edge, right edge, wall, kill
         diag = np.zeros(points.size)
@@ -207,7 +212,8 @@ class JumpKernelSpec:
             raise LengthMismatch(f"kernel shape {q.shape} on a space of size {n}")
         if not np.all((q >= 0.0) & (q < np.inf)):
             raise AsymmetricKernel("kernel values must be finite and non-negative")
-        if not np.allclose(q, q.T, rtol=0, atol=1e-12 * max(1.0, float(np.abs(q).max()))):
+        gap = q - q.T  # q >= 0 and finite: this is np.allclose(q, q.T, rtol=0, atol=1e-12 max(1, max |q|))
+        if not np.max(np.abs(gap, out=gap)) <= 1e-12 * max(1.0, float(q.max())):
             raise AsymmetricKernel("kernel must be symmetric")
         with np.errstate(over="ignore"):  # a row mass past double range is inf, and refused below
             mass = q @ self.space.weights
@@ -221,7 +227,8 @@ def build_jump(spec: JumpKernelSpec) -> SymmetricGenerator:
     The matrix is Q M - I; since the weighted kernel is substochastic the
     spectrum of -A lies in [0, 2].
     """
-    a = spec.kernel * spec.space.weights[None, :] - np.eye(spec.space.size)
+    a = spec.kernel * spec.space.weights[None, :]
+    a.flat[:: spec.space.size + 1] -= 1.0
     return SymmetricGenerator(spec.space, a, _owned=True)
 
 
@@ -234,9 +241,12 @@ def gaussian_jump_kernel(space: WeightedStateSpace, t_star: float) -> JumpKernel
     check_range("t_star", t_star, error=InvalidBoundary)
     x = space.points
     with np.errstate(over="ignore"):  # a jump past double range has its limit, probability 0
-        q = np.exp(-((x[:, None] - x[None, :]) ** 2) / (2.0 * t_star))
+        q = np.subtract.outer(x, x)  # exp(-((x_i - x_j)^2) / (2 t_star)), each step in place
+        np.negative(np.square(q, out=q), out=q)
+        q /= 2.0 * t_star
+        np.exp(q, out=q)
     scale = float(np.max(q @ space.weights))
-    return JumpKernelSpec(q / scale, space)
+    return JumpKernelSpec(np.divide(q, scale, out=q), space)
 
 
 def build_chain(matrix, weights) -> SymmetricGenerator:

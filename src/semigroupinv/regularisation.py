@@ -17,14 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import _root_sum_squares
 from .errors import DegeneratePhi, ValidationError, check_exponent, check_range
-from .inversion import (
-    _time_grid,
-    BackwardTrajectory,
-    InverseProblem,
-    invert_spectral,
-)
-from .spectral import SpectralDecomposition, SpectralFunction, _csv_chunks, _csv_table, _root_sum_squares, norm
+from .inversion import BackwardTrajectory, InverseProblem, invert_spectral, time_grid
+from .spectral import SpectralDecomposition, SpectralFunction, norm
 
 # Each regularising multiplier family: its parameters, the error class an
 # out-of-range parameter raises, and phi(lambda) built from their values.
@@ -109,9 +105,7 @@ def regularised_solve(dec: SpectralDecomposition, config: RegularisationConfig, 
     return dec.apply(regularised_multipliers(dec, config), g)
 
 
-def regularised_residual(
-    dec: SpectralDecomposition, config: RegularisationConfig, g, f
-) -> float:
+def regularised_residual(dec: SpectralDecomposition, config: RegularisationConfig, g, f) -> float:
     """Norm of (1-gamma) P_T f + gamma phi(-A) f - g."""
     phi_vals = config.phi_values(dec)
     cf = dec.coefficients(f)
@@ -121,9 +115,7 @@ def regularised_residual(
     return _root_sum_squares(lhs - cg)
 
 
-def variational_objective(
-    dec: SpectralDecomposition, config: RegularisationConfig, g, h
-) -> float:
+def variational_objective(dec: SpectralDecomposition, config: RegularisationConfig, g, h) -> float:
     """Penalised least squares ||P_T h - g||^2 + g/(1-g) (P_T phi(-A) h, h).
 
     (1-gamma) times the regularised solution is the unique minimiser; the
@@ -138,9 +130,7 @@ def variational_objective(
     return misfit + config.gamma / (1.0 - config.gamma) * penalty
 
 
-def variational_gradient(
-    dec: SpectralDecomposition, config: RegularisationConfig, g, h
-) -> np.ndarray:
+def variational_gradient(dec: SpectralDecomposition, config: RegularisationConfig, g, h) -> np.ndarray:
     """Gradient of :func:`variational_objective` in L2(m).
 
     2 P_T (P_T h - g) + 2 g/(1-g) P_T phi(-A) h; vanishes exactly at
@@ -174,11 +164,7 @@ class GammaStudyRow:
 
 
 def gamma_convergence_study(
-    dec: SpectralDecomposition,
-    phi: SpectralFunction,
-    horizon: float,
-    g,
-    gammas,
+    dec: SpectralDecomposition, phi: SpectralFunction, horizon: float, g, gammas
 ) -> list[GammaStudyRow]:
     """Distance of the regularised solutions from the exact inverse.
 
@@ -199,12 +185,6 @@ def gamma_convergence_study(
             )
         )
     return rows
-
-
-def gamma_study_to_csv(rows) -> str:
-    """CSV ``gamma,error,residual`` of a :func:`gamma_convergence_study`."""
-    columns = np.array([(row.gamma, row.error, row.residual) for row in rows], float).reshape(-1, 3).T
-    return _csv_table("gamma,error,residual", *columns)
 
 
 # -- jump-mixture regularisation ------------------------------------------------
@@ -262,12 +242,7 @@ def mixture_invert(model: MixtureModel, t: float, g) -> np.ndarray:
     return dec.synthesize(dec.coefficients(g) / mult)
 
 
-def regularised_pide_solve(
-    model: MixtureModel,
-    g,
-    horizon: float,
-    t_grid=None,
-) -> BackwardTrajectory:
+def regularised_pide_solve(model: MixtureModel, g, horizon: float, t_grid=None) -> BackwardTrajectory:
     """Backward evolution under the mixed generator.
 
     Solves u_t + w A u + (1-w) (P_(t_star) u - u) = 0, u(0) = g, with the
@@ -283,19 +258,7 @@ def regularised_pide_solve(
     rate_max = float(rates.max())
     growth = rate_max * horizon
     check_exponent(growth, f"mixed backward growth exp({growth:.6g}) exceeds double range")
-    t_grid = _time_grid(t_grid, horizon, rate_max)
+    t_grid = time_grid(t_grid, horizon, rate_max)
     c = dec.coefficients(np.asarray(g, float))
     return BackwardTrajectory(t_grid, dec.trajectory(rates, t_grid, c))
 
-
-def _trajectory_csv_chunks(traj: BackwardTrajectory):
-    """The bytes of :func:`trajectory_to_csv`, in chunks of about 8192 values."""
-    return _csv_chunks("t,index,value", traj.times, traj.values)
-
-
-def trajectory_to_csv(traj: BackwardTrajectory) -> str:
-    """Long-format CSV ``t,index,value`` of a backward trajectory.
-
-    One block of n rows per time, len(times) * n rows after the header.
-    """
-    return b"".join(_trajectory_csv_chunks(traj)).decode("ascii")

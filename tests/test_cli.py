@@ -738,7 +738,8 @@ class TestNonFiniteAndDeepInputs:
         "spec, g",
         [
             ({"type": "chain", "parameters": {"matrix": [[-1.0, 1.0], [0.5, -0.5]], "weights": [1.0, 2.0]}}, "1e308"),
-            ({"type": "diffusion", "parameters": {"left": -1e308, "right": 0.0, "n": 3,
+            # weights 1e299 at x ~ 1e10, whose rates 4e-299 are still normal doubles
+            ({"type": "diffusion", "parameters": {"left": 1e10, "right": 1e10 + 3.0, "n": 3, "sigma": "4.5e-150",
                                                   "boundaryLeft": "dirichlet", "boundaryRight": "dirichlet"}}, "x"),
         ],
         ids=["chain-weighted-g-overflow", "diffusion-weighted-g-overflow"],
@@ -753,6 +754,29 @@ class TestNonFiniteAndDeepInputs:
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "ValidationError"
         assert "observed data g leaves the double range" in error["message"]
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "spec, points",
+        [
+            # h = 3.3e307: every rate ~ (1/h) / (2h) is about 1e-615, and the generator was all zero
+            ({"type": "diffusion", "parameters": {"left": -1e308, "right": 0.0, "n": 3, "boundaryLeft": "dirichlet",
+                                                  "boundaryRight": "dirichlet"}}, "-8.333333333333334e+307 and -5e+307"),
+            # h = 1e154: the weights are fine, but one band of the edge below 0 underflows
+            ({"type": "ou", "parameters": {"halfWidth": 1.5e154, "n": 3, "rate": 7e-306}},
+             "-1.0000000000000002e+154 and 0.0"),
+        ],
+        ids=["diffusion", "ou"],
+    )
+    @pytest.mark.parametrize("command", ["diagnose", "pde"])
+    def test_grid_whose_rates_underflow_is_refused(self, tmp_path, spec, points, command):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"schemaVersion": 1, **spec}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_exit([command, "--model", str(model), "--output", str(out), "--T", "1", "--g", "1"]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "ValidationError"
+        assert f"the rate between grid points x = {points} underflows to 0" in error["message"]
         assert not (out / "summary.json").exists()
 
     def test_deep_expression_exits_2(self, model_files, tmp_path):

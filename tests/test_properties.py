@@ -1,11 +1,16 @@
-"""Property test: whatever model and expression the CLI is given, it exits
-0, 2 or 3, and writes ``error.json`` exactly when it does not succeed.
-Every JSON artifact of an argv is strict JSON, with no Infinity or NaN.
+"""Property tests.
 
-A model is well formed, or has one number replaced by a non-finite or
-extreme value.  Grid sizes are either small (n <= 16) or past the state
-budget, so no example builds a large matrix.  Expressions are drawn from
-the function grammar, plus strings of stray grammar characters.
+Whatever model and expression the CLI is given, it exits 0, 2 or 3, and
+writes ``error.json`` exactly when it does not succeed.  Every JSON artifact
+of an argv is strict JSON, with no Infinity or NaN.  A model is well formed,
+or has one number replaced by a non-finite or extreme value.  Grid sizes are
+either small (n <= 16) or past the state budget, so no example builds a
+large matrix.  Expressions are drawn from the function grammar, plus strings
+of stray grammar characters.
+
+On well-formed models of at most 16 states, the library's two routes agree:
+the Bessel inverse with the spectral one, and the membership quadrature with
+its spectral sum, wherever the Bessel cap and the I0 cut leave them defined.
 """
 
 import json
@@ -13,10 +18,15 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semigroupinv import cli
+import semigroupinv as sg
+from semigroupinv import bessel, cli
+from semigroupinv.errors import MAX_EXPONENT
+from semigroupinv.inversion import BESSEL_CONDITIONING_CAP, I0_QUADRATURE
 
 SANE = st.floats(0.1, 4.0)
 EXTREMES = st.one_of(
@@ -63,8 +73,8 @@ EXPRESSIONS = st.one_of(
 )
 
 
-def _valid_parameters(draw, kind: str) -> dict:
-    """Parameters of a well-formed model of ``kind`` on at most 16 states."""
+def _valid_parameters(draw, kind: str, expressions=EXPRESSIONS) -> dict:
+    """Parameters of a well-formed model of ``kind`` on at most 16 states; a diffusion's sigma and kill from ``expressions``."""
     n = draw(st.integers(3, 16))
     if kind == "ou":
         return {"halfWidth": draw(SANE), "n": n, "rate": draw(SANE)}
@@ -74,9 +84,9 @@ def _valid_parameters(draw, kind: str) -> dict:
                   "boundaryLeft": draw(st.sampled_from(["dirichlet", "neumann"])),
                   "boundaryRight": draw(st.sampled_from(["dirichlet", "neumann"]))}
         if draw(st.booleans()):
-            params["sigma"] = draw(EXPRESSIONS)
+            params["sigma"] = draw(expressions)
         if draw(st.booleans()):
-            params["kill"] = draw(EXPRESSIONS)
+            params["kill"] = draw(expressions)
         return params
     n = draw(st.integers(2, 6))
     weights = [draw(SANE) for _ in range(n)]
@@ -186,3 +196,45 @@ def test_argv_exits_0_2_or_3_with_error_json_on_failure(model, argv):
         assert (out / "summary.json").exists() == (code == 0)
         for artifact in out.glob("*.json"):
             json.loads(artifact.read_text(encoding="utf-8"), parse_constant=_refuse)
+
+
+# -- the two routes agree ----------------------------------------------------------
+
+# sigma and kill of a drawn diffusion: positive on every grid it can have (x in [-1.9, 6])
+POSITIVE_EXPRESSIONS = st.sampled_from(["1", "0.3", "0.5+x^2", "exp(-x)", "2+x"])
+
+
+@st.composite
+def oracle_problems(draw):
+    """A well-formed model of at most 16 states, observed data on it, a horizon T and a shift alpha."""
+    kind = draw(st.sampled_from(["chain", "ou", "diffusion", "jump"]))
+    spec = {"schemaVersion": 1, "type": kind, "parameters": _valid_parameters(draw, kind, POSITIVE_EXPRESSIONS)}
+    gen = cli.build_model(spec)
+    g = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=gen.size, max_size=gen.size)))
+    return gen, g, draw(st.floats(0.01, 5.0)), draw(st.floats(0.1, 4.0))
+
+
+def _uncapped(T: float, beta: float) -> bool:
+    """The report's I0 integral of a mode at beta = lambda + alpha holds its whole window below its cut.
+
+    In u = sqrt(s) the window ends at u* + sqrt(L beta), u* = sqrt(2T) beta,
+    and the cut is u_cap = sqrt(s_cap) = (MAX_EXPONENT / 2) / sqrt(2T).
+    """
+    x = 2.0 * T * beta
+    spread = math.log(1.0 / I0_QUADRATURE.tail_tol) + bessel._I0_WINDOW_MARGIN
+    return x + math.sqrt(spread * x) <= 0.5 * MAX_EXPONENT
+
+
+@settings(max_examples=100, database=None, deadline=None)
+@given(problem=oracle_problems())
+def test_bessel_and_spectral_routes_agree(problem):
+    gen, g, T, alpha = problem
+    dec = sg.spectral_decompose(gen)
+    inverse = sg.InverseProblem(dec, T, g)
+    if sg.energetic_lambda_max(dec, g) * T <= BESSEL_CONDITIONING_CAP:
+        spectral = sg.invert_spectral(inverse)
+        gap = sg.norm(gen.space, sg.invert_bessel(inverse, alpha) - spectral)
+        assert gap <= 1e-5 * sg.norm(gen.space, spectral)
+    report = sg.conditioning_report(inverse, alpha)
+    if _uncapped(T, dec.lambda_max + alpha):
+        assert report.membership_quadrature == pytest.approx(10.0 ** report.membership_spectral_log10, rel=1e-6)
