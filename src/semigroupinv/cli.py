@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -126,6 +127,12 @@ _MAX_MODEL_MARKS = _MAX_DENSE_STATES * (_MAX_DENSE_STATES + 3) + 1000
 # the recursive-descent parser far inside Python's recursion limit.
 _MAX_EXPRESSION_DEPTH = 100
 
+# Most characters of an expression, refused before it is parsed.  Each term
+# costs a pass over the grid: a 128 MiB ``x+x+...`` sigma, inside both file
+# budgets, would take about 2 minutes to evaluate, while 65,536 characters
+# take 0.07 s at n = 4000 (one OpenBLAS thread, 2-core EPYC).
+_MAX_EXPRESSION_CHARS = 65536
+
 
 # -- restricted function-literal grammar ---------------------------------------
 #
@@ -135,110 +142,99 @@ _MAX_EXPRESSION_DEPTH = 100
 # factor    := atom ('^' INT)?
 # atom      := NUMBER | 'x' | 'exp(' expr ')' | 'indicator(' num ',' num ')'
 #              | 'random(' INT ')' | '(' expr ')'
+#
+# A token is a NUMBER (digits and points, each e or E in it taking one optional
+# sign), a name (letters) or any one other character; whitespace separates
+# tokens.  So "1e+3", "2e" and "1.2.3" are one NUMBER each, and ``_float``
+# refuses the last two.  At the end of the text the token is empty.
+_TOKEN = re.compile(r"\s*(?:(?P<number>[\d.](?:[\d.]|[eE][+-]?)*)|(?P<name>[^\W\d_]+)|(?P<op>.))?")
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _float(text: str, pos: int) -> float:
+    """``float(text)`` of the NUMBER at ``pos``; a text ``float`` refuses raises :class:`ExpressionParseError`."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ExpressionParseError(f"bad number {text!r}", pos) from None
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
 
-    def peek(self):
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return None, self.pos
-        ch = self.text[self.pos]
-        if ch.isdigit() or ch == ".":
-            j = self.pos
-            while j < len(self.text) and (self.text[j].isdigit() or self.text[j] in ".eE"):
-                if self.text[j] in "eE" and j + 1 < len(self.text) and self.text[j + 1] in "+-":
-                    j += 1
-                j += 1
-            return ("number", self.text[self.pos:j]), self.pos
-        if ch.isalpha():
-            j = self.pos
-            while j < len(self.text) and self.text[j].isalpha():
-                j += 1
-            return ("name", self.text[self.pos:j]), self.pos
-        return ("op", ch), self.pos
-
-    def next(self):
-        tok, pos = self.peek()
-        if tok is not None:
-            self.pos = pos + len(tok[1])
-        return tok, pos
+def _integer(text: str, pos: int, message: str) -> int:
+    """The INT ``text`` at ``pos``, decimal digits only; anything else raises ``ExpressionParseError(message)``."""
+    if text.isdecimal():
+        try:
+            return int(text)
+        except ValueError:  # past Python's limit on the digits of an int literal
+            message = f"{message} of at most {sys.get_int_max_str_digits()} digits"
+    raise ExpressionParseError(message, pos)
 
 
 class _Parser:
-    """Recursive-descent evaluator over a fixed grid."""
+    """Recursive-descent evaluator over a fixed grid.
 
-    def __init__(self, text: str, points: np.ndarray):
-        self.tok = _Tokenizer(text)
-        self.points = points
+    It scans one token ahead of the parse, so a long text is never split
+    into a token list: ``kind`` is "number", "name", "op" or None at the
+    end, ``token`` its text and ``pos`` its position.
+    """
+
+    def __init__(self, text: str, points, source: str = "expression"):
+        check_budget(f"characters in {source}", len(text), _MAX_EXPRESSION_CHARS)
+        self.text = text
+        self.points = np.asarray(points, float)
         self.depth = 0
+        self.kind, self.token, self.pos, self.end = None, "", 0, 0
+        self._take()
+
+    def _take(self) -> tuple[str, int]:
+        """The current token and its position; the token after it becomes current."""
+        taken = self.token, self.pos
+        match = _TOKEN.match(self.text, self.end)
+        self.kind = match.lastgroup
+        self.token = match[self.kind] if self.kind else ""
+        self.end = match.end()
+        self.pos = self.end - len(self.token)
+        return taken
 
     def parse(self) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):  # every caller refuses an inf or NaN value
             value = self._expr()
-        tok, pos = self.tok.peek()
-        if tok is not None:
-            raise ExpressionParseError(f"unexpected {tok[1]!r}", pos)
+        if self.kind is not None:
+            raise ExpressionParseError(f"unexpected {self.token!r}", self.pos)
         return np.broadcast_to(np.asarray(value, float), self.points.shape).copy()
 
     def _expr(self):
         value = self._term()
-        while True:
-            tok, _ = self.tok.peek()
-            if tok == ("op", "+"):
-                self.tok.next()
-                value = value + self._term()
-            elif tok == ("op", "-"):
-                self.tok.next()
-                value = value - self._term()
-            else:
-                return value
+        while self.token in ("+", "-"):
+            op, _ = self._take()
+            value = value + self._term() if op == "+" else value - self._term()
+        return value
 
     def _term(self):
         value = self._unary()
-        while True:
-            tok, _ = self.tok.peek()
-            if tok == ("op", "*"):
-                self.tok.next()
-                value = value * self._unary()
-            elif tok is not None and (tok[0] in ("number", "name") or tok == ("op", "(")):
-                value = value * self._unary()
-            else:
-                return value
+        while self.token in ("*", "(") or self.kind in ("number", "name"):
+            if self.token == "*":
+                self._take()
+            value = value * self._unary()
+        return value
 
     def _unary(self):
-        tok, _ = self.tok.peek()
-        if tok == ("op", "-"):
-            self.tok.next()
+        if self.token in ("-", "+") and self._take()[0] == "-":
             return -self._factor()
-        if tok == ("op", "+"):
-            self.tok.next()
         return self._factor()
 
     def _factor(self):
         value = self._atom()
-        tok, pos = self.tok.peek()
-        if tok == ("op", "^"):
-            self.tok.next()
-            exp_tok, exp_pos = self.tok.next()
-            if exp_tok is None or not exp_tok[1].isdecimal():
-                raise ExpressionParseError("exponent must be a non-negative integer", exp_pos)
-            try:
-                return value ** int(exp_tok[1])
-            except OverflowError:  # a float literal's power; arrays overflow to inf
-                raise ExpressionParseError("power exceeds double range", pos) from None
-        return value
+        if self.token != "^":
+            return value
+        _, pos = self._take()
+        exponent = _integer(*self._take(), "exponent must be a non-negative integer")
+        try:
+            return value ** exponent
+        except OverflowError:  # a float literal's power; arrays overflow to inf
+            raise ExpressionParseError("power exceeds double range", pos) from None
 
     def _expect(self, symbol: str):
-        tok, pos = self.tok.next()
-        if tok != ("op", symbol):
+        token, pos = self._take()
+        if token != symbol:
             raise ExpressionParseError(f"expected {symbol!r}", pos)
 
     def _nested(self, pos: int):
@@ -252,59 +248,51 @@ class _Parser:
         return value
 
     def _number(self) -> float:
-        sign = 1.0
-        tok, pos = self.tok.next()
-        if tok == ("op", "-"):
-            sign = -1.0
-            tok, pos = self.tok.next()
-        if tok is None or tok[0] != "number":
-            raise ExpressionParseError("expected a number", pos)
-        return sign * float(tok[1])
+        """A bound of ``indicator``: a NUMBER, perhaps after one '-'."""
+        sign = -1.0 if self.token == "-" else 1.0
+        if sign < 0:
+            self._take()
+        if self.kind != "number":
+            raise ExpressionParseError("expected a number", self.pos)
+        return sign * _float(*self._take())
 
     def _atom(self):
-        tok, pos = self.tok.next()
-        if tok is None:
-            raise ExpressionParseError("unexpected end of expression", pos)
-        kind, text = tok
-        if kind == "number":
-            try:
-                return float(text)
-            except ValueError:
-                raise ExpressionParseError(f"bad number {text!r}", pos) from None
-        if tok == ("op", "("):
+        if self.kind is None:
+            raise ExpressionParseError("unexpected end of expression", self.pos)
+        if self.kind == "number":
+            return _float(*self._take())
+        kind = self.kind
+        token, pos = self._take()
+        if token == "(":
             return self._nested(pos)
-        if kind == "name":
-            if text == "x":
-                return self.points
-            if text == "exp":
-                self._expect("(")
-                return np.exp(self._nested(pos))
-            if text == "indicator":
-                self._expect("(")
-                lo = self._number()
-                self._expect(",")
-                hi = self._number()
-                self._expect(")")
-                return ((self.points >= lo) & (self.points <= hi)).astype(float)
-            if text == "random":
-                self._expect("(")
-                seed_tok, seed_pos = self.tok.next()
-                if seed_tok is None or not seed_tok[1].isdecimal():
-                    raise ExpressionParseError("random() needs an integer seed", seed_pos)
-                self._expect(")")
-                rng = np.random.default_rng(int(seed_tok[1]))
-                return rng.standard_normal(self.points.size)
-            raise ExpressionParseError(f"unknown name {text!r}", pos)
-        raise ExpressionParseError(f"unexpected {text!r}", pos)
+        if token == "x":
+            return self.points
+        if token == "exp":
+            self._expect("(")
+            return np.exp(self._nested(pos))
+        if token == "indicator":
+            self._expect("(")
+            lo = self._number()
+            self._expect(",")
+            hi = self._number()
+            self._expect(")")
+            return ((self.points >= lo) & (self.points <= hi)).astype(float)
+        if token == "random":
+            self._expect("(")
+            seed = _integer(*self._take(), "random() needs an integer seed")
+            self._expect(")")
+            return np.random.default_rng(seed).standard_normal(self.points.size)
+        raise ExpressionParseError(f"unknown name {token!r}" if kind == "name" else f"unexpected {token!r}", pos)
 
 
 def parse_function_literal(expr: str, space) -> np.ndarray:
     """Evaluate a restricted expression on the space's grid points.
 
     Grammar: polynomials in x, exp(<expr>), indicator(a, b), random(seed),
-    with + - * ^ and parentheses.  random(seed) is reproducible.
+    with + - * ^ and parentheses.  random(seed) is reproducible.  A text
+    longer than ``_MAX_EXPRESSION_CHARS`` is refused before it is parsed.
     """
-    return _Parser(expr, np.asarray(space.points, float)).parse()
+    return _Parser(expr, space.points).parse()
 
 
 # -- model loading --------------------------------------------------------------
@@ -332,6 +320,13 @@ def _state_array(value) -> np.ndarray:
     if values.size > _MAX_DENSE_STATES:
         raise ValueError(f"{values.size} states exceed the dense-model budget of {_MAX_DENSE_STATES}")
     return values
+
+
+def _text(value) -> str:
+    """``str(value)``, so a number reads as it prints (``2`` as ``"2"``); a JSON null is refused."""
+    if value is None:
+        raise ValueError("expected a value, got null")
+    return str(value)
 
 
 def _model_param(params: dict, key: str, convert, default=_REQUIRED, label="model parameter"):
@@ -370,17 +365,17 @@ def build_model(spec: dict) -> SymmetricGenerator:
             _model_param(params, "rate", float, 1.0),
         )
     if kind == "diffusion":
-        sigma_expr = str(params.get("sigma", "1"))
-        kill_expr = params.get("kill")
+        sigma = _model_param(params, "sigma", _text, "1")
+        kill = _model_param(params, "kill", _text, None)
         return build_diffusion(
             DiffusionSpec(
                 left=_model_param(params, "left", float),
                 right=_model_param(params, "right", float),
                 n=_model_param(params, "n", _states),
-                sigma=lambda x, e=sigma_expr: _Parser(e, x).parse(),
-                kill=None if kill_expr is None else (lambda x, e=str(kill_expr): _Parser(e, x).parse()),
-                boundary_left=str(params.get("boundaryLeft", "neumann")),
-                boundary_right=str(params.get("boundaryRight", "neumann")),
+                sigma=lambda x: _Parser(sigma, x, "model parameter 'sigma'").parse(),
+                kill=None if kill is None else (lambda x: _Parser(kill, x, "model parameter 'kill'").parse()),
+                boundary_left=_model_param(params, "boundaryLeft", _text, "neumann"),
+                boundary_right=_model_param(params, "boundaryRight", _text, "neumann"),
             )
         )
     if kind == "jump":
@@ -423,7 +418,7 @@ def load_model_file(path) -> SymmetricGenerator:
     text = _read_text(path, "model file", _MAX_MODEL_MARKS)
     try:
         spec = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or an integer past Python's digit limit
         raise InvalidConfig(f"model file {path} is not valid JSON: {exc}") from exc
     return build_model(spec)
 
@@ -497,13 +492,15 @@ def _param(params: dict, name: str):
 
 def _observed_vector(source: str, gen: SymmetricGenerator) -> np.ndarray:
     if source.startswith("csv:"):
-        # an index,x,m,value file of the model's states has 3 commas a line, the header's too;
-        # one more a line leaves a row with a field too many to be named by its line
-        space, values = vector_from_csv(_read_text(source[4:], "vector file", 4 * (gen.size + 1)))
+        # an index,x,m,value file of the model's states has n + 1 lines of 3 commas, the header's too;
+        # one more comma a line leaves a row with a field too many to be named by its line, and as
+        # many blank lines again, which vector_from_csv skips, cost its StringIO 4 bytes each
+        path, lines = source[4:], gen.size + 1
+        text = _read_text(path, "vector file", 4 * lines)
+        check_budget(f"lines in vector file {path}", text.count("\n"), 2 * lines)
+        space, values = vector_from_csv(text)
         if values.size != gen.size:
-            raise InvalidConfig(
-                f"vector file has {values.size} entries, model has {gen.size}"
-            )
+            raise InvalidConfig(f"vector file has {values.size} entries, model has {gen.size}")
         for column, got, want in (("x", space.points, gen.space.points),
                                   ("m", space.weights, gen.space.weights)):
             if not np.array_equal(got, want):
@@ -513,7 +510,7 @@ def _observed_vector(source: str, gen: SymmetricGenerator) -> np.ndarray:
                     f" has {float(got[k])!r}, the model {float(want[k])!r}"
                 )
     else:
-        values = parse_function_literal(source, gen.space)
+        values = _Parser(source, gen.space.points, "--g").parse()
     check_observed(gen.space, values)
     return values
 

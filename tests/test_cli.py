@@ -86,6 +86,43 @@ class TestExpressionGrammar:
         with pytest.raises(sg.ExpressionParseError):
             parse_function_literal("random(1.5)", self.space)
 
+    @pytest.mark.parametrize("expr, expected", [
+        ("2x", [-2.0, 0.0, 2.0]),
+        ("x2", [-2.0, 0.0, 2.0]),
+        ("2 x", [-2.0, 0.0, 2.0]),
+        ("-x^2", [-1.0, -0.0, -1.0]),
+        ("-2^2", [-4.0] * 3),
+        ("2^3x", [-8.0, 0.0, 8.0]),
+        ("1e+3x", [-1000.0, 0.0, 1000.0]),
+        ("1E-1x", [-0.1, 0.0, 0.1]),
+        ("(x+1)^2", [0.0, 1.0, 4.0]),
+        ("indicator(-1e0, .5)", [1.0, 1.0, 0.0]),
+        (" \t2 *\tx\n+ 1\t", [-1.0, 1.0, 3.0]),
+        ("exp(0x)", [1.0] * 3),
+    ])
+    def test_valid_expressions_give_exact_values(self, expr, expected):
+        values = parse_function_literal(expr, self.space)
+        assert values.tolist() == expected
+        assert np.array_equal(np.signbit(values), np.signbit(expected))
+
+    @pytest.mark.parametrize("expr, message, position", [
+        ("2exp(x)", "bad number '2e'", 0),
+        ("1.2.3", "bad number '1.2.3'", 0),
+        ("x^", "exponent must be a non-negative integer", 2),
+        ("x^-1", "exponent must be a non-negative integer", 2),
+        ("indicator(x, 1)", "expected a number", 10),
+        ("indicator(1e, 2)", "bad number '1e'", 10),
+        ("random()", "random() needs an integer seed", 7),
+        ("x y", "unknown name 'y'", 2),
+        ("x $", "unexpected '$'", 2),
+        ("(x", "expected ')'", 2),
+    ])
+    def test_parse_errors_name_the_token_and_its_position(self, expr, message, position):
+        with pytest.raises(sg.ExpressionParseError) as exc:
+            parse_function_literal(expr, self.space)
+        assert str(exc.value) == f"{message} (at position {position})"
+        assert exc.value.position == position
+
 
 class TestModelLoading:
     def test_chain_round_trip(self):
@@ -145,6 +182,20 @@ class TestModelLoading:
     def test_bad_value_names_the_key(self, kind, params, key):
         with pytest.raises(sg.InvalidConfig, match=f"model parameter '{key}'"):
             build_model({"schemaVersion": 1, "type": kind, "parameters": params})
+
+    @pytest.mark.parametrize("key", ["sigma", "kill", "boundaryLeft", "boundaryRight"])
+    def test_null_diffusion_parameter_names_the_key(self, key):
+        # "kill": null once read as no killing, "sigma": null as the unknown name 'None'
+        params = {"left": 0.0, "right": 1.0, "n": 8, key: None}
+        with pytest.raises(sg.InvalidConfig, match=f"^model parameter '{key}': expected a value, got null$"):
+            build_model({"schemaVersion": 1, "type": "diffusion", "parameters": params})
+
+    def test_numeric_sigma_and_kill_read_as_their_text(self):
+        def matrix(sigma, kill):
+            params = {"left": 0.0, "right": 1.0, "n": 8, "sigma": sigma, "kill": kill}
+            return build_model({"schemaVersion": 1, "type": "diffusion", "parameters": params}).matrix
+
+        assert np.array_equal(matrix(2, 0.5), matrix("2", "0.5"))
 
     def test_jump_model(self):
         gen = build_model(
@@ -565,6 +616,42 @@ class TestBoundedRead:
         assert error["error"] == "ValidationError"
         assert "15 commas, colons and opening brackets in vector file" in error["message"] and "budget of 12" in error["message"]
 
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for an int of over 4300 digits
+        model = tmp_path / "model.json"
+        model.write_text('{"schemaVersion": 1, "type": "ou", "parameters": {"n": ' + "9" * 5000 + "}}", encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_exit(["decompose", "--model", str(model), "--output", str(out)]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "InvalidConfig"
+        assert "digits" in error["message"]
+
+    def test_vector_file_of_blank_lines_is_refused_before_parsing(self, model_files, tmp_path, monkeypatch):
+        # 16 MiB of LF once passed both budgets and peaked at 112 MB in vector_from_csv's StringIO
+        model = tmp_path / "ou3.json"
+        model.write_text(json.dumps({"schemaVersion": 1, "type": "ou", "parameters": {"n": 3}}), encoding="utf-8")
+        vector = tmp_path / "blank.csv"
+        vector.write_bytes(b"\n" * 100_000)
+        monkeypatch.setattr(cli, "vector_from_csv", lambda text: pytest.fail("parsed past the budget"))
+        out = tmp_path / "out"
+        assert cli_exit(["invert", "--model", str(model), "--output", str(out), "--T", "1", "--g", f"csv:{vector}"]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "ValidationError"
+        assert error["message"] == f"100000 lines in vector file {vector} exceed the budget of 8"
+
+    def test_line_budget_admits_a_written_vector_with_as_many_blank_lines(self, model_files, tmp_path):
+        first = tmp_path / "first"
+        assert cli_exit(["invert", "--model", model_files["chain2"], "--output", str(first),
+                         "--T", "1", "--g", "random(2)"]) == 0
+        written = (first / "solution.csv").read_bytes()
+        assert written.count(b"\n") == 3
+        for blank, code in ((3, 0), (4, 2)):
+            vector = tmp_path / f"blank{blank}.csv"
+            vector.write_bytes(written + b"\n" * blank)
+            argv = ["invert", "--model", model_files["chain2"], "--output", str(tmp_path / str(blank)),
+                    "--T", "1", "--g", f"csv:{vector}"]
+            assert cli_exit(argv) == code
+
     def test_deeply_nested_model_exits_2(self, tmp_path):
         model = tmp_path / "deep.json"
         model.write_text("[" * 100_000, encoding="utf-8")
@@ -676,6 +763,33 @@ class TestBudgets:
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "InvalidConfig"
         assert f"'{long_key}': {n} states exceed the dense-model budget of 2000" in error["message"]
+
+    def test_expression_budget_refuses_g_before_parsing(self, model_files, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli._Parser, "_expr", lambda self: pytest.fail("parsed past the budget"))
+        out = tmp_path / "out"
+        g = "x+" * (cli._MAX_EXPRESSION_CHARS // 2) + "x"
+        assert cli_exit(["diagnose", "--model", model_files["chain2"], "--output", str(out), "--T", "1", "--g", g]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "ValidationError"
+        assert error["message"] == f"{cli._MAX_EXPRESSION_CHARS + 1} characters in --g exceed the budget of 65536"
+
+    @pytest.mark.parametrize("key", ["sigma", "kill"])
+    def test_expression_budget_names_the_model_field(self, tmp_path, key):
+        expr = "1+" * (cli._MAX_EXPRESSION_CHARS // 2) + "1"
+        params = {"left": 0.0, "right": 1.0, "n": 8, key: expr}
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"schemaVersion": 1, "type": "diffusion", "parameters": params}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli_exit(["decompose", "--model", str(model), "--output", str(out)]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "ValidationError"
+        assert error["message"] == f"65537 characters in model parameter '{key}' exceed the budget of 65536"
+
+    def test_expression_of_the_budget_is_parsed(self):
+        space = sg.build_space([0.0, 1.0], [1.0, 1.0])
+        expr = "x+" * (cli._MAX_EXPRESSION_CHARS // 2 - 1) + "x "
+        assert len(expr) == cli._MAX_EXPRESSION_CHARS
+        assert parse_function_literal(expr, space).tolist() == [0.0, cli._MAX_EXPRESSION_CHARS // 2]
 
     def test_dense_model_budget_admits_2000_states_and_refuses_2001(self):
         assert cli._MAX_DENSE_STATES == 2000
@@ -808,6 +922,28 @@ class TestNonFiniteAndDeepInputs:
         assert cli_exit(["diagnose", "--model", model_files["chain2"], "--output", str(out),
                          "--T", "1", "--g", g]) == 2
         assert json.loads((out / "error.json").read_text())["error"] == "ExpressionParseError"
+
+    @pytest.mark.parametrize("expr, position, message", [
+        ("indicator(1e, 2)", 10, "bad number '1e'"),
+        ("indicator(., 1)", 10, "bad number '.'"),
+        ("x^" + "9" * 5000, 2, "exponent must be a non-negative integer of at most 4300 digits"),
+        ("random(" + "7" * 5000 + ")", 7, "random() needs an integer seed of at most 4300 digits"),
+    ], ids=["indicator-1e", "indicator-point", "power-of-5000-digits", "seed-of-5000-digits"])
+    @pytest.mark.parametrize("where", ["g", "sigma"])
+    def test_malformed_literal_exits_2_with_its_position(self, model_files, tmp_path, expr, position, message, where):
+        # each ended in a ValueError traceback, exit 1
+        model = model_files["chain2"]
+        if where == "sigma":
+            model = tmp_path / "model.json"
+            params = {"left": 0.0, "right": 1.0, "n": 8, "sigma": expr}
+            model.write_text(json.dumps({"schemaVersion": 1, "type": "diffusion", "parameters": params}), encoding="utf-8")
+        out = tmp_path / "out"
+        g = expr if where == "g" else "x"
+        assert cli_exit(["diagnose", "--model", str(model), "--output", str(out), "--T", "1", "--g", g]) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "ExpressionParseError"
+        assert error["position"] == position
+        assert error["message"] == f"{message} (at position {position})"
 
     @pytest.mark.parametrize("gamma", [[], ["--gamma", "0.2"]], ids=["spectral", "mixed"])
     def test_infinite_horizon_of_a_uniform_pde_grid_exits_2(self, model_files, tmp_path, gamma):

@@ -6,7 +6,7 @@ of an argv is strict JSON, with no Infinity or NaN.  A model is well formed,
 or has one number replaced by a non-finite or extreme value.  Grid sizes are
 either small (n <= 16) or past the state budget, so no example builds a
 large matrix.  Expressions are drawn from the function grammar, plus strings
-of stray grammar characters.
+of stray grammar characters and stray literals in the grammar's number slots.
 
 On well-formed models of at most 16 states, the library's two routes agree:
 the Bessel inverse with the spectral one, and the membership quadrature with
@@ -66,10 +66,21 @@ def _compound(inner):
     )
 
 
+# Stray literals for the number slots of indicator(), random() and ^: digits,
+# points, e and signs, or a digit run about Python's 4300-digit int limit.
+STRAY = st.one_of(
+    st.text(alphabet="0123456789.eE+- ", max_size=8),
+    st.integers(4295, 4305).map(lambda k: "9" * k),
+)
 EXPRESSIONS = st.one_of(
     st.recursive(_ATOMS, _compound, max_leaves=12),
     st.recursive(_ATOMS, _compound, max_leaves=12),
     st.text(alphabet="x()^*+-.,e0123456789 ", max_size=20),
+    st.one_of(
+        st.tuples(STRAY, STRAY).map(lambda ab: f"indicator({ab[0]}, {ab[1]})"),
+        STRAY.map(lambda s: f"random({s})"),
+        st.tuples(_ATOMS, STRAY).map(lambda ae: f"{ae[0]}^{ae[1]}"),
+    ),
 )
 
 
