@@ -35,14 +35,13 @@ to trajectory.csv without building the whole text.
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 
 import numpy as np
 
 from ._numerics import _split, _two_product_error
-from .errors import InvalidConfig
+from .errors import InvalidConfig, clip
 from .inversion import BackwardTrajectory
 from .spectral import SpectralDecomposition, WeightedStateSpace, build_space
 
@@ -216,14 +215,15 @@ def vector_from_csv(text: str) -> tuple[WeightedStateSpace, np.ndarray]:
 
     A row without exactly four fields, with a non-numeric x, m or value, or
     with an index other than its position 0, 1, ... raises
-    :class:`InvalidConfig`.
+    :class:`InvalidConfig`, which quotes the row through ``errors.clip``.
+    The lines are the text split on LF, so they take the text's own size.
     """
-    reader = io.StringIO(text)
-    header = reader.readline().strip()
+    header, *lines = text.split("\n")
+    header = header.strip()
     if header != CSV_HEADER:
-        raise InvalidConfig(f"expected header {CSV_HEADER!r}, got {header!r}")
+        raise InvalidConfig(f"expected header {CSV_HEADER!r}, got {clip(repr(header))}")
     rows = []
-    for lineno, line in enumerate(reader, start=2):
+    for lineno, line in enumerate(lines, start=2):
         line = line.strip()
         if not line:
             continue
@@ -233,7 +233,7 @@ def vector_from_csv(text: str) -> tuple[WeightedStateSpace, np.ndarray]:
         except ValueError:
             raise InvalidConfig(
                 f"line {lineno}: expected fields {CSV_HEADER} with an integer index"
-                f" and numeric x, m, value, got {line!r}"
+                f" and numeric x, m, value, got {clip(repr(line))}"
             ) from None
         if index != len(rows):
             raise InvalidConfig(f"line {lineno}: index {index}, expected {len(rows)}")

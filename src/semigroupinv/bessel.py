@@ -324,8 +324,6 @@ def bochner_quadrature(
     integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
     config: QuadratureConfig,
     breakpoints: Sequence[float],
-    tail_rate: Optional[float] = None,
-    tail_amplitude: Optional[float] = None,
 ) -> QuadratureResult:
     """Integrate weight(s) times an integrand over the panels between ``breakpoints``.
 
@@ -335,10 +333,9 @@ def bochner_quadrature(
     until two successive evaluations agree within tail_tol (absolute, relative to a
     unit scale), at most ``_REFINEMENTS`` times, else
     :class:`QuadratureNotConverged` is raised; the result's ``refinements``
-    counts the halvings run.  When the caller knows the
-    integrand is dominated by ``tail_amplitude * exp(-tail_rate s)``, the
-    reported truncation bound is ``tail_amplitude * exp(-tail_rate * s_max)
-    / tail_rate`` with s_max the last breakpoint.
+    counts the halvings run.  The engine knows nothing of the integrand's
+    tail, so ``tail_bound`` is ``None``; a kernel that bounds its own
+    truncation sets it.
     """
     edges = np.unique(np.asarray(breakpoints, dtype=float))
     if edges.size < 2:
@@ -357,64 +354,40 @@ def bochner_quadrature(
         raise QuadratureNotConverged(
             "panel refinement exhausted", error_estimate=err
         )
-
-    tail = None
-    if tail_rate is not None and tail_rate > 0:
-        amp = 1.0 if tail_amplitude is None else tail_amplitude
-        tail = amp * np.exp(-tail_rate * edges[-1]) / tail_rate
-    return QuadratureResult(value, err, tail, n_nodes, refinements)
-
-
-def geometric_refined_edges(
-    s_max: float,
-    refine_scale: float,
-    quarter_u: Optional[float] = None,
-    max_width: Optional[float] = None,
-) -> np.ndarray:
-    """Panel edges on [0, s_max] that resolve a boundary layer near zero.
-
-    Edges double geometrically from ``refine_scale / 4`` upward.  When
-    ``quarter_u`` is given, the edges also include the quarter-period points
-    of an oscillation that is uniform in u = sqrt(s) (u_j = j * quarter_u,
-    i.e. s_j = j^2 * quarter_u^2, the spacing needed by J0(2 sqrt(t s))
-    kernels); more than ``_MAX_PANELS`` of them raise
-    :class:`ValidationError`.  ``max_width`` caps the width of any panel.
-    """
-    check_range("s_max", s_max)
-    pts = {0.0, float(s_max)}
-    s = max(refine_scale, 1e-300) / 4.0
-    while s < s_max:
-        pts.add(s)
-        s *= 2.0
-    if quarter_u is not None and quarter_u > 0:
-        check_budget("J0 quarter periods", np.ceil(np.sqrt(s_max) / quarter_u), _MAX_PANELS)
-        j = 1
-        while (j * quarter_u) ** 2 < s_max:
-            pts.add((j * quarter_u) ** 2)
-            j += 1
-    edges = np.array(sorted(pts))
-    if max_width is not None and max_width > 0:
-        pieces = [np.array([edges[0]])]
-        for a, b in zip(edges[:-1], edges[1:]):
-            k = int(np.ceil((b - a) / max_width))
-            pieces.append(np.linspace(a, b, k + 1)[1:])
-        edges = np.concatenate(pieces)
-    return edges
+    return QuadratureResult(value, err, None, n_nodes, refinements)
 
 
 def j0_decay_edges(rate: float, scale: float, tail_tol: float, t: float, refine_scale: float) -> np.ndarray:
     """Panel edges for J0(2 sqrt(t s)) times a decay below scale exp(-rate s).
 
-    The range ends where the decay's tail falls below ``tail_tol``; panels
-    follow the J0 quarter periods and are at most 2.5/rate wide.
+    The range [0, s_max] ends where the decay's tail scale exp(-rate s_max)
+    / rate falls below ``tail_tol``.  Edges double geometrically from
+    ``refine_scale / 4`` upward, to resolve the fastest decay near 0, and
+    include the J0 quarter periods s_j = (j pi / (4 sqrt(t)))^2, uniform in
+    u = sqrt(s); more than ``_MAX_PANELS`` of them raise
+    :class:`ValidationError`.  No panel is wider than 2.5/rate.
     """
-    s_max = math.log(scale / (rate * tail_tol)) / rate
-    return geometric_refined_edges(
-        s_max,
-        refine_scale=refine_scale,
-        quarter_u=np.pi / (4.0 * math.sqrt(t)) if t > 0 else None,
-        max_width=2.5 / rate,
-    )
+    rate = check_range("rate", rate)
+    t = check_range("t", t, closed=True)
+    s_max = check_range("s_max", math.log(scale / (rate * tail_tol)) / rate)
+    pts = {0.0, s_max}
+    s = max(refine_scale, 1e-300) / 4.0
+    while s < s_max:
+        pts.add(s)
+        s *= 2.0
+    if t > 0:
+        quarter_u = np.pi / (4.0 * math.sqrt(t))
+        check_budget("J0 quarter periods", np.ceil(np.sqrt(s_max) / quarter_u), _MAX_PANELS)
+        j = 1
+        while (j * quarter_u) ** 2 < s_max:
+            pts.add((j * quarter_u) ** 2)
+            j += 1
+    edges = sorted(pts)
+    max_width = 2.5 / rate
+    pieces = [np.array(edges[:1])]
+    for a, b in zip(edges[:-1], edges[1:]):
+        pieces.append(np.linspace(a, b, math.ceil((b - a) / max_width) + 1)[1:])
+    return np.concatenate(pieces)
 
 
 # -- per-mode Laplace multipliers ----------------------------------------------
@@ -426,18 +399,19 @@ def j0_multipliers(x: float, rates, config: QuadratureConfig, scale: float = 1.0
     Closed form exp(-x/r_k) / r_k.  The range ends where ``scale`` times the
     slowest decay exp(-min(r) s) falls below the tail tolerance; ``scale``
     is the size of what the multipliers will be applied to.  Panels follow
-    the J0 quarter periods and resolve the fastest decay near 0.
+    the J0 quarter periods and resolve the fastest decay near 0.  The
+    result's ``tail_bound`` is the cut tail, scale exp(-min(r) s_max) / min(r).
     """
     rates = np.asarray(rates, dtype=float)
     slow = float(rates.min())
-    return bochner_quadrature(
+    edges = j0_decay_edges(slow, scale, config.tail_tol, x, refine_scale=1.0 / float(rates.max()))
+    result = bochner_quadrature(
         lambda s: np.exp(-slow * s) * bessel_j0(2.0 * np.sqrt(x * s)),
         lambda s, w: _decay_sum(rates - slow, s, w),
         config,
-        j0_decay_edges(slow, scale, config.tail_tol, x, refine_scale=1.0 / float(rates.max())),
-        tail_rate=slow,
-        tail_amplitude=scale,
+        edges,
     )
+    return replace(result, tail_bound=scale * np.exp(-slow * edges[-1]) / slow)
 
 
 def i0_multipliers(a: float, betas, config: QuadratureConfig, s_cap: float = math.inf) -> QuadratureResult:

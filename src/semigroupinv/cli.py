@@ -41,7 +41,9 @@ from .errors import (
     ValidationError,
     check_budget,
     check_count,
+    check_finite,
     check_range,
+    clip,
 )
 from .inversion import (
     COEFF_TOL,
@@ -52,8 +54,6 @@ from .inversion import (
     flow_multipliers,
     invert_bessel,
     invert_spectral,
-    resolvent_flow,
-    resolvent_flow_quadrature,
     solve_backward_cauchy,
 )
 from .models import (
@@ -155,7 +155,7 @@ def _float(text: str, pos: int) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ExpressionParseError(f"bad number {text!r}", pos) from None
+        raise ExpressionParseError(f"bad number {clip(repr(text))}", pos) from None
 
 
 def _integer(text: str, pos: int, message: str) -> int:
@@ -198,7 +198,7 @@ class _Parser:
         with np.errstate(over="ignore", invalid="ignore"):  # every caller refuses an inf or NaN value
             value = self._expr()
         if self.kind is not None:
-            raise ExpressionParseError(f"unexpected {self.token!r}", self.pos)
+            raise ExpressionParseError(f"unexpected {clip(repr(self.token))}", self.pos)
         return np.broadcast_to(np.asarray(value, float), self.points.shape).copy()
 
     def _expr(self):
@@ -282,7 +282,7 @@ class _Parser:
             seed = _integer(*self._take(), "random() needs an integer seed")
             self._expect(")")
             return np.random.default_rng(seed).standard_normal(self.points.size)
-        raise ExpressionParseError(f"unknown name {token!r}" if kind == "name" else f"unexpected {token!r}", pos)
+        raise ExpressionParseError(f"{'unknown name' if kind == 'name' else 'unexpected'} {clip(repr(token))}", pos)
 
 
 def parse_function_literal(expr: str, space) -> np.ndarray:
@@ -342,7 +342,7 @@ def _model_param(params: dict, key: str, convert, default=_REQUIRED, label="mode
     try:
         return convert(params[key])
     except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfig(f"{label} {key!r}: {exc}") from None
+        raise InvalidConfig(f"{label} {key!r}: {clip(str(exc))}") from None
 
 
 def build_model(spec: dict) -> SymmetricGenerator:
@@ -350,7 +350,7 @@ def build_model(spec: dict) -> SymmetricGenerator:
     if not isinstance(spec, dict):
         raise InvalidConfig("model spec must be a JSON object")
     if spec.get("schemaVersion") != SCHEMA_VERSION:
-        raise InvalidConfig(f"unsupported schemaVersion {spec.get('schemaVersion')!r}")
+        raise InvalidConfig(f"unsupported schemaVersion {clip(repr(spec.get('schemaVersion')))}")
     kind = spec.get("type")
     params = spec.get("parameters", {})
     if not isinstance(params, dict):
@@ -387,7 +387,7 @@ def build_model(spec: dict) -> SymmetricGenerator:
         else:
             kernel = gaussian_jump_kernel(space, _model_param(params, "tStar", float, 1.0))
         return build_jump(kernel)
-    raise InvalidConfig(f"unknown model type {kind!r}")
+    raise InvalidConfig(f"unknown model type {clip(repr(kind))}")
 
 
 def _value_marks(data: bytes) -> int:
@@ -418,8 +418,11 @@ def load_model_file(path) -> SymmetricGenerator:
     text = _read_text(path, "model file", _MAX_MODEL_MARKS)
     try:
         spec = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, or an integer past Python's digit limit
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidConfig(f"model file {path} is not valid JSON: {exc}") from exc
+    except ValueError:  # json.loads's int() of a literal past Python's limit on the digits of an int
+        limit = sys.get_int_max_str_digits()
+        raise InvalidConfig(f"model file {path} holds an integer past the limit of {limit} digits") from None
     return build_model(spec)
 
 
@@ -429,7 +432,7 @@ def load_model_file(path) -> SymmetricGenerator:
 def _one_of(*choices):
     def convert(value):
         if value not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+            raise ValueError(f"expected one of {', '.join(choices)}, got {clip(repr(value))}")
         return value
 
     return convert
@@ -438,7 +441,7 @@ def _one_of(*choices):
 def _seed(value) -> int:
     n = int(value)
     if n != float(value) or n < 0:
-        raise ValueError(f"expected a non-negative integer, got {value!r}")
+        raise ValueError(f"expected a non-negative integer, got {clip(repr(value))}")
     return n
 
 
@@ -494,7 +497,7 @@ def _observed_vector(source: str, gen: SymmetricGenerator) -> np.ndarray:
     if source.startswith("csv:"):
         # an index,x,m,value file of the model's states has n + 1 lines of 3 commas, the header's too;
         # one more comma a line leaves a row with a field too many to be named by its line, and as
-        # many blank lines again, which vector_from_csv skips, cost its StringIO 4 bytes each
+        # many blank lines again, which vector_from_csv skips, each cost it one more line object
         path, lines = source[4:], gen.size + 1
         text = _read_text(path, "vector file", 4 * lines)
         check_budget(f"lines in vector file {path}", text.count("\n"), 2 * lines)
@@ -566,15 +569,16 @@ def _cmd_regularise(p, gen, dec, out: Path) -> dict:
     phi = _phi_from_params(p, T)
     reg = RegularisationConfig(gamma, phi, T)
     f = regularised_solve(dec, reg, g)
-    write_text(out / "solution.csv", vector_to_csv(gen.space, f))
-    return {
+    summary = {
         "T": T,
         "gamma": gamma,
         "phi": phi.name,
         "phiParameters": dict(phi.parameters),
         "residual": regularised_residual(dec, reg, g, f),
-        "solutionNorm": norm(gen.space, f),
+        "solutionNorm": check_finite(norm(gen.space, f), "the norm of the solution"),
     }
+    write_text(out / "solution.csv", vector_to_csv(gen.space, f))
+    return summary
 
 
 def _cmd_mixture(p, gen, dec, out: Path) -> dict:
@@ -655,9 +659,9 @@ def _cmd_pde(p, gen, dec, out: Path) -> dict:
         if exc.budget is None:
             raise
         raise ValidationError(f"{exc}; --steps N sets a uniform grid of N steps instead", exc.budget) from exc
-    write_trajectory(out / "trajectory.csv", traj)
     summary["steps"] = int(traj.times.size - 1)
-    summary["finalNorm"] = norm(gen.space, traj.values[-1])
+    summary["finalNorm"] = check_finite(norm(gen.space, traj.values[-1]), "the norm of the final state")
+    write_trajectory(out / "trajectory.csv", traj)
     return summary
 
 
@@ -695,11 +699,12 @@ def _cmd_check(p, gen, dec, out: Path) -> dict:
     sym_gap = inner(space, semigroup_apply(dec, 1.0, f), g) - inner(space, f, semigroup_apply(dec, 1.0, g))
     record("applySymmetry", abs(sym_gap) / max(abs(inner(space, f, g)), 1.0), 1e-10)
     if lam_max <= _FLOW_CHECK_LAMBDA_MAX:
-        fs = resolvent_flow(dec, 1.0, 1.0, f)
-        fq = resolvent_flow_quadrature(dec, 1.0, 1.0, f)
-        record("flowQuadratureAgreement", norm(space, fs - fq) / max(norm(space, fs), 1e-300), 1e-6)
-        mu = j0_multipliers(1.0, dec.eigenvalues + 1.0, FLOW_QUADRATURE, max(1.0, norm(space, f))).value
+        # one J0 quadrature, the multipliers of resolvent_flow_quadrature(dec, 1, 1, f): applied to f
+        # against resolvent_flow, and mode by mode against their closed form
         closed = flow_multipliers(dec.eigenvalues, 1.0, 1.0)
+        mu = j0_multipliers(1.0, dec.eigenvalues + 1.0, FLOW_QUADRATURE, max(1.0, norm(space, f))).value
+        fs, fq = dec.apply(closed, f), dec.apply(mu, f)
+        record("flowQuadratureAgreement", norm(space, fs - fq) / max(norm(space, fs), 1e-300), 1e-6)
         record("flowMultiplierAgreement", np.max(np.abs(mu - closed) / closed), 1e-8)
     else:
         skipped = {

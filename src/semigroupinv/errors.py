@@ -3,11 +3,14 @@
 Validation failures (bad inputs, malformed specs) and numerical failures
 (overflow of exponential amplification, non-converged quadrature) are kept
 in separate branches so the CLI can map them to distinct exit codes.  Every
-module shares the checks here: ranges, counts, the exponent limit, budgets.
+module shares the checks here: ranges, counts, the exponent limit, budgets
+and finite results.
 """
 
 import math
 import operator
+
+import numpy as np
 
 
 class SemigroupInvError(Exception):
@@ -127,6 +130,21 @@ class ConditioningCapExceeded(NumericalError):
         self.exponent = exponent
 
 
+# -- quoted input ---------------------------------------------------------------
+
+# Most characters of a user's input, or of a converter's message about it,
+# that an error message quotes: a 16 MiB field or line must not become a
+# 16 MB error.json.  numpy's 158-character message on a ragged array fits.
+QUOTE_CHARS = 160
+
+
+def clip(text: str) -> str:
+    """``text`` as an error message quotes it: its first ``QUOTE_CHARS`` characters and a count of the rest."""
+    if len(text) <= QUOTE_CHARS:
+        return text
+    return f"{text[:QUOTE_CHARS]}... ({len(text) - QUOTE_CHARS} more characters)"
+
+
 # -- parameter ranges ---------------------------------------------------------
 
 def check_range(name, value, low=0.0, high=math.inf, *, closed=False, error=ValidationError) -> float:
@@ -154,7 +172,7 @@ def check_count(name, value, low, *, error=ValidationError) -> int:
     try:
         count = operator.index(value)
     except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
+        raise error(f"{name} must be an integer, got {clip(repr(value))}") from None
     check_range(name, count, low, closed=True, error=error)
     return count
 
@@ -173,6 +191,17 @@ def check_exponent(exponent: float, message: str) -> None:
     """Raise :class:`OverflowRisk` with ``message`` unless exponent <= ``MAX_EXPONENT`` (NaN raises)."""
     if not exponent <= MAX_EXPONENT:
         raise OverflowRisk(message, log10_value=exponent / math.log(10.0))
+
+
+def check_finite(values, what: str):
+    """``values``, or :class:`OverflowRisk` saying that ``what`` left double range when one is inf or NaN.
+
+    Callers form ``values`` under ``np.errstate(over="ignore")``, so that an
+    overflow reaches this check instead of a RuntimeWarning.
+    """
+    if not np.isfinite(values).all():
+        raise OverflowRisk(f"{what} left double range")
+    return values
 
 
 def check_budget(what: str, count, budget: int) -> None:

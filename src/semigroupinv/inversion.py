@@ -181,7 +181,8 @@ def invert_spectral(problem: InverseProblem, coeff_tol: float = COEFF_TOL) -> np
     message = f"inverse amplification exp({lam_max:.6g} * {T:g}) exceeds double range"
     check_exponent(lam_max * T, message)
     amplified = np.zeros(dec.size)
-    amplified[idx] = np.exp(dec.eigenvalues[idx] * T) * c[idx]
+    with np.errstate(over="ignore"):  # exp(l_k T) c_k past double range: synthesize refuses it
+        amplified[idx] = np.exp(dec.eigenvalues[idx] * T) * c[idx]
     return dec.synthesize(amplified)
 
 
@@ -212,7 +213,8 @@ def invert_bessel(problem: InverseProblem, alpha: float, coeff_tol: float = COEF
     beta = dec.eigenvalues[idx] + alpha
     mu = i0_multipliers(T, beta, I0_QUADRATURE).value
     amplified = np.zeros(dec.size)
-    amplified[idx] = math.exp(-alpha * T) * mu * c[idx] / beta
+    with np.errstate(over="ignore"):  # synthesize refuses a value past double range
+        amplified[idx] = math.exp(-alpha * T) * mu * c[idx] / beta
     return dec.synthesize(amplified)
 
 

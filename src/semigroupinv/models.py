@@ -25,6 +25,7 @@ from .errors import (
     check_count,
     check_exponent,
     check_range,
+    clip,
 )
 from .spectral import SymmetricGenerator, WeightedStateSpace, build_space
 
@@ -58,7 +59,7 @@ class DiffusionSpec:
             raise InvalidBoundary("interval must satisfy left < right")
         for b in (self.boundary_left, self.boundary_right):
             if b not in _BOUNDARIES:
-                raise InvalidBoundary(f"boundary must be one of {_BOUNDARIES}, got {b!r}")
+                raise InvalidBoundary(f"boundary must be one of {_BOUNDARIES}, got {clip(repr(b))}")
 
 
 def _cell_grid(left: float, right: float, n: int) -> tuple[float, np.ndarray]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import _root_sum_squares
-from .errors import DegeneratePhi, ValidationError, check_exponent, check_range
+from .errors import DegeneratePhi, ValidationError, check_exponent, check_finite, check_range
 from .inversion import BackwardTrajectory, InverseProblem, invert_spectral, time_grid
 from .spectral import SpectralDecomposition, SpectralFunction, norm
 
@@ -83,7 +83,8 @@ class RegularisationConfig:
         minimum must be positive (liminf surrogate) and the damped supremum
         max exp(-T lambda) phi(lambda) is finite automatically.
         """
-        vals = np.asarray(self.phi(dec.eigenvalues), dtype=float)
+        with np.errstate(over="ignore"):  # exp(lambda horizon) past double range is refused below
+            vals = np.asarray(self.phi(dec.eigenvalues), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise DegeneratePhi(f"{self.phi.name} is not finite on the spectrum")
         if np.any(vals <= 0.0):
@@ -106,13 +107,18 @@ def regularised_solve(dec: SpectralDecomposition, config: RegularisationConfig, 
 
 
 def regularised_residual(dec: SpectralDecomposition, config: RegularisationConfig, g, f) -> float:
-    """Norm of (1-gamma) P_T f + gamma phi(-A) f - g."""
+    """Norm of (1-gamma) P_T f + gamma phi(-A) f - g; :class:`OverflowRisk` past double range.
+
+    phi(lambda) up to e^700 multiplies the rounding error of each
+    coefficient of f, so the residual can leave double range though f does not.
+    """
     phi_vals = config.phi_values(dec)
     cf = dec.coefficients(f)
     cg = dec.coefficients(g)
-    lhs = (1.0 - config.gamma) * np.exp(-dec.eigenvalues * config.horizon) * cf
-    lhs = lhs + config.gamma * phi_vals * cf
-    return _root_sum_squares(lhs - cg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = (1.0 - config.gamma) * np.exp(-dec.eigenvalues * config.horizon) * cf
+        lhs = lhs + config.gamma * phi_vals * cf
+        return check_finite(_root_sum_squares(lhs - cg), "the residual of the regularised equation")
 
 
 def variational_objective(dec: SpectralDecomposition, config: RegularisationConfig, g, h) -> float:
@@ -170,17 +176,20 @@ def gamma_convergence_study(
 
     For each gamma, error = ||f_gamma - P_T^-1 g|| and residual is the
     defect of f_gamma in the regularised equation.  Errors decrease to 0 as
-    gamma -> 0 whenever the exact inverse exists in double range.
+    gamma -> 0 whenever the exact inverse exists in double range.  An error
+    or residual past double range raises :class:`OverflowRisk`.
     """
     exact = invert_spectral(InverseProblem(dec, horizon, np.asarray(g, float)))
     rows = []
     for gamma in gammas:
         config = RegularisationConfig(float(gamma), phi, horizon)
         f_gamma = regularised_solve(dec, config, g)
+        with np.errstate(over="ignore"):  # a distance past double range is refused below
+            error = norm(dec.space, f_gamma - exact)
         rows.append(
             GammaStudyRow(
                 gamma=float(gamma),
-                error=norm(dec.space, f_gamma - exact),
+                error=check_finite(error, "the distance to the exact inverse"),
                 residual=regularised_residual(dec, config, g, f_gamma),
             )
         )
@@ -239,7 +248,8 @@ def mixture_invert(model: MixtureModel, t: float, g) -> np.ndarray:
     check_exponent(bound, f"mixture inverse norm bound exp(t)/gamma = exp({bound:.6g}) exceeds double range")
     dec = model.decomposition
     # a division, not dec.apply(1.0 / mult, g): 1/mult rounds once more
-    return dec.synthesize(dec.coefficients(g) / mult)
+    with np.errstate(over="ignore"):  # synthesize refuses a value past double range
+        return dec.synthesize(dec.coefficients(g) / mult)
 
 
 def regularised_pide_solve(model: MixtureModel, g, horizon: float, t_grid=None) -> BackwardTrajectory:

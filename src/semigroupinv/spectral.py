@@ -32,6 +32,7 @@ from .errors import (
     OverflowRisk,
     ValidationError,
     check_budget,
+    check_finite,
     check_range,
 )
 
@@ -289,29 +290,40 @@ class SpectralDecomposition:
         return float(self.eigenvalues[-1])
 
     def coefficients(self, f) -> np.ndarray:
-        """Mode coefficients (phi_k, f) in ascending-eigenvalue order."""
+        """Mode coefficients (phi_k, f) in ascending-eigenvalue order; :class:`OverflowRisk` past double range."""
         f = self.space.check_vector(f)
-        return self.eigenvectors.T @ (self.space.weights * f)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return check_finite(self.eigenvectors.T @ (self.space.weights * f), "mode coefficients")
 
     def synthesize(self, coeffs) -> np.ndarray:
-        """Rebuild a grid function from mode coefficients."""
+        """Rebuild a grid function from mode coefficients; :class:`OverflowRisk` unless every value is finite.
+
+        Callers form the coefficients under ``np.errstate(over="ignore")``,
+        so that a product past double range reaches this check.
+        """
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.size,):
             raise LengthMismatch("coefficient vector has wrong length")
-        return self.eigenvectors @ coeffs
+        with np.errstate(over="ignore", invalid="ignore"):
+            return check_finite(self.eigenvectors @ coeffs, "synthesized values")
 
     def apply(self, mult, f) -> np.ndarray:
         """sum_k mult_k (phi_k, f) phi_k: the per-mode multiplier ``mult`` on f."""
-        return self.synthesize(mult * self.coefficients(f))
+        with np.errstate(over="ignore", invalid="ignore"):
+            amplified = mult * self.coefficients(f)
+        return self.synthesize(amplified)
 
     def trajectory(self, rates, times, coeffs, modes=slice(None)) -> np.ndarray:
         """Rows sum_k exp(rates_k t) coeffs_k phi_k over the ``modes``, one per time t.
 
-        Raises :class:`ValidationError` past ``errors.MAX_TRAJECTORY_CELLS``.
+        Raises :class:`ValidationError` past ``errors.MAX_TRAJECTORY_CELLS``,
+        and :class:`OverflowRisk` unless every value is finite.
         """
         cells = len(times) * self.size
         check_budget(f"trajectory cells ({len(times)} times x {self.size} states)", cells, MAX_TRAJECTORY_CELLS)
-        return (np.exp(np.outer(times, rates)) * coeffs) @ self.eigenvectors[:, modes].T
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = (np.exp(np.outer(times, rates)) * coeffs) @ self.eigenvectors[:, modes].T
+        return check_finite(values, "trajectory values")
 
 
 def _stevd(d: np.ndarray, e: np.ndarray):
@@ -385,8 +397,23 @@ def spectral_decompose(gen: SymmetricGenerator) -> SpectralDecomposition:
     lam[lam < 0.0] = 0.0
     # C order whatever the solver's: the coefficient GEMVs' bits depend on the layout;
     # eigh's vectors are C-ordered already and are rescaled in place
-    phi = np.divide(vecs, sqrt_m[:, None], out=vecs if vecs.flags.c_contiguous else None, order="C")
+    phi = np.divide(vecs, sqrt_m[:, None], out=vecs if vecs.flags.c_contiguous else _aligned_empty(vecs.shape))
     return SpectralDecomposition(gen.space, lam, phi, _owned=True)
+
+
+def _aligned_empty(shape) -> np.ndarray:
+    """An uninitialised C-ordered float array whose data starts on a 64-byte cache line.
+
+    malloc aligns numpy's arrays to 16 bytes only, and every row of an
+    n x n float array shares the start's offset in its cache line.  At
+    n = 1000 one BLAS thread ran both coefficient GEMVs 10-20% slower from
+    a 16- or 48-byte offset than from a whole line, so their speed hung on
+    where earlier allocations had left the heap.  Their bits do not.
+    """
+    size = math.prod(shape) * 8
+    raw = np.empty(size + 64, dtype=np.uint8)
+    start = -raw.ctypes.data % 64
+    return raw[start:start + size].view(np.float64).reshape(shape)
 
 
 def apply_function(dec: SpectralDecomposition, phi, f) -> np.ndarray:

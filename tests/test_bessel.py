@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import semigroupinv as sg
-from semigroupinv.bessel import _i0, geometric_refined_edges, i0_multipliers, j0_multipliers
+from semigroupinv.bessel import _i0, i0_multipliers, j0_decay_edges, j0_multipliers
 from semigroupinv.inversion import FLOW_QUADRATURE, H_QUADRATURE, I0_QUADRATURE
 
 
@@ -287,25 +287,27 @@ class TestBochnerQuadrature:
     def test_exponential_times_constant_field(self):
         cfg = sg.QuadratureConfig(tail_tol=1e-12)
         c = np.array([2.0, -1.0, 0.5])
-        res = sg.bochner_quadrature(
-            lambda s: np.exp(-s),
-            lambda s, w: w.sum() * c,
-            cfg,
-            np.linspace(0.0, 30.0, 41),
-            tail_rate=1.0,
-            tail_amplitude=float(np.max(np.abs(c))),
-        )
+        res = sg.bochner_quadrature(lambda s: np.exp(-s), lambda s, w: w.sum() * c, cfg, np.linspace(0.0, 30.0, 41))
         expected = c * (1.0 - math.exp(-30.0))
         assert res.value == pytest.approx(expected, abs=1e-12)
-        assert res.tail_bound == pytest.approx(2.0 * math.exp(-30.0), rel=1e-12)
-        assert abs(res.value[0] - 2.0) <= res.tail_bound + 1e-12
+        assert res.tail_bound is None  # the engine does not know the integrand's tail
+
+    def test_j0_multipliers_bound_their_cut_tail(self):
+        # at x = 0 the multipliers are 1/r; the cut tail of 2 e^(-s) is 2 e^(-s_max) = tail_tol
+        cfg = sg.QuadratureConfig(tail_tol=1e-12)
+        res = j0_multipliers(0.0, [1.0, 4.0], cfg, scale=2.0)
+        s_max = j0_decay_edges(1.0, 2.0, 1e-12, 0.0, 0.25)[-1]
+        assert res.tail_bound == pytest.approx(2.0 * math.exp(-s_max), rel=1e-15)
+        assert res.tail_bound == pytest.approx(1e-12, rel=1e-12)
+        assert np.all(np.abs(res.value - [1.0, 0.25]) <= res.tail_bound + 1e-12)
 
     def test_j0_weighted_integral_approaches_laplace_value(self):
-        # weight J0(2 sqrt(s)) e^-s, constant field -> e^-1 as s_max grows
+        # weight J0(2 sqrt(s)) e^-s, constant field -> e^-1 as s_max = ln(1/tail_tol) grows
         c = np.array([1.0])
         values = []
         for s_max in (10.0, 20.0, 40.0):
-            edges = geometric_refined_edges(s_max, 0.5, quarter_u=np.pi / 4.0, max_width=2.5)
+            edges = j0_decay_edges(1.0, 1.0, math.exp(-s_max), 1.0, 0.5)
+            assert edges[-1] == pytest.approx(s_max, rel=1e-12)
             res = sg.bochner_quadrature(
                 lambda s: sg.bessel_j0(2.0 * np.sqrt(s)) * np.exp(-s),
                 lambda s, w: w.sum() * c,
@@ -346,10 +348,22 @@ class TestBochnerQuadrature:
             sg.QuadratureConfig(tail_tol=0.0)
 
     def test_edge_builders_cover_range(self):
-        edges = geometric_refined_edges(50.0, 0.01, quarter_u=0.8, max_width=5.0)
-        assert edges[0] == 0.0 and edges[-1] == 50.0
+        # rate 0.5 ends the range at s_max = 50 and caps panels at 5; J0 quarter periods of 0.8 in sqrt(s)
+        t = (np.pi / 3.2) ** 2
+        edges = j0_decay_edges(0.5, 1.0, 2.0 * math.exp(-25.0), t, 0.01)
+        assert edges[0] == 0.0 and edges[-1] == pytest.approx(50.0, rel=1e-12)
         assert np.all(np.diff(edges) > 0)
         assert np.max(np.diff(edges)) <= 5.0 + 1e-9
+        assert 0.01 / 4.0 in edges  # the geometric edges start at refine_scale / 4
+        quarters = (0.8 * np.arange(1, 9)) ** 2
+        assert np.allclose(quarters, edges[np.searchsorted(edges, quarters - 1e-9)], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("rate, t", [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, -1.0), (1.0, math.nan)],
+                             ids=["rate=0", "rate=-1", "rate=nan", "t=-1", "t=nan"])
+    def test_j0_decay_edges_refuse_a_rate_or_time_out_of_range(self, rate, t):
+        # rate 0 was a ZeroDivisionError and rate -1 a bare math-domain ValueError
+        with pytest.raises(sg.ValidationError, match="rate must be finite and > 0" if t == 1.0 else "t must be"):
+            j0_decay_edges(rate, 1.0, 1e-11, t, 0.5)
 
 
 class TestCappedI0Oracle:

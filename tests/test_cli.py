@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 import semigroupinv as sg
 from conftest import failing_dstevd
 from semigroupinv import cli, spectral
+from semigroupinv.artifacts import vector_from_csv
 from semigroupinv.cli import RunConfig, build_model, load_model_file, main, parse_function_literal, run
 
 CHAIN2_JSON = {
@@ -223,6 +225,15 @@ class TestCommands:
         assert all(c["passed"] for c in summary["checks"].values())
         assert "flowQuadratureAgreement" in summary["checks"]
         assert summary["checks"]["flowMultiplierAgreement"]["value"] <= 1e-10
+
+    def test_check_runs_one_j0_quadrature(self, model_files, tmp_path, monkeypatch):
+        from semigroupinv import bessel
+
+        calls = []
+        engine = bessel.bochner_quadrature
+        monkeypatch.setattr(bessel, "bochner_quadrature", lambda *a, **k: calls.append(a) or engine(*a, **k))
+        assert run(RunConfig("check", model_files["chain2"], tmp_path / "out", {"seed": 0})) == 0
+        assert len(calls) == 1
 
     def test_check_reports_skipped_flow_check(self, model_files, tmp_path):
         out = tmp_path / "out_check_ou"
@@ -616,6 +627,45 @@ class TestBoundedRead:
         assert error["error"] == "ValidationError"
         assert "15 commas, colons and opening brackets in vector file" in error["message"] and "budget of 12" in error["message"]
 
+    @pytest.mark.parametrize("text", [" " * 2**20, "index,x,m,value\n" + "\r" * 2**20, "a" * 2**20],
+                             ids=["spaces", "cr", "header"])
+    def test_vector_reader_holds_its_lines_at_the_size_of_the_text(self, text):
+        # an io.StringIO copy took 4 bytes a character: 16 MiB of spaces or CR peaked at 127 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(sg.SemigroupInvError) as exc:
+                vector_from_csv(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * len(text)
+        assert len(str(exc.value)) < 300
+
+    @pytest.mark.parametrize(
+        "spec, vector",
+        [
+            ({"type": "ou", "parameters": {"n": 3}}, b"a" * 2**20),
+            ({"type": "ou", "parameters": {"n": 3}}, b"index,x,m,value\n0," + b"a" * 2**20 + b"\n"),
+            ({"type": "ou", "parameters": {"n": 3, "halfWidth": "a" * 2**20}}, None),
+            ({"type": "diffusion", "parameters": {"left": 0, "right": 1, "n": 3, "boundaryLeft": "a" * 2**20}}, None),
+            ({"type": "a" * 2**20}, None),
+            ({"schemaVersion": "a" * 2**20}, None),
+        ],
+        ids=["vector-header", "vector-row", "model-number", "model-boundary", "model-type", "schema-version"],
+    )
+    def test_oversized_input_is_quoted_in_an_error_json_under_1_kb(self, tmp_path, spec, vector):
+        # each once copied its whole input into the message: a 16 MB error.json, printed to stderr too
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"schemaVersion": 1, **spec}), encoding="utf-8")
+        g = "x"
+        if vector is not None:
+            (tmp_path / "g.csv").write_bytes(vector)
+            g = f"csv:{tmp_path / 'g.csv'}"
+        out = tmp_path / "out"
+        assert cli_exit(["invert", "--model", str(model), "--output", str(out), "--T", "1", "--g", g]) == 2
+        assert (out / "error.json").stat().st_size < 1024
+        assert re.search(r"a{100,}\.\.\. \(\d{7} more characters\)", strict_json(out / "error.json")["message"])
+
     def test_integer_past_the_digit_limit_exits_2(self, tmp_path):
         # json.loads raises a plain ValueError, not a JSONDecodeError, for an int of over 4300 digits
         model = tmp_path / "model.json"
@@ -624,7 +674,7 @@ class TestBoundedRead:
         assert cli_exit(["decompose", "--model", str(model), "--output", str(out)]) == 2
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "InvalidConfig"
-        assert "digits" in error["message"]
+        assert error["message"] == f"model file {model} holds an integer past the limit of {sys.get_int_max_str_digits()} digits"
 
     def test_vector_file_of_blank_lines_is_refused_before_parsing(self, model_files, tmp_path, monkeypatch):
         # 16 MiB of LF once passed both budgets and peaked at 112 MB in vector_from_csv's StringIO
@@ -1190,6 +1240,61 @@ class TestStrictJsonArtifacts:
         assert 1e154 < summary[key] < math.inf
         if argv[0] == "sweep":
             assert "inf" not in (out / "sweep.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["invert", "--T", "700", "--g", "1e300*x"],
+            ["invert", "--method", "bessel", "--T", "20", "--g", "1e306*x"],
+            ["regularise", "--T", "700", "--gamma", "1e-10", "--phi", "constant", "--value", "1e-300",
+             "--g", "1e300*x"],
+            ["sweep", "--T", "700", "--g", "1e300*x"],
+            ["pde", "--T", "700", "--g", "1e300*x"],
+            ["mixture", "--T", "600", "--gamma", "0.5", "--g", "1e300*x"],
+        ],
+        ids=["invert", "invert-bessel", "regularise", "sweep", "pde", "mixture"],
+    )
+    def test_values_past_double_range_exit_3(self, model_files, tmp_path, argv):
+        # each multiplier is inside double range, but not its product with a coefficient near 1e300
+        out = tmp_path / "out"
+        assert cli_exit(argv + ["--model", model_files["chain2"], "--output", str(out)]) == 3
+        assert strict_json(out / "error.json")["error"] == "OverflowRisk"
+        assert not (out / "summary.json").exists() and not list(out.glob("*.csv"))
+
+    def test_residual_past_double_range_exits_3(self, model_files, tmp_path):
+        # tikhonov_exp's phi(1) = e^700 multiplies the rounding error of f's coefficients near 1e284
+        out = tmp_path / "out"
+        argv = ["regularise", "--T", "700", "--gamma", "0.1", "--g", "1e300*x"]
+        assert cli_exit(argv + ["--model", model_files["chain2"], "--output", str(out)]) == 3
+        error = strict_json(out / "error.json")
+        assert error["message"] == "the residual of the regularised equation left double range"
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "argv, what",
+        [
+            (["regularise", "--T", "1", "--gamma", "1e-8"], "the norm of the solution"),
+            (["pde", "--T", "1"], "the norm of the final state"),
+            (["sweep", "--T", "1", "--phi", "constant", "--value", "1e300"], "the distance to the exact inverse"),
+        ],
+        ids=["regularise", "pde", "sweep"],
+    )
+    def test_norm_past_double_range_exits_3(self, model_files, tmp_path, argv, what):
+        # the inverse of 9e307*x is [-7.7e307, 1.7e308]: finite entries, but a norm of 1.8e308 that once read Infinity
+        out = tmp_path / "out"
+        assert cli_exit(argv + ["--g", "9e307*x", "--model", model_files["chain2"], "--output", str(out)]) == 3
+        assert strict_json(out / "error.json")["message"] == f"{what} left double range"
+        assert not (out / "summary.json").exists() and not list(out.glob("*.csv"))
+
+    def test_phi_past_double_range_exits_2(self, tmp_path):
+        # tikhonov_exp at T = 700 on an ou with lambda_max 7.8 is exp(5460): refused, not a RuntimeWarning
+        model = tmp_path / "ou6.json"
+        model.write_text(json.dumps({"schemaVersion": 1, "type": "ou",
+                                     "parameters": {"halfWidth": 1.5, "n": 6, "rate": 1.3}}), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["regularise", "--T", "700", "--gamma", "0.1", "--g", "-1", "--model", str(model), "--output", str(out)]
+        assert cli_exit(argv) == 2
+        assert strict_json(out / "error.json")["message"] == "tikhonov_exp is not finite on the spectrum"
 
     def test_zero_data_writes_a_null_membership_log10(self, model_files, tmp_path):
         out = tmp_path / "out"

@@ -85,7 +85,7 @@ def _space():
 # decomposition whose keyword arguments default to a valid value, and the
 # values each parameter must refuse.  Not listed: bessel_j0/bessel_i0, which
 # map arrays elementwise and pass NaN through like any ufunc, and
-# bochner_quadrature, whose scalars are optional tail-bound inputs.
+# bochner_quadrature, which takes no scalar: its setting is a QuadratureConfig.
 ENTRY_POINTS = [
     ("semigroup_apply", lambda dec, t=0.5: sg.semigroup_apply(dec, t, F), {"t": NON_NEGATIVE}),
     ("resolvent_apply", lambda dec, alpha=1.0: sg.resolvent_apply(dec, alpha, F), {"alpha": POSITIVE}),
@@ -129,8 +129,8 @@ ENTRY_POINTS = [
     ("i0_multipliers",
      lambda dec, a=1.0, s_cap=INF: bessel.i0_multipliers(a, [1.0, 2.0], bessel.LAPLACE_QUADRATURE, s_cap),
      {"a": POSITIVE, "s_cap": (NAN, -INF, -1.0, 0.0)}),
-    ("geometric_refined_edges", lambda dec, s_max=1.0: bessel.geometric_refined_edges(s_max, 0.1),
-     {"s_max": POSITIVE}),
+    ("j0_decay_edges", lambda dec, rate=1.0, t=1.0: bessel.j0_decay_edges(rate, 1.0, 1e-11, t, 0.1),
+     {"rate": POSITIVE, "t": NON_NEGATIVE}),
     ("build_ou", lambda dec, half_width=3.0, n=8, rate=1.0: sg.build_ou(half_width, n, rate),
      {"half_width": POSITIVE, "n": POSITIVE, "rate": POSITIVE}),
     ("DiffusionSpec", lambda dec, n=8: sg.build_diffusion(sg.DiffusionSpec(0.0, 1.0, n)), {"n": POSITIVE}),
