@@ -30,7 +30,9 @@ place of its comma, and one ``bytes.translate(None, b"\\0")`` drops the
 padding: the text is the header, the lines and one final LF.  A
 trajectory is rendered in chunks of about ``_CSV_CHUNK_CELLS`` values
 (:func:`trajectory_csv_chunks`), each with its own k, which ``pde`` streams
-to trajectory.csv without building the whole text.
+to trajectory.csv without building the whole text.  The chunk size sets
+only where chunks meet, never a byte: it trades a fixed cost per chunk
+against a working set that grows with the chunk.
 """
 
 from __future__ import annotations
@@ -47,8 +49,12 @@ from .spectral import SpectralDecomposition, WeightedStateSpace, build_space
 
 CSV_HEADER = "index,x,m,value"
 
-# Values in a chunk of a long table: the chunk's arrays stay in a core's cache.
-_CSV_CHUNK_CELLS = 8192
+# Values in a chunk of a long table.  Each chunk pays a fixed cost of some 60
+# numpy calls on short arrays, one bytearray and one translate, and its working
+# set grows by about 175 bytes a value.  Of 8192..65536, 32768 wrote the ou400
+# trajectory (1899 x 400) fastest, 35.2 against 38.6 ms at 8192, and the jump400
+# one (201 x 400) within 1% of the fastest (2-core AMD EPYC, one BLAS thread).
+_CSV_CHUNK_CELLS = 32768
 
 
 def _words(byte_rows) -> np.ndarray:
@@ -259,7 +265,8 @@ def trajectory_csv_chunks(traj: BackwardTrajectory):
     A chunk holds the lines ``t,index,value`` of whole times, at least one
     and about ``_CSV_CHUNK_CELLS`` values.  The index column is rendered
     once and the times about ``_CSV_CHUNK_CELLS`` at a time, so the working
-    set does not grow with the number of times.
+    set, about 175 bytes a chunk value (5.7 MB), does not grow with the
+    number of times.
     """
     yield b"t,index,value"
     n = traj.values.shape[1]

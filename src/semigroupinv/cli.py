@@ -2,9 +2,10 @@
 regularisations and diagnostics, and emit CSV/JSON artifacts.
 
 Exit codes: 0 success, 2 validation error (bad config, bad expression,
-unreadable input), 3 numerical error (overflow, conditioning cap,
-non-converged quadrature).  Every failure also writes a machine-readable
-``error.json`` naming the failing operation and the offending magnitude.
+unreadable input, unwritable output), 3 numerical error (overflow,
+conditioning cap, non-converged quadrature).  Every failure also writes a
+machine-readable ``error.json``, wherever the output directory takes it,
+naming the failing operation and the offending magnitude.
 Identical configs and seeds produce byte-identical outputs under one BLAS
 thread (``OPENBLAS_NUM_THREADS=1``).
 """
@@ -529,8 +530,22 @@ def _phi_from_params(p: dict, horizon: float):
 # ``_FLAGS`` default), the model, its decomposition and the output directory.
 
 
+def _save(write, path: Path, payload) -> None:
+    """``write(path, payload)``; an output it cannot write raises :class:`InvalidConfig` naming ``path``.
+
+    An error after the file was opened, such as a full disk under a streamed
+    trajectory.csv, removes the file, so no partial artifact is left.
+    """
+    try:
+        write(path, payload)
+    except OSError as exc:
+        if exc.filename is None:  # open() names the file it failed on; a write or close does not
+            path.unlink(missing_ok=True)
+        raise InvalidConfig(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _cmd_decompose(p, gen, dec, out: Path) -> dict:
-    write_text(out / "eigenvalues.csv", eigenvalues_to_csv(dec))
+    _save(write_text, out / "eigenvalues.csv", eigenvalues_to_csv(dec))
     return {
         "n": gen.size,
         "lambdaMin": float(dec.eigenvalues[0]),
@@ -544,12 +559,12 @@ def _cmd_invert(p, gen, dec, out: Path) -> dict:
     g = _observed_vector(p["g"], gen)
     problem = InverseProblem(dec, T, g)
     report = conditioning_report(problem, alpha)
-    write_json(out / "report.json", report.to_json_dict())
+    _save(write_json, out / "report.json", report.to_json_dict())
     if p["method"] == "bessel":
         f = invert_bessel(problem, alpha, coeff_tol=coeff_tol)
     else:
         f = invert_spectral(problem, coeff_tol=coeff_tol)
-    write_text(out / "solution.csv", vector_to_csv(gen.space, f))
+    _save(write_text, out / "solution.csv", vector_to_csv(gen.space, f))
     round_trip = norm(gen.space, semigroup_apply(dec, T, f) - g) / max(
         norm(gen.space, g), np.finfo(float).tiny
     )
@@ -577,7 +592,7 @@ def _cmd_regularise(p, gen, dec, out: Path) -> dict:
         "residual": regularised_residual(dec, reg, g, f),
         "solutionNorm": check_finite(norm(gen.space, f), "the norm of the solution"),
     }
-    write_text(out / "solution.csv", vector_to_csv(gen.space, f))
+    _save(write_text, out / "solution.csv", vector_to_csv(gen.space, f))
     return summary
 
 
@@ -587,7 +602,7 @@ def _cmd_mixture(p, gen, dec, out: Path) -> dict:
     model = MixtureModel(dec, gamma, t_star)
     f = mixture_invert(model, t, g)
     mult = mixture_multipliers(model, t)
-    write_text(out / "solution.csv", vector_to_csv(gen.space, f))
+    _save(write_text, out / "solution.csv", vector_to_csv(gen.space, f))
     residual = norm(gen.space, dec.apply(mult, f) - g)
     return {
         "T": t,
@@ -610,7 +625,7 @@ def _cmd_sweep(p, gen, dec, out: Path) -> dict:
     if not gammas:
         raise InvalidConfig("--gammas lists no values")
     rows = gamma_convergence_study(dec, phi, T, g, gammas)
-    write_text(out / "sweep.csv", gamma_study_to_csv(rows))
+    _save(write_text, out / "sweep.csv", gamma_study_to_csv(rows))
     return {
         "T": T,
         "phi": phi.name,
@@ -625,7 +640,7 @@ def _cmd_diagnose(p, gen, dec, out: Path) -> dict:
     g = _observed_vector(p["g"], gen)
     problem = InverseProblem(dec, T, g)
     report = conditioning_report(problem, alpha)
-    write_json(out / "report.json", report.to_json_dict())
+    _save(write_json, out / "report.json", report.to_json_dict())
     return {"T": T, "alpha": alpha, **report.to_json_dict()}
 
 
@@ -661,7 +676,7 @@ def _cmd_pde(p, gen, dec, out: Path) -> dict:
         raise ValidationError(f"{exc}; --steps N sets a uniform grid of N steps instead", exc.budget) from exc
     summary["steps"] = int(traj.times.size - 1)
     summary["finalNorm"] = check_finite(norm(gen.space, traj.values[-1]), "the norm of the final state")
-    write_trajectory(out / "trajectory.csv", traj)
+    _save(write_trajectory, out / "trajectory.csv", traj)
     return summary
 
 
@@ -741,15 +756,25 @@ _COMMANDS = {
 
 
 def run(config: RunConfig) -> int:
-    """Execute a command; write artifacts and return the exit code."""
+    """Execute a command; write artifacts and return the exit code.
+
+    An output directory or artifact that cannot be written exits 2 like any
+    other bad input, with ``error.json`` wherever the directory takes it.
+    """
     out = Path(config.output)
-    out.mkdir(parents=True, exist_ok=True)
     command, _, required, optional = _COMMANDS[config.command]
     try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InvalidConfig(f"cannot create output directory {out}: {exc.strerror or exc}") from exc
         params = {name: _param(config.params, name) for name in required + optional}
         gen = load_model_file(config.model_path)
         dec = spectral_decompose(gen)
         summary = command(params, gen, dec, out)
+        summary["command"] = config.command
+        summary["schemaVersion"] = SCHEMA_VERSION
+        _save(write_json, out / "summary.json", summary)
     except SemigroupInvError as exc:
         code = 3 if isinstance(exc, NumericalError) else 2
         payload = {
@@ -763,12 +788,14 @@ def run(config: RunConfig) -> int:
             value = getattr(exc, attr, None)
             if value is not None and np.isfinite(value):
                 payload[attr] = value
-        write_json(out / "error.json", payload)
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        message = f"error: {type(exc).__name__}: {exc}"
+        if out.is_dir():
+            try:
+                _save(write_json, out / "error.json", payload)
+            except InvalidConfig as unwritable:
+                message += f"; {unwritable}"
+        print(message, file=sys.stderr)
         return code
-    summary["command"] = config.command
-    summary["schemaVersion"] = SCHEMA_VERSION
-    write_json(out / "summary.json", summary)
     return 0
 
 

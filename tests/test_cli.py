@@ -1,8 +1,11 @@
 """CLI harness: expression grammar, model configs, artifacts, exit codes."""
 
 import argparse
+import errno
+import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -13,7 +16,7 @@ import pytest
 
 import semigroupinv as sg
 from conftest import failing_dstevd
-from semigroupinv import cli, spectral
+from semigroupinv import artifacts, cli, spectral
 from semigroupinv.artifacts import vector_from_csv
 from semigroupinv.cli import RunConfig, build_model, load_model_file, main, parse_function_literal, run
 
@@ -740,6 +743,62 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 3
         assert "OverflowRisk" in proc.stderr
+
+
+class TestUnwritableOutput:
+    """An output the CLI cannot write exits 2 with one ``error:`` line naming the path, never a traceback."""
+
+    @pytest.mark.parametrize("below", [False, True], ids=["output-is-a-file", "output-under-a-file"])
+    def test_output_that_cannot_be_a_directory_exits_2(self, model_files, tmp_path, capsys, below):
+        blocker = tmp_path / "F"
+        blocker.write_text("a file", encoding="utf-8")
+        out = blocker / "x" if below else blocker
+        assert cli_exit(["check", "--model", model_files["chain2"], "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: InvalidConfig: cannot create output directory {out}: " + (
+            "Not a directory\n" if below else "File exists\n")
+        assert blocker.read_text(encoding="utf-8") == "a file"
+
+    def test_artifact_taken_by_a_directory_exits_2_with_error_json(self, model_files, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "summary.json").mkdir(parents=True)
+        assert cli_exit(["decompose", "--model", model_files["chain2"], "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: InvalidConfig: cannot write {out / 'summary.json'}: Is a directory\n"
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "InvalidConfig" and error["operation"] == "decompose"
+        assert str(out / "summary.json") in error["message"]
+
+    def test_error_json_taken_by_a_directory_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "error.json").mkdir(parents=True)
+        assert cli_exit(["decompose", "--model", str(tmp_path / "missing.json"), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: InvalidConfig: cannot read model file") and err.count("\n") == 1
+        assert err.endswith(f"; cannot write {out / 'error.json'}: Is a directory\n")
+
+    def test_trajectory_cut_short_leaves_no_partial_file(self, model_files, tmp_path, capsys, monkeypatch):
+        sizes = []
+
+        class FullDisk(io.FileIO):
+            """A file whose disk fills after the header and the first chunk."""
+
+            def write(self, data):
+                sizes.append(len(data))
+                if len(sizes) > 2:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(data)
+
+        monkeypatch.setattr(artifacts, "open", lambda path, mode: FullDisk(path, "w"), raising=False)
+        out = tmp_path / "out"
+        argv = ["pde", "--model", model_files["ou"], "--T", "0.05", "--g", "x^2", "--steps", "100"]
+        assert cli_exit(argv + ["--output", str(out)]) == 2
+        assert len(sizes) == 3 and sizes[1] > 0  # 101 x 400 cells: the second chunk failed
+        err = capsys.readouterr().err
+        assert err == f"error: InvalidConfig: cannot write {out / 'trajectory.csv'}: {os.strerror(errno.ENOSPC)}\n"
+        assert not (out / "trajectory.csv").exists()
+        assert json.loads((out / "error.json").read_text())["operation"] == "pde"
+        assert not (out / "summary.json").exists()
 
 
 class TestBudgets:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -227,6 +228,28 @@ class TestG17Kernel:
         assert np.count_nonzero(fast) >= 0.999 * fast.size
 
 
+# cells that no fast-path exponent reaches: signed zeros, subnormals, the least
+# normal, non-finite values, powers of ten and magnitudes past 1e17 or below 1e-4
+ODD_CELLS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, -2.2250738585072014e-308,
+             math.nan, math.inf, -math.inf, 1.0, -100.0, 1e17, -3e19, 1e-5]
+
+
+@st.composite
+def _trajectories(draw):
+    """1..40 times by 1..300 states: each row's magnitudes reach its own 1e-6..1e20, so k changes from
+    row to row, and odd cells fall anywhere; the times start below 1e-4, so the stamps change width."""
+    rows, n = draw(st.integers(1, 40)), draw(st.integers(1, 300))
+    tops = np.array(draw(st.lists(st.integers(-6, 20), min_size=rows, max_size=rows)), float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(1.0, 10.0, (rows, n)) * 10.0 ** rng.uniform(-6.0, tops[:, None], (rows, n))
+    values[rng.random((rows, n)) < 0.5] *= -1.0
+    for cell, odd in draw(st.lists(st.tuples(st.integers(0, rows * n - 1), st.sampled_from(ODD_CELLS)), max_size=30)):
+        values.flat[cell] = odd
+    start = draw(st.floats(0.0, 1e-4, exclude_max=True))
+    times = np.linspace(start, draw(st.floats(1e-4, 1e6)), rows)
+    return sg.BackwardTrajectory(times, values)
+
+
 class TestTrajectoryChunks:
     """``trajectory.csv`` in chunks of whole rows, each the bytes of the reference writer."""
 
@@ -261,7 +284,7 @@ class TestTrajectoryChunks:
         monkeypatch.setattr(cli, "regularised_pide_solve", keep(cli.regularised_pide_solve))
         model = tmp_path / "ou400.json"
         model.write_text(json.dumps({"schemaVersion": 1, "type": "ou", "parameters": {"n": 400}}), encoding="utf-8")
-        argv = ["pde", "--model", str(model), "--T", "0.05", "--g", "x^2", "--steps", "60", "--output", str(tmp_path)]
+        argv = ["pde", "--model", str(model), "--T", "0.05", "--g", "x^2", "--steps", "200", "--output", str(tmp_path)]
         with pytest.raises(SystemExit) as exc:
             cli.main(argv + ([] if gamma is None else ["--gamma", gamma]))
         assert exc.value.code == 0
@@ -282,9 +305,26 @@ class TestTrajectoryChunks:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # one chunk's buffers and kernel arrays: 1.42 and 1.44 MB measured at 1000 and 2000 rows
-        assert peaks[1] < 4_000_000
+        # one chunk's buffers and kernel arrays, about 175 bytes a chunk cell:
+        # 5.64 and 5.67 MB measured at 1000 and 2000 rows with 32768-cell chunks
+        assert peaks[1] < 500 * artifacts._CSV_CHUNK_CELLS
         assert peaks[1] < 1.1 * peaks[0]
+
+    # "1" and "n" give each row a chunk, "3n+1" three rows and a cell to spare,
+    # "rows*n" the whole trajectory one chunk: only the chunk edges may move
+    @settings(deadline=None)
+    @given(_trajectories(), st.sampled_from(["1", "n", "3n+1", "32768", "rows*n"]))
+    def test_bytes_do_not_depend_on_the_chunk_size(self, traj, size):
+        rows, n = traj.values.shape
+        cells = {"1": 1, "n": n, "3n+1": 3 * n + 1, "32768": 32768, "rows*n": rows * n}[size]
+        with mock.patch.object(artifacts, "_CSV_CHUNK_CELLS", cells):  # Hypothesis refuses monkeypatch
+            chunks = list(artifacts.trajectory_csv_chunks(traj))
+        assert chunks[0] == b"t,index,value" and chunks[-1] == b"\n"
+        assert all(c.startswith(b"\n") for c in chunks[1:-1])
+        per = max(1, cells // n)  # whole rows in every chunk, all but the last the same
+        expected = [per * n] * (rows // per) + ([rows % per * n] if rows % per else [])
+        assert [c.count(b"\n") for c in chunks[1:-1]] == expected
+        assert b"".join(chunks).decode("ascii") == reference_trajectory_csv(traj)
 
 
 # -- cells sized to the largest exponent ------------------------------------------
