@@ -14,12 +14,15 @@ float column as those bytes: ``_digits17`` finds each cell's digits, and
   N = P + rint(e) is the 17-digit integer that %.17g rounds |x| to, half
   to even.  X starts at floor(log10|x|); an N outside [10^16, 10^17)
   moves X by one, once, and only 10^16 < N < 10^17 proves X.
-* Layout: the cells of a table or chunk are 7 + k uint32 words, NUL-padded,
-  with k = ceil(max(X, 0) / 4) over its fast cells (``_cell_words``): the comma,
-  the sign, the "0" of "0." and, for |x| >= 1, the leading digit; k words
-  of integer digits; the point and up to three zeros after it; the leading
-  digit of |x| < 1; four words of fraction digits without trailing zeros.
-  A table of 4-digit words and a byte mask per X fill them.
+* Layout: the cells of a table or chunk are max(7, 6 + k) uint32 words,
+  NUL-padded, with k = ceil(max(X, 0) / 4) over its fast cells
+  (``_integer_words``): the comma, the sign, and the leading digit for
+  |x| >= 1 or "0." for |x| < 1; k words of integer digits; one mid word,
+  which holds the point for |x| >= 1 (nothing when no fraction digit
+  follows) or, for |x| < 1, the -X - 1 zeros after the point and the
+  leading digit; four words of fraction digits without trailing zeros.
+  Tables of 4-digit words, of head and mid words, and a byte mask per X
+  fill them.
 * Fallback: every other cell (zeros, subnormals, |x| < 1e-4 or >= ~1e17,
   inf, nan, and values that round to a power of ten, such as 1.0 and
   100.0) is formatted by Python's own %.17g.  Its widest text,
@@ -29,10 +32,13 @@ A table's cells lie row after row, the first of each line with LF in
 place of its comma, and one ``bytes.translate(None, b"\\0")`` drops the
 padding: the text is the header, the lines and one final LF.  A
 trajectory is rendered in chunks of about ``_CSV_CHUNK_CELLS`` values
-(:func:`trajectory_csv_chunks`), each with its own k, which ``pde`` streams
-to trajectory.csv without building the whole text.  The chunk size sets
-only where chunks meet, never a byte: it trades a fixed cost per chunk
-against a working set that grows with the chunk.
+(:func:`trajectory_csv_chunks`), each with its own k and its own stamp
+width, that of its widest time stamp, which ``pde`` streams to
+trajectory.csv without building the whole text.  Each padding byte costs
+``translate`` as much as a text byte, so a line is kept near the width of
+its text.  The chunk size sets only where chunks meet, never a byte: it
+trades a fixed cost per chunk against a working set that grows with the
+chunk.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ CSV_HEADER = "index,x,m,value"
 
 # Values in a chunk of a long table.  Each chunk pays a fixed cost of some 60
 # numpy calls on short arrays, one bytearray and one translate, and its working
-# set grows by about 175 bytes a value.  Of 8192..65536, 32768 wrote the ou400
+# set grows by about 170 bytes a value.  Of 8192..65536, 32768 wrote the ou400
 # trajectory (1899 x 400) fastest, 35.2 against 38.6 ms at 8192, and the jump400
 # one (201 x 400) within 1% of the fastest (2-core AMD EPYC, one BLAS thread).
 _CSV_CHUNK_CELLS = 32768
@@ -66,33 +72,36 @@ def _build_g17_tables():
     """The kernel's word tables, built with numpy.
 
     ``groups``: at v, the 4 digits of v; at v + 10000, the same without
-    trailing zeros (0000 gives four NULs).  ``lead``: at d, three NULs and
-    the digit d.  ``integer_mask``: in column X + 4, the bytes of the four
-    digit words that hold digits 1..16 of N at positions p <= X.
-    ``point``: at X + 4, NULs; at 21 + X + 4, the point and, for X < 0,
-    -X - 1 zeros.  ``head``: at 2 * sign + (X < 0), the comma, then "-" for
-    a negative x and "0" before the point of |x| < 1.
+    trailing zeros (0000 gives four NULs).  ``integer_mask``: in column
+    X + 4, the bytes of the four digit words that hold digits 1..16 of N at
+    positions p <= X.  ``head``: at (2 * sign + (X < 0)) * 10 + d, the
+    comma and "-" for a negative x, then the lead digit d for |x| >= 1 or
+    "0." for |x| < 1.  ``mid``: at (21 * fraction + X + 4) * 10 + d, with
+    ``fraction`` 1 where a fraction digit follows the integer digits, the
+    point if so for X >= 0 and NULs if not, or for X < 0, -X - 1 zeros and
+    the lead digit d.
     """
     digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T  # row v: the digits of v
     trailing_zero = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]  # it and every later digit 0
     ascii_digits = digits + np.uint8(ord("0"))
     groups = _words(np.concatenate([ascii_digits, np.where(trailing_zero, np.uint8(0), ascii_digits)]))
-    lead = np.zeros((10, 4), np.uint8)
-    lead[:, 3] = ascii_digits[:10, 3]
+    lead = ascii_digits[:10, 3]
     x = np.arange(-4, 17)
     positions = np.arange(1, 17).reshape(4, 4)
     integer_mask = _words(np.where(positions <= x[:, None, None], 255, 0)).T.copy()
-    point = np.zeros((2, 21, 4), np.uint8)
-    point[1, :, 0] = ord(".")
-    point[1, :3, 1:] = np.where(np.arange(1, 4) <= -1 - x[:3, None], ord("0"), 0)
-    head = np.zeros((4, 4), np.uint8)
-    head[:, 0] = ord(",")
-    head[2:, 1] = ord("-")
-    head[1::2, 2] = ord("0")
-    return groups, _words(lead), integer_mask, _words(point).ravel(), _words(head)
+    head = np.zeros((2, 2, 10, 4), np.uint8)  # sign, X < 0, d
+    head[..., 0] = ord(",")
+    head[1, ..., 1] = ord("-")
+    head[:, 0, :, 3] = lead
+    head[0, 1, :, 1:3] = head[1, 1, :, 2:] = np.frombuffer(b"0.", np.uint8)
+    mid = np.zeros((2, 21, 10, 4), np.uint8)  # fraction, X + 4, d
+    mid[1, 4:, :, 0] = ord(".")
+    mid[:, :4, :, :3] = np.where(np.arange(1, 4) <= -1 - x[:4, None], ord("0"), 0)[:, None]
+    mid[:, :4, :, 3] = lead
+    return groups, integer_mask, _words(head).ravel(), _words(mid).ravel()
 
 
-_DIGITS4, _LEAD_DIGIT, _INTEGER_MASK, _POINT, _HEAD = _build_g17_tables()
+_DIGITS4, _INTEGER_MASK, _HEAD, _MID = _build_g17_tables()
 
 _POW10 = 10.0 ** np.arange(21)  # exact: every 10^k with k <= 22 is a double
 _POW10_HIGH, _POW10_LOW = _split(_POW10)
@@ -133,19 +142,25 @@ def _digits17(x: np.ndarray):
     return n, exp10, fast
 
 
-def _cell_words(exp10, fast) -> int:
-    """7 + k, the words of a cell that holds every ``fast`` X <= 4k in k integer-digit words."""
-    return 7 + -(-int(np.max(exp10, where=fast, initial=0)) // 4)
+def _integer_words(exp10, fast) -> int:
+    """k = ceil(max(X, 0) / 4), the integer-digit words that hold every ``fast`` X <= 4k."""
+    return -(-int(np.max(exp10, where=fast, initial=0)) // 4)
 
 
-def _g17_render(x: np.ndarray, digits, out: np.ndarray) -> None:
+def _cell_words(k: int) -> int:
+    """The words of a cell with k integer-digit words: 6 + k, and at least the 7 of the widest fallback."""
+    return max(7, 6 + k)
+
+
+def _g17_render(x: np.ndarray, digits, k: int, out: np.ndarray) -> None:
     """Write ``"," + format(x_i, ".17g")`` into row i of ``out``, NUL-padded.
 
-    ``digits`` is ``_digits17(x)``, whose ``n`` this overwrites.  ``out`` is
-    a (cells, 7 + k) uint32 array with 7 + k >= ``_cell_words(exp10, fast)``.
+    ``digits`` is ``_digits17(x)``, whose ``n`` and ``exp10`` this
+    overwrites, and ``k`` is at least its ``_integer_words``.  ``out`` is a
+    (cells, ``_cell_words(k)``) uint32 array, all NUL past each row's first
+    6 + k words.
     """
     n, exp10, fast = digits
-    k = out.shape[1] - 7
     # N = lead 10^16 + four 4-digit groups, one per row of the planar arrays
     lead = n // 10**16
     n -= lead * 10**16
@@ -167,19 +182,23 @@ def _g17_render(x: np.ndarray, digits, out: np.ndarray) -> None:
     # every table index below is in range where fast; "clip" keeps the other cells' harmless.
     # Digits at positions p > 4k are fraction digits in every fast cell, so only k words need a mask.
     fraction = np.take(_DIGITS4, stripped, mode="clip")
+    exp10 += 4  # from here X + 4, the tables' column of X
     if k:
-        mask = np.take(_INTEGER_MASK[:k], exp10 + 4, axis=1, mode="clip")
+        mask = np.take(_INTEGER_MASK[:k], exp10, axis=1, mode="clip")
         out[:, 1:1 + k] = (np.take(_DIGITS4, groups[:k], mode="clip") & mask).T
         fraction[:k] &= ~mask
-    below_one = exp10 < 0
-    lead = np.take(_LEAD_DIGIT, lead, mode="clip")
-    head = np.take(_HEAD, 2 * np.signbit(x) + below_one)
-    out[:, 0] = np.where(below_one, head, head | lead)
+    # the lead digit ends the head of |x| >= 1, and the mid word of |x| < 1 after its zeros
+    head = 2 * np.signbit(x) + (exp10 < 4)
+    head *= 10
+    head += lead
+    out[:, 0] = np.take(_HEAD, head, mode="clip")
     point = fraction[0] | fraction[1] | fraction[2] | fraction[3]
-    point |= below_one
-    out[:, k + 1] = np.take(_POINT, (point != 0) * 21 + exp10 + 4, mode="clip")
-    out[:, k + 2] = np.where(below_one, lead, 0)
-    out[:, k + 3:] = fraction.T
+    mid = (point != 0) * 21 + exp10
+    mid *= 10
+    mid += lead
+    out[:, k + 1] = np.take(_MID, mid, mode="clip")
+    for j in range(4):  # a store per word, each reading one contiguous row of ``fraction``
+        out[:, k + 2 + j] = fraction[j]
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = [b",%.17g" % v for v in x[slow].tolist()]
@@ -190,8 +209,9 @@ def _g17_words(x) -> np.ndarray:
     """``"," + format(x_i, ".17g")`` for each x_i, as NUL-padded rows of ``_cell_words`` uint32 words."""
     x = np.ascontiguousarray(x, dtype=float).ravel()
     digits = _digits17(x)
-    out = np.empty((x.size, _cell_words(*digits[1:])), np.uint32)
-    _g17_render(x, digits, out)
+    k = _integer_words(*digits[1:])
+    out = np.zeros((x.size, _cell_words(k)), np.uint32)
+    _g17_render(x, digits, k, out)
     return out
 
 
@@ -203,11 +223,13 @@ def _csv_table(header: str, *columns) -> str:
     return header + words.tobytes().translate(None, b"\0").decode("ascii") + "\n"
 
 
-def _packed_words(x, lead: bytes) -> np.ndarray:
-    """``lead + format(x_i, ".17g")`` for each x_i, as rows of uint32 words NUL-padded to the longest."""
+def _packed_words(x, lead: bytes):
+    """``lead + format(x_i, ".17g")`` for each x_i, as rows of uint32 words NUL-padded to the longest,
+    and the words of each row's own text."""
     cells = [lead + c for c in _g17_words(x).tobytes().translate(None, b"\0").split(b",")[1:]]
-    width = -(-max(map(len, cells), default=1) // 4)
-    return np.array(cells, dtype=f"S{4 * width}").view(np.uint32).reshape(len(cells), width)
+    widths = np.array([-(-len(c) // 4) for c in cells], dtype=np.int64)
+    width = int(widths.max(initial=1))
+    return np.array(cells, dtype=f"S{4 * width}").view(np.uint32).reshape(len(cells), width), widths
 
 
 def vector_to_csv(space: WeightedStateSpace, values) -> str:
@@ -265,27 +287,29 @@ def trajectory_csv_chunks(traj: BackwardTrajectory):
     A chunk holds the lines ``t,index,value`` of whole times, at least one
     and about ``_CSV_CHUNK_CELLS`` values.  The index column is rendered
     once and the times about ``_CSV_CHUNK_CELLS`` at a time, so the working
-    set, about 175 bytes a chunk value (5.7 MB), does not grow with the
+    set, about 170 bytes a chunk value (5.6 MB), does not grow with the
     number of times.
     """
     yield b"t,index,value"
     n = traj.values.shape[1]
-    index = _packed_words(np.arange(n), b",")
+    index, _ = _packed_words(np.arange(n), b",")
     rows = max(1, _CSV_CHUNK_CELLS // max(n, 1))
     block = rows * max(1, _CSV_CHUNK_CELLS // rows)
     for start in range(0, len(traj.times), block):
-        stamps = _packed_words(traj.times[start:start + block], b"\n")
+        stamps, stamp_words = _packed_words(traj.times[start:start + block], b"\n")
         for a in range(0, len(stamps), rows):
             chunk = traj.values[start + a:start + a + rows]
             x = np.ascontiguousarray(chunk, dtype=float).ravel()
             digits = _digits17(x)
-            cell = _cell_words(*digits[1:])
-            width = stamps.shape[1] + index.shape[1] + cell
+            k = _integer_words(*digits[1:])
+            stamp = int(stamp_words[a:a + rows].max())  # this chunk's widest stamp
+            width = stamp + index.shape[1] + _cell_words(k)
             buf = bytearray(4 * width * x.size)  # ``lines`` renders in place: no copy before translate
             lines = np.frombuffer(buf, np.uint32).reshape(len(chunk), n, width)
-            lines[..., :stamps.shape[1]] = stamps[a:a + rows, None]
-            lines[..., stamps.shape[1]:-cell] = index
-            _g17_render(x, digits, lines.reshape(-1, width)[:, -cell:])
+            text = np.dtype((np.void, 4 * stamp))  # a stamp as one item, which numpy copies whole
+            lines[..., :stamp].view(text)[...] = stamps[a:a + rows, None, :stamp].view(text)
+            lines[..., stamp:stamp + index.shape[1]] = index
+            _g17_render(x, digits, k, lines.reshape(-1, width)[:, stamp + index.shape[1]:])
             yield buf.translate(None, b"\0")
     yield b"\n"
 

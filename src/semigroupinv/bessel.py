@@ -337,7 +337,9 @@ def bochner_quadrature(
     tail, so ``tail_bound`` is ``None``; a kernel that bounds its own
     truncation sets it.
     """
-    edges = np.unique(np.asarray(breakpoints, dtype=float))
+    # sorted, each value once; np.unique would import numpy.ma on its first call, about 5 ms a process
+    edges = np.sort(np.asarray(breakpoints, dtype=float))
+    edges = edges[np.append(True, edges[1:] != edges[:-1])]
     if edges.size < 2:
         raise ValidationError("need at least two breakpoints")
 

@@ -134,6 +134,13 @@ _MAX_EXPRESSION_DEPTH = 100
 # take 0.07 s at n = 4000 (one OpenBLAS thread, 2-core EPYC).
 _MAX_EXPRESSION_CHARS = 65536
 
+# Most values of a ``sweep --gammas`` list.  Each one runs a regularised solve
+# and a residual: 0.09-0.13 ms at n = 400, 1.8-2.1 ms at n = 2000 and
+# 9.2-10.7 ms at n = 4000 (one OpenBLAS thread, 2-core EPYC).  So 256 values
+# cost at most 2.3-2.7 s, about what the largest model takes to build and
+# decompose; a 2 MB argv could otherwise ask for some 700,000.
+_MAX_GAMMAS = 256
+
 
 # -- restricted function-literal grammar ---------------------------------------
 #
@@ -618,8 +625,10 @@ def _cmd_sweep(p, gen, dec, out: Path) -> dict:
     T = p["T"]
     g = _observed_vector(p["g"], gen)
     phi = _phi_from_params(p, T)
+    fields = [v for v in p["gammas"].split(",") if v.strip()]
+    check_budget("--gammas values", len(fields), _MAX_GAMMAS)
     try:
-        gammas = [float(v) for v in p["gammas"].split(",") if v.strip()]
+        gammas = [float(v) for v in fields]
     except ValueError as exc:
         raise InvalidConfig(f"bad --gammas list: {exc}") from exc
     if not gammas:

@@ -291,9 +291,8 @@ class SpectralDecomposition:
 
     def coefficients(self, f) -> np.ndarray:
         """Mode coefficients (phi_k, f) in ascending-eigenvalue order; :class:`OverflowRisk` past double range."""
-        f = self.space.check_vector(f)
         with np.errstate(over="ignore", invalid="ignore"):
-            return check_finite(self.eigenvectors.T @ (self.space.weights * f), "mode coefficients")
+            return check_finite(self._coefficients(f), "mode coefficients")
 
     def synthesize(self, coeffs) -> np.ndarray:
         """Rebuild a grid function from mode coefficients; :class:`OverflowRisk` unless every value is finite.
@@ -301,17 +300,30 @@ class SpectralDecomposition:
         Callers form the coefficients under ``np.errstate(over="ignore")``,
         so that a product past double range reaches this check.
         """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return check_finite(self._synthesize(coeffs), "synthesized values")
+
+    def apply(self, mult, f) -> np.ndarray:
+        """sum_k mult_k (phi_k, f) phi_k: the per-mode multiplier ``mult`` on f.
+
+        :class:`OverflowRisk` unless every value is finite; a coefficient
+        past double range makes every value inf or NaN, so one check of the
+        values covers the coefficients too.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            return check_finite(self._synthesize(mult * self._coefficients(f)), "synthesized values")
+
+    # The unchecked halves of the calls above, run under their np.errstate.
+
+    def _coefficients(self, f) -> np.ndarray:
+        f = self.space.check_vector(f)
+        return self.eigenvectors.T @ (self.space.weights * f)
+
+    def _synthesize(self, coeffs) -> np.ndarray:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.size,):
             raise LengthMismatch("coefficient vector has wrong length")
-        with np.errstate(over="ignore", invalid="ignore"):
-            return check_finite(self.eigenvectors @ coeffs, "synthesized values")
-
-    def apply(self, mult, f) -> np.ndarray:
-        """sum_k mult_k (phi_k, f) phi_k: the per-mode multiplier ``mult`` on f."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            amplified = mult * self.coefficients(f)
-        return self.synthesize(amplified)
+        return self.eigenvectors @ coeffs
 
     def trajectory(self, rates, times, coeffs, modes=slice(None)) -> np.ndarray:
         """Rows sum_k exp(rates_k t) coeffs_k phi_k over the ``modes``, one per time t.

@@ -1,6 +1,7 @@
 """Special functions: oracle comparisons, ODE residual, Laplace identities,
 and the Bochner quadrature engine."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 import semigroupinv as sg
+from conftest import single_thread_probe
 from semigroupinv.bessel import _i0, i0_multipliers, j0_decay_edges, j0_multipliers
 from semigroupinv.inversion import FLOW_QUADRATURE, H_QUADRATURE, I0_QUADRATURE
 
@@ -283,6 +285,17 @@ class TestLaplaceMultipliers:
         assert i0_multipliers(a, [beta], I0_QUADRATURE).value[0] == math.inf
 
 
+_MA_PROBE = r"""
+import json, sys
+from semigroupinv import cli
+try:
+    cli.main(["diagnose", "--model", sys.argv[1], "--T", "1", "--g", "x^2", "--output", sys.argv[2]])
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
 class TestBochnerQuadrature:
     def test_exponential_times_constant_field(self):
         cfg = sg.QuadratureConfig(tail_tol=1e-12)
@@ -357,6 +370,12 @@ class TestBochnerQuadrature:
         assert 0.01 / 4.0 in edges  # the geometric edges start at refine_scale / 4
         quarters = (0.8 * np.arange(1, 9)) ** 2
         assert np.allclose(quarters, edges[np.searchsorted(edges, quarters - 1e-9)], rtol=1e-12, atol=0.0)
+
+    def test_diagnose_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma on its first call, about 5 ms of every fresh diagnose, invert or check
+        model = tmp_path / "ou.json"
+        model.write_text(json.dumps({"schemaVersion": 1, "type": "ou", "parameters": {"n": 400}}), encoding="utf-8")
+        assert single_thread_probe(_MA_PROBE, str(model), str(tmp_path / "out")) == {"code": 0, "numpy.ma": False}
 
     @pytest.mark.parametrize("rate, t", [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, -1.0), (1.0, math.nan)],
                              ids=["rate=0", "rate=-1", "rate=nan", "t=-1", "t=nan"])

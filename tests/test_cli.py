@@ -814,6 +814,23 @@ class TestBudgets:
         assert "27273 times x 400 states" in error["message"] and "--steps N" in error["message"]
         assert not (out / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("count", [cli._MAX_GAMMAS, cli._MAX_GAMMAS + 1], ids=["at-budget", "past-budget"])
+    def test_gammas_budget(self, model_files, tmp_path, count):
+        # each value is a regularised solve and a residual: a long --gammas list is refused before any runs
+        out = tmp_path / "out"
+        gammas = ",".join(f"{0.5 ** (1 + i % 40):.17g}" for i in range(count))
+        argv = ["sweep", "--model", model_files["chain2"], "--output", str(out), "--T", "1", "--g", "x",
+                "--gammas", gammas]
+        if count <= cli._MAX_GAMMAS:
+            assert cli_exit(argv) == 0
+            assert len(json.loads((out / "summary.json").read_text())["gammas"]) == count
+            return
+        assert cli_exit(argv) == 2
+        error = json.loads((out / "error.json").read_text())
+        assert error["error"] == "ValidationError"
+        assert error["message"] == f"{count} --gammas values exceed the budget of {cli._MAX_GAMMAS}"
+        assert not (out / "sweep.csv").exists()
+
     def test_time_step_cap_exits_2(self, model_files, tmp_path):
         # the same lambda_max over T = 0.25 needs 3408884 steps (3408885 times), past the 2M-time cap
         out = tmp_path / "out"

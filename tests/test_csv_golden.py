@@ -250,6 +250,25 @@ def _trajectories(draw):
     return sg.BackwardTrajectory(times, values)
 
 
+# %.17g texts of 1..25 bytes: short decimals, and every float, which reaches the 17-digit, exponent and fallback texts
+_STAMPS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0, 0.25, 10.0]), st.floats())
+
+
+@st.composite
+def _stamped_trajectories(draw):
+    """1..12 times by 1..20 states, whose stamps mix short and long texts, so neighbouring chunks take
+    different stamp widths; the values reach every fast exponent X in [-4, 16], both signs, and every
+    fallback kind."""
+    rows, n = draw(st.integers(1, 12)), draw(st.integers(1, 20))
+    times = np.array(draw(st.lists(_STAMPS, min_size=rows, max_size=rows)), float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(1.0, 10.0, (rows, n)) * 10.0 ** rng.integers(-4, 17, (rows, n))
+    values[rng.random((rows, n)) < 0.5] *= -1.0
+    odd = rng.random((rows, n)) < draw(st.floats(0.0, 0.5))
+    values[odd] = rng.choice(ODD_CELLS + [WIDEST], np.count_nonzero(odd))
+    return sg.BackwardTrajectory(times, values)
+
+
 class TestTrajectoryChunks:
     """``trajectory.csv`` in chunks of whole rows, each the bytes of the reference writer."""
 
@@ -305,8 +324,8 @@ class TestTrajectoryChunks:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # one chunk's buffers and kernel arrays, about 175 bytes a chunk cell:
-        # 5.64 and 5.67 MB measured at 1000 and 2000 rows with 32768-cell chunks
+        # one chunk's buffers and kernel arrays, about 170 bytes a chunk cell:
+        # 5.53 and 5.56 MB measured at 1000 and 2000 rows with 32768-cell chunks
         assert peaks[1] < 500 * artifacts._CSV_CHUNK_CELLS
         assert peaks[1] < 1.1 * peaks[0]
 
@@ -326,6 +345,16 @@ class TestTrajectoryChunks:
         assert [c.count(b"\n") for c in chunks[1:-1]] == expected
         assert b"".join(chunks).decode("ascii") == reference_trajectory_csv(traj)
 
+    # one to three rows a chunk: each chunk slices the stamps to its own widest one
+    @settings(deadline=None)
+    @given(_stamped_trajectories(), st.sampled_from(["1", "n", "2n", "3n+1"]))
+    def test_stamps_of_every_width_cross_chunks(self, traj, size):
+        n = traj.values.shape[1]
+        cells = {"1": 1, "n": n, "2n": 2 * n, "3n+1": 3 * n + 1}[size]
+        with mock.patch.object(artifacts, "_CSV_CHUNK_CELLS", cells):
+            text = b"".join(artifacts.trajectory_csv_chunks(traj)).decode("ascii")
+        assert text == reference_trajectory_csv(traj)
+
 
 # -- cells sized to the largest exponent ------------------------------------------
 
@@ -343,11 +372,12 @@ def _capped(rng, size, cap) -> np.ndarray:
 
 def _k(values) -> int:
     """The integer-digit words of ``values``' cells."""
-    return artifacts._cell_words(*artifacts._digits17(np.ravel(values).astype(float))[1:]) - 7
+    return artifacts._integer_words(*artifacts._digits17(np.ravel(values).astype(float))[1:])
 
 
 class TestCellWidth:
-    """Each table or chunk takes 7 + k words a cell, k = ceil(max(X, 0) / 4) over its fast cells."""
+    """Each table or chunk takes max(7, 6 + k) words a cell, k = ceil(max(X, 0) / 4) over its fast cells:
+    6 + k hold every fast cell, and 7 the widest fallback."""
 
     @pytest.mark.parametrize("cap", range(-4, 17))
     def test_random_tables_at_each_exponent_cap(self, cap):
@@ -357,7 +387,7 @@ class TestCellWidth:
             slow = rng.random(64) < 0.2
             values[slow] = rng.choice(FALLBACK, np.count_nonzero(slow))
             values[rng.integers(64)] = 1.2345678901234567 * 10.0**cap  # keep the cap if it was replaced
-            assert artifacts._g17_words(values).shape == (64, 7 + -(-max(cap, 0) // 4))
+            assert artifacts._g17_words(values).shape == (64, max(7, 6 + -(-max(cap, 0) // 4)))
             _assert_g17(values)
 
     def test_fallback_cells_only_take_seven_words(self):

@@ -407,6 +407,8 @@ class TestApplyAndTrajectory:
             dec.synthesize(big)  # the sum of two modes passes 1.8e308
         with pytest.raises(sg.OverflowRisk, match="^synthesized values left double range$"):
             dec.apply(np.array([1.0, 1e300]), [1e10, -1e10])
+        with pytest.raises(sg.OverflowRisk, match="^synthesized values left double range$"):
+            dec.apply(np.ones(2), big)  # its coefficients overflow: one check of the values refuses them
         with pytest.raises(sg.OverflowRisk, match="^mode coefficients left double range$"):
             dec.coefficients(big)
         with pytest.raises(sg.OverflowRisk, match="^trajectory values left double range$"):
