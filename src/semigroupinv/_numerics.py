@@ -21,13 +21,23 @@ def _split(a: np.ndarray):
 
 
 def _two_product_error(a_high, a_low, b_high, b_low, p) -> np.ndarray:
-    """a b - p exactly for p = fl(a b): Dekker's TwoProduct on the Veltkamp splits of a and b."""
+    """a b - p exactly for p = fl(a b): Dekker's TwoProduct on the Veltkamp splits of a and b.
+
+    The result is a new array, and ``b_high`` and ``b_low`` are overwritten:
+    they serve as scratch, so a caller passes splits that nothing else reads
+    (the fresh arrays of ``_split``, or of ``np.take``), each of the result's
+    shape.  ``a_high``, ``a_low`` and ``p`` are only read, and the a parts
+    may be scalars.
+    """
     # e = a_low b_low - (((p - a_high b_high) - a_low b_high) - a_high b_low), every step exact
     e = a_high * b_high
     e -= p
-    e += a_low * b_high
-    e += a_high * b_low
-    e += a_low * b_low
+    b_high *= a_low
+    e += b_high
+    np.multiply(a_high, b_low, out=b_high)
+    e += b_high
+    b_low *= a_low
+    e += b_low
     return e
 
 

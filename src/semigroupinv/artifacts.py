@@ -21,8 +21,10 @@ float column as those bytes: ``_digits17`` finds each cell's digits, and
   which holds the point for |x| >= 1 (nothing when no fraction digit
   follows) or, for |x| < 1, the -X - 1 zeros after the point and the
   leading digit; four words of fraction digits without trailing zeros.
-  Tables of 4-digit words, of head and mid words, and a byte mask per X
-  fill them.
+  A table of 4-digit words fills the fraction words, and the integer words
+  are the first k of them with their NULs turned back into zeros and a byte
+  mask per X applied; one head-and-mid table, a uint64 per sign, fraction,
+  X and lead digit, fills the head and mid words with one lookup.
 * Fallback: every other cell (zeros, subnormals, |x| < 1e-4 or >= ~1e17,
   inf, nan, and values that round to a power of ten, such as 1.0 and
   100.0) is formatted by Python's own %.17g.  Its widest text,
@@ -74,12 +76,14 @@ def _build_g17_tables():
     ``groups``: at v, the 4 digits of v; at v + 10000, the same without
     trailing zeros (0000 gives four NULs).  ``integer_mask``: in column
     X + 4, the bytes of the four digit words that hold digits 1..16 of N at
-    positions p <= X.  ``head``: at (2 * sign + (X < 0)) * 10 + d, the
-    comma and "-" for a negative x, then the lead digit d for |x| >= 1 or
-    "0." for |x| < 1.  ``mid``: at (21 * fraction + X + 4) * 10 + d, with
-    ``fraction`` 1 where a fraction digit follows the integer digits, the
-    point if so for X >= 0 and NULs if not, or for X < 0, -X - 1 zeros and
-    the lead digit d.
+    positions p <= X.  ``head_mid``: the one head-and-mid table, a uint64
+    entry per cell that holds its head word, then its mid word, in memory
+    order, at ((2 * sign + fraction) * 21 + X + 4) * 10 + d, with
+    ``fraction`` 1 where a fraction digit follows the integer digits.  The
+    head word is the comma and "-" for a negative x, then the lead digit d
+    for |x| >= 1 or "0." for |x| < 1; the mid word is the point if a
+    fraction digit follows, and NULs if not, for X >= 0, or for X < 0,
+    -X - 1 zeros and the lead digit d.
     """
     digits = np.indices((10, 10, 10, 10), dtype=np.uint8).reshape(4, -1).T  # row v: the digits of v
     trailing_zero = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]  # it and every later digit 0
@@ -89,19 +93,20 @@ def _build_g17_tables():
     x = np.arange(-4, 17)
     positions = np.arange(1, 17).reshape(4, 4)
     integer_mask = _words(np.where(positions <= x[:, None, None], 255, 0)).T.copy()
-    head = np.zeros((2, 2, 10, 4), np.uint8)  # sign, X < 0, d
+    head_mid = np.zeros((2, 2, 21, 10, 2, 4), np.uint8)  # sign, fraction, X + 4, d, (head, mid) word
+    head, mid = head_mid[..., 0, :], head_mid[..., 1, :]
     head[..., 0] = ord(",")
     head[1, ..., 1] = ord("-")
-    head[:, 0, :, 3] = lead
-    head[0, 1, :, 1:3] = head[1, 1, :, 2:] = np.frombuffer(b"0.", np.uint8)
-    mid = np.zeros((2, 21, 10, 4), np.uint8)  # fraction, X + 4, d
-    mid[1, 4:, :, 0] = ord(".")
-    mid[:, :4, :, :3] = np.where(np.arange(1, 4) <= -1 - x[:4, None], ord("0"), 0)[:, None]
-    mid[:, :4, :, 3] = lead
-    return groups, integer_mask, _words(head).ravel(), _words(mid).ravel()
+    head[:, :, 4:, :, 3] = lead
+    head[0, :, :4, :, 1:3] = head[1, :, :4, :, 2:] = np.frombuffer(b"0.", np.uint8)
+    mid[:, 1, 4:, :, 0] = ord(".")
+    mid[:, :, :4, :, :3] = np.where(np.arange(1, 4) <= -1 - x[:4, None], ord("0"), 0)[:, None]
+    mid[:, :, :4, :, 3] = lead
+    return groups, integer_mask, _words(head_mid.reshape(-1, 2, 4)).view(np.uint64).ravel()
 
 
-_DIGITS4, _INTEGER_MASK, _HEAD, _MID = _build_g17_tables()
+_DIGITS4, _INTEGER_MASK, _HEAD_MID = _build_g17_tables()
+_ZEROS4 = _DIGITS4[0]  # "0000", which turns a NUL left by stripping back into its "0" digit
 
 _POW10 = 10.0 ** np.arange(21)  # exact: every 10^k with k <= 22 is a double
 _POW10_HIGH, _POW10_LOW = _split(_POW10)
@@ -116,20 +121,26 @@ def _round17(a: np.ndarray, k: np.ndarray) -> np.ndarray:
     p = np.take(_POW10, k)
     p *= a
     e = _two_product_error(*_split(a), np.take(_POW10_HIGH, k), np.take(_POW10_LOW, k), p)
-    return p.astype(np.int64) + np.rint(e).astype(np.int64)
+    n = p.astype(np.int64)
+    n += np.rint(e, out=e).astype(np.int64)
+    return n
 
 
 def _digits17(x: np.ndarray):
     """``(n, exp10, fast)``: where ``fast``, |x| rounds to n 10^(exp10 - 16) with 10^16 < n < 10^17.
 
-    The cells outside ``fast`` hold arbitrary n and exp10.
+    ``n`` is int64 and ``exp10`` int32.  The cells outside ``fast`` hold
+    arbitrary n and exp10.
     """
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        exp10 = np.floor(np.log10(a))
+        exp10 = np.log10(a)
+        np.floor(exp10, out=exp10)
     fast = (exp10 >= -4) & (exp10 <= 16)  # False for 0, nan, inf and every subnormal
-    a[~fast], exp10[~fast] = 1.0, 0.0
-    exp10 = exp10.astype(np.int64)
+    if not fast.all():
+        slow = ~fast
+        a[slow], exp10[slow] = 1.0, 0.0
+    exp10 = exp10.astype(np.int32)
     n = _round17(a, 16 - exp10)
     # log10 may round across a power of ten, and N may round up to 10^17: move X once
     moved = np.flatnonzero((n < 10**16) | (n >= 10**17))
@@ -161,12 +172,14 @@ def _g17_render(x: np.ndarray, digits, k: int, out: np.ndarray) -> None:
     6 + k words.
     """
     n, exp10, fast = digits
-    # N = lead 10^16 + four 4-digit groups, one per row of the planar arrays
-    lead = n // 10**16
-    n -= lead * 10**16
+    # N = lead 10^16 + four 4-digit groups, one per row of the planar arrays; past
+    # one int64 split into 9 and 8 digits, every step fits int32
     high = n // 10**8
-    low = (n - high * 10**8).astype(np.int32)
+    n -= high * 10**8
+    low = n.astype(np.int32)
     high = high.astype(np.int32)
+    lead = high // 10**8
+    high -= lead * 10**8
     groups = np.empty((4, x.size), np.int32)
     np.floor_divide(high, 10**4, out=groups[0])
     np.subtract(high, groups[0] * 10**4, out=groups[1])
@@ -185,22 +198,27 @@ def _g17_render(x: np.ndarray, digits, k: int, out: np.ndarray) -> None:
     exp10 += 4  # from here X + 4, the tables' column of X
     if k:
         mask = np.take(_INTEGER_MASK[:k], exp10, axis=1, mode="clip")
-        out[:, 1:1 + k] = (np.take(_DIGITS4, groups[:k], mode="clip") & mask).T
+        # an integer digit that stripping left as NUL is a 0: "0000" restores it
+        integer = fraction[:k] | _ZEROS4
+        integer &= mask
+        out[:, 1:1 + k] = integer.T
         fraction[:k] &= ~mask
-    # the lead digit ends the head of |x| >= 1, and the mid word of |x| < 1 after its zeros
-    head = 2 * np.signbit(x) + (exp10 < 4)
-    head *= 10
-    head += lead
-    out[:, 0] = np.take(_HEAD, head, mode="clip")
     point = fraction[0] | fraction[1] | fraction[2] | fraction[3]
-    mid = (point != 0) * 21 + exp10
-    mid *= 10
-    mid += lead
-    out[:, k + 1] = np.take(_MID, mid, mode="clip")
+    # one lookup for both words: the lead digit ends the head of |x| >= 1, and the mid word of
+    # |x| < 1 after its zeros
+    head_mid = np.signbit(x) * np.int32(2)
+    head_mid += point != 0
+    head_mid *= 21
+    head_mid += exp10
+    head_mid *= 10
+    head_mid += lead
+    words = np.take(_HEAD_MID, head_mid, mode="clip").view(np.uint32).reshape(-1, 2)
+    out[:, 0] = words[:, 0]
+    out[:, k + 1] = words[:, 1]
     for j in range(4):  # a store per word, each reading one contiguous row of ``fraction``
         out[:, k + 2 + j] = fraction[j]
-    slow = np.flatnonzero(~fast)
-    if slow.size:
+    if not fast.all():
+        slow = np.flatnonzero(~fast)
         text = [b",%.17g" % v for v in x[slow].tolist()]
         out[slow] = np.array(text, dtype=f"S{4 * out.shape[1]}").view(np.uint32).reshape(-1, out.shape[1])
 

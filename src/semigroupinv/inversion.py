@@ -221,11 +221,13 @@ def invert_bessel(problem: InverseProblem, alpha: float, coeff_tol: float = COEF
 def conditioning_report(problem: InverseProblem, alpha: float) -> ConditioningReport:
     """Quantify the conditioning of inverting g at horizon T, above ``COEFF_TOL``.
 
-    The spectral membership value sum_k exp(2T(l_k+alpha)) (phi_k, g)^2 is
-    always finite here (finite dimension); what the report grades is its
-    size.  The quadrature twin integrates I0(2 sqrt(2 T s)) against the
-    flow's quadratic form, truncated both by the tail tolerance and by
-    double range, and increases monotonically to the spectral value.
+    The spectral membership value sum_k exp(2T(l_k+alpha)) (phi_k, g)^2,
+    over the modes k above the floor, is always finite here (finite
+    dimension); what the report grades is its size.  With no mode above
+    the floor (g = 0) its log10 is -inf and the twin 0.  The quadrature
+    twin integrates I0(2 sqrt(2 T s)) against the flow's quadratic form,
+    truncated both by the tail tolerance and by double range, and
+    increases monotonically to the spectral value.
     A horizon at which 2T or 2T(lambda_max + alpha) leaves double range
     raises :class:`ValidationError`.
     """
@@ -233,7 +235,7 @@ def conditioning_report(problem: InverseProblem, alpha: float) -> ConditioningRe
     dec = problem.decomposition
     T = problem.horizon
     g = problem.observed
-    c, _, lam_max = _energy_active(dec, g, COEFF_TOL)
+    c, idx, lam_max = _energy_active(dec, g, COEFF_TOL)
     lam = dec.eigenvalues
     top = float(lam[-1]) + float(alpha)
     # 2T first, the I0 horizon below, then the largest ln term's 2T(l + alpha)
@@ -243,22 +245,24 @@ def conditioning_report(problem: InverseProblem, alpha: float) -> ConditioningRe
             f" at lambda_max + alpha = {top!r}"
         )
 
+    # both values sum the modes above the floor only: below it, a coefficient is
+    # rounding noise, which e^(2 l T) would blow up past the value of the data
+    c, beta = c[idx], lam[idx] + alpha
     # log-sum-exp of ln terms 2T(l+a) + ln c^2, in natural log
-    with np.errstate(divide="ignore"):
-        ln_terms = 2.0 * T * (lam + alpha) + 2.0 * np.log(np.abs(c))
-    ln_terms = ln_terms[ln_terms > -math.inf]  # a zero coefficient adds nothing
+    ln_terms = 2.0 * T * beta + 2.0 * np.log(np.abs(c))
     peak = float(ln_terms.max(initial=-math.inf))
     if math.isinf(peak):  # no term, or a coefficient past double range
         spectral_log10 = peak
     else:
         spectral_log10 = (peak + math.log(float(np.exp(ln_terms - peak).sum()))) / _LN10
 
-    beta = lam + alpha
-    # keep both the I0 argument and the integrand inside double range
-    s_cap = (0.5 * MAX_EXPONENT) ** 2 / (2.0 * T)
-    mu = i0_multipliers(2.0 * T, beta, I0_QUADRATURE, s_cap).value
-    with np.errstate(over="ignore"):  # c^2 past double range: the twin is inf, written as null
-        membership_quadrature = float(c * c / beta @ mu)
+    membership_quadrature = 0.0
+    if idx.size:
+        # keep both the I0 argument and the integrand inside double range
+        s_cap = (0.5 * MAX_EXPONENT) ** 2 / (2.0 * T)
+        mu = i0_multipliers(2.0 * T, beta, I0_QUADRATURE, s_cap).value
+        with np.errstate(over="ignore"):  # c^2 past double range: the twin is inf, written as null
+            membership_quadrature = float(c * c / beta @ mu)
 
     exponent = lam_max * T
     if exponent >= math.log(SEVERE_AMPLIFICATION):

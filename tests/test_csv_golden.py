@@ -219,6 +219,42 @@ class TestG17Kernel:
                   np.finfo(float).max, -np.finfo(float).max, math.inf, -math.inf, math.nan]
         _assert_g17(values)
 
+    @staticmethod
+    def _head_mid_entry(text: str):
+        """(sign, fraction, X, lead) of a fast-path text, the key of its head-and-mid table entry; None for a
+        text that the fast path leaves to Python: an exponent, or a power of ten."""
+        digits = text.lstrip("-").replace(".", "").lstrip("0")
+        if "e" in text or digits.rstrip("0") == "1":
+            return None
+        whole, _, fraction = text.lstrip("-").partition(".")
+        if whole == "0":  # 0.00d...: X = -1 - (zeros after the point), and the lead digit ends the mid word
+            zeros = len(fraction) - len(fraction.lstrip("0"))
+            return text[0] == "-", len(fraction) > zeros + 1, -1 - zeros, digits[0]
+        return text[0] == "-", bool(fraction), len(whole) - 1, digits[0]
+
+    def test_sweep_of_the_head_and_mid_table(self):
+        # each sign, X in [-4, 16] and lead digit, with and without fraction digits where a double has
+        # them (5.5e15 has none; 0.5 and 0.002 have none after the lead), and integers whose zeros fall
+        # in the group that trailing-zero stripping empties (1200 is "1" and "200", and "200" is "2"
+        # stripped), whose integer words must turn those NULs back into zeros
+        values = []
+        for x in range(-4, 17):
+            for d in range(1, 10):
+                base = float(f"{d}e{x}")
+                values += [base, float(f"{d}.5e{x}"), float(f"{d}.25e{x}"), float(f"{d}.0625e{x}"),
+                           float(f"{d}.1234567890123456e{x}"), base + 0.5,
+                           math.nextafter(base, 0.0), math.nextafter(base, math.inf)]
+        for whole in (1200.0, 12000000.0, 1.2e11, 1.2e15, 1000200.0, 100020003.0, 3000000000000.0):
+            values += [whole, whole + 0.5, whole + 0.25]
+        values += [-v for v in values]
+        _assert_g17(values)
+        entries = {self._head_mid_entry(_fmt(v)) for v in values} - {None}
+        # every entry that a double reaches: 2 signs x 2 x 21 X x 9 lead digits (no lead digit is 0),
+        # less 48 a sign that none does: X = 16 with a fraction digit, X = 15 with one past 2^52
+        # (leads 5..9), 1.0 (a power of ten, left to Python), and each X < 0 without one but 0.5,
+        # 0.02 and 0.002 (a 17-digit rounding window holds at most one double, the nearest)
+        assert len(entries) == 2 * (2 * 21 * 9 - 48) == 660
+
     def test_fast_path_share_of_a_trajectory(self):
         # the ou400 witness trajectory: almost every value is in the fast range
         gen = sg.build_ou(6.0, 400, 1.0)

@@ -194,6 +194,30 @@ class TestConditioningReport:
         ]
         assert twin_times_t == pytest.approx([twin_times_t[0]] * 3, rel=1e-11)
 
+    @pytest.mark.parametrize("horizon", [0.1, 1.0])
+    def test_sin_on_the_dirichlet_laplacian_is_its_one_mode(self, dirichlet_laplacian400, horizon):
+        # sin x is the lowest mode of f''/2 on [0, pi], lambda = 1/2, and ||sin||_m^2 = pi under the
+        # speed density 2; every other coefficient is rounding noise, which e^(2 lambda T) once
+        # blew up to 10^2783 at T = 0.1
+        dec = dirichlet_laplacian400
+        alpha = 1e-12
+        report = sg.conditioning_report(sg.InverseProblem(dec, horizon, np.sin(dec.space.points)), alpha)
+        expected = math.pi * math.exp(horizon * (1.0 + 2.0 * alpha))
+        assert 10.0 ** report.membership_spectral_log10 == pytest.approx(expected, rel=1e-5)
+        assert report.membership_quadrature == pytest.approx(expected, rel=1e-5)
+
+    @pytest.mark.parametrize("horizon, rel", [(0.1, 1e-4), (0.2, 1e-3)])
+    def test_gaussian_on_the_ou_matches_mehler(self, ou400, horizon, rel):
+        # Mehler's formula for the rate-1 OU, m = e^(-x^2): sum_k e^(2kT) (phi_k, e^(-b x^2))^2
+        # = sqrt(pi / ((1 + b)^2 - b^2 e^(4T))), finite while T < ln(1 + 1/b) / 2; at b = 1
+        # and T = 0.1 it is 1.12, where the sum over every nonzero coefficient read 10^160.9
+        gen, dec = ou400
+        alpha = 1e-12
+        report = sg.conditioning_report(sg.InverseProblem(dec, horizon, np.exp(-gen.space.points**2)), alpha)
+        expected = math.exp(2.0 * horizon * alpha) * math.sqrt(math.pi / (4.0 - math.exp(4.0 * horizon)))
+        assert 10.0 ** report.membership_spectral_log10 == pytest.approx(expected, rel=rel)
+        assert report.membership_quadrature == pytest.approx(expected, rel=rel)
+
     def test_json_field_contract(self, chain2):
         _, dec = chain2
         problem = sg.InverseProblem(dec, 1.0, np.array([1.0, 0.0]))

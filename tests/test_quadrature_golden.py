@@ -33,7 +33,7 @@ SMALL_OU = {"schemaVersion": 1, "type": "ou", "parameters": {"halfWidth": 4.0, "
 GOLDEN_ARTIFACTS = {
     "diagnose/report.json": "901e9d9e0a796fd667d0a204dfb7b634f5faf7c4a33a8fad3497efb3f35121f0",
     "diagnose/summary.json": "7a561f744988dc363bf741868e21097e0ba16e1e206ab6a0f169f9a686bbfa14",
-    "invert-bessel/report.json": "d9b0f5d5c85ea782f26b2a7591a99d97374bd8126b4128e8a99f81b67a34a34b",
+    "invert-bessel/report.json": "01621093636e850fae4c6395de83dd2ce0402f8dd149e619e0f6e178486062c5",
     "invert-bessel/solution.csv": "9c435b3c100b7b48ae598dd256e47f69a40aec2e1f08f68412ac6ba39ec034ba",
     "invert-bessel/summary.json": "b8622e14b58413fad171ea0309e582cc1d8112c68e145a470b700217864ec0b9",
 }
