@@ -185,16 +185,15 @@ def _g17_render(x: np.ndarray, digits, k: int, out: np.ndarray) -> None:
     np.subtract(high, groups[0] * 10**4, out=groups[1])
     np.floor_divide(low, 10**4, out=groups[2])
     np.subtract(low, groups[2] * 10**4, out=groups[3])
-    # a fraction group drops its trailing zeros when every later group is 0
-    stripped = np.empty((4, x.size), np.int32)
-    stripped[3] = 10000
-    np.multiply(groups[3] == 0, 10000, out=stripped[2])
-    np.multiply(groups[2] == 0, stripped[2], out=stripped[1])
-    np.multiply(groups[1] == 0, stripped[1], out=stripped[0])
-    stripped += groups
+    # a fraction group drops its trailing zeros when every later group is 0: in place, each group
+    # becomes its row of _DIGITS4, v + 10000 when stripped, and group j + 1 reads 10000 where it and
+    # every later group are 0
+    groups[3] += 10000
+    for j in (2, 1, 0):
+        np.add(groups[j], 10000, out=groups[j], where=groups[j + 1] == 10000)
     # every table index below is in range where fast; "clip" keeps the other cells' harmless.
     # Digits at positions p > 4k are fraction digits in every fast cell, so only k words need a mask.
-    fraction = np.take(_DIGITS4, stripped, mode="clip")
+    fraction = np.take(_DIGITS4, groups, mode="clip")
     exp10 += 4  # from here X + 4, the tables' column of X
     if k:
         mask = np.take(_INTEGER_MASK[:k], exp10, axis=1, mode="clip")
