@@ -405,6 +405,8 @@ def j0_multipliers(x: float, rates, config: QuadratureConfig, scale: float = 1.0
     result's ``tail_bound`` is the cut tail, scale exp(-min(r) s_max) / min(r).
     """
     rates = np.asarray(rates, dtype=float)
+    if rates.size == 0:
+        raise ValidationError("need at least one mode: the rate array is empty")
     slow = float(rates.min())
     edges = j0_decay_edges(slow, scale, config.tail_tol, x, refine_scale=1.0 / float(rates.max()))
     result = bochner_quadrature(
@@ -438,6 +440,8 @@ def i0_multipliers(a: float, betas, config: QuadratureConfig, s_cap: float = mat
     """
     a = check_range("a", a)
     betas = np.asarray(betas, dtype=float)
+    if betas.size == 0:
+        raise ValidationError("need at least one mode: the beta array is empty")
     root_a = math.sqrt(a)
     u_cap = math.sqrt(max(s_cap, 0.0))
     with np.errstate(invalid="ignore", over="ignore"):  # a bad beta or cap gives a NaN or inf window, refused below

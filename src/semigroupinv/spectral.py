@@ -41,6 +41,15 @@ SYM_TOL = 1e-10
 EIG_TOL = 1e-8
 EIG_CLAMP = 1e-12
 
+# apply and synthesize read the leading modes up to the last nonzero multiplier
+# or coefficient, rounded up to a multiple of this.  A BLAS GEMV sums its
+# columns a few at a time, and a width that is a multiple of that unroll groups
+# the live products as the full width does, so the result keeps its bits.
+# OpenBLAS's x86 kernels (Haswell, SkylakeX, Sandybridge, Nehalem, Prescott)
+# keep them at any multiple of 4 and not at 2 or 3; 64 covers unrolls up to 64
+# for at most 63 more columns read.
+_MODE_BLOCK = 64
+
 
 def _load_dstevd():
     """LAPACK's ``dstevd`` from the OpenBLAS that numpy's linalg extension links, or None.
@@ -291,39 +300,55 @@ class SpectralDecomposition:
 
     def coefficients(self, f) -> np.ndarray:
         """Mode coefficients (phi_k, f) in ascending-eigenvalue order; :class:`OverflowRisk` past double range."""
+        f = self.space.check_vector(f)
         with np.errstate(over="ignore", invalid="ignore"):
-            return check_finite(self._coefficients(f), "mode coefficients")
+            return check_finite(self.eigenvectors.T @ (self.space.weights * f), "mode coefficients")
 
     def synthesize(self, coeffs) -> np.ndarray:
         """Rebuild a grid function from mode coefficients; :class:`OverflowRisk` unless every value is finite.
 
+        Only the live modes are read: the leading modes up to the last
+        nonzero coefficient, rounded up to a multiple of ``_MODE_BLOCK``
+        (64) and capped at n.  The columns past them would add exact zeros,
+        and at a multiple of 64 BLAS groups the partial sums as it does over
+        all n columns, so the result has the bits of the full-width GEMV.
         Callers form the coefficients under ``np.errstate(over="ignore")``,
         so that a product past double range reaches this check.
         """
+        vectors, coeffs = self._live_modes(coeffs, "coefficient")
         with np.errstate(over="ignore", invalid="ignore"):
-            return check_finite(self._synthesize(coeffs), "synthesized values")
+            return check_finite(vectors @ coeffs, "synthesized values")
 
     def apply(self, mult, f) -> np.ndarray:
         """sum_k mult_k (phi_k, f) phi_k: the per-mode multiplier ``mult`` on f.
 
-        :class:`OverflowRisk` unless every value is finite; a coefficient
-        past double range makes every value inf or NaN, so one check of the
-        values covers the coefficients too.
+        ``mult`` must hold one value per mode, else :class:`LengthMismatch`.
+        Both GEMVs read the live modes only, up to the last nonzero
+        multiplier as in :meth:`synthesize`, with the bits of the full-width
+        ones; e^(-lambda_k T) is exactly 0 once lambda_k T > 745.13.  The
+        coefficient of a mode past them is never formed, so it cannot turn
+        the result into NaN.  :class:`OverflowRisk` unless every value is
+        finite; a live coefficient past double range makes every value inf
+        or NaN, so one check of the values covers the coefficients too.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            return check_finite(self._synthesize(mult * self._coefficients(f)), "synthesized values")
-
-    # The unchecked halves of the calls above, run under their np.errstate.
-
-    def _coefficients(self, f) -> np.ndarray:
         f = self.space.check_vector(f)
-        return self.eigenvectors.T @ (self.space.weights * f)
+        vectors, mult = self._live_modes(mult, "multiplier")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return check_finite(vectors @ (mult * (vectors.T @ (self.space.weights * f))), "synthesized values")
 
-    def _synthesize(self, coeffs) -> np.ndarray:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.size,):
-            raise LengthMismatch("coefficient vector has wrong length")
-        return self.eigenvectors @ coeffs
+    def _live_modes(self, values, name: str):
+        """The eigenvectors and ``values`` of the live modes; :class:`LengthMismatch` unless one value per mode.
+
+        The live modes lead up to the last nonzero value (a NaN counts),
+        rounded up to a multiple of ``_MODE_BLOCK`` and capped at n.
+        """
+        values = np.asarray(values, dtype=float)
+        if values.shape != (self.size,):
+            raise LengthMismatch(f"{name} vector of shape {values.shape} for {self.size} modes")
+        nonzero = np.flatnonzero(values)
+        last = nonzero[-1] + 1 if nonzero.size else 0
+        live = min(-(-last // _MODE_BLOCK) * _MODE_BLOCK, self.size)
+        return self.eigenvectors[:, :live], values[:live]
 
     def trajectory(self, rates, times, coeffs, modes=slice(None)) -> np.ndarray:
         """Rows sum_k exp(rates_k t) coeffs_k phi_k over the ``modes``, one per time t.

@@ -61,6 +61,22 @@ def ou400():
 
 
 @pytest.fixture(scope="session")
+def ou1000():
+    """The benchmark's ou1000: at T = 1 only its first 149 semigroup multipliers are nonzero."""
+    gen = sg.build_ou(6.0, 1000, 1.0)
+    return gen, sg.spectral_decompose(gen)
+
+
+@pytest.fixture(scope="session")
+def jump400():
+    """The benchmark's jump400: Gaussian jumps of variance 0.5 under Gaussian weights, on the dense eigh route."""
+    x = np.linspace(-3.0, 3.0, 400)
+    space = sg.build_space(x, np.exp(-0.5 * x**2) / np.sqrt(2.0 * np.pi) * (x[1] - x[0]))
+    gen = sg.build_jump(sg.gaussian_jump_kernel(space, 0.5))
+    return gen, sg.spectral_decompose(gen)
+
+
+@pytest.fixture(scope="session")
 def laplacian50_dirichlet():
     """Absorbing Laplacian f''/2 on [0, pi], n=50: lambda_k ~ k^2/2."""
     gen = sg.build_diffusion(

@@ -252,6 +252,14 @@ class TestLaplaceMultipliers:
             with pytest.raises(sg.ValidationError):
                 i0_multipliers(a, betas, I0_QUADRATURE, s_cap)
 
+    def test_j0_multipliers_refuse_an_empty_mode_array(self):
+        with pytest.raises(sg.ValidationError, match="^need at least one mode: the rate array is empty$"):
+            j0_multipliers(1.0, np.zeros(0), FLOW_QUADRATURE)
+
+    def test_i0_multipliers_refuse_an_empty_mode_array(self):
+        with pytest.raises(sg.ValidationError, match="^need at least one mode: the beta array is empty$"):
+            i0_multipliers(1.0, np.zeros(0), I0_QUADRATURE)
+
     def test_capped_i0_multipliers_stay_below_the_closed_form(self, ou400):
         # ou400 at T = 1: the closed forms reach e^4470, the cap keeps I0's argument at 700
         beta = ou400[1].eigenvalues + 1.0

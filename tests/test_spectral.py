@@ -415,6 +415,76 @@ class TestApplyAndTrajectory:
             dec.trajectory(dec.eigenvalues, [0.0, 700.0], np.array([0.0, 1e300]))
         assert np.isfinite(dec.trajectory(dec.eigenvalues, [0.0, 700.0], np.array([0.0, 1e3]))).all()
 
+    @pytest.mark.parametrize(
+        "mult", [2.0, np.array([2.0]), np.ones(3), np.ones((8, 1))], ids=["scalar", "one-value", "short", "column"]
+    )
+    def test_apply_refuses_a_multiplier_that_is_not_one_value_per_mode(self, mult):
+        # numpy would broadcast the first two to 2 f, and the column to an 8 x 8 array
+        dec = sg.spectral_decompose(sg.build_ou(6.0, 8, 1.0))
+        with pytest.raises(sg.LengthMismatch, match=r"^multiplier vector of shape \(.*\) for 8 modes$"):
+            dec.apply(mult, np.linspace(-1.0, 1.0, 8))
+
+    @pytest.fixture(params=["chain2", "ou400", "ou1000", "dirichlet_laplacian400", "jump400"])
+    def live_model(self, request):
+        model = request.getfixturevalue(request.param)
+        return model[1] if isinstance(model, tuple) else model
+
+    def test_live_modes_keep_the_bits_of_the_full_gemvs(self, live_model):
+        dec = live_model
+        n, vectors, weights = dec.size, dec.eigenvectors, dec.space.weights
+        rng = np.random.default_rng(n)
+        f, c, m = rng.standard_normal(n), rng.standard_normal(n), rng.uniform(0.5, 2.0, n)
+        for k0 in sorted({min(k, n) for k in (0, 1, 63, 64, 65, n // 2, n - 1, n)}):
+            mult, coeffs = m.copy(), c.copy()
+            mult[k0:] = coeffs[k0:] = 0.0
+            full_apply = vectors @ (mult * (vectors.T @ (weights * f)))
+            assert dec.apply(mult, f).tobytes() == full_apply.tobytes(), k0
+            assert dec.synthesize(coeffs).tobytes() == (vectors @ coeffs).tobytes(), k0
+
+    @pytest.mark.parametrize("T", [1e-3, 0.1, 1.0, 10.0])
+    def test_live_modes_of_the_semigroup_on_ou1000(self, ou1000, T):
+        _, dec = ou1000
+        vectors, lam = dec.eigenvectors, dec.eigenvalues
+        f = np.random.default_rng(7).standard_normal(dec.size)
+        mult = np.exp(-lam * T)
+        assert np.count_nonzero(mult) == {1e-3: 1000, 0.1: 523, 1.0: 149, 10.0: 45}[T]
+        full = vectors @ (mult * (vectors.T @ (dec.space.weights * f)))
+        assert sg.semigroup_apply(dec, T, f).tobytes() == full.tobytes()
+
+    def test_live_modes_leave_the_dead_columns_unread(self, ou400):
+        # 100 nonzero multipliers make a live block of 128 modes; NaN past it would poison every value
+        _, dec = ou400
+        rng = np.random.default_rng(5)
+        f, values = rng.standard_normal(dec.size), rng.uniform(0.5, 2.0, dec.size)
+        values[100:] = 0.0
+        vectors = dec.eigenvectors.copy()
+        vectors[:, 128:] = np.nan
+        poisoned = sg.SpectralDecomposition(dec.space, dec.eigenvalues, vectors)
+        out = poisoned.apply(values, f)
+        assert np.isfinite(out).all() and out.tobytes() == dec.apply(values, f).tobytes()
+        assert poisoned.synthesize(values).tobytes() == dec.synthesize(values).tobytes()
+
+    def test_live_modes_of_zero_values_are_positive_zeros(self, ou400):
+        _, dec = ou400
+        f = np.random.default_rng(6).standard_normal(dec.size)
+        zeros = np.zeros(dec.size).tobytes()
+        for z in (np.zeros(dec.size), np.full(dec.size, -0.0)):
+            assert dec.apply(z, f).tobytes() == zeros
+            assert dec.synthesize(z).tobytes() == zeros
+
+    def test_a_dead_coefficient_past_double_range_is_never_formed(self, dirichlet_laplacian400):
+        # f = 1.7e308 sign(phi_300): mode 300's coefficient leaves double range, the first 64 stay below 1.1e307
+        dec = dirichlet_laplacian400
+        f = 1.7e308 * np.sign(dec.eigenvectors[:, 300])
+        with pytest.raises(sg.OverflowRisk, match="^mode coefficients left double range$"):
+            dec.coefficients(f)
+        mult = np.zeros(dec.size)
+        mult[:64] = 1e-300
+        assert np.isfinite(dec.apply(mult, f)).all()
+        mult[300] = 1e-300
+        with pytest.raises(sg.OverflowRisk, match="^synthesized values left double range$"):
+            dec.apply(mult, f)
+
 
 class TestSemigroup:
     def test_time_zero_is_identity(self, chain3):
