@@ -1,4 +1,4 @@
-"""Command-line front end: build models from JSON configs, run inversions,
+"""Command-line front end: load model files, run inversions,
 regularisations and diagnostics, and emit CSV/JSON artifacts.
 
 Exit codes: 0 success, 2 validation error (bad config, bad expression,
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,7 +34,6 @@ from .artifacts import (
 from .bessel import j0_multipliers
 from .errors import (
     MAX_TRAJECTORY_CELLS,
-    ExpressionParseError,
     InvalidConfig,
     NumericalError,
     SemigroupInvError,
@@ -43,6 +41,7 @@ from .errors import (
     check_budget,
     check_count,
     check_finite,
+    check_param,
     check_range,
     clip,
 )
@@ -57,15 +56,7 @@ from .inversion import (
     invert_spectral,
     solve_backward_cauchy,
 )
-from .models import (
-    DiffusionSpec,
-    JumpKernelSpec,
-    build_chain,
-    build_diffusion,
-    build_jump,
-    build_ou,
-    gaussian_jump_kernel,
-)
+from .models import MAX_MODEL_MARKS, SCHEMA_VERSION, ModelSpec, parse_function_literal
 from .regularisation import (
     PHI_FAMILY_NAMES,
     MixtureModel,
@@ -80,7 +71,6 @@ from .regularisation import (
 )
 from .spectral import (
     SymmetricGenerator,
-    build_space,
     inner,
     norm,
     resolvent_apply,
@@ -88,51 +78,16 @@ from .spectral import (
     spectral_decompose,
 )
 
-SCHEMA_VERSION = 1
-
 # ``check`` compares the resolvent flow with its J0 quadrature only up to this
 # lambda_max; above it the comparison is reported as skipped, with the reason.
 _FLOW_CHECK_LAMBDA_MAX = 50.0
 
-# Most grid cells of an ``ou`` or ``diffusion`` model, which the library holds
-# as three bands.  At 4000 cells (one OpenBLAS thread, 2-core Xeon) such a
-# model builds and decomposes in 2.0-2.4 s at a peak RSS of 0.28 GB, nearly
-# all of it dstevd's eigenvectors with its workspace or with their C-ordered
-# rescaling, two of the 128 MB n x n arrays.
-_MAX_STATES = 4000
-
-# Most states of a dense model: the ``weights`` of a ``chain``, the ``points``
-# and ``weights`` of a ``jump``.  These run the dense eigh, and their peak
-# grows as n^2: a Gaussian ``jump`` model of 2000 points builds and
-# decomposes in about 1.9 s at 0.25 GB, one of 2800 points reaches 0.45 GB.
-_MAX_DENSE_STATES = 2000
-
 # Most bytes of a model or vector file.  It admits the largest model the
-# state budgets allow: a ``chain`` of _MAX_DENSE_STATES whose matrix json.dumps
+# state budgets of ``models`` allow: a ``chain`` of 2000 states whose matrix json.dumps
 # writes at full precision, at most 26 bytes an entry ("-2.2250738585072014e-308, ").
 # Reading and parsing such a file of 94 MB peaks at 0.27 GB RSS in 1.6 s (2-core
 # Xeon).
 _MAX_INPUT_BYTES = 128 * 2**20
-
-# Most value marks in a model file: commas, colons and opening brackets.  Every
-# JSON value but the outermost follows one of them, so they bound the values
-# json.loads makes of it, which the byte budget alone does not: a budget-sized
-# file of "0," entries parses to 67M references at a 1.2 GB peak, and one of
-# nested one-element lists, which holds no comma, to 60M lists.  The largest
-# model the state budgets allow, a ``jump`` of _MAX_DENSE_STATES points with its
-# kernel, holds n^2 + 3n + 14; keys and expressions take far fewer than the
-# 1000 to spare.
-_MAX_MODEL_MARKS = _MAX_DENSE_STATES * (_MAX_DENSE_STATES + 3) + 1000
-
-# Deepest nesting of parentheses and exp( an expression may use, which keeps
-# the recursive-descent parser far inside Python's recursion limit.
-_MAX_EXPRESSION_DEPTH = 100
-
-# Most characters of an expression, refused before it is parsed.  Each term
-# costs a pass over the grid: a 128 MiB ``x+x+...`` sigma, inside both file
-# budgets, would take about 2 minutes to evaluate, while 65,536 characters
-# take 0.07 s at n = 4000 (one OpenBLAS thread, 2-core EPYC).
-_MAX_EXPRESSION_CHARS = 65536
 
 # Most values of a ``sweep --gammas`` list.  Each one runs a regularised solve
 # and a residual: 0.09-0.13 ms at n = 400, 1.8-2.1 ms at n = 2000 and
@@ -142,260 +97,7 @@ _MAX_EXPRESSION_CHARS = 65536
 _MAX_GAMMAS = 256
 
 
-# -- restricted function-literal grammar ---------------------------------------
-#
-# expr      := term (('+'|'-') term)*
-# term      := unary (('*')? unary)*          (juxtaposition multiplies: "2x")
-# unary     := ('-'|'+')? factor
-# factor    := atom ('^' INT)?
-# atom      := NUMBER | 'x' | 'exp(' expr ')' | 'indicator(' num ',' num ')'
-#              | 'random(' INT ')' | '(' expr ')'
-#
-# A token is a NUMBER (digits and points, each e or E in it taking one optional
-# sign), a name (letters) or any one other character; whitespace separates
-# tokens.  So "1e+3", "2e" and "1.2.3" are one NUMBER each, and ``_float``
-# refuses the last two.  At the end of the text the token is empty.
-_TOKEN = re.compile(r"\s*(?:(?P<number>[\d.](?:[\d.]|[eE][+-]?)*)|(?P<name>[^\W\d_]+)|(?P<op>.))?")
-
-
-def _float(text: str, pos: int) -> float:
-    """``float(text)`` of the NUMBER at ``pos``; a text ``float`` refuses raises :class:`ExpressionParseError`."""
-    try:
-        return float(text)
-    except ValueError:
-        raise ExpressionParseError(f"bad number {clip(repr(text))}", pos) from None
-
-
-def _integer(text: str, pos: int, message: str) -> int:
-    """The INT ``text`` at ``pos``, decimal digits only; anything else raises ``ExpressionParseError(message)``."""
-    if text.isdecimal():
-        try:
-            return int(text)
-        except ValueError:  # past Python's limit on the digits of an int literal
-            message = f"{message} of at most {sys.get_int_max_str_digits()} digits"
-    raise ExpressionParseError(message, pos)
-
-
-class _Parser:
-    """Recursive-descent evaluator over a fixed grid.
-
-    It scans one token ahead of the parse, so a long text is never split
-    into a token list: ``kind`` is "number", "name", "op" or None at the
-    end, ``token`` its text and ``pos`` its position.
-    """
-
-    def __init__(self, text: str, points, source: str = "expression"):
-        check_budget(f"characters in {source}", len(text), _MAX_EXPRESSION_CHARS)
-        self.text = text
-        self.points = np.asarray(points, float)
-        self.depth = 0
-        self.kind, self.token, self.pos, self.end = None, "", 0, 0
-        self._take()
-
-    def _take(self) -> tuple[str, int]:
-        """The current token and its position; the token after it becomes current."""
-        taken = self.token, self.pos
-        match = _TOKEN.match(self.text, self.end)
-        self.kind = match.lastgroup
-        self.token = match[self.kind] if self.kind else ""
-        self.end = match.end()
-        self.pos = self.end - len(self.token)
-        return taken
-
-    def parse(self) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):  # every caller refuses an inf or NaN value
-            value = self._expr()
-        if self.kind is not None:
-            raise ExpressionParseError(f"unexpected {clip(repr(self.token))}", self.pos)
-        return np.broadcast_to(np.asarray(value, float), self.points.shape).copy()
-
-    def _expr(self):
-        value = self._term()
-        while self.token in ("+", "-"):
-            op, _ = self._take()
-            value = value + self._term() if op == "+" else value - self._term()
-        return value
-
-    def _term(self):
-        value = self._unary()
-        while self.token in ("*", "(") or self.kind in ("number", "name"):
-            if self.token == "*":
-                self._take()
-            value = value * self._unary()
-        return value
-
-    def _unary(self):
-        if self.token in ("-", "+") and self._take()[0] == "-":
-            return -self._factor()
-        return self._factor()
-
-    def _factor(self):
-        value = self._atom()
-        if self.token != "^":
-            return value
-        _, pos = self._take()
-        exponent = _integer(*self._take(), "exponent must be a non-negative integer")
-        try:
-            return value ** exponent
-        except OverflowError:  # a float literal's power; arrays overflow to inf
-            raise ExpressionParseError("power exceeds double range", pos) from None
-
-    def _expect(self, symbol: str):
-        token, pos = self._take()
-        if token != symbol:
-            raise ExpressionParseError(f"expected {symbol!r}", pos)
-
-    def _nested(self, pos: int):
-        """The expression inside a parenthesis opened at ``pos``, and its ')'."""
-        if self.depth == _MAX_EXPRESSION_DEPTH:
-            raise ExpressionParseError(f"nesting deeper than {_MAX_EXPRESSION_DEPTH} levels", pos)
-        self.depth += 1
-        value = self._expr()
-        self._expect(")")
-        self.depth -= 1
-        return value
-
-    def _number(self) -> float:
-        """A bound of ``indicator``: a NUMBER, perhaps after one '-'."""
-        sign = -1.0 if self.token == "-" else 1.0
-        if sign < 0:
-            self._take()
-        if self.kind != "number":
-            raise ExpressionParseError("expected a number", self.pos)
-        return sign * _float(*self._take())
-
-    def _atom(self):
-        if self.kind is None:
-            raise ExpressionParseError("unexpected end of expression", self.pos)
-        if self.kind == "number":
-            return _float(*self._take())
-        kind = self.kind
-        token, pos = self._take()
-        if token == "(":
-            return self._nested(pos)
-        if token == "x":
-            return self.points
-        if token == "exp":
-            self._expect("(")
-            return np.exp(self._nested(pos))
-        if token == "indicator":
-            self._expect("(")
-            lo = self._number()
-            self._expect(",")
-            hi = self._number()
-            self._expect(")")
-            return ((self.points >= lo) & (self.points <= hi)).astype(float)
-        if token == "random":
-            self._expect("(")
-            seed = _integer(*self._take(), "random() needs an integer seed")
-            self._expect(")")
-            return np.random.default_rng(seed).standard_normal(self.points.size)
-        raise ExpressionParseError(f"{'unknown name' if kind == 'name' else 'unexpected'} {clip(repr(token))}", pos)
-
-
-def parse_function_literal(expr: str, space) -> np.ndarray:
-    """Evaluate a restricted expression on the space's grid points.
-
-    Grammar: polynomials in x, exp(<expr>), indicator(a, b), random(seed),
-    with + - * ^ and parentheses.  random(seed) is reproducible.  A text
-    longer than ``_MAX_EXPRESSION_CHARS`` is refused before it is parsed.
-    """
-    return _Parser(expr, space.points).parse()
-
-
 # -- model loading --------------------------------------------------------------
-
-
-_REQUIRED = object()
-
-
-def _states(value) -> int:
-    n = int(value)
-    if n != float(value):
-        raise ValueError(f"expected an integer, got {value!r}")
-    if n > _MAX_STATES:
-        raise ValueError(f"{n} states exceed the budget of {_MAX_STATES}")
-    return n
-
-
-def _array(value) -> np.ndarray:
-    return np.asarray(value, float)
-
-
-def _state_array(value) -> np.ndarray:
-    """One entry per state of a dense model: ``_array(value)``, at most ``_MAX_DENSE_STATES`` long."""
-    values = _array(value)
-    if values.size > _MAX_DENSE_STATES:
-        raise ValueError(f"{values.size} states exceed the dense-model budget of {_MAX_DENSE_STATES}")
-    return values
-
-
-def _text(value) -> str:
-    """``str(value)``, so a number reads as it prints (``2`` as ``"2"``); a JSON null is refused."""
-    if value is None:
-        raise ValueError("expected a value, got null")
-    return str(value)
-
-
-def _model_param(params: dict, key: str, convert, default=_REQUIRED, label="model parameter"):
-    """``convert(params[key])``, or ``default`` only when ``key`` is absent.
-
-    A missing required key, or a value ``convert`` rejects, raises
-    :class:`InvalidConfig` naming the ``label`` and the key.
-    """
-    if key not in params:
-        if default is _REQUIRED:
-            raise InvalidConfig(f"{label} {key!r} is required")
-        return default
-    try:
-        return convert(params[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidConfig(f"{label} {key!r}: {clip(str(exc))}") from None
-
-
-def build_model(spec: dict) -> SymmetricGenerator:
-    """Instantiate a generator from a JSON model description."""
-    if not isinstance(spec, dict):
-        raise InvalidConfig("model spec must be a JSON object")
-    if spec.get("schemaVersion") != SCHEMA_VERSION:
-        raise InvalidConfig(f"unsupported schemaVersion {clip(repr(spec.get('schemaVersion')))}")
-    kind = spec.get("type")
-    params = spec.get("parameters", {})
-    if not isinstance(params, dict):
-        raise InvalidConfig("model parameters must be a JSON object")
-    if kind == "chain":
-        weights = _model_param(params, "weights", _state_array)
-        return build_chain(_model_param(params, "matrix", _array), weights)
-    if kind == "ou":
-        return build_ou(
-            _model_param(params, "halfWidth", float, 6.0),
-            _model_param(params, "n", _states, 400),
-            _model_param(params, "rate", float, 1.0),
-        )
-    if kind == "diffusion":
-        sigma = _model_param(params, "sigma", _text, "1")
-        kill = _model_param(params, "kill", _text, None)
-        return build_diffusion(
-            DiffusionSpec(
-                left=_model_param(params, "left", float),
-                right=_model_param(params, "right", float),
-                n=_model_param(params, "n", _states),
-                sigma=lambda x: _Parser(sigma, x, "model parameter 'sigma'").parse(),
-                kill=None if kill is None else (lambda x: _Parser(kill, x, "model parameter 'kill'").parse()),
-                boundary_left=_model_param(params, "boundaryLeft", _text, "neumann"),
-                boundary_right=_model_param(params, "boundaryRight", _text, "neumann"),
-            )
-        )
-    if kind == "jump":
-        space = build_space(
-            _model_param(params, "points", _state_array), _model_param(params, "weights", _state_array)
-        )
-        if "kernel" in params:
-            kernel = JumpKernelSpec(_model_param(params, "kernel", _array), space)
-        else:
-            kernel = gaussian_jump_kernel(space, _model_param(params, "tStar", float, 1.0))
-        return build_jump(kernel)
-    raise InvalidConfig(f"unknown model type {clip(repr(kind))}")
 
 
 def _value_marks(data: bytes) -> int:
@@ -423,7 +125,8 @@ def _read_text(path, what: str, max_marks: int) -> str:
 
 
 def load_model_file(path) -> SymmetricGenerator:
-    text = _read_text(path, "model file", _MAX_MODEL_MARKS)
+    """The generator of the model file at ``path``, read within the byte and value-mark budgets."""
+    text = _read_text(path, "model file", MAX_MODEL_MARKS)
     try:
         spec = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -431,7 +134,7 @@ def load_model_file(path) -> SymmetricGenerator:
     except ValueError:  # json.loads's int() of a literal past Python's limit on the digits of an int
         limit = sys.get_int_max_str_digits()
         raise InvalidConfig(f"model file {path} holds an integer past the limit of {limit} digits") from None
-    return build_model(spec)
+    return ModelSpec.from_json(spec).build()
 
 
 # -- run configuration ------------------------------------------------------------
@@ -498,7 +201,7 @@ def _param(params: dict, name: str):
     raises :class:`InvalidConfig` naming the flag.
     """
     convert, default, _ = _FLAGS[name]
-    return _model_param(params, name, convert, default, label="flag")
+    return check_param(params, name, convert, default, label="flag")
 
 
 def _observed_vector(source: str, gen: SymmetricGenerator) -> np.ndarray:
@@ -521,7 +224,7 @@ def _observed_vector(source: str, gen: SymmetricGenerator) -> np.ndarray:
                     f" has {float(got[k])!r}, the model {float(want[k])!r}"
                 )
     else:
-        values = _Parser(source, gen.space.points, "--g").parse()
+        values = parse_function_literal(source, gen.space, "--g")
     check_observed(gen.space, values)
     return values
 

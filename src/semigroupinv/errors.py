@@ -145,6 +145,28 @@ def clip(text: str) -> str:
     return f"{text[:QUOTE_CHARS]}... ({len(text) - QUOTE_CHARS} more characters)"
 
 
+# -- parameters ------------------------------------------------------------------
+
+# The default of a parameter that must be given.
+REQUIRED = object()
+
+
+def check_param(params: dict, key: str, convert, default=REQUIRED, label="model parameter"):
+    """``convert(params[key])``, or ``default`` only when ``key`` is absent.
+
+    A missing required key, or a value ``convert`` rejects, raises
+    :class:`InvalidConfig` naming the ``label`` and the key.
+    """
+    if key not in params:
+        if default is REQUIRED:
+            raise InvalidConfig(f"{label} {key!r} is required")
+        return default
+    try:
+        return convert(params[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidConfig(f"{label} {key!r}: {clip(str(exc))}") from None
+
+
 # -- parameter ranges ---------------------------------------------------------
 
 def check_range(name, value, low=0.0, high=math.inf, *, closed=False, error=ValidationError) -> float:

@@ -1,5 +1,7 @@
 """Generator builders: 1-D diffusions, the Ornstein-Uhlenbeck process,
-symmetric jump kernels, and explicit chains for hand-checked oracles.
+symmetric jump kernels, and explicit chains for hand-checked oracles; and
+the model file (``ModelSpec``) with its expression grammar, which describe
+a generator in JSON.
 
 Diffusions are discretised in divergence (speed-measure) form on a
 cell-centered uniform grid, which keeps m-symmetry exact to round-off at any
@@ -10,20 +12,27 @@ both orientations by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import re
+import sys
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import (
+    REQUIRED,
     AsymmetricKernel,
+    ExpressionParseError,
     InvalidBoundary,
+    InvalidConfig,
     LengthMismatch,
     NonPositiveSigma,
     RowMassExceeded,
     ValidationError,
+    check_budget,
     check_count,
     check_exponent,
+    check_param,
     check_range,
     clip,
 )
@@ -259,3 +268,311 @@ def build_chain(matrix, weights) -> SymmetricGenerator:
         raise LengthMismatch(f"matrix shape {matrix.shape} with {n} weights")
     space = build_space(np.arange(n, dtype=float), weights)
     return SymmetricGenerator(space, matrix)
+
+
+# -- model-file budgets ----------------------------------------------------------
+
+# Most grid cells of an ``ou`` or ``diffusion`` model, which the library holds
+# as three bands.  At 4000 cells (one OpenBLAS thread, 2-core Xeon) such a
+# model builds and decomposes in 2.0-2.4 s at a peak RSS of 0.28 GB, nearly
+# all of it dstevd's eigenvectors with its workspace or with their C-ordered
+# rescaling, two of the 128 MB n x n arrays.
+_MAX_STATES = 4000
+
+# Most states of a dense model: the ``weights`` of a ``chain``, the ``points``
+# and ``weights`` of a ``jump``.  These run the dense eigh, and their peak
+# grows as n^2: a Gaussian ``jump`` model of 2000 points builds and
+# decomposes in about 1.9 s at 0.25 GB, one of 2800 points reaches 0.45 GB.
+_MAX_DENSE_STATES = 2000
+
+# Most value marks in a model file: commas, colons and opening brackets.  Every
+# JSON value but the outermost follows one of them, so they bound the values
+# json.loads makes of it, which the byte budget alone does not: a budget-sized
+# file of "0," entries parses to 67M references at a 1.2 GB peak, and one of
+# nested one-element lists, which holds no comma, to 60M lists.  The largest
+# model the state budgets allow, a ``jump`` of _MAX_DENSE_STATES points with its
+# kernel, holds n^2 + 3n + 14; keys and expressions take far fewer than the
+# 1000 to spare.
+MAX_MODEL_MARKS = _MAX_DENSE_STATES * (_MAX_DENSE_STATES + 3) + 1000
+
+# Deepest nesting of parentheses and exp( an expression may use, which keeps
+# the recursive-descent parser far inside Python's recursion limit.
+_MAX_EXPRESSION_DEPTH = 100
+
+# Most characters of an expression, refused before it is parsed.  Each term
+# costs a pass over the grid: a 128 MiB ``x+x+...`` sigma, inside both file
+# budgets, would take about 2 minutes to evaluate, while 65,536 characters
+# take 0.07 s at n = 4000 (one OpenBLAS thread, 2-core EPYC).
+_MAX_EXPRESSION_CHARS = 65536
+
+
+# -- restricted function-literal grammar ---------------------------------------
+#
+# expr      := term (('+'|'-') term)*
+# term      := unary (('*')? unary)*          (juxtaposition multiplies: "2x")
+# unary     := ('-'|'+')? factor
+# factor    := atom ('^' INT)?
+# atom      := NUMBER | 'x' | 'exp(' expr ')' | 'indicator(' num ',' num ')'
+#              | 'random(' INT ')' | '(' expr ')'
+#
+# A token is a NUMBER (digits and points, each e or E in it taking one optional
+# sign), a name (letters) or any one other character; whitespace separates
+# tokens.  So "1e+3", "2e" and "1.2.3" are one NUMBER each, and ``_float``
+# refuses the last two.  At the end of the text the token is empty.
+_TOKEN = re.compile(r"\s*(?:(?P<number>[\d.](?:[\d.]|[eE][+-]?)*)|(?P<name>[^\W\d_]+)|(?P<op>.))?")
+
+
+def _float(text: str, pos: int) -> float:
+    """``float(text)`` of the NUMBER at ``pos``; a text ``float`` refuses raises :class:`ExpressionParseError`."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ExpressionParseError(f"bad number {clip(repr(text))}", pos) from None
+
+
+def _integer(text: str, pos: int, message: str) -> int:
+    """The INT ``text`` at ``pos``, decimal digits only; anything else raises ``ExpressionParseError(message)``."""
+    if text.isdecimal():
+        try:
+            return int(text)
+        except ValueError:  # past Python's limit on the digits of an int literal
+            message = f"{message} of at most {sys.get_int_max_str_digits()} digits"
+    raise ExpressionParseError(message, pos)
+
+
+class _Parser:
+    """Recursive-descent evaluator over a fixed grid.
+
+    It scans one token ahead of the parse, so a long text is never split
+    into a token list: ``kind`` is "number", "name", "op" or None at the
+    end, ``token`` its text and ``pos`` its position.
+    """
+
+    def __init__(self, text: str, points, source: str = "expression"):
+        check_budget(f"characters in {source}", len(text), _MAX_EXPRESSION_CHARS)
+        self.text = text
+        self.points = np.asarray(points, float)
+        self.depth = 0
+        self.kind, self.token, self.pos, self.end = None, "", 0, 0
+        self._take()
+
+    def _take(self) -> tuple[str, int]:
+        """The current token and its position; the token after it becomes current."""
+        taken = self.token, self.pos
+        match = _TOKEN.match(self.text, self.end)
+        self.kind = match.lastgroup
+        self.token = match[self.kind] if self.kind else ""
+        self.end = match.end()
+        self.pos = self.end - len(self.token)
+        return taken
+
+    def parse(self) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):  # every caller refuses an inf or NaN value
+            value = self._expr()
+        if self.kind is not None:
+            raise ExpressionParseError(f"unexpected {clip(repr(self.token))}", self.pos)
+        return np.broadcast_to(np.asarray(value, float), self.points.shape).copy()
+
+    def _expr(self):
+        value = self._term()
+        while self.token in ("+", "-"):
+            op, _ = self._take()
+            value = value + self._term() if op == "+" else value - self._term()
+        return value
+
+    def _term(self):
+        value = self._unary()
+        while self.token in ("*", "(") or self.kind in ("number", "name"):
+            if self.token == "*":
+                self._take()
+            value = value * self._unary()
+        return value
+
+    def _unary(self):
+        if self.token in ("-", "+") and self._take()[0] == "-":
+            return -self._factor()
+        return self._factor()
+
+    def _factor(self):
+        value = self._atom()
+        if self.token != "^":
+            return value
+        _, pos = self._take()
+        exponent = _integer(*self._take(), "exponent must be a non-negative integer")
+        try:
+            return value ** exponent
+        except OverflowError:  # a float literal's power; arrays overflow to inf
+            raise ExpressionParseError("power exceeds double range", pos) from None
+
+    def _expect(self, symbol: str):
+        token, pos = self._take()
+        if token != symbol:
+            raise ExpressionParseError(f"expected {symbol!r}", pos)
+
+    def _nested(self, pos: int):
+        """The expression inside a parenthesis opened at ``pos``, and its ')'."""
+        if self.depth == _MAX_EXPRESSION_DEPTH:
+            raise ExpressionParseError(f"nesting deeper than {_MAX_EXPRESSION_DEPTH} levels", pos)
+        self.depth += 1
+        value = self._expr()
+        self._expect(")")
+        self.depth -= 1
+        return value
+
+    def _number(self) -> float:
+        """A bound of ``indicator``: a NUMBER, perhaps after one '-'."""
+        sign = -1.0 if self.token == "-" else 1.0
+        if sign < 0:
+            self._take()
+        if self.kind != "number":
+            raise ExpressionParseError("expected a number", self.pos)
+        return sign * _float(*self._take())
+
+    def _atom(self):
+        if self.kind is None:
+            raise ExpressionParseError("unexpected end of expression", self.pos)
+        if self.kind == "number":
+            return _float(*self._take())
+        kind = self.kind
+        token, pos = self._take()
+        if token == "(":
+            return self._nested(pos)
+        if token == "x":
+            return self.points
+        if token == "exp":
+            self._expect("(")
+            return np.exp(self._nested(pos))
+        if token == "indicator":
+            self._expect("(")
+            lo = self._number()
+            self._expect(",")
+            hi = self._number()
+            self._expect(")")
+            return ((self.points >= lo) & (self.points <= hi)).astype(float)
+        if token == "random":
+            self._expect("(")
+            seed = _integer(*self._take(), "random() needs an integer seed")
+            self._expect(")")
+            return np.random.default_rng(seed).standard_normal(self.points.size)
+        raise ExpressionParseError(f"{'unknown name' if kind == 'name' else 'unexpected'} {clip(repr(token))}", pos)
+
+
+def parse_function_literal(expr: str, space, source: str = "expression") -> np.ndarray:
+    """Evaluate a restricted expression on the space's grid points.
+
+    Grammar: polynomials in x, exp(<expr>), indicator(a, b), random(seed),
+    with + - * ^ and parentheses.  random(seed) is reproducible.  A text
+    longer than ``_MAX_EXPRESSION_CHARS`` is refused before it is parsed,
+    with ``source`` naming it.
+    """
+    return _Parser(expr, space.points, source).parse()
+
+
+# -- model files ------------------------------------------------------------------
+#
+# A model file is the JSON object {"schemaVersion": 1, "type": <kind>,
+# "parameters": {...}}; ``ModelSpec`` owns its schema.
+
+SCHEMA_VERSION = 1
+
+
+def _states(value) -> int:
+    n = int(value)
+    if n != float(value):
+        raise ValueError(f"expected an integer, got {value!r}")
+    if n > _MAX_STATES:
+        raise ValueError(f"{n} states exceed the budget of {_MAX_STATES}")
+    return n
+
+
+def _array(value) -> np.ndarray:
+    return np.asarray(value, float)
+
+
+def _state_array(value) -> np.ndarray:
+    """One entry per state of a dense model: ``_array(value)``, at most ``_MAX_DENSE_STATES`` long."""
+    values = _array(value)
+    if values.size > _MAX_DENSE_STATES:
+        raise ValueError(f"{values.size} states exceed the dense-model budget of {_MAX_DENSE_STATES}")
+    return values
+
+
+def _text(value) -> str:
+    """``str(value)``, so a number reads as it prints (``2`` as ``"2"``); a JSON null is refused."""
+    if value is None:
+        raise ValueError("expected a value, got null")
+    return str(value)
+
+
+# Every parameter of each model type, in the order a file's are read: JSON key,
+# converter, value when absent.  A ``diffusion`` keeps ``sigma`` and ``kill`` as
+# text, parsed only once its grid is built.
+_PARAMETERS = {
+    "chain": (("weights", _state_array, REQUIRED), ("matrix", _array, REQUIRED)),
+    "ou": (("halfWidth", float, 6.0), ("n", _states, 400), ("rate", float, 1.0)),
+    "diffusion": (
+        ("sigma", _text, "1"), ("kill", _text, None), ("left", float, REQUIRED), ("right", float, REQUIRED),
+        ("n", _states, REQUIRED), ("boundaryLeft", _text, "neumann"), ("boundaryRight", _text, "neumann"),
+    ),
+    "jump": (
+        ("points", _state_array, REQUIRED), ("weights", _state_array, REQUIRED),
+        ("kernel", _array, None), ("tStar", float, 1.0),
+    ),
+}
+
+
+@dataclass(frozen=True, eq=False)
+class ModelSpec:
+    """A model type and its parameters, each converted by its ``_PARAMETERS`` entry."""
+
+    kind: str
+    parameters: dict
+
+    @classmethod
+    def from_json(cls, spec) -> ModelSpec:
+        """The spec of a parsed model file; one that breaks the schema raises :class:`InvalidConfig`."""
+        if not isinstance(spec, dict):
+            raise InvalidConfig("model spec must be a JSON object")
+        if spec.get("schemaVersion") != SCHEMA_VERSION:
+            raise InvalidConfig(f"unsupported schemaVersion {clip(repr(spec.get('schemaVersion')))}")
+        kind = spec.get("type")
+        params = spec.get("parameters", {})
+        if not isinstance(params, dict):
+            raise InvalidConfig("model parameters must be a JSON object")
+        if not (isinstance(kind, str) and kind in _PARAMETERS):
+            raise InvalidConfig(f"unknown model type {clip(repr(kind))}")
+        values = {}
+        for key, convert, default in _PARAMETERS[kind]:
+            if key == "tStar" and values["kernel"] is not None:
+                continue  # tStar sizes the Gaussian kernel, which a given kernel replaces: it is not read
+            values[key] = check_param(params, key, convert, default)
+        return cls(kind, values)
+
+    def build(self) -> SymmetricGenerator:
+        """The generator of this spec."""
+        p = self.parameters
+        if self.kind == "chain":
+            return build_chain(p["matrix"], p["weights"])
+        if self.kind == "ou":
+            return build_ou(p["halfWidth"], p["n"], p["rate"])
+        if self.kind == "diffusion":
+            sigma, kill = p["sigma"], p["kill"]
+            return build_diffusion(DiffusionSpec(
+                p["left"], p["right"], p["n"], lambda x: _Parser(sigma, x, "model parameter 'sigma'").parse(),
+                None if kill is None else (lambda x: _Parser(kill, x, "model parameter 'kill'").parse()),
+                p["boundaryLeft"], p["boundaryRight"],
+            ))
+        space = build_space(p["points"], p["weights"])
+        return build_jump(gaussian_jump_kernel(space, p["tStar"]) if p["kernel"] is None
+                          else JumpKernelSpec(p["kernel"], space))
+
+    def coarsened(self) -> ModelSpec | None:
+        """This spec on n/2 cells of the same interval, for an ``ou`` or ``diffusion`` of even n >= 6.
+
+        None for a ``chain`` or ``jump``, which have no grid to coarsen, for an
+        odd n, whose cells do not nest, and for n < 6.
+        """
+        n = self.parameters.get("n")
+        if self.kind not in ("ou", "diffusion") or n % 2 or n < 6:
+            return None
+        return replace(self, parameters={**self.parameters, "n": n // 2})

@@ -16,9 +16,11 @@ import pytest
 
 import semigroupinv as sg
 from conftest import failing_dstevd
-from semigroupinv import artifacts, cli, spectral
+from semigroupinv import artifacts, cli, models, spectral
 from semigroupinv.artifacts import vector_from_csv
-from semigroupinv.cli import RunConfig, build_model, load_model_file, main, parse_function_literal, run
+from semigroupinv.cli import RunConfig, load_model_file, main, parse_function_literal, run
+from semigroupinv.errors import check_param
+from semigroupinv.models import ModelSpec
 
 CHAIN2_JSON = {
     "schemaVersion": 1,
@@ -131,20 +133,20 @@ class TestExpressionGrammar:
 
 class TestModelLoading:
     def test_chain_round_trip(self):
-        gen = build_model(CHAIN2_JSON)
+        gen = ModelSpec.from_json(CHAIN2_JSON).build()
         assert gen.size == 2
         assert np.array_equal(gen.matrix, np.array([[-0.5, 0.5], [0.5, -0.5]]))
 
     def test_rejects_wrong_schema_version(self):
         with pytest.raises(sg.InvalidConfig):
-            build_model({"schemaVersion": 2, "type": "chain", "parameters": {}})
+            ModelSpec.from_json({"schemaVersion": 2, "type": "chain", "parameters": {}}).build()
 
     def test_rejects_unknown_type(self):
         with pytest.raises(sg.InvalidConfig):
-            build_model({"schemaVersion": 1, "type": "levy", "parameters": {}})
+            ModelSpec.from_json({"schemaVersion": 1, "type": "levy", "parameters": {}}).build()
 
     def test_diffusion_with_expressions(self):
-        gen = build_model(
+        gen = ModelSpec.from_json(
             {
                 "schemaVersion": 1,
                 "type": "diffusion",
@@ -154,7 +156,7 @@ class TestModelLoading:
                     "boundaryLeft": "dirichlet", "boundaryRight": "neumann",
                 },
             }
-        )
+        ).build()
         assert gen.size == 16
         assert sg.check_m_symmetry(gen.matrix, gen.space) <= 1e-12
 
@@ -172,7 +174,7 @@ class TestModelLoading:
     )
     def test_missing_required_key_names_it(self, kind, params, missing):
         with pytest.raises(sg.InvalidConfig, match=f"'{missing}' is required"):
-            build_model({"schemaVersion": 1, "type": kind, "parameters": params})
+            ModelSpec.from_json({"schemaVersion": 1, "type": kind, "parameters": params}).build()
 
     @pytest.mark.parametrize(
         "kind, params, key",
@@ -186,24 +188,24 @@ class TestModelLoading:
     )
     def test_bad_value_names_the_key(self, kind, params, key):
         with pytest.raises(sg.InvalidConfig, match=f"model parameter '{key}'"):
-            build_model({"schemaVersion": 1, "type": kind, "parameters": params})
+            ModelSpec.from_json({"schemaVersion": 1, "type": kind, "parameters": params}).build()
 
     @pytest.mark.parametrize("key", ["sigma", "kill", "boundaryLeft", "boundaryRight"])
     def test_null_diffusion_parameter_names_the_key(self, key):
         # "kill": null once read as no killing, "sigma": null as the unknown name 'None'
         params = {"left": 0.0, "right": 1.0, "n": 8, key: None}
         with pytest.raises(sg.InvalidConfig, match=f"^model parameter '{key}': expected a value, got null$"):
-            build_model({"schemaVersion": 1, "type": "diffusion", "parameters": params})
+            ModelSpec.from_json({"schemaVersion": 1, "type": "diffusion", "parameters": params}).build()
 
     def test_numeric_sigma_and_kill_read_as_their_text(self):
         def matrix(sigma, kill):
             params = {"left": 0.0, "right": 1.0, "n": 8, "sigma": sigma, "kill": kill}
-            return build_model({"schemaVersion": 1, "type": "diffusion", "parameters": params}).matrix
+            return ModelSpec.from_json({"schemaVersion": 1, "type": "diffusion", "parameters": params}).build().matrix
 
         assert np.array_equal(matrix(2, 0.5), matrix("2", "0.5"))
 
     def test_jump_model(self):
-        gen = build_model(
+        gen = ModelSpec.from_json(
             {
                 "schemaVersion": 1,
                 "type": "jump",
@@ -213,7 +215,7 @@ class TestModelLoading:
                     "tStar": 1.0,
                 },
             }
-        )
+        ).build()
         dec = sg.spectral_decompose(gen)
         assert dec.eigenvalues[-1] <= 2.0 + 1e-8
 
@@ -583,7 +585,7 @@ class TestBoundedRead:
         parsed = []
         monkeypatch.setattr(json, "loads", lambda text, loads=json.loads: parsed.append(text) or loads(text))
         for budget, code in ((marks, 0), (marks - 1, 2)):
-            monkeypatch.setattr(cli, "_MAX_MODEL_MARKS", budget)
+            monkeypatch.setattr(cli, "MAX_MODEL_MARKS", budget)
             out = tmp_path / str(budget)
             assert cli_exit(["decompose", "--model", model_files["chain2"], "--output", str(out)]) == code
         monkeypatch.undo()
@@ -600,7 +602,7 @@ class TestBoundedRead:
         # one-element containers hold no comma: a budget-sized file of them once parsed to 60M lists
         model = tmp_path / "nested.json"
         model.write_text("[" + ",".join([element] * 20) + "]", encoding="utf-8")
-        monkeypatch.setattr(cli, "_MAX_MODEL_MARKS", 5000)
+        monkeypatch.setattr(cli, "MAX_MODEL_MARKS", 5000)
         monkeypatch.setattr(json, "loads", lambda text: pytest.fail("parsed past the budget"))
         out = tmp_path / "out"
         assert cli_exit(["decompose", "--model", str(model), "--output", str(out)]) == 2
@@ -617,8 +619,8 @@ class TestBoundedRead:
             return cli._value_marks(json.dumps({"schemaVersion": 1, "type": "jump", "parameters": params}).encode())
 
         assert [marks(n) for n in (1, 2, 5)] == [n * n + 3 * n + 14 for n in (1, 2, 5)]
-        n = cli._MAX_DENSE_STATES
-        assert n * n + 3 * n + 14 + 100 < cli._MAX_MODEL_MARKS
+        n = models._MAX_DENSE_STATES
+        assert n * n + 3 * n + 14 + 100 < models.MAX_MODEL_MARKS
 
     def test_vector_file_past_the_model_rows_is_refused_before_parsing(self, model_files, tmp_path):
         vector = tmp_path / "long.csv"
@@ -718,7 +720,7 @@ class TestBoundedRead:
         # json.dumps of the longest double and its separator, for every matrix and weight entry;
         # brackets and keys add under 10 kB
         entry = len(json.dumps([-2.2250738585072014e-308, 0.0])) - len(json.dumps([0.0]))
-        n = cli._MAX_DENSE_STATES
+        n = models._MAX_DENSE_STATES
         assert n * (n + 1) * entry + 10_000 < cli._MAX_INPUT_BYTES
 
 
@@ -859,16 +861,16 @@ class TestBudgets:
     def test_state_budget_exits_2(self, tmp_path, monkeypatch, kind):
         from semigroupinv import cli
 
-        monkeypatch.setattr(cli, f"build_{kind}", lambda *a: pytest.fail("model was built"))
+        monkeypatch.setattr(models, f"build_{kind}", lambda *a: pytest.fail("model was built"))
         spec = json.loads(json.dumps(OU_JSON if kind == "ou" else LAPLACIAN_JSON))
-        spec["parameters"]["n"] = cli._MAX_STATES + 1
+        spec["parameters"]["n"] = models._MAX_STATES + 1
         model = tmp_path / "big.json"
         model.write_text(json.dumps(spec), encoding="utf-8")
         out = tmp_path / "out"
         assert cli_exit(["decompose", "--model", str(model), "--output", str(out)]) == 2
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "InvalidConfig"
-        assert f"{cli._MAX_STATES + 1} states exceed" in error["message"]
+        assert f"{models._MAX_STATES + 1} states exceed" in error["message"]
 
     @pytest.mark.parametrize(
         "kind, long_key, builder",
@@ -876,8 +878,8 @@ class TestBudgets:
          ("chain", "weights", "build_chain")],
     )
     def test_state_budget_covers_every_model_type(self, tmp_path, monkeypatch, kind, long_key, builder):
-        monkeypatch.setattr(cli, builder, lambda *a: pytest.fail("an n x n array was built"))
-        n = cli._MAX_DENSE_STATES + 1
+        monkeypatch.setattr(models, builder, lambda *a: pytest.fail("an n x n array was built"))
+        n = models._MAX_DENSE_STATES + 1
         params = {"points": [0.0, 1.0], "weights": [0.5, 0.5]}
         if kind == "chain":
             params = {"matrix": [[-0.5, 0.5], [0.5, -0.5]], "weights": [0.5, 0.5]}
@@ -891,17 +893,17 @@ class TestBudgets:
         assert f"'{long_key}': {n} states exceed the dense-model budget of 2000" in error["message"]
 
     def test_expression_budget_refuses_g_before_parsing(self, model_files, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli._Parser, "_expr", lambda self: pytest.fail("parsed past the budget"))
+        monkeypatch.setattr(models._Parser, "_expr", lambda self: pytest.fail("parsed past the budget"))
         out = tmp_path / "out"
-        g = "x+" * (cli._MAX_EXPRESSION_CHARS // 2) + "x"
+        g = "x+" * (models._MAX_EXPRESSION_CHARS // 2) + "x"
         assert cli_exit(["diagnose", "--model", model_files["chain2"], "--output", str(out), "--T", "1", "--g", g]) == 2
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "ValidationError"
-        assert error["message"] == f"{cli._MAX_EXPRESSION_CHARS + 1} characters in --g exceed the budget of 65536"
+        assert error["message"] == f"{models._MAX_EXPRESSION_CHARS + 1} characters in --g exceed the budget of 65536"
 
     @pytest.mark.parametrize("key", ["sigma", "kill"])
     def test_expression_budget_names_the_model_field(self, tmp_path, key):
-        expr = "1+" * (cli._MAX_EXPRESSION_CHARS // 2) + "1"
+        expr = "1+" * (models._MAX_EXPRESSION_CHARS // 2) + "1"
         params = {"left": 0.0, "right": 1.0, "n": 8, key: expr}
         model = tmp_path / "model.json"
         model.write_text(json.dumps({"schemaVersion": 1, "type": "diffusion", "parameters": params}), encoding="utf-8")
@@ -913,18 +915,18 @@ class TestBudgets:
 
     def test_expression_of_the_budget_is_parsed(self):
         space = sg.build_space([0.0, 1.0], [1.0, 1.0])
-        expr = "x+" * (cli._MAX_EXPRESSION_CHARS // 2 - 1) + "x "
-        assert len(expr) == cli._MAX_EXPRESSION_CHARS
-        assert parse_function_literal(expr, space).tolist() == [0.0, cli._MAX_EXPRESSION_CHARS // 2]
+        expr = "x+" * (models._MAX_EXPRESSION_CHARS // 2 - 1) + "x "
+        assert len(expr) == models._MAX_EXPRESSION_CHARS
+        assert parse_function_literal(expr, space).tolist() == [0.0, models._MAX_EXPRESSION_CHARS // 2]
 
     def test_dense_model_budget_admits_2000_states_and_refuses_2001(self):
-        assert cli._MAX_DENSE_STATES == 2000
+        assert models._MAX_DENSE_STATES == 2000
         params = {"weights": [1.0] * 2000}
-        assert cli._model_param(params, "weights", cli._state_array).shape == (2000,)
+        assert check_param(params, "weights", models._state_array).shape == (2000,)
         params["weights"].append(1.0)
         with pytest.raises(sg.InvalidConfig, match="^model parameter 'weights': 2001 states exceed the "
                                                    "dense-model budget of 2000$"):
-            cli._model_param(params, "weights", cli._state_array)
+            check_param(params, "weights", models._state_array)
 
 
 class TestNonFiniteAndDeepInputs:
@@ -1028,7 +1030,7 @@ class TestNonFiniteAndDeepInputs:
                          "--T", "1", "--g", g]) == 2
         error = json.loads((out / "error.json").read_text())
         assert error["error"] == "ExpressionParseError"
-        assert error["position"] == cli._MAX_EXPRESSION_DEPTH
+        assert error["position"] == models._MAX_EXPRESSION_DEPTH
         space = sg.build_space([0.0, 1.0], [1.0, 1.0])
         deep = "exp(" + "(" * 89 + "-x" + ")" * 90
         assert parse_function_literal(deep, space) == pytest.approx([1.0, math.exp(-1.0)])

@@ -280,3 +280,38 @@ class TestDivergenceForm:
             return count
 
         assert lines_run(400) == lines_run(7) > 0
+
+
+def _spec_json(kind, n):
+    if kind == "ou":
+        return {"schemaVersion": 1, "type": "ou", "parameters": {"halfWidth": 6.0, "n": n, "rate": 1.0}}
+    return {"schemaVersion": 1, "type": "diffusion", "parameters": {
+        "left": 0.0, "right": math.pi, "n": n, "sigma": "1+0.5x", "kill": "0.2",
+        "boundaryLeft": "dirichlet", "boundaryRight": "neumann"}}
+
+
+class TestModelSpecCoarsened:
+    @pytest.mark.parametrize("n", [400, 2000])
+    @pytest.mark.parametrize("kind", ["ou", "diffusion"])
+    def test_has_the_bits_of_the_file_on_half_the_cells(self, kind, n):
+        coarse = models.ModelSpec.from_json(_spec_json(kind, n)).coarsened()
+        assert coarse.parameters["n"] == n // 2
+        got, want = coarse.build(), models.ModelSpec.from_json(_spec_json(kind, n // 2)).build()
+        for a, b in zip((got.space.points, got.space.weights, *got.bands),
+                        (want.space.points, want.space.weights, *want.bands)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "chain", "parameters": {"matrix": [[-0.5, 0.5], [0.5, -0.5]], "weights": [1.0, 1.0]}},
+        {"type": "jump", "parameters": {"points": [0.0, 1.0, 2.0, 3.0], "weights": [0.25] * 4}},
+        {"type": "ou", "parameters": {"n": 401}},
+        {"type": "diffusion", "parameters": {"left": 0.0, "right": 1.0, "n": 7}},
+        {"type": "ou", "parameters": {"n": 4}},
+    ], ids=["chain", "jump", "odd-n", "odd-diffusion-n", "n-4"])
+    def test_is_none_without_a_nested_grid_of_at_least_3_cells(self, spec):
+        assert models.ModelSpec.from_json({"schemaVersion": 1, **spec}).coarsened() is None
+
+    def test_smallest_coarsened_grid_has_3_cells(self):
+        spec = models.ModelSpec.from_json({"schemaVersion": 1, "type": "ou", "parameters": {"n": 6}})
+        assert spec.coarsened().build().size == 3
+        assert spec.parameters["n"] == 6

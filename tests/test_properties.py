@@ -29,6 +29,7 @@ import semigroupinv as sg
 from semigroupinv import bessel, cli
 from semigroupinv.errors import MAX_EXPONENT
 from semigroupinv.inversion import BESSEL_CONDITIONING_CAP, I0_QUADRATURE
+from semigroupinv.models import _MAX_STATES, ModelSpec
 
 SANE = st.floats(0.1, 4.0)
 EXTREMES = st.one_of(
@@ -37,7 +38,7 @@ EXTREMES = st.one_of(
 )
 # Grid sizes that are invalid or past the state budget: never a large grid.
 BAD_SIZES = st.one_of(
-    st.integers(-2, 2), st.integers(cli._MAX_STATES + 1, 10**9),
+    st.integers(-2, 2), st.integers(_MAX_STATES + 1, 10**9),
     st.sampled_from([2.5, "8", None, math.nan, math.inf, 1e308]),
 )
 
@@ -227,7 +228,7 @@ def oracle_problems(draw):
     """A well-formed model of at most 16 states, observed data on it, a horizon T and a shift alpha."""
     kind = draw(st.sampled_from(["chain", "ou", "diffusion", "jump"]))
     spec = {"schemaVersion": 1, "type": kind, "parameters": _valid_parameters(draw, kind, POSITIVE_EXPRESSIONS)}
-    gen = cli.build_model(spec)
+    gen = ModelSpec.from_json(spec).build()
     g = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=gen.size, max_size=gen.size)))
     return gen, g, draw(st.floats(0.01, 5.0)), draw(st.floats(0.1, 4.0))
 
