@@ -476,8 +476,19 @@ def parse_function_literal(expr: str, space, source: str = "expression") -> np.n
 SCHEMA_VERSION = 1
 
 
+def _numeric(value):
+    """``value``, unless it is a JSON string or boolean, which Python would read as a number."""
+    if isinstance(value, (str, bool)):
+        raise ValueError(f"expected a number, got {value!r}")  # check_param clips the quoted value
+    return value
+
+
+def _number(value) -> float:
+    return float(_numeric(value))
+
+
 def _states(value) -> int:
-    n = int(value)
+    n = int(_numeric(value))
     if n != float(value):
         raise ValueError(f"expected an integer, got {value!r}")
     if n > _MAX_STATES:
@@ -509,14 +520,14 @@ def _text(value) -> str:
 # text, parsed only once its grid is built.
 _PARAMETERS = {
     "chain": (("weights", _state_array, REQUIRED), ("matrix", _array, REQUIRED)),
-    "ou": (("halfWidth", float, 6.0), ("n", _states, 400), ("rate", float, 1.0)),
+    "ou": (("halfWidth", _number, 6.0), ("n", _states, 400), ("rate", _number, 1.0)),
     "diffusion": (
-        ("sigma", _text, "1"), ("kill", _text, None), ("left", float, REQUIRED), ("right", float, REQUIRED),
+        ("sigma", _text, "1"), ("kill", _text, None), ("left", _number, REQUIRED), ("right", _number, REQUIRED),
         ("n", _states, REQUIRED), ("boundaryLeft", _text, "neumann"), ("boundaryRight", _text, "neumann"),
     ),
     "jump": (
         ("points", _state_array, REQUIRED), ("weights", _state_array, REQUIRED),
-        ("kernel", _array, None), ("tStar", float, 1.0),
+        ("kernel", _array, None), ("tStar", _number, 1.0),
     ),
 }
 
@@ -541,6 +552,11 @@ class ModelSpec:
             raise InvalidConfig("model parameters must be a JSON object")
         if not (isinstance(kind, str) and kind in _PARAMETERS):
             raise InvalidConfig(f"unknown model type {clip(repr(kind))}")
+        keys = [key for key, _, _ in _PARAMETERS[kind]]
+        unknown = sorted(params.keys() - set(keys))
+        if unknown:
+            names = clip(", ".join(map(repr, unknown)))
+            raise InvalidConfig(f"unknown model parameter {names} for type {kind!r}, which takes {', '.join(keys)}")
         values = {}
         for key, convert, default in _PARAMETERS[kind]:
             if key == "tStar" and values["kernel"] is not None:

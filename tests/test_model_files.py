@@ -81,6 +81,31 @@ ROWS = [
      "kernel shape () on a space of size 2"),
     ("jump-weights-length", _model("jump", points=[0.0, 1.0], weights=[0.5, 0.5, 0.5]), 2, "LengthMismatch",
      "2 points vs 3 weights"),
+    # a key outside the type's table is refused, never passed over for a default
+    ("ou-unknown-key", _model("ou", halfwidth=3), 2, "InvalidConfig",
+     "unknown model parameter 'halfwidth' for type 'ou', which takes halfWidth, n, rate"),
+    ("diffusion-unknown-keys", _model("diffusion", **GRID8, Sigma="2", killRate="1"), 2, "InvalidConfig",
+     "unknown model parameter 'Sigma', 'killRate' for type 'diffusion',"
+     " which takes sigma, kill, left, right, n, boundaryLeft, boundaryRight"),
+    ("jump-unknown-key-beside-kernel", _model("jump", **SPACE2, kernel=KERNEL2, tstar=1.0), 2, "InvalidConfig",
+     "unknown model parameter 'tstar' for type 'jump', which takes points, weights, kernel, tStar"),
+    ("chain-unknown-key", _model("chain", matrix=KERNEL2, weights=[1.0, 1.0], points=[0.0, 1.0]), 2,
+     "InvalidConfig", "unknown model parameter 'points' for type 'chain', which takes weights, matrix"),
+    ("unknown-key-before-values", _model("ou", halfwidth=3, n="abc"), 2, "InvalidConfig",
+     "unknown model parameter 'halfwidth' for type 'ou', which takes halfWidth, n, rate"),
+    # a JSON string or boolean is not a number, though Python's float() and int() take one
+    ("ou-half-width-true", _model("ou", halfWidth=True), 2, "InvalidConfig",
+     "model parameter 'halfWidth': expected a number, got True"),
+    ("ou-n-text", _model("ou", n="400"), 2, "InvalidConfig", "model parameter 'n': expected a number, got '400'"),
+    ("ou-rate-false", _model("ou", rate=False), 2, "InvalidConfig",
+     "model parameter 'rate': expected a number, got False"),
+    ("diffusion-left-text", _model("diffusion", left="0", right=1.0, n=8), 2, "InvalidConfig",
+     "model parameter 'left': expected a number, got '0'"),
+    ("diffusion-n-true", _model("diffusion", left=0.0, right=1.0, n=True), 2, "InvalidConfig",
+     "model parameter 'n': expected a number, got True"),
+    ("jump-tstar-text", _model("jump", **SPACE2, tStar="1"), 2, "InvalidConfig",
+     "model parameter 'tStar': expected a number, got '1'"),
+    ("ou-n-whole-float", _model("ou", n=10.0), 0, None, None),
 ]
 
 
