@@ -82,11 +82,10 @@ from .spectral import (
 # lambda_max; above it the comparison is reported as skipped, with the reason.
 _FLOW_CHECK_LAMBDA_MAX = 50.0
 
-# Most bytes of a model or vector file.  It admits the largest model the
-# state budgets of ``models`` allow: a ``chain`` of 2000 states whose matrix json.dumps
+# Most bytes of a model or vector file.  It admits the largest model the state
+# budgets of ``models`` allow: a ``chain`` of 2000 states whose matrix json.dumps
 # writes at full precision, at most 26 bytes an entry ("-2.2250738585072014e-308, ").
-# Reading and parsing such a file of 94 MB peaks at 0.27 GB RSS in 1.6 s (2-core
-# Xeon).
+# Reading and parsing such a file of 94 MB peaks at 0.27 GB RSS in 1.6 s (2-core Xeon).
 _MAX_INPUT_BYTES = 128 * 2**20
 
 # Most values of a ``sweep --gammas`` list.  Each one runs a regularised solve
@@ -193,17 +192,6 @@ class RunConfig:
                 raise InvalidConfig(f"command {self.command!r} requires --{name}")
 
 
-def _param(params: dict, name: str):
-    """Flag ``name`` converted by its ``_FLAGS`` entry; its default only when absent.
-
-    A value that is given but falsy (``--alpha 0``) is kept, so that it is
-    validated rather than silently replaced; one the converter rejects
-    raises :class:`InvalidConfig` naming the flag.
-    """
-    convert, default, _ = _FLAGS[name]
-    return check_param(params, name, convert, default, label="flag")
-
-
 def _observed_vector(source: str, gen: SymmetricGenerator) -> np.ndarray:
     if source.startswith("csv:"):
         # an index,x,m,value file of the model's states has n + 1 lines of 3 commas, the header's too;
@@ -236,7 +224,7 @@ def _phi_from_params(p: dict, horizon: float):
 
 # -- commands ----------------------------------------------------------------------
 #
-# Each command takes its flags converted by ``_param`` (absent ones at their
+# Each command takes its flags converted by ``check_param`` (absent ones at their
 # ``_FLAGS`` default), the model, its decomposition and the output directory.
 
 
@@ -480,7 +468,10 @@ def run(config: RunConfig) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise InvalidConfig(f"cannot create output directory {out}: {exc.strerror or exc}") from exc
-        params = {name: _param(config.params, name) for name in required + optional}
+        # each flag converted by its _FLAGS entry, its default only when absent: a given but falsy
+        # value (--alpha 0) is validated rather than silently replaced
+        params = {name: check_param(config.params, name, *_FLAGS[name][:2], label="flag")
+                  for name in required + optional}
         gen = load_model_file(config.model_path)
         dec = spectral_decompose(gen)
         summary = command(params, gen, dec, out)
@@ -523,7 +514,7 @@ def _add_flags(parser: argparse.ArgumentParser, required, optional) -> None:
 
 @functools.cache
 def _build_arg_parser() -> argparse.ArgumentParser:
-    """Subcommands and flags from ``_COMMANDS``/``_FLAGS``; values stay strings for ``_param``.
+    """Subcommands and flags from ``_COMMANDS``/``_FLAGS``; values stay strings for ``check_param``.
 
     Built once per process: parsing leaves the parser as it was.
     """

@@ -145,20 +145,18 @@ def clip(text: str) -> str:
     return f"{text[:QUOTE_CHARS]}... ({len(text) - QUOTE_CHARS} more characters)"
 
 
-# -- parameters ------------------------------------------------------------------
+# -- parameters and their ranges ---------------------------------------------------
 
-# The default of a parameter that must be given.
-REQUIRED = object()
+_REQUIRED = object()
 
 
-def check_param(params: dict, key: str, convert, default=REQUIRED, label="model parameter"):
+def check_param(params: dict, key: str, convert, default=_REQUIRED, label="model parameter"):
     """``convert(params[key])``, or ``default`` only when ``key`` is absent.
 
-    A missing required key, or a value ``convert`` rejects, raises
-    :class:`InvalidConfig` naming the ``label`` and the key.
+    A missing required key, or a value ``convert`` rejects, raises :class:`InvalidConfig` naming ``label`` and the key.
     """
     if key not in params:
-        if default is REQUIRED:
+        if default is _REQUIRED:
             raise InvalidConfig(f"{label} {key!r} is required")
         return default
     try:
@@ -166,8 +164,6 @@ def check_param(params: dict, key: str, convert, default=REQUIRED, label="model 
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidConfig(f"{label} {key!r}: {clip(str(exc))}") from None
 
-
-# -- parameter ranges ---------------------------------------------------------
 
 def check_range(name, value, low=0.0, high=math.inf, *, closed=False, error=ValidationError) -> float:
     """``float(value)`` when low < value < high, or low <= value < high when ``closed``.

@@ -1,7 +1,6 @@
 """Generator builders: 1-D diffusions, the Ornstein-Uhlenbeck process,
 symmetric jump kernels, and explicit chains for hand-checked oracles; and
-the model file (``ModelSpec``) with its expression grammar, which describe
-a generator in JSON.
+the JSON model file (``ModelSpec``) with its expression grammar.
 
 Diffusions are discretised in divergence (speed-measure) form on a
 cell-centered uniform grid, which keeps m-symmetry exact to round-off at any
@@ -20,7 +19,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (
-    REQUIRED,
     AsymmetricKernel,
     ExpressionParseError,
     InvalidBoundary,
@@ -270,42 +268,6 @@ def build_chain(matrix, weights) -> SymmetricGenerator:
     return SymmetricGenerator(space, matrix)
 
 
-# -- model-file budgets ----------------------------------------------------------
-
-# Most grid cells of an ``ou`` or ``diffusion`` model, which the library holds
-# as three bands.  At 4000 cells (one OpenBLAS thread, 2-core Xeon) such a
-# model builds and decomposes in 2.0-2.4 s at a peak RSS of 0.28 GB, nearly
-# all of it dstevd's eigenvectors with its workspace or with their C-ordered
-# rescaling, two of the 128 MB n x n arrays.
-_MAX_STATES = 4000
-
-# Most states of a dense model: the ``weights`` of a ``chain``, the ``points``
-# and ``weights`` of a ``jump``.  These run the dense eigh, and their peak
-# grows as n^2: a Gaussian ``jump`` model of 2000 points builds and
-# decomposes in about 1.9 s at 0.25 GB, one of 2800 points reaches 0.45 GB.
-_MAX_DENSE_STATES = 2000
-
-# Most value marks in a model file: commas, colons and opening brackets.  Every
-# JSON value but the outermost follows one of them, so they bound the values
-# json.loads makes of it, which the byte budget alone does not: a budget-sized
-# file of "0," entries parses to 67M references at a 1.2 GB peak, and one of
-# nested one-element lists, which holds no comma, to 60M lists.  The largest
-# model the state budgets allow, a ``jump`` of _MAX_DENSE_STATES points with its
-# kernel, holds n^2 + 3n + 14; keys and expressions take far fewer than the
-# 1000 to spare.
-MAX_MODEL_MARKS = _MAX_DENSE_STATES * (_MAX_DENSE_STATES + 3) + 1000
-
-# Deepest nesting of parentheses and exp( an expression may use, which keeps
-# the recursive-descent parser far inside Python's recursion limit.
-_MAX_EXPRESSION_DEPTH = 100
-
-# Most characters of an expression, refused before it is parsed.  Each term
-# costs a pass over the grid: a 128 MiB ``x+x+...`` sigma, inside both file
-# budgets, would take about 2 minutes to evaluate, while 65,536 characters
-# take 0.07 s at n = 4000 (one OpenBLAS thread, 2-core EPYC).
-_MAX_EXPRESSION_CHARS = 65536
-
-
 # -- restricted function-literal grammar ---------------------------------------
 #
 # expr      := term (('+'|'-') term)*
@@ -320,6 +282,16 @@ _MAX_EXPRESSION_CHARS = 65536
 # tokens.  So "1e+3", "2e" and "1.2.3" are one NUMBER each, and ``_float``
 # refuses the last two.  At the end of the text the token is empty.
 _TOKEN = re.compile(r"\s*(?:(?P<number>[\d.](?:[\d.]|[eE][+-]?)*)|(?P<name>[^\W\d_]+)|(?P<op>.))?")
+
+# Deepest nesting of parentheses and exp( an expression may use, which keeps
+# the recursive-descent parser far inside Python's recursion limit.
+_MAX_EXPRESSION_DEPTH = 100
+
+# Most characters of an expression, refused before it is parsed.  Each term
+# costs a pass over the grid: a 128 MiB ``x+x+...`` sigma, inside both file
+# budgets, would take about 2 minutes to evaluate, while 65,536 characters
+# take 0.07 s at n = 4000 (one OpenBLAS thread, 2-core EPYC).
+_MAX_EXPRESSION_CHARS = 65536
 
 
 def _float(text: str, pos: int) -> float:
@@ -468,27 +440,43 @@ def parse_function_literal(expr: str, space, source: str = "expression") -> np.n
     return _Parser(expr, space.points, source).parse()
 
 
-# -- model files ------------------------------------------------------------------
-#
-# A model file is the JSON object {"schemaVersion": 1, "type": <kind>,
-# "parameters": {...}}; ``ModelSpec`` owns its schema.
+# -- model files: {"schemaVersion": 1, "type": <kind>, "parameters": {...}} ------
 
 SCHEMA_VERSION = 1
 
+# Most grid cells of an ``ou`` or ``diffusion`` model, which the library holds
+# as three bands.  At 4000 cells (one OpenBLAS thread, 2-core Xeon) such a
+# model builds and decomposes in 2.0-2.4 s at a peak RSS of 0.28 GB, nearly
+# all of it dstevd's eigenvectors with its workspace or with their C-ordered
+# rescaling, two of the 128 MB n x n arrays.
+_MAX_STATES = 4000
 
-def _numeric(value):
-    """``value``, unless it is a JSON string or boolean, which Python would read as a number."""
+# Most states of a dense model: the ``weights`` of a ``chain``, the ``points``
+# and ``weights`` of a ``jump``.  These run the dense eigh, and their peak
+# grows as n^2: a Gaussian ``jump`` model of 2000 points builds and
+# decomposes in about 1.9 s at 0.25 GB, one of 2800 points reaches 0.45 GB.
+_MAX_DENSE_STATES = 2000
+
+# Most value marks in a model file: commas, colons and opening brackets.  Every
+# JSON value but the outermost follows one of them, so they bound the values
+# json.loads makes of it, which the byte budget alone does not: a budget-sized
+# file of "0," entries parses to 67M references at a 1.2 GB peak, and one of
+# nested one-element lists, which holds no comma, to 60M lists.  The largest
+# model the state budgets allow, a ``jump`` of _MAX_DENSE_STATES points with its
+# kernel, holds n^2 + 3n + 14; keys and expressions take far fewer than the
+# 1000 to spare.
+MAX_MODEL_MARKS = _MAX_DENSE_STATES * (_MAX_DENSE_STATES + 3) + 1000
+
+
+def _number(value, convert=float):
+    """``convert(value)``; a JSON string or boolean, which Python would read as a number, is refused."""
     if isinstance(value, (str, bool)):
         raise ValueError(f"expected a number, got {value!r}")  # check_param clips the quoted value
-    return value
-
-
-def _number(value) -> float:
-    return float(_numeric(value))
+    return convert(value)
 
 
 def _states(value) -> int:
-    n = int(_numeric(value))
+    n = _number(value, int)
     if n != float(value):
         raise ValueError(f"expected an integer, got {value!r}")
     if n > _MAX_STATES:
@@ -515,20 +503,15 @@ def _text(value) -> str:
     return str(value)
 
 
-# Every parameter of each model type, in the order a file's are read: JSON key,
-# converter, value when absent.  A ``diffusion`` keeps ``sigma`` and ``kill`` as
-# text, parsed only once its grid is built.
+# Each model type's parameters in the order they are read: JSON key, converter and,
+# unless the key is required, its value when absent.  A ``diffusion``'s ``sigma``
+# and ``kill`` stay text until its grid is built.
 _PARAMETERS = {
-    "chain": (("weights", _state_array, REQUIRED), ("matrix", _array, REQUIRED)),
+    "chain": (("weights", _state_array), ("matrix", _array)),
     "ou": (("halfWidth", _number, 6.0), ("n", _states, 400), ("rate", _number, 1.0)),
-    "diffusion": (
-        ("sigma", _text, "1"), ("kill", _text, None), ("left", _number, REQUIRED), ("right", _number, REQUIRED),
-        ("n", _states, REQUIRED), ("boundaryLeft", _text, "neumann"), ("boundaryRight", _text, "neumann"),
-    ),
-    "jump": (
-        ("points", _state_array, REQUIRED), ("weights", _state_array, REQUIRED),
-        ("kernel", _array, None), ("tStar", _number, 1.0),
-    ),
+    "diffusion": (("sigma", _text, "1"), ("kill", _text, None), ("left", _number), ("right", _number),
+                  ("n", _states), ("boundaryLeft", _text, "neumann"), ("boundaryRight", _text, "neumann")),
+    "jump": (("points", _state_array), ("weights", _state_array), ("kernel", _array, None), ("tStar", _number, 1.0)),
 }
 
 
@@ -552,16 +535,15 @@ class ModelSpec:
             raise InvalidConfig("model parameters must be a JSON object")
         if not (isinstance(kind, str) and kind in _PARAMETERS):
             raise InvalidConfig(f"unknown model type {clip(repr(kind))}")
-        keys = [key for key, _, _ in _PARAMETERS[kind]]
-        unknown = sorted(params.keys() - set(keys))
+        keys = [key for key, *_ in _PARAMETERS[kind]]
+        unknown = clip(", ".join(map(repr, sorted(params.keys() - set(keys)))))
         if unknown:
-            names = clip(", ".join(map(repr, unknown)))
-            raise InvalidConfig(f"unknown model parameter {names} for type {kind!r}, which takes {', '.join(keys)}")
+            raise InvalidConfig(f"unknown model parameter {unknown} for type {kind!r}, which takes {', '.join(keys)}")
         values = {}
-        for key, convert, default in _PARAMETERS[kind]:
+        for key, convert, *default in _PARAMETERS[kind]:
             if key == "tStar" and values["kernel"] is not None:
                 continue  # tStar sizes the Gaussian kernel, which a given kernel replaces: it is not read
-            values[key] = check_param(params, key, convert, default)
+            values[key] = check_param(params, key, convert, *default)
         return cls(kind, values)
 
     def build(self) -> SymmetricGenerator:
@@ -572,10 +554,9 @@ class ModelSpec:
         if self.kind == "ou":
             return build_ou(p["halfWidth"], p["n"], p["rate"])
         if self.kind == "diffusion":
-            sigma, kill = p["sigma"], p["kill"]
             return build_diffusion(DiffusionSpec(
-                p["left"], p["right"], p["n"], lambda x: _Parser(sigma, x, "model parameter 'sigma'").parse(),
-                None if kill is None else (lambda x: _Parser(kill, x, "model parameter 'kill'").parse()),
+                p["left"], p["right"], p["n"], lambda x: _Parser(p["sigma"], x, "model parameter 'sigma'").parse(),
+                None if p["kill"] is None else (lambda x: _Parser(p["kill"], x, "model parameter 'kill'").parse()),
                 p["boundaryLeft"], p["boundaryRight"],
             ))
         space = build_space(p["points"], p["weights"])
@@ -585,8 +566,7 @@ class ModelSpec:
     def coarsened(self) -> ModelSpec | None:
         """This spec on n/2 cells of the same interval, for an ``ou`` or ``diffusion`` of even n >= 6.
 
-        None for a ``chain`` or ``jump``, which have no grid to coarsen, for an
-        odd n, whose cells do not nest, and for n < 6.
+        None otherwise: a ``chain`` or ``jump`` has no grid, and the cells of an odd n do not nest.
         """
         n = self.parameters.get("n")
         if self.kind not in ("ou", "diffusion") or n % 2 or n < 6:
