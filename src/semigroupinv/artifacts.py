@@ -1,5 +1,6 @@
 """Every byte the CLI writes: the CSV artifacts, their %.17g kernel, and the
-JSON and text writers.
+JSON and text writers; and the bounded reader of its input files, with the
+``csv:`` vector file it reads back.
 
 Every CSV artifact has LF line endings and writes each number as
 format(x, ".17g"), which round-trips every double; an integer index i is
@@ -51,11 +52,17 @@ from pathlib import Path
 import numpy as np
 
 from ._numerics import _split, _two_product_error
-from .errors import InvalidConfig, clip
+from .errors import InvalidConfig, ValidationError, check_budget, clip
 from .inversion import BackwardTrajectory
 from .spectral import SpectralDecomposition, WeightedStateSpace, build_space
 
 CSV_HEADER = "index,x,m,value"
+
+# Most bytes of a model or vector file.  It admits the largest model the state
+# budgets of ``models`` allow: a ``chain`` of 2000 states whose matrix json.dumps
+# writes at full precision, at most 26 bytes an entry ("-2.2250738585072014e-308, ").
+# Reading and parsing such a file of 94 MB peaks at 0.27 GB RSS in 1.6 s (2-core Xeon).
+_MAX_INPUT_BYTES = 128 * 2**20
 
 # Values in a chunk of a long table.  Each chunk pays a fixed cost of some 60
 # numpy calls on short arrays, one bytearray and one translate, and its working
@@ -285,6 +292,55 @@ def vector_from_csv(text: str) -> tuple[WeightedStateSpace, np.ndarray]:
         rows.append(row)
     xs, ms, vs = np.array(rows, float).reshape(-1, 3).T
     return build_space(xs, ms), vs.copy()
+
+
+def _value_marks(data: bytes) -> int:
+    """The commas, colons and opening brackets in ``data``: one before every JSON value or CSV field but the first."""
+    return sum(map(data.count, (b",", b":", b"[", b"{")))
+
+
+def read_text(path, what: str, max_marks: int) -> str:
+    """The UTF-8 text of the ``what`` file at ``path``, read in binary up to ``_MAX_INPUT_BYTES`` + 1 bytes.
+
+    Its value marks, which bound the values a parse of it makes, are
+    counted before it is decoded.  A file that cannot be opened or read or
+    is not UTF-8 raises :class:`InvalidConfig`; one past the byte budget or
+    with more than ``max_marks`` value marks, :class:`ValidationError`.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read(_MAX_INPUT_BYTES + 1)
+        if len(data) <= _MAX_INPUT_BYTES:
+            check_budget(f"commas, colons and opening brackets in {what} {path}", _value_marks(data), max_marks)
+            return data.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidConfig(f"cannot read {what} {path}: {exc}") from exc
+    raise ValidationError(f"{what} {path} exceeds the budget of {_MAX_INPUT_BYTES} bytes", _MAX_INPUT_BYTES)
+
+
+def read_vector_file(path, space: WeightedStateSpace) -> np.ndarray:
+    """The values of the :func:`vector_to_csv` file at ``path``, whose x and m columns must be the grid of ``space``.
+
+    A file past its budgets raises :class:`ValidationError` before it is
+    parsed; one of another size or grid, :class:`InvalidConfig`.
+    """
+    # an index,x,m,value file of the model's states has n + 1 lines of 3 commas, the header's too;
+    # one more comma a line leaves a row with a field too many to be named by its line, and as
+    # many blank lines again, which vector_from_csv skips, each cost it one more line object
+    lines = space.size + 1
+    text = read_text(path, "vector file", 4 * lines)
+    check_budget(f"lines in vector file {path}", text.count("\n"), 2 * lines)
+    grid, values = vector_from_csv(text)
+    if values.size != space.size:
+        raise InvalidConfig(f"vector file has {values.size} entries, model has {space.size}")
+    for column, got, want in (("x", grid.points, space.points), ("m", grid.weights, space.weights)):
+        if not np.array_equal(got, want):
+            k = int(np.flatnonzero(got != want)[0])
+            raise InvalidConfig(
+                f"vector file column {column} is not the model grid: row {k}"
+                f" has {float(got[k])!r}, the model {float(want[k])!r}"
+            )
+    return values
 
 
 def eigenvalues_to_csv(dec: SpectralDecomposition) -> str:

@@ -1,5 +1,5 @@
-"""Command-line front end: load model files, run inversions,
-regularisations and diagnostics, and emit CSV/JSON artifacts.
+"""Command-line front end: run inversions, regularisations and diagnostics
+on a model file, and emit CSV/JSON artifacts.
 
 Exit codes: 0 success, 2 validation error (bad config, bad expression,
 unreadable input, unwritable output), 3 numerical error (overflow,
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +24,7 @@ from . import __version__
 from .artifacts import (
     eigenvalues_to_csv,
     gamma_study_to_csv,
-    vector_from_csv,
+    read_vector_file,
     vector_to_csv,
     write_json,
     write_text,
@@ -43,7 +42,6 @@ from .errors import (
     check_finite,
     check_param,
     check_range,
-    clip,
 )
 from .inversion import (
     COEFF_TOL,
@@ -56,7 +54,7 @@ from .inversion import (
     invert_spectral,
     solve_backward_cauchy,
 )
-from .models import MAX_MODEL_MARKS, SCHEMA_VERSION, ModelSpec, parse_function_literal
+from .models import SCHEMA_VERSION, load_model_file, parse_function_literal
 from .regularisation import (
     PHI_FAMILY_NAMES,
     MixtureModel,
@@ -82,12 +80,6 @@ from .spectral import (
 # lambda_max; above it the comparison is reported as skipped, with the reason.
 _FLOW_CHECK_LAMBDA_MAX = 50.0
 
-# Most bytes of a model or vector file.  It admits the largest model the state
-# budgets of ``models`` allow: a ``chain`` of 2000 states whose matrix json.dumps
-# writes at full precision, at most 26 bytes an entry ("-2.2250738585072014e-308, ").
-# Reading and parsing such a file of 94 MB peaks at 0.27 GB RSS in 1.6 s (2-core Xeon).
-_MAX_INPUT_BYTES = 128 * 2**20
-
 # Most values of a ``sweep --gammas`` list.  Each one runs a regularised solve
 # and a residual: 0.09-0.13 ms at n = 400, 1.8-2.1 ms at n = 2000 and
 # 9.2-10.7 ms at n = 4000 (one OpenBLAS thread, 2-core EPYC).  So 256 values
@@ -96,53 +88,13 @@ _MAX_INPUT_BYTES = 128 * 2**20
 _MAX_GAMMAS = 256
 
 
-# -- model loading --------------------------------------------------------------
-
-
-def _value_marks(data: bytes) -> int:
-    """The commas, colons and opening brackets in ``data``: one before every JSON value or CSV field but the first."""
-    return sum(map(data.count, (b",", b":", b"[", b"{")))
-
-
-def _read_text(path, what: str, max_marks: int) -> str:
-    """The UTF-8 text of the ``what`` file at ``path``, read in binary up to ``_MAX_INPUT_BYTES`` + 1 bytes.
-
-    Its value marks, which bound the values a parse of it makes, are
-    counted before it is decoded.  A file that cannot be opened or read or
-    is not UTF-8 raises :class:`InvalidConfig`; one past the byte budget or
-    with more than ``max_marks`` value marks, :class:`ValidationError`.
-    """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read(_MAX_INPUT_BYTES + 1)
-        if len(data) <= _MAX_INPUT_BYTES:
-            check_budget(f"commas, colons and opening brackets in {what} {path}", _value_marks(data), max_marks)
-            return data.decode("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidConfig(f"cannot read {what} {path}: {exc}") from exc
-    raise ValidationError(f"{what} {path} exceeds the budget of {_MAX_INPUT_BYTES} bytes", _MAX_INPUT_BYTES)
-
-
-def load_model_file(path) -> SymmetricGenerator:
-    """The generator of the model file at ``path``, read within the byte and value-mark budgets."""
-    text = _read_text(path, "model file", MAX_MODEL_MARKS)
-    try:
-        spec = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise InvalidConfig(f"model file {path} is not valid JSON: {exc}") from exc
-    except ValueError:  # json.loads's int() of a literal past Python's limit on the digits of an int
-        limit = sys.get_int_max_str_digits()
-        raise InvalidConfig(f"model file {path} holds an integer past the limit of {limit} digits") from None
-    return ModelSpec.from_json(spec).build()
-
-
 # -- run configuration ------------------------------------------------------------
 
 
 def _one_of(*choices):
     def convert(value):
         if value not in choices:
-            raise ValueError(f"expected one of {', '.join(choices)}, got {clip(repr(value))}")
+            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
         return value
 
     return convert
@@ -151,7 +103,7 @@ def _one_of(*choices):
 def _seed(value) -> int:
     n = int(value)
     if n != float(value) or n < 0:
-        raise ValueError(f"expected a non-negative integer, got {clip(repr(value))}")
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
     return n
 
 
@@ -194,23 +146,7 @@ class RunConfig:
 
 def _observed_vector(source: str, gen: SymmetricGenerator) -> np.ndarray:
     if source.startswith("csv:"):
-        # an index,x,m,value file of the model's states has n + 1 lines of 3 commas, the header's too;
-        # one more comma a line leaves a row with a field too many to be named by its line, and as
-        # many blank lines again, which vector_from_csv skips, each cost it one more line object
-        path, lines = source[4:], gen.size + 1
-        text = _read_text(path, "vector file", 4 * lines)
-        check_budget(f"lines in vector file {path}", text.count("\n"), 2 * lines)
-        space, values = vector_from_csv(text)
-        if values.size != gen.size:
-            raise InvalidConfig(f"vector file has {values.size} entries, model has {gen.size}")
-        for column, got, want in (("x", space.points, gen.space.points),
-                                  ("m", space.weights, gen.space.weights)):
-            if not np.array_equal(got, want):
-                k = int(np.flatnonzero(got != want)[0])
-                raise InvalidConfig(
-                    f"vector file column {column} is not the model grid: row {k}"
-                    f" has {float(got[k])!r}, the model {float(want[k])!r}"
-                )
+        values = read_vector_file(source[4:], gen.space)
     else:
         values = parse_function_literal(source, gen.space, "--g")
     check_observed(gen.space, values)

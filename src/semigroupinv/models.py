@@ -1,6 +1,7 @@
 """Generator builders: 1-D diffusions, the Ornstein-Uhlenbeck process,
 symmetric jump kernels, and explicit chains for hand-checked oracles; and
-the JSON model file (``ModelSpec``) with its expression grammar.
+the JSON model file (``ModelSpec``, ``load_model_file``) with its expression
+grammar.
 
 Diffusions are discretised in divergence (speed-measure) form on a
 cell-centered uniform grid, which keeps m-symmetry exact to round-off at any
@@ -10,6 +11,7 @@ both orientations by construction.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import sys
@@ -18,6 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .artifacts import read_text
 from .errors import (
     AsymmetricKernel,
     ExpressionParseError,
@@ -465,7 +468,7 @@ _MAX_DENSE_STATES = 2000
 # model the state budgets allow, a ``jump`` of _MAX_DENSE_STATES points with its
 # kernel, holds n^2 + 3n + 14; keys and expressions take far fewer than the
 # 1000 to spare.
-MAX_MODEL_MARKS = _MAX_DENSE_STATES * (_MAX_DENSE_STATES + 3) + 1000
+_MAX_MODEL_MARKS = _MAX_DENSE_STATES * (_MAX_DENSE_STATES + 3) + 1000
 
 
 def _number(value, convert=float):
@@ -484,7 +487,24 @@ def _states(value) -> int:
     return n
 
 
+# The JSON values numpy would read as numbers: a string ("1"), a boolean (1.0) and null (NaN).
+_NOT_NUMBERS = {str, bool, type(None)}
+
+
 def _array(value) -> np.ndarray:
+    """``value`` as a float array; a string, boolean or null entry of its lists is refused."""
+    rows = [iter((value,))] if type(value) is list else []
+    while rows:  # depth first, so the entry quoted is the file's first; a list of numbers passes in one set()
+        for entry in rows[-1]:
+            if type(entry) is list:
+                kinds = set(map(type, entry))
+                if list in kinds or kinds & _NOT_NUMBERS:
+                    rows.append(iter(entry))
+                    break
+            elif type(entry) in _NOT_NUMBERS:
+                raise ValueError(f"expected numbers, got the entry {entry!r}")  # check_param clips the quote
+        else:
+            rows.pop()
     return np.asarray(value, float)
 
 
@@ -572,3 +592,16 @@ class ModelSpec:
         if self.kind not in ("ou", "diffusion") or n % 2 or n < 6:
             return None
         return replace(self, parameters={**self.parameters, "n": n // 2})
+
+
+def load_model_file(path) -> SymmetricGenerator:
+    """The generator of the model file at ``path``, read within the byte and value-mark budgets."""
+    text = read_text(path, "model file", _MAX_MODEL_MARKS)
+    try:
+        spec = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise InvalidConfig(f"model file {path} is not valid JSON: {exc}") from exc
+    except ValueError:  # json.loads's int() of a literal past Python's limit on the digits of an int
+        limit = sys.get_int_max_str_digits()
+        raise InvalidConfig(f"model file {path} holds an integer past the limit of {limit} digits") from None
+    return ModelSpec.from_json(spec).build()

@@ -565,7 +565,7 @@ class TestBoundedRead:
 
     @pytest.mark.parametrize("endless", ["model", "vector"])
     def test_endless_file_exits_2_at_the_budget(self, model_files, tmp_path, monkeypatch, endless):
-        monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", 1024)  # never the real budget: /dev/zero has no end
+        monkeypatch.setattr(artifacts, "_MAX_INPUT_BYTES", 1024)  # never the real budget: /dev/zero has no end
         model, g = ("/dev/zero", "x") if endless == "model" else (model_files["chain2"], "csv:/dev/zero")
         out = tmp_path / "out"
         assert cli_exit(["invert", "--model", model, "--output", str(out), "--T", "1", "--g", g]) == 2
@@ -576,16 +576,16 @@ class TestBoundedRead:
     def test_a_file_of_the_budget_is_read_one_byte_more_is_not(self, model_files, tmp_path, monkeypatch):
         size = len(json.dumps(CHAIN2_JSON))
         for budget, code in ((size, 0), (size - 1, 2)):
-            monkeypatch.setattr(cli, "_MAX_INPUT_BYTES", budget)
+            monkeypatch.setattr(artifacts, "_MAX_INPUT_BYTES", budget)
             assert cli_exit(["decompose", "--model", model_files["chain2"], "--output", str(tmp_path / str(budget))]) == code
 
     def test_model_file_is_refused_past_its_value_mark_budget_before_parsing(self, model_files, tmp_path, monkeypatch):
         # a budget-sized file of "0," entries once parsed to 67M references at a 1.2 GB peak
-        marks = cli._value_marks(json.dumps(CHAIN2_JSON).encode())
+        marks = artifacts._value_marks(json.dumps(CHAIN2_JSON).encode())
         parsed = []
         monkeypatch.setattr(json, "loads", lambda text, loads=json.loads: parsed.append(text) or loads(text))
         for budget, code in ((marks, 0), (marks - 1, 2)):
-            monkeypatch.setattr(cli, "MAX_MODEL_MARKS", budget)
+            monkeypatch.setattr(models, "_MAX_MODEL_MARKS", budget)
             out = tmp_path / str(budget)
             assert cli_exit(["decompose", "--model", model_files["chain2"], "--output", str(out)]) == code
         monkeypatch.undo()
@@ -602,7 +602,7 @@ class TestBoundedRead:
         # one-element containers hold no comma: a budget-sized file of them once parsed to 60M lists
         model = tmp_path / "nested.json"
         model.write_text("[" + ",".join([element] * 20) + "]", encoding="utf-8")
-        monkeypatch.setattr(cli, "MAX_MODEL_MARKS", 5000)
+        monkeypatch.setattr(models, "_MAX_MODEL_MARKS", 5000)
         monkeypatch.setattr(json, "loads", lambda text: pytest.fail("parsed past the budget"))
         out = tmp_path / "out"
         assert cli_exit(["decompose", "--model", str(model), "--output", str(out)]) == 2
@@ -616,11 +616,11 @@ class TestBoundedRead:
         # the points, weights and kernel of a jump model: n^2 + 2n values, n^2 + 3n + 14 value marks
         def marks(n):
             params = {"points": [0.0] * n, "weights": [1.0] * n, "kernel": [[0.5] * n] * n, "tStar": 0.5}
-            return cli._value_marks(json.dumps({"schemaVersion": 1, "type": "jump", "parameters": params}).encode())
+            return artifacts._value_marks(json.dumps({"schemaVersion": 1, "type": "jump", "parameters": params}).encode())
 
         assert [marks(n) for n in (1, 2, 5)] == [n * n + 3 * n + 14 for n in (1, 2, 5)]
         n = models._MAX_DENSE_STATES
-        assert n * n + 3 * n + 14 + 100 < models.MAX_MODEL_MARKS
+        assert n * n + 3 * n + 14 + 100 < models._MAX_MODEL_MARKS
 
     def test_vector_file_past_the_model_rows_is_refused_before_parsing(self, model_files, tmp_path):
         vector = tmp_path / "long.csv"
@@ -671,6 +671,18 @@ class TestBoundedRead:
         assert (out / "error.json").stat().st_size < 1024
         assert re.search(r"a{100,}\.\.\. \(\d{7} more characters\)", strict_json(out / "error.json")["message"])
 
+    @pytest.mark.parametrize(
+        "argv, cut",
+        [(["invert", "--T", "1", "--g", "x", "--method", "a" * 2**20], 1048456), (["check", "--seed=-" + "1" * 4000], 3880)],
+        ids=["method", "seed"],
+    )
+    def test_oversized_flag_is_quoted_through_one_clip(self, model_files, tmp_path, argv, cut):
+        # the converter once clipped the value and check_param the message again: "(67 more characters)"
+        out = tmp_path / "out"
+        assert cli_exit(argv + ["--model", model_files["chain2"], "--output", str(out)]) == 2
+        assert (out / "error.json").stat().st_size < 1024
+        assert strict_json(out / "error.json")["message"].endswith(f"... ({cut} more characters)")
+
     def test_integer_past_the_digit_limit_exits_2(self, tmp_path):
         # json.loads raises a plain ValueError, not a JSONDecodeError, for an int of over 4300 digits
         model = tmp_path / "model.json"
@@ -687,7 +699,7 @@ class TestBoundedRead:
         model.write_text(json.dumps({"schemaVersion": 1, "type": "ou", "parameters": {"n": 3}}), encoding="utf-8")
         vector = tmp_path / "blank.csv"
         vector.write_bytes(b"\n" * 100_000)
-        monkeypatch.setattr(cli, "vector_from_csv", lambda text: pytest.fail("parsed past the budget"))
+        monkeypatch.setattr(artifacts, "vector_from_csv", lambda text: pytest.fail("parsed past the budget"))
         out = tmp_path / "out"
         assert cli_exit(["invert", "--model", str(model), "--output", str(out), "--T", "1", "--g", f"csv:{vector}"]) == 2
         error = json.loads((out / "error.json").read_text())
@@ -721,7 +733,7 @@ class TestBoundedRead:
         # brackets and keys add under 10 kB
         entry = len(json.dumps([-2.2250738585072014e-308, 0.0])) - len(json.dumps([0.0]))
         n = models._MAX_DENSE_STATES
-        assert n * (n + 1) * entry + 10_000 < cli._MAX_INPUT_BYTES
+        assert n * (n + 1) * entry + 10_000 < artifacts._MAX_INPUT_BYTES
 
 
 class TestConsoleEntry:
@@ -791,7 +803,8 @@ class TestUnwritableOutput:
                     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
                 return super().write(data)
 
-        monkeypatch.setattr(artifacts, "open", lambda path, mode: FullDisk(path, "w"), raising=False)
+        monkeypatch.setattr(artifacts, "open", lambda path, mode: FullDisk(path, "w") if "w" in mode else open(path, mode),
+                            raising=False)
         out = tmp_path / "out"
         argv = ["pde", "--model", model_files["ou"], "--T", "0.05", "--g", "x^2", "--steps", "100"]
         assert cli_exit(argv + ["--output", str(out)]) == 2

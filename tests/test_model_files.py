@@ -106,6 +106,24 @@ ROWS = [
     ("jump-tstar-text", _model("jump", **SPACE2, tStar="1"), 2, "InvalidConfig",
      "model parameter 'tStar': expected a number, got '1'"),
     ("ou-n-whole-float", _model("ou", n=10.0), 0, None, None),
+    # an array entry must be a JSON number too, at any depth: numpy reads "0" and true as numbers, null as NaN
+    ("jump-points-text", _model("jump", points=["0", "1"], weights=[0.5, 0.5]), 2, "InvalidConfig",
+     "model parameter 'points': expected numbers, got the entry '0'"),
+    ("jump-weights-true", _model("jump", points=[0.0, 1.0], weights=[True, True]), 2, "InvalidConfig",
+     "model parameter 'weights': expected numbers, got the entry True"),
+    ("chain-weights-mixed-true", _model("chain", matrix=KERNEL2, weights=[1.0, True]), 2, "InvalidConfig",
+     "model parameter 'weights': expected numbers, got the entry True"),
+    ("jump-points-null", _model("jump", points=[0.0, None], weights=[0.5, 0.5]), 2, "InvalidConfig",
+     "model parameter 'points': expected numbers, got the entry None"),
+    ("chain-matrix-first-bad-entry", _model("chain", matrix=[[-0.5, "0.5"], [None, -0.5]], weights=[1.0, 1.0]), 2,
+     "InvalidConfig", "model parameter 'matrix': expected numbers, got the entry '0.5'"),
+    ("jump-kernel-null-entry", _model("jump", **SPACE2, kernel=[[0.5, 0.5], [0.5, None]]), 2, "InvalidConfig",
+     "model parameter 'kernel': expected numbers, got the entry None"),
+    ("chain-matrix-deep-false", _model("chain", matrix=[[[0.0]], [[False]]], weights=[1.0, 1.0]), 2, "InvalidConfig",
+     "model parameter 'matrix': expected numbers, got the entry False"),
+    ("jump-weights-long-text", _model("jump", points=[0.0, 1.0], weights=["a" * 1000, 0.5]), 2, "InvalidConfig",
+     "model parameter 'weights': expected numbers, got the entry '" + "a" * 127 + "... (874 more characters)"),
+    ("chain-integer-entries", _model("chain", matrix=[[-1, 1], [1, -1]], weights=[1, 1]), 0, None, None),
 ]
 
 

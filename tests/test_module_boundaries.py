@@ -40,3 +40,39 @@ def test_the_check_sees_a_private_import(tmp_path):
         encoding="utf-8",
     )
     assert _private_imports(module) == ["spectral._tridiagonal", "inversion._energy_active"]
+
+
+# Each input format has one reader: only ``artifacts`` opens a file, and only
+# ``models``, which owns the model file, parses JSON.
+CALL_OWNERS = {"open": "artifacts", "json.loads": "models"}
+
+
+def _owned_calls(path: Path) -> list[str]:
+    """The calls of ``path`` to ``open`` (a name or an ``.open`` attribute) and ``json.loads``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open" or isinstance(func, ast.Attribute) and func.attr == "open":
+            found.append("open")
+        elif isinstance(func, ast.Attribute) and func.attr == "loads" and ast.unparse(func.value) == "json":
+            found.append("json.loads")
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_owner_of_a_format_opens_or_parses_it(path):
+    assert [call for call in _owned_calls(path) if CALL_OWNERS[call] != path.stem] == []
+
+
+def test_the_ownership_check_sees_open_and_json_loads(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import io, json\n"
+        "def f(path):\n"
+        "    with open(path) as fh, io.open(path) as gh, path.open() as hh:\n"
+        "        return json.loads(fh.read()), json.dumps({})\n",
+        encoding="utf-8",
+    )
+    assert _owned_calls(module) == ["open", "open", "open", "json.loads"]
