@@ -7,7 +7,7 @@ mid-range where the plain series loses digits to cancellation, and Hankel
 asymptotics beyond.
 
 Every Bessel twin of the library integrates, mode by mode, one of two
-Laplace transforms with composite Gauss-Legendre panels:
+Laplace transforms on 32-point Gauss-Legendre panels to a tail tolerance of 1e-12:
 
 - :func:`j0_multipliers`: mu_k = int J0(2 sqrt(x s)) e^(-r_k s) ds = e^(-x/r_k) / r_k,
   on J0 quarter periods until the slowest decay falls below the tail tolerance.
@@ -17,10 +17,10 @@ Laplace transforms with composite Gauss-Legendre panels:
   ``_BLOCK_CELLS`` cells.
 - :func:`i0_multipliers`: mu_k = int I0(2 sqrt(a s)) e^(-s/beta_k) ds = beta_k e^(a beta_k),
   each mode over its own envelope window in u = sqrt(s), on the same two
-  panels mapped to every window (at 32 points a panel, 64 + 128 I0
-  evaluations a mode, the 128-node sum returned), with the modes taken in
-  blocks of about ``_BLOCK_CELLS`` cells.  An uncapped mode's exponent
-  a beta_k is carried with its exact rounding error (Dekker's TwoProduct).
+  panels mapped to every window (64 + 128 I0 evaluations a mode, the
+  128-node sum returned), with the modes taken in blocks of about
+  ``_BLOCK_CELLS`` cells.  An uncapped mode's exponent a beta_k is
+  carried with its exact rounding error (Dekker's TwoProduct).
 
 So a quadrature's memory beside its node arrays is one block, however many
 nodes or modes it needs.
@@ -165,51 +165,48 @@ def bessel_i0(x):
     Relative error <= 1e-12; NaN maps to NaN.  Raises :class:`OverflowRisk`
     instead of returning inf once exp(x) leaves double range (x > ``errors.MAX_EXPONENT``).
     """
-    arr = np.abs(np.asarray(x, dtype=float))
-    scalar = arr.ndim == 0
-    out = _i0(np.atleast_1d(arr), scaled=False)
-    return float(out[0]) if scalar else out
+    arr = np.atleast_1d(np.abs(np.asarray(x, dtype=float)))
+    out = _i0(arr) * np.exp(arr)
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
-def _i0(arr: np.ndarray, scaled: bool) -> np.ndarray:
-    """I0 of the non-negative ``arr``, or I0(x) exp(-x) when ``scaled``; the same range guard."""
+def _i0(arr: np.ndarray) -> np.ndarray:
+    """I0(x) exp(-x) of the non-negative ``arr``; an argument past ``errors.MAX_EXPONENT`` raises."""
     if np.any(arr > MAX_EXPONENT):
         big = float(arr.max())
         log10 = (big - 0.5 * np.log(2.0 * np.pi * big)) / np.log(10.0)
         raise OverflowRisk(f"I0({big:g}) exceeds double range", log10_value=log10)
     asymptotic = arr > _I0_SERIES_END
     if asymptotic.all():  # one regime, the bulk of every I0 window block: no gather or scatter
-        return _i0_asymptotic(arr, scaled)
+        return _i0_asymptotic(arr)
     series = arr <= _I0_SERIES_END
     if series.all():
-        return _i0_series(arr, scaled)
+        return _i0_series(arr)
     out = np.full_like(arr, np.nan)  # NaN falls in no regime below
     if series.any():
-        out[series] = _i0_series(arr[series], scaled)
+        out[series] = _i0_series(arr[series])
     if asymptotic.any():
-        out[asymptotic] = _i0_asymptotic(arr[asymptotic], scaled)
+        out[asymptotic] = _i0_asymptotic(arr[asymptotic])
     return out
 
 
-def _i0_series(x: np.ndarray, scaled: bool) -> np.ndarray:
+def _i0_series(x: np.ndarray) -> np.ndarray:
     # sum_k q^k / (k!)^2 with q = x^2/4, in Horner form on the rounded 1/(k!)^2
     q = 0.25 * x * x
     acc = np.full_like(q, _I0_SERIES[-1])
     for c in _I0_SERIES[-2::-1]:
         acc *= q
         acc += c
-    return acc * np.exp(-x) if scaled else acc
+    return acc * np.exp(-x)
 
 
-def _i0_asymptotic(z: np.ndarray, scaled: bool) -> np.ndarray:
+def _i0_asymptotic(z: np.ndarray) -> np.ndarray:
     # sum_k b_k / z^k / sqrt(2 pi z), in Horner form on r = 1/z
     r = 1.0 / z
     s = np.full_like(z, _I0_B[-1])
     for b in _I0_B[-2::-1]:
         s *= r
         s += b
-    if not scaled:
-        return np.exp(z) / np.sqrt(2.0 * np.pi * z) * s
     np.multiply(2.0 * np.pi, z, out=r)
     np.sqrt(r, out=r)
     s /= r
@@ -219,28 +216,10 @@ def _i0_asymptotic(z: np.ndarray, scaled: bool) -> np.ndarray:
 # -- composite Gauss-Legendre Bochner quadrature ------------------------------
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Settings of one Bochner integral on caller-laid panels.
-
-    ``tail_tol`` is both the self-convergence target and the requested
-    truncation-error bound; ``points_per_panel`` is the Gauss-Legendre order.
-    """
-
-    tail_tol: float
-    points_per_panel: int = 24
-
-    def __post_init__(self):
-        if not 2 <= self.points_per_panel <= 64:
-            raise ValidationError(
-                f"points_per_panel must lie in [2, 64], got {self.points_per_panel}"
-            )
-        check_range("tail_tol", self.tail_tol)
-
-
-# Quadrature setting of the Laplace-transform checks: the J0 and I0 identities
-# below and the flow's laplace_diagnostic.
-LAPLACE_QUADRATURE = QuadratureConfig(tail_tol=1e-12)
+# The one setting of every Bochner integral: Gauss-Legendre points a panel, and the
+# tail tolerance, both the halving test's target and the requested truncation bound.
+_GAUSS_POINTS = 32
+_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -267,18 +246,20 @@ _MAX_PANELS = 16384
 # panels cost twice the nodes for the same halving count.
 _I0_WINDOW_PANELS = 2
 
-# e-folds an I0 window runs past ln(1/tail_tol).  A window that starts at
+# e-folds an I0 window runs past ln(1/_TAIL_TOL).  A window that starts at
 # u = 0 cuts off the tail of 2u exp(-u^2/beta), e^-L of the mode: so
-# e^-8 tail_tol = 3.4e-16 at a tail_tol of 1e-12, below rounding.
+# e^-8 _TAIL_TOL = 3.4e-16, below rounding.
 _I0_WINDOW_MARGIN = 8.0
 
+
 @functools.cache
-def _leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
+def _leggauss() -> tuple[np.ndarray, np.ndarray]:
+    # built on first use: importing numpy.polynomial costs a CLI process 4 to 7 ms (2-core Xeon)
+    return np.polynomial.legendre.leggauss(_GAUSS_POINTS)
 
 
-def _panel_nodes(edges: np.ndarray, points: int) -> tuple[np.ndarray, np.ndarray]:
-    xg, wg = _leggauss(points)
+def _panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    xg, wg = _leggauss()
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
@@ -291,8 +272,8 @@ def _split_edges(edges: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate([edges, mids]))
 
 
-def _integrate(weight, integrand, edges, points):
-    nodes, wq = _panel_nodes(edges, points)
+def _integrate(weight, integrand, edges):
+    nodes, wq = _panel_nodes(edges)
     w = wq * np.asarray(weight(nodes), dtype=float)
     return np.asarray(integrand(nodes, w), dtype=float), nodes.size
 
@@ -322,15 +303,15 @@ def _decay_sum(rates: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
 def bochner_quadrature(
     weight: Callable[[np.ndarray], np.ndarray],
     integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    config: QuadratureConfig,
     breakpoints: Sequence[float],
 ) -> QuadratureResult:
     """Integrate weight(s) times an integrand over the panels between ``breakpoints``.
 
     ``weight`` maps the nodes (k,) to values (k,); ``integrand(s, w)`` gets
     the nodes and their weights w = wq * weight(s) and returns its own node
-    sum, a scalar or one value per component.  Panels are split in half
-    until two successive evaluations agree within tail_tol (absolute, relative to a
+    sum, a scalar or one value per component.  Each panel takes
+    ``_GAUSS_POINTS`` Gauss-Legendre nodes.  Panels are split in half
+    until two successive evaluations agree within ``_TAIL_TOL`` (absolute, relative to a
     unit scale), at most ``_REFINEMENTS`` times, else
     :class:`QuadratureNotConverged` is raised; the result's ``refinements``
     counts the halvings run.  The engine knows nothing of the integrand's
@@ -343,14 +324,14 @@ def bochner_quadrature(
     if edges.size < 2:
         raise ValidationError("need at least two breakpoints")
 
-    value, n_nodes = _integrate(weight, integrand, edges, config.points_per_panel)
+    value, n_nodes = _integrate(weight, integrand, edges)
     err = np.inf
     for refinements in range(1, _REFINEMENTS + 1):
         edges = _split_edges(edges)
-        refined, n_nodes = _integrate(weight, integrand, edges, config.points_per_panel)
+        refined, n_nodes = _integrate(weight, integrand, edges)
         err = float(np.max(np.abs(refined - value)))
         value = refined
-        if err <= config.tail_tol * max(1.0, float(np.max(np.abs(value)))):
+        if err <= _TAIL_TOL * max(1.0, float(np.max(np.abs(value)))):
             break
     else:
         raise QuadratureNotConverged(
@@ -370,6 +351,7 @@ def j0_decay_edges(rate: float, scale: float, tail_tol: float, t: float, refine_
     :class:`ValidationError`.  No panel is wider than 2.5/rate.
     """
     rate = check_range("rate", rate)
+    tail_tol = check_range("tail_tol", tail_tol)
     t = check_range("t", t, closed=True)
     s_max = check_range("s_max", math.log(scale / (rate * tail_tol)) / rate)
     pts = {0.0, s_max}
@@ -395,11 +377,11 @@ def j0_decay_edges(rate: float, scale: float, tail_tol: float, t: float, refine_
 # -- per-mode Laplace multipliers ----------------------------------------------
 
 
-def j0_multipliers(x: float, rates, config: QuadratureConfig, scale: float = 1.0) -> QuadratureResult:
+def j0_multipliers(x: float, rates, scale: float = 1.0) -> QuadratureResult:
     """mu_k = integral_0^inf J0(2 sqrt(x s)) exp(-r_k s) ds for every rate r_k > 0.
 
     Closed form exp(-x/r_k) / r_k.  The range ends where ``scale`` times the
-    slowest decay exp(-min(r) s) falls below the tail tolerance; ``scale``
+    slowest decay exp(-min(r) s) falls below ``_TAIL_TOL``; ``scale``
     is the size of what the multipliers will be applied to.  Panels follow
     the J0 quarter periods and resolve the fastest decay near 0.  The
     result's ``tail_bound`` is the cut tail, scale exp(-min(r) s_max) / min(r).
@@ -408,24 +390,23 @@ def j0_multipliers(x: float, rates, config: QuadratureConfig, scale: float = 1.0
     if rates.size == 0:
         raise ValidationError("need at least one mode: the rate array is empty")
     slow = float(rates.min())
-    edges = j0_decay_edges(slow, scale, config.tail_tol, x, refine_scale=1.0 / float(rates.max()))
+    edges = j0_decay_edges(slow, scale, _TAIL_TOL, x, refine_scale=1.0 / float(rates.max()))
     result = bochner_quadrature(
         lambda s: np.exp(-slow * s) * bessel_j0(2.0 * np.sqrt(x * s)),
         lambda s, w: _decay_sum(rates - slow, s, w),
-        config,
         edges,
     )
     return replace(result, tail_bound=scale * np.exp(-slow * edges[-1]) / slow)
 
 
-def i0_multipliers(a: float, betas, config: QuadratureConfig, s_cap: float = math.inf) -> QuadratureResult:
+def i0_multipliers(a: float, betas, s_cap: float = math.inf) -> QuadratureResult:
     """mu_k = integral_0^s_cap I0(2 sqrt(a s)) exp(-s/beta_k) ds for every beta_k > 0.
 
     Closed form beta_k exp(a beta_k) when s_cap = inf.  In u = sqrt(s) the
     integrand is 2u I0(2 sqrt(a) u) e^(-u^2/beta_k), whose exponent
     2 sqrt(a) u - u^2/beta_k peaks at u*_k = sqrt(a) beta_k.  Each mode is
     integrated over its own window in u, from where that exponent has dropped
-    L = ln(1/tail_tol) + ``_I0_WINDOW_MARGIN`` below its highest value on
+    L = ln(1/``_TAIL_TOL``) + ``_I0_WINDOW_MARGIN`` below its highest value on
     [0, sqrt(s_cap)] to u*_k + sqrt(L beta_k), clipped to [0, sqrt(s_cap)]; a
     mode whose peak lies beyond the cap gets the last stretch before it.
     ``bochner_quadrature`` runs once for all modes on ``_I0_WINDOW_PANELS``
@@ -445,7 +426,7 @@ def i0_multipliers(a: float, betas, config: QuadratureConfig, s_cap: float = mat
     root_a = math.sqrt(a)
     u_cap = math.sqrt(max(s_cap, 0.0))
     with np.errstate(invalid="ignore", over="ignore"):  # a bad beta or cap gives a NaN or inf window, refused below
-        spread = np.sqrt((math.log(1.0 / config.tail_tol) + _I0_WINDOW_MARGIN) * betas)
+        spread = np.sqrt((math.log(1.0 / _TAIL_TOL) + _I0_WINDOW_MARGIN) * betas)
         peak = root_a * betas
         top = np.minimum(peak, u_cap)
         hi = np.minimum(u_cap, peak + spread)
@@ -478,14 +459,14 @@ def i0_multipliers(a: float, betas, config: QuadratureConfig, s_cap: float = mat
             drop /= betas[k, None]
             np.exp(drop, out=drop)
             # 2u (I0(2 sqrt(a) u) e^(-2 sqrt(a) u)) e^drop
-            field = _i0(np.multiply(2.0 * root_a, u, out=rise), scaled=True)
+            field = _i0(np.multiply(2.0 * root_a, u, out=rise))
             u *= 2.0
             field *= u
             field *= drop
             out[k] = (field @ w) * (width[k] / size[k])
         return out
 
-    result = bochner_quadrature(np.ones_like, integrand, config, np.linspace(0.0, 1.0, _I0_WINDOW_PANELS + 1))
+    result = bochner_quadrature(np.ones_like, integrand, np.linspace(0.0, 1.0, _I0_WINDOW_PANELS + 1))
     with np.errstate(over="ignore"):
         value = result.value * size * np.exp(exponent)
     value *= 1.0 + low  # e^low to rounding, |low| <= 2^-53 E_k
@@ -503,7 +484,7 @@ def laplace_j0_identity(t: float, alpha: float) -> tuple[float, float]:
     """
     check_range("t", t)
     check_range("alpha", alpha)
-    lhs = j0_multipliers(t, [alpha], LAPLACE_QUADRATURE).value[0]
+    lhs = j0_multipliers(t, [alpha]).value[0]
     return float(lhs), float(np.exp(-t / alpha) / alpha)
 
 
@@ -520,5 +501,5 @@ def laplace_i0_identity(t: float, beta: float) -> tuple[float, float]:
             "exp(2 t beta) is too large to verify in double precision",
             log10_value=2.0 * t * beta / np.log(10.0),
         )
-    lhs = i0_multipliers(2.0 * t, [beta], LAPLACE_QUADRATURE).value[0]
+    lhs = i0_multipliers(2.0 * t, [beta]).value[0]
     return float(lhs), float(beta * np.exp(2.0 * t * beta))

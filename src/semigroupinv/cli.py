@@ -30,7 +30,6 @@ from .artifacts import (
     write_text,
     write_trajectory,
 )
-from .bessel import j0_multipliers
 from .errors import (
     MAX_TRAJECTORY_CELLS,
     InvalidConfig,
@@ -45,11 +44,11 @@ from .errors import (
 )
 from .inversion import (
     COEFF_TOL,
-    FLOW_QUADRATURE,
     InverseProblem,
     check_observed,
     conditioning_report,
     flow_multipliers,
+    flow_quadrature_multipliers,
     invert_bessel,
     invert_spectral,
     solve_backward_cauchy,
@@ -353,7 +352,7 @@ def _cmd_check(p, gen, dec, out: Path) -> dict:
         # one J0 quadrature, the multipliers of resolvent_flow_quadrature(dec, 1, 1, f): applied to f
         # against resolvent_flow, and mode by mode against their closed form
         closed = flow_multipliers(dec.eigenvalues, 1.0, 1.0)
-        mu = j0_multipliers(1.0, dec.eigenvalues + 1.0, FLOW_QUADRATURE, max(1.0, norm(space, f))).value
+        mu = flow_quadrature_multipliers(dec, 1.0, 1.0, f)
         fs, fq = dec.apply(closed, f), dec.apply(mu, f)
         record("flowQuadratureAgreement", norm(space, fs - fq) / max(norm(space, fs), 1e-300), 1e-6)
         record("flowMultiplierAgreement", np.max(np.abs(mu - closed) / closed), 1e-8)

@@ -7,12 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import semigroupinv as sg
 from conftest import single_thread_probe
+from semigroupinv import bessel
 from semigroupinv.bessel import _i0, i0_multipliers, j0_decay_edges, j0_multipliers
-from semigroupinv.inversion import FLOW_QUADRATURE, H_QUADRATURE, I0_QUADRATURE
 
 
 def series_j0(x: float) -> float:
@@ -126,14 +125,14 @@ class TestI0MpmathOracle:
         with mp.workdps(30):
             exact = [mp.besseli(0, mp.mpf(v)) for v in x]
             scaled_exact = [e * mp.exp(-mp.mpf(v)) for e, v in zip(exact, x)]
-            for got, want in ((sg.bessel_i0(x), exact), (_i0(x, scaled=True), scaled_exact)):
+            for got, want in ((sg.bessel_i0(x), exact), (_i0(x), scaled_exact)):
                 worst = max(float(abs(mp.mpf(g) - w) / w) for g, w in zip(got, want))
                 assert worst <= 1e-12, regime
 
     @pytest.mark.parametrize("values", [[5.0, 10.0], [30.0, 400.0]], ids=["series", "asymptotic"])
     def test_nan_among_one_regime_maps_to_nan(self, values):
-        got = _i0(np.array(values + [math.nan]), scaled=True)
-        assert np.array_equal(got[:-1], _i0(np.array(values), scaled=True)) and math.isnan(got[-1])
+        got = _i0(np.array(values + [math.nan]))
+        assert np.array_equal(got[:-1], _i0(np.array(values))) and math.isnan(got[-1])
 
 
 class TestBounds:
@@ -205,7 +204,7 @@ class TestLaplaceIdentities:
 class TestLaplaceMultipliers:
     """The twins' per-mode multipliers against their closed forms, mode by mode.
 
-    Each case is a twin's own setting: the flow at alpha = 1, t = 1 and h at
+    Each case is a twin's own call: the flow at alpha = 1, t = 1 and h at
     T = 1, t = 0.25, x = 0.7 (both on f = 1.3 x^2), the inverse's I0 integral
     at a = T and the conditioning integral at a = 2 T with alpha = 1.
     """
@@ -222,20 +221,20 @@ class TestLaplaceMultipliers:
         f = 1.3 * gen.space.points**2
         c2 = dec.coefficients(f) ** 2
         lam = dec.eigenvalues
-        for x, rates, config, scale in (
-            (1.0, lam + 1.0, FLOW_QUADRATURE, max(1.0, sg.norm(gen.space, f))),
-            (0.7, lam + 1.5, H_QUADRATURE, max(1.0, float(c2.sum()))),
+        for x, rates, scale in (
+            (1.0, lam + 1.0, max(1.0, sg.norm(gen.space, f))),
+            (0.7, lam + 1.5, max(1.0, float(c2.sum()))),
         ):
-            mu = j0_multipliers(x, rates, config, scale).value
+            mu = j0_multipliers(x, rates, scale).value
             closed = np.exp(-x / rates) / rates
             assert mu.shape == rates.shape
-            assert np.max(np.abs(mu - closed) / closed) <= 1e-10
+            assert np.max(np.abs(mu - closed) / closed) <= 1e-12
 
     def test_uncapped_i0_multipliers_of_inverse_and_conditioning(self, case):
         _, dec, T = case
         beta = dec.eigenvalues + 1.0
         for a in (T, 2.0 * T):
-            mu = i0_multipliers(a, beta, I0_QUADRATURE).value
+            mu = i0_multipliers(a, beta).value
             closed = beta * np.exp(a * beta)
             assert np.max(np.abs(mu - closed) / closed) <= 1e-12
 
@@ -243,29 +242,29 @@ class TestLaplaceMultipliers:
     def test_benchmark_i0_multipliers_converge_at_the_first_halving(self, case, ou400, dirichlet_laplacian400):
         # the conditioning integrals of ou400 at T = 1 and laplacian400 at T = 0.02, cut at s_cap
         dec, a = (ou400[1], 2.0) if case == "ou400" else (dirichlet_laplacian400, 0.04)
-        result = i0_multipliers(a, dec.eigenvalues + 1.0, I0_QUADRATURE, s_cap=350.0**2 / a)
+        result = i0_multipliers(a, dec.eigenvalues + 1.0, s_cap=350.0**2 / a)
         assert result.refinements == 1
-        assert result.n_nodes == 4 * I0_QUADRATURE.points_per_panel
+        assert result.n_nodes == 4 * bessel._GAUSS_POINTS
 
     def test_empty_or_non_finite_window_is_refused(self):
         for a, betas, s_cap in ((math.inf, [1.0], math.inf), (1e300, [1e300], math.inf), (2.0, [1.0], 0.0)):
             with pytest.raises(sg.ValidationError):
-                i0_multipliers(a, betas, I0_QUADRATURE, s_cap)
+                i0_multipliers(a, betas, s_cap)
 
     def test_j0_multipliers_refuse_an_empty_mode_array(self):
         with pytest.raises(sg.ValidationError, match="^need at least one mode: the rate array is empty$"):
-            j0_multipliers(1.0, np.zeros(0), FLOW_QUADRATURE)
+            j0_multipliers(1.0, np.zeros(0))
 
     def test_i0_multipliers_refuse_an_empty_mode_array(self):
         with pytest.raises(sg.ValidationError, match="^need at least one mode: the beta array is empty$"):
-            i0_multipliers(1.0, np.zeros(0), I0_QUADRATURE)
+            i0_multipliers(1.0, np.zeros(0))
 
     def test_capped_i0_multipliers_stay_below_the_closed_form(self, ou400):
         # ou400 at T = 1: the closed forms reach e^4470, the cap keeps I0's argument at 700
         beta = ou400[1].eigenvalues + 1.0
         with np.errstate(over="ignore"):
             closed = beta * np.exp(2.0 * beta)
-        mu = i0_multipliers(2.0, beta, I0_QUADRATURE, s_cap=350.0**2 / 2.0).value
+        mu = i0_multipliers(2.0, beta, s_cap=350.0**2 / 2.0).value
         # the low modes end inside the window and agree to rounding; the high ones are cut short
         assert np.all(np.isfinite(mu)) and np.all(mu <= closed * (1.0 + 1e-12))
 
@@ -278,7 +277,7 @@ class TestLaplaceMultipliers:
         mp = pytest.importorskip("mpmath")
         a, s_cap = 0.04, 350.0**2 / 0.04
         beta = dirichlet_laplacian400.eigenvalues + 1.0
-        mu = i0_multipliers(a, beta, I0_QUADRATURE, s_cap).value
+        mu = i0_multipliers(a, beta, s_cap).value
         spread = np.sqrt((math.log(1e12) + 8.0) * beta)
         inside = np.flatnonzero(math.sqrt(a) * beta + spread < math.sqrt(s_cap))
         assert inside.size > 100
@@ -290,33 +289,32 @@ class TestLaplaceMultipliers:
     @pytest.mark.parametrize("a, beta", [(1e-298, 1e300), (1e-303, 1e305)], ids=["product", "split"])
     def test_uncapped_multiplier_past_double_range_is_inf(self, a, beta):
         # beta e^(a beta) is e^791 and e^802; at 1e305 Veltkamp's split of beta overflows, which must not give NaN
-        assert i0_multipliers(a, [beta], I0_QUADRATURE).value[0] == math.inf
+        assert i0_multipliers(a, [beta]).value[0] == math.inf
 
 
-_MA_PROBE = r"""
+# Runs one CLI command in a fresh interpreter and reports which of two optional numpy modules it loaded.
+_IMPORT_PROBE = r"""
 import json, sys
 from semigroupinv import cli
 try:
-    cli.main(["diagnose", "--model", sys.argv[1], "--T", "1", "--g", "x^2", "--output", sys.argv[2]])
+    cli.main(sys.argv[3:] + ["--model", sys.argv[1], "--output", sys.argv[2]])
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules}))
+print(json.dumps({"code": code, "loaded": [m for m in ("numpy.ma", "numpy.polynomial") if m in sys.modules]}))
 """
 
 
 class TestBochnerQuadrature:
     def test_exponential_times_constant_field(self):
-        cfg = sg.QuadratureConfig(tail_tol=1e-12)
         c = np.array([2.0, -1.0, 0.5])
-        res = sg.bochner_quadrature(lambda s: np.exp(-s), lambda s, w: w.sum() * c, cfg, np.linspace(0.0, 30.0, 41))
+        res = sg.bochner_quadrature(lambda s: np.exp(-s), lambda s, w: w.sum() * c, np.linspace(0.0, 30.0, 41))
         expected = c * (1.0 - math.exp(-30.0))
         assert res.value == pytest.approx(expected, abs=1e-12)
         assert res.tail_bound is None  # the engine does not know the integrand's tail
 
     def test_j0_multipliers_bound_their_cut_tail(self):
         # at x = 0 the multipliers are 1/r; the cut tail of 2 e^(-s) is 2 e^(-s_max) = tail_tol
-        cfg = sg.QuadratureConfig(tail_tol=1e-12)
-        res = j0_multipliers(0.0, [1.0, 4.0], cfg, scale=2.0)
+        res = j0_multipliers(0.0, [1.0, 4.0], scale=2.0)
         s_max = j0_decay_edges(1.0, 2.0, 1e-12, 0.0, 0.25)[-1]
         assert res.tail_bound == pytest.approx(2.0 * math.exp(-s_max), rel=1e-15)
         assert res.tail_bound == pytest.approx(1e-12, rel=1e-12)
@@ -332,7 +330,6 @@ class TestBochnerQuadrature:
             res = sg.bochner_quadrature(
                 lambda s: sg.bessel_j0(2.0 * np.sqrt(s)) * np.exp(-s),
                 lambda s, w: w.sum() * c,
-                sg.QuadratureConfig(tail_tol=1e-12),
                 breakpoints=edges,
             )
             values.append(res.value[0])
@@ -340,33 +337,10 @@ class TestBochnerQuadrature:
         errors = [abs(v - math.exp(-1.0)) for v in values]
         assert errors[-1] <= errors[0]
 
-    def test_doubling_points_is_within_tail_tol(self):
-        # smooth integrand: self-convergence under points_per_panel doubling
-        def weight(s):
-            return np.exp(-0.8 * s) * np.cos(s)
-
-        integrand = lambda s, w: w.sum()
-        vals = {}
-        for pts in (16, 32):
-            cfg = sg.QuadratureConfig(points_per_panel=pts, tail_tol=1e-10)
-            vals[pts] = float(sg.bochner_quadrature(weight, integrand, cfg, np.linspace(0.0, 40.0, 33)).value)
-        assert abs(vals[32] - vals[16]) <= 1e-10
-        oracle, err = quad(weight, 0.0, 40.0, limit=200)
-        assert vals[32] == pytest.approx(oracle, abs=1e-9 + 10 * err)
-
     def test_not_converged_raises(self):
-        # violently oscillatory integrand, coarse panels, too few halvings
-        cfg = sg.QuadratureConfig(points_per_panel=2, tail_tol=1e-14)
+        # 3800 periods of cos(400 s): after three halvings each of the 16 panels holds 240 for 32 nodes
         with pytest.raises(sg.QuadratureNotConverged):
-            sg.bochner_quadrature(
-                lambda s: np.cos(40.0 * s), lambda s, w: w.sum(), cfg, [0.0, 30.0, 60.0]
-            )
-
-    def test_config_validation(self):
-        with pytest.raises(sg.ValidationError):
-            sg.QuadratureConfig(tail_tol=1e-10, points_per_panel=65)
-        with pytest.raises(sg.ValidationError):
-            sg.QuadratureConfig(tail_tol=0.0)
+            sg.bochner_quadrature(lambda s: np.cos(400.0 * s), lambda s, w: w.sum(), [0.0, 30.0, 60.0])
 
     def test_edge_builders_cover_range(self):
         # rate 0.5 ends the range at s_max = 50 and caps panels at 5; J0 quarter periods of 0.8 in sqrt(s)
@@ -383,7 +357,18 @@ class TestBochnerQuadrature:
         # np.unique imports numpy.ma on its first call, about 5 ms of every fresh diagnose, invert or check
         model = tmp_path / "ou.json"
         model.write_text(json.dumps({"schemaVersion": 1, "type": "ou", "parameters": {"n": 400}}), encoding="utf-8")
-        assert single_thread_probe(_MA_PROBE, str(model), str(tmp_path / "out")) == {"code": 0, "numpy.ma": False}
+        got = single_thread_probe(_IMPORT_PROBE, str(model), str(tmp_path / "out"), "diagnose", "--T", "1", "--g", "x^2")
+        assert got["code"] == 0 and "numpy.ma" not in got["loaded"]
+
+    @pytest.mark.parametrize("argv, loaded", [(["decompose"], False), (["diagnose", "--T", "1", "--g", "x^2"], True)],
+                             ids=["decompose", "diagnose"])
+    def test_gauss_nodes_load_numpy_polynomial_only_for_a_quadrature(self, tmp_path, argv, loaded):
+        # numpy.polynomial costs a fresh process 4 to 7 ms; diagnose, which runs a quadrature,
+        # shows that the probe sees the import
+        model = tmp_path / "ou.json"
+        model.write_text(json.dumps({"schemaVersion": 1, "type": "ou", "parameters": {"n": 400}}), encoding="utf-8")
+        got = single_thread_probe(_IMPORT_PROBE, str(model), str(tmp_path / "out"), *argv)
+        assert got["code"] == 0 and ("numpy.polynomial" in got["loaded"]) == loaded
 
     @pytest.mark.parametrize("rate, t", [(0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, -1.0), (1.0, math.nan)],
                              ids=["rate=0", "rate=-1", "rate=nan", "t=-1", "t=nan"])
@@ -421,7 +406,7 @@ class TestCappedI0Oracle:
         dec, a = (ou400[1], 2.0) if case == "ou400" else (dirichlet_laplacian400, 0.04)
         s_cap = 350.0**2 / a
         beta = dec.eigenvalues + 1.0
-        mu = i0_multipliers(a, beta, I0_QUADRATURE, s_cap).value
+        mu = i0_multipliers(a, beta, s_cap).value
         peak, bell_end = math.sqrt(a) * beta, math.sqrt(a) * beta + np.sqrt(math.log(1e12) * beta)
         u_cap = math.sqrt(s_cap)
         inside = np.flatnonzero(bell_end < u_cap)[-1]

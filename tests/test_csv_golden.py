@@ -132,7 +132,7 @@ GOLDEN_RUNS = [
     (["sweep", "--T", "0.25", "--g", "x^2", "--phi", "tikhonov_exp"], "sweep.csv",
      "eae6f41a65cdb2440fc13a1a8d28f2a4c55650663454ec6173c055d7b79690d1"),
     (["check"], "summary.json",
-     "b9714b786400dff0cbfa372aec65a4dfa5f69730e4ccbe5cbafa941985706d70"),
+     "3c0bc4159acc0991be6c61c628e6ce49aa5353e99db1ec24f5c6c7041f33e743"),
 ]
 GOLDEN_IDS = [
     "decompose", "pde", "pde-mixed", "invert", "regularise-tikhonov_exp", "regularise-constant",

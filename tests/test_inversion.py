@@ -128,7 +128,6 @@ class TestConditioningReport:
         spectral = (math.exp(2.0) + math.exp(4.0)) / 2.0
         values = []
         for s_max in (2.0, 5.0, 10.0, 40.0, 160.0):
-            cfg = sg.QuadratureConfig(points_per_panel=32, tail_tol=1e-13)
             from semigroupinv.bessel import bochner_quadrature
             from semigroupinv.bessel import bessel_i0
 
@@ -138,7 +137,6 @@ class TestConditioningReport:
             res = bochner_quadrature(
                 lambda s: bessel_i0(2.0 * np.sqrt(2.0 * s)),
                 lambda s, w: (np.exp(-np.outer(s, 1.0 / beta)) @ quad_form) @ w,
-                cfg,
                 breakpoints=edges,
             )
             values.append(float(res.value))

@@ -76,3 +76,23 @@ def test_the_ownership_check_sees_open_and_json_loads(tmp_path):
         encoding="utf-8",
     )
     assert _owned_calls(module) == ["open", "open", "open", "json.loads"]
+
+
+def _sibling_imports(path: Path) -> set[str]:
+    """The package modules that ``path`` imports from: ``from .x import ...`` and ``from . import x``."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+    return found
+
+
+def test_cli_reaches_the_bessel_twins_through_inversion_only():
+    # each twin builds its own multipliers, so the CLI holds no quadrature call of its own
+    assert "bessel" not in _sibling_imports(PACKAGE / "cli.py")
+
+
+def test_the_sibling_check_sees_both_import_forms(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text("import json\nfrom . import bessel\nfrom .inversion import invert_bessel\n", encoding="utf-8")
+    assert _sibling_imports(module) == {"bessel", "inversion"}

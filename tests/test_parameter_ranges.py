@@ -85,7 +85,7 @@ def _space():
 # decomposition whose keyword arguments default to a valid value, and the
 # values each parameter must refuse.  Not listed: bessel_j0/bessel_i0, which
 # map arrays elementwise and pass NaN through like any ufunc, and
-# bochner_quadrature, which takes no scalar: its setting is a QuadratureConfig.
+# bochner_quadrature, which takes no scalar.
 ENTRY_POINTS = [
     ("semigroup_apply", lambda dec, t=0.5: sg.semigroup_apply(dec, t, F), {"t": NON_NEGATIVE}),
     ("resolvent_apply", lambda dec, alpha=1.0: sg.resolvent_apply(dec, alpha, F), {"alpha": POSITIVE}),
@@ -123,14 +123,12 @@ ENTRY_POINTS = [
      {"t": POSITIVE, "alpha": POSITIVE}),
     ("laplace_i0_identity", lambda dec, t=0.1, beta=1.0: sg.laplace_i0_identity(t, beta),
      {"t": POSITIVE, "beta": POSITIVE}),
-    ("QuadratureConfig",
-     lambda dec, tail_tol=1e-12, points_per_panel=24: sg.QuadratureConfig(tail_tol, points_per_panel),
-     {"tail_tol": POSITIVE, "points_per_panel": POSITIVE}),
     ("i0_multipliers",
-     lambda dec, a=1.0, s_cap=INF: bessel.i0_multipliers(a, [1.0, 2.0], bessel.LAPLACE_QUADRATURE, s_cap),
+     lambda dec, a=1.0, s_cap=INF: bessel.i0_multipliers(a, [1.0, 2.0], s_cap),
      {"a": POSITIVE, "s_cap": (NAN, -INF, -1.0, 0.0)}),
-    ("j0_decay_edges", lambda dec, rate=1.0, t=1.0: bessel.j0_decay_edges(rate, 1.0, 1e-11, t, 0.1),
-     {"rate": POSITIVE, "t": NON_NEGATIVE}),
+    ("j0_decay_edges",
+     lambda dec, rate=1.0, tail_tol=1e-11, t=1.0: bessel.j0_decay_edges(rate, 1.0, tail_tol, t, 0.1),
+     {"rate": POSITIVE, "tail_tol": POSITIVE, "t": NON_NEGATIVE}),
     ("build_ou", lambda dec, half_width=3.0, n=8, rate=1.0: sg.build_ou(half_width, n, rate),
      {"half_width": POSITIVE, "n": POSITIVE, "rate": POSITIVE}),
     ("DiffusionSpec", lambda dec, n=8: sg.build_diffusion(sg.DiffusionSpec(0.0, 1.0, n)), {"n": POSITIVE}),

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 import semigroupinv as sg
 from semigroupinv import bessel, cli
 from semigroupinv.errors import MAX_EXPONENT
-from semigroupinv.inversion import BESSEL_CONDITIONING_CAP, I0_QUADRATURE
+from semigroupinv.inversion import BESSEL_CONDITIONING_CAP
 from semigroupinv.models import _MAX_STATES, ModelSpec
 
 SANE = st.floats(0.1, 4.0)
@@ -240,7 +240,7 @@ def _uncapped(T: float, beta: float) -> bool:
     and the cut is u_cap = sqrt(s_cap) = (MAX_EXPONENT / 2) / sqrt(2T).
     """
     x = 2.0 * T * beta
-    spread = math.log(1.0 / I0_QUADRATURE.tail_tol) + bessel._I0_WINDOW_MARGIN
+    spread = math.log(1.0 / bessel._TAIL_TOL) + bessel._I0_WINDOW_MARGIN
     return x + math.sqrt(spread * x) <= 0.5 * MAX_EXPONENT
 
 

@@ -43,11 +43,11 @@ GOLDEN_RUNS = {
 }
 GOLDEN_HEX = {
     "laplace_diagnostic": ["0x1.1930734d06408p+0", "0x1.1930734d06409p+0"],
-    "squared_bessel_h_quadrature": "0x1.53b224287531dp-1",
-    "resolvent_flow_quadrature": "916071f148498fbcb7910ba49db98e69e5fe5368542d45d4f14e22898a64656b",
+    "squared_bessel_h_quadrature": "0x1.53b224287501cp-1",
+    "resolvent_flow_quadrature": "24ccbe7bf2d91320d8407529bea51b0da22d14a96124214ec3bfaec15a48d069",
     "laplace_j0_identity": ["0x1.78b56362cfe3ap-2", "0x1.78b56362cef38p-2"],
-    "laplace_i0_identity": ["0x1.d8e64b8d4ddacp+3", "0x1.d8e64b8d4ddaep+3"],
-    "squared_bessel_pde_check": "0x1.0d8fa8e800000p-23",
+    "laplace_i0_identity": ["0x1.d8e64b8d4ddadp+3", "0x1.d8e64b8d4ddaep+3"],
+    "squared_bessel_pde_check": "0x1.0dcc63c800000p-23",
 }
 
 _PROBE = r"""
