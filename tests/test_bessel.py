@@ -1,12 +1,14 @@
 """Special functions: oracle comparisons, ODE residual, Laplace identities,
 and the Bochner quadrature engine."""
 
+import inspect
 import json
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import semigroupinv as sg
 from conftest import single_thread_probe
@@ -337,10 +339,39 @@ class TestBochnerQuadrature:
         errors = [abs(v - math.exp(-1.0)) for v in values]
         assert errors[-1] <= errors[0]
 
+    def test_doubling_points_is_within_tail_tol(self):
+        # smooth integrand: every panel takes the same Gauss rule, so halving the panels doubles the nodes
+        def weight(s):
+            return np.exp(-0.8 * s) * np.cos(s)
+
+        integrand = lambda s, w: w.sum()
+        vals = {}
+        for panels in (32, 64):
+            vals[panels] = float(sg.bochner_quadrature(weight, integrand, np.linspace(0.0, 40.0, panels + 1)).value)
+        assert abs(vals[64] - vals[32]) <= bessel._TAIL_TOL
+        oracle, err = quad(weight, 0.0, 40.0, limit=200)
+        assert vals[64] == pytest.approx(oracle, abs=1e-9 + 10 * err)
+
     def test_not_converged_raises(self):
         # 3800 periods of cos(400 s): after three halvings each of the 16 panels holds 240 for 32 nodes
         with pytest.raises(sg.QuadratureNotConverged):
             sg.bochner_quadrature(lambda s: np.cos(400.0 * s), lambda s, w: w.sum(), [0.0, 30.0, 60.0])
+
+    @pytest.mark.parametrize("func, params", [
+        (sg.bochner_quadrature, ["weight", "integrand", "breakpoints"]),
+        (j0_multipliers, ["x", "rates", "scale"]),
+        (i0_multipliers, ["a", "betas", "s_cap"]),
+    ], ids=["bochner_quadrature", "j0_multipliers", "i0_multipliers"])
+    def test_no_caller_sets_the_quadrature(self, func, params):
+        # the node count and tail tolerance are module constants; the perfbench tracer also
+        # reads bochner_quadrature's weight and integrand as its first two positional arguments
+        assert list(inspect.signature(func).parameters) == params
+
+    def test_no_quadrature_setting_is_exported(self):
+        from semigroupinv import inversion
+
+        assert not hasattr(sg, "QuadratureConfig") and not hasattr(bessel, "QuadratureConfig")
+        assert not any(name.endswith("_QUADRATURE") for name in dir(bessel) + dir(inversion))
 
     def test_edge_builders_cover_range(self):
         # rate 0.5 ends the range at s_max = 50 and caps panels at 5; J0 quarter periods of 0.8 in sqrt(s)

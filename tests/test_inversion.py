@@ -8,6 +8,7 @@ import pytest
 
 import semigroupinv as sg
 from conftest import rk4
+from semigroupinv.inversion import flow_multipliers, flow_quadrature_multipliers
 
 # frozen 2-state values at alpha = 1, t = 1, f = (1, 0):
 # ((e^-1 + e^-0.5/2)/2, (e^-1 - e^-0.5/2)/2)
@@ -89,6 +90,16 @@ class TestFlowQuadrature:
                     quadrature = sg.resolvent_flow_quadrature(dec, alpha, t, f)
                     err = sg.norm(gen.space, spectral - quadrature)
                     assert err <= 1e-6 * max(sg.norm(gen.space, spectral), 1e-12)
+
+    @pytest.mark.parametrize("alpha, t", [(1.0, 1.0), (2.0, 0.1)], ids=["alpha=1,t=1", "alpha=2,t=0.1"])
+    def test_twin_applies_its_own_multipliers(self, ou50, alpha, t):
+        # the check command reuses these multipliers, so they must be the twin's to the bit
+        gen, dec = ou50
+        f = np.random.default_rng(5).standard_normal(gen.size)
+        mu = flow_quadrature_multipliers(dec, alpha, t, f)
+        assert np.array_equal(sg.resolvent_flow_quadrature(dec, alpha, t, f), dec.apply(mu, f))
+        closed = flow_multipliers(dec.eigenvalues, alpha, t)
+        assert np.max(np.abs(mu - closed) / closed) <= 1e-12
 
 
 class TestConditioningReport:
